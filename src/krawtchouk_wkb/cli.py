@@ -30,7 +30,6 @@ from .exact_core import (
     DomainError,
     ExactTable,
     Params,
-    build_table,
     krawtchouk_sum,
     lemma3_value,
     orthogonality_sum,
@@ -103,18 +102,13 @@ _REGION_TAGS = (
 
 
 # ---------------------------------------------------------------------------
-# Exact-table cache and the windowed error metric
+# Exact tables and the windowed error metric
 # ---------------------------------------------------------------------------
-
-_TABLES: Dict[Tuple[int, str], ExactTable] = {}
 
 
 def exact_table(N: int, q: str) -> ExactTable:
-    """Build (once per process) the exact table for (N, q)."""
-    key = (N, q)
-    if key not in _TABLES:
-        _TABLES[key] = build_table(Params.from_q(N, q))
-    return _TABLES[key]
+    """The exact table for (N, q); each row is computed on its first read."""
+    return ExactTable(Params.from_q(N, q))
 
 
 def window_env_log(table: ExactTable, n: int, x: int) -> float:
@@ -128,7 +122,8 @@ def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int) -> float:
     """|approx - exact| / windowed envelope, computed overflow-free.
 
     Both values are rescaled by the envelope's log before subtracting, so the
-    metric is exact even when |K| is far outside double range.
+    metric is exact even when |K| is far outside double range.  An
+    approximation too large to rescale into double range gives ``inf``.
     """
     env_log = window_env_log(table, n, x)
     if env_log == float("-inf"):
@@ -138,15 +133,21 @@ def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int) -> float:
     if av.ln_scale == float("-inf"):
         approx_scaled = 0.0
     else:
-        approx_scaled = math.copysign(1.0, av.value) * math.exp(av.ln_scale - env_log)
+        try:
+            approx_scaled = math.copysign(1.0, av.value) * math.exp(av.ln_scale - env_log)
+        except OverflowError:
+            return math.inf
     return abs(approx_scaled - exact_scaled)
 
 
 def formula_gap(a: ApproxValue, b: ApproxValue, table: ExactTable, n: int, x: int) -> float:
-    """|a - b| / windowed exact envelope (the overlap-matching metric)."""
+    """|a - b| / windowed exact envelope (the overlap metric); inf past double range."""
     env_log = window_env_log(table, n, x)
-    sa = math.copysign(1.0, a.value) * math.exp(a.ln_scale - env_log)
-    sb = math.copysign(1.0, b.value) * math.exp(b.ln_scale - env_log)
+    try:
+        sa = math.copysign(1.0, a.value) * math.exp(a.ln_scale - env_log)
+        sb = math.copysign(1.0, b.value) * math.exp(b.ln_scale - env_log)
+    except OverflowError:
+        return math.inf
     return abs(sa - sb)
 
 
@@ -611,31 +612,19 @@ def _pair_worst_gap(tag_a: str, tag_b: str, q: str, N: int,
     return worst
 
 
-_REACHABLE: Dict[Tuple[int, str, ClassifierConfig], frozenset] = {}
-
-
 def _reachable_tags(N: int, q: str, cfg: ClassifierConfig) -> frozenset:
     """Set of region tags the classifier assigns anywhere on the (N, q) grid."""
-    key = (N, q, cfg)
-    if key not in _REACHABLE:
-        params = Params.from_q(N, q)
-        tags = set()
-        for n in range(0, N + 1):
-            for x in range(0, N + 1):
-                tags.add(classify(x, n, params, cfg).tag)
-        _REACHABLE[key] = frozenset(tags)
-    return _REACHABLE[key]
+    params = Params.from_q(N, q)
+    return frozenset(classify(x, n, params, cfg).tag for n in range(N + 1) for x in range(N + 1))
 
 
-def _pair_precondition(tag_a: str, tag_b: str, q: str, N: int,
-                       cfg: ClassifierConfig) -> Optional[str]:
-    """Both regions of a pair must be classified somewhere under cfg.
+def _pair_precondition(tag_a: str, tag_b: str, reachable: frozenset) -> Optional[str]:
+    """Both regions of a pair must be classified somewhere under the config.
 
     A config that eliminates a region from the map makes the corresponding
     matching claim vacuous, so the criterion reports it as a failure rather
     than silently comparing formulas nobody is routed to.
     """
-    reachable = _reachable_tags(N, q, cfg)
     for tag in (tag_a, tag_b):
         if tag not in reachable:
             return f"region {tag} never assigned by the classifier under this config"
@@ -652,8 +641,11 @@ def criterion_4(cfg: ClassifierConfig = DEFAULT_CONFIG,
     details: List[str] = []
     full = _overlap_pairs(eps_half=False)
     half = {entry[0]: entry for entry in _overlap_pairs(eps_half=True)}
+    reachable: Dict[Tuple[int, str], frozenset] = {}
     for name, tag_a, tag_b, q, N, loci in full:
-        problem = _pair_precondition(tag_a, tag_b, q, N, cfg)
+        if (N, q) not in reachable:
+            reachable[N, q] = _reachable_tags(N, q, cfg)
+        problem = _pair_precondition(tag_a, tag_b, reachable[N, q])
         if problem:
             failures.append(f"{name}: {problem}")
             continue

@@ -22,6 +22,7 @@ __all__ = [
     "krawtchouk_sum",
     "krawtchouk_real",
     "build_table",
+    "exact_row",
     "weight",
     "orthogonality_sum",
     "symmetry_image",
@@ -120,32 +121,37 @@ class Params:
 
 
 class ExactTable:
-    """Immutable (N+1) x (N+1) table of exact ``K_n(x)`` values.
+    """Exact ``K_n(x)`` on the (N+1) x (N+1) grid, filled one row at a time.
 
-    Row ``n`` is stored as a tuple of integers scaled by ``denom**n``; the
-    :meth:`value` accessor undoes the scaling.  Once built, the table is
-    read-only and safe to share between threads.
+    Row ``n`` comes from :func:`exact_row` on its first read and is kept as a
+    tuple of integers scaled by ``denom**n``; the :meth:`value` accessor
+    undoes the scaling.  Memory grows with the rows read, never past N+1.
+    Stored rows never change, so the table is safe to share between threads
+    (a race at worst computes a row twice).
     """
 
     __slots__ = ("params", "_rows")
 
-    def __init__(self, params: Params, rows: tuple) -> None:
+    def __init__(self, params: Params) -> None:
         self.params = params
-        self._rows = rows
+        self._rows = [None] * (params.N + 1)
 
     def value(self, n: int, x: int) -> Fraction:
         """Exact ``K_n(x)``."""
         _check_range("n", n, self.params.N)
         _check_range("x", x, self.params.N)
-        return Fraction(self._rows[n][x], self.params.denom**n)
+        return Fraction(self.scaled_row(n)[x], self.params.denom**n)
 
     def scaled_row(self, n: int) -> tuple:
         """Row ``n`` as integers, scaled by ``denom**n`` (internal units)."""
-        return self._rows[n]
+        row = self._rows[n]
+        if row is None:
+            row = self._rows[n] = exact_row(n, self.params)
+        return row
 
     def signed_log(self, n: int, x: int):
         """``(sign, ln|K_n(x)|)`` without building a huge float."""
-        num = self._rows[n][x]
+        num = self.scaled_row(n)[x]
         if num == 0:
             return 0, float("-inf")
         ln = _ln_abs_int(num) - n * math.log(self.params.denom)
@@ -221,45 +227,40 @@ def krawtchouk_real(n: int, x, params: Params) -> float:
     return float(total)
 
 
-def build_table(params: Params) -> ExactTable:
-    """Build the full table of ``K_n(x)`` from the three-term recurrence.
+def exact_row(n: int, params: Params) -> tuple:
+    """Row ``n`` as the integers ``denom**n * K_n(x)``, x = 0..N, in O(N) steps.
 
-    Seeds are K_0(x) = 1 and K_1(x) = x - pN; each later row comes from
+    Self-duality (K_n(x)/K_n(0) is symmetric in n and x) turns the degree
+    recurrence into one that runs along x:
 
-        (n+1) K_{n+1}(x) = -pq (N-n+1) K_{n-1}(x) - [p(N-n) + nq - x] K_n(x),
+        p(N-x) K_n(x+1) = [p(N-x) + xq - n] K_n(x) - xq K_n(x-1),
 
-    run in integer-scaled arithmetic with an exact-divisibility check.  As a
-    final self-check one extra step is taken: the implied degree-(N+1) row
-    must vanish identically, because it equals C(x, N+1) for x <= N.
+    seeded with K_n(0) = C(N,n)(-p)^n; its x = 0 step is the seed
+    K_n(1) = K_n(0)(1 - n/(pN)).  Every step is checked for exact
+    divisibility, and as a final self-check the x = N equation
+    Nq K_n(N-1) = (Nq - n) K_n(N) must hold.
     """
-    N = params.N
-    b = params.denom
+    _check_range("n", n, params.N)
+    N, b = params.N, params.denom
     ap, aq = params.p_num, params.q_num
-    rows = [tuple([1] * (N + 1))]
-    rows.append(tuple(b * x - ap * N for x in range(N + 1)))
-    for n in range(1, N):
-        prev, cur = rows[n - 1], rows[n]
-        lead = ap * aq * (N - n + 1)
-        base = ap * (N - n) + n * aq
-        nxt = []
-        for x in range(N + 1):
-            rhs = -lead * prev[x] - (base - x * b) * cur[x]
-            quot, rem = divmod(rhs, n + 1)
-            if rem:
-                raise ArithmeticError(
-                    f"recurrence step n={n}, x={x} not divisible by n+1 (internal bug)"
-                )
-            nxt.append(quot)
-        rows.append(tuple(nxt))
-    # Implied row N+1: -pq * J_{N-1} - (N q - x) * J_N must be zero for every x.
-    prev, cur = rows[N - 1], rows[N]
-    for x in range(N + 1):
-        rhs = -ap * aq * prev[x] - (N * aq - x * b) * cur[x]
-        if rhs != 0:
-            raise ArithmeticError(
-                f"table self-check failed: implied K_{{N+1}}({x}) != 0"
-            )
-    return ExactTable(params, tuple(rows))
+    row = [math.comb(N, n) * (-ap) ** n]
+    for x in range(N):
+        rhs = (ap * (N - x) + x * aq - n * b) * row[x] - x * aq * row[x - 1]
+        quot, rem = divmod(rhs, ap * (N - x))
+        if rem:
+            raise ArithmeticError(f"row recurrence step n={n}, x={x} not exact (internal bug)")
+        row.append(quot)
+    if N * aq * row[N - 1] != (N * aq - n * b) * row[N]:
+        raise ArithmeticError(f"row self-check failed: x = N equation broken for n={n}")
+    return tuple(row)
+
+
+def build_table(params: Params) -> ExactTable:
+    """The exact table with every row read (see :func:`exact_row`)."""
+    table = ExactTable(params)
+    for n in range(params.N + 1):
+        table.scaled_row(n)
+    return table
 
 
 def weight(x: int, params: Params) -> Fraction:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from krawtchouk_wkb.cli import main, render_fraction
+from krawtchouk_wkb.exact_core import Params, krawtchouk_sum, signed_log
 from fractions import Fraction
 
 
@@ -144,6 +145,33 @@ class TestCompare:
         assert blank and filled  # exterior points blank, interior points filled
         for r in filled:
             assert float(dict(zip(header, r))["norm_err"]) < 0.10
+
+    def test_approximation_beyond_double_range_of_envelope(self, capsys):
+        # At the far right of this top row the exact values are ~e^-970 while
+        # the approximation is ~e^-15: the windowed error is unbounded and
+        # must be reported as inf rather than crash the metric.
+        code, out, _ = run_cli(capsys, "compare", "--N", "150", "--q", "0.001", "--n", "146")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 151
+        errs = {int(r[0]): dict(zip(header, r))["norm_err"] for r in rows}
+        assert errs[149] == "inf"
+        assert math.isfinite(float(errs[0]))
+
+    def test_large_N_single_row(self, capsys):
+        # One row of an N=800 table: computed on its own, not from the full
+        # table, and still exact.
+        N, q = 800, "0.64894783"
+        code, out, _ = run_cli(capsys, "compare", "--N", str(N), "--q", q, "--n", "10")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert len(rows) == N + 1
+        params = Params.from_q(N, q)
+        for x in (0, 3, 281, 555, 800):
+            row = dict(zip(header, rows[x]))
+            sign, ln = signed_log(krawtchouk_sum(10, x, params))
+            assert int(row["exact_sign"]) == sign
+            assert float(row["exact_ln_mag"]) == pytest.approx(ln, rel=1e-11, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

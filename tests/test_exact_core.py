@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krawtchouk_wkb import exact_core
 from krawtchouk_wkb.exact_core import (
     DomainError,
+    ExactTable,
     Params,
     build_table,
+    exact_row,
     krawtchouk_real,
     krawtchouk_sum,
     lemma3_value,
@@ -51,6 +54,13 @@ def test_sum_against_generating_function(case, expected):
 def test_table_against_generating_function(case, expected):
     (n, x), N, p = case
     table = build_table(Params.from_p(N, p))
+    assert table.value(n, x) == expected
+
+
+@pytest.mark.parametrize("case,expected", GF_LITERALS)
+def test_lazy_table_against_generating_function(case, expected):
+    (n, x), N, p = case
+    table = ExactTable(Params.from_p(N, p))
     assert table.value(n, x) == expected
 
 
@@ -139,9 +149,8 @@ def test_table_matches_sum_exhaustively():
 
 
 def test_implied_next_row_vanishes():
-    # One more recurrence step past n = N must give C(x, N+1) = 0; checked
-    # here directly in rational arithmetic at N = 3 (build_table also
-    # self-checks this internally for every table).
+    # One more degree-recurrence step past n = N must give C(x, N+1) = 0;
+    # a check of the identity itself, in rational arithmetic at N = 3.
     params = Params.from_p(3, Fraction(1, 3))
     table = build_table(params)
     N, p, q = 3, params.p, params.q
@@ -173,6 +182,54 @@ def test_table_equals_sum_property(p, N):
     for n in range(N + 1):
         for x in range(N + 1):
             assert table.value(n, x) == krawtchouk_sum(n, x, params)
+
+
+@st.composite
+def row_cases(draw):
+    N = draw(st.integers(min_value=1, max_value=60))
+    return N, draw(st.sampled_from(P_POOL)), draw(st.integers(min_value=0, max_value=N))
+
+
+@given(case=row_cases())
+@example(case=(1, Fraction(1, 3), 0))
+@example(case=(1, Fraction(1, 3), 1))
+@example(case=(60, Fraction("0.64894783"), 0))
+@example(case=(60, Fraction("0.64894783"), 60))
+@example(case=(10, Fraction(1, 2), 5))  # n = pN: the x = 0 step gives K_n(1) = 0
+@example(case=(14, Fraction(2, 7), 4))  # n = pN again, p not 1/2
+@settings(max_examples=40, deadline=None)
+def test_exact_row_equals_sum(case):
+    N, p, n = case
+    params = Params.from_p(N, p)
+    row = exact_row(n, params)
+    assert len(row) == N + 1
+    for x in range(N + 1):
+        assert Fraction(row[x], params.denom**n) == krawtchouk_sum(n, x, params)
+
+
+def test_exact_row_rejects_out_of_range():
+    params = Params.from_p(5, Fraction(1, 2))
+    with pytest.raises(DomainError):
+        exact_row(6, params)
+    with pytest.raises(DomainError):
+        exact_row(-1, params)
+
+
+def test_table_computes_only_the_rows_read(monkeypatch):
+    computed = []
+
+    def counting_row(n, params):
+        computed.append(n)
+        return exact_row(n, params)
+
+    monkeypatch.setattr(exact_core, "exact_row", counting_row)
+    params = Params.from_p(30, Fraction(2, 7))
+    table = ExactTable(params)
+    for x in range(31):
+        assert table.value(7, x) == krawtchouk_sum(7, x, params)
+    table.signed_log(7, 3)
+    table.scaled_row(19)
+    assert computed == [7, 19]
 
 
 # --- weight and orthogonality ----------------------------------------------
