@@ -39,6 +39,7 @@ from .region_formulas import ApproxValue, approx, evaluate_region
 from .special_fns import airy_ai, gamma_real, hermite, lambda_j, pcf_d
 from .state_space import (
     DEFAULT_CONFIG,
+    REGION_TAGS,
     ClassifierConfig,
     ScaledPoint,
     classify,
@@ -95,11 +96,6 @@ FIGURES: Dict[int, FigureSpec] = {
     13: FigureSpec(13, 20, "0.74894783", 19, "XI", 0.10),
     14: FigureSpec(14, 20, "0.74894783", 20, "XII", 0.10),
 }
-
-_REGION_TAGS = (
-    "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII",
-)
-
 
 # ---------------------------------------------------------------------------
 # Exact tables and the windowed error metric
@@ -901,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
         xg.add_argument("--x", type=_nonneg_int, help="single abscissa")
         xg.add_argument("--x-range", type=_int_range, metavar="a:b", help="inclusive abscissa range")
         if with_region:
-            p.add_argument("--region", choices=_REGION_TAGS,
+            p.add_argument("--region", choices=REGION_TAGS,
                            help="force this region's formula at every grid point")
         p.add_argument("--config", help="key=value config file (classifier widths, tolerances)")
         p.add_argument("--out", help="output CSV path (default stdout)")

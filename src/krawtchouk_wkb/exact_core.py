@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
@@ -17,10 +18,10 @@ RationalLike = Union[int, str, Fraction]
 
 __all__ = [
     "DomainError",
+    "check_index",
     "Params",
     "ExactTable",
     "krawtchouk_sum",
-    "krawtchouk_real",
     "build_table",
     "exact_row",
     "weight",
@@ -49,8 +50,9 @@ def _as_fraction(value: RationalLike, what: str) -> Fraction:
         raise DomainError(f"cannot parse {what}={value!r} as a rational") from exc
 
 
-def _check_range(name: str, value: int, upper: int) -> None:
-    if not isinstance(value, int):
+def check_index(name: str, value: int, upper: int) -> None:
+    """Reject anything but an integer (bools included) in [0, upper]."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if not 0 <= value <= upper:
         raise DomainError(f"{name}={value} outside [0, {upper}]")
@@ -86,19 +88,25 @@ class Params:
 
     def swapped(self) -> "Params":
         """The p <-> q mirror instance used by the symmetry identity."""
+        return self._mirror
+
+    # -- derived once per instance ------------------------------------------
+    # cached_property stores into the instance __dict__, which a frozen
+    # dataclass allows; the fields, and so equality and hashing, are untouched.
+
+    @cached_property
+    def _mirror(self) -> "Params":
         return Params(N=self.N, p=self.q, q=self.p)
 
-    # -- floating views used by the asymptotic modules ---------------------
-
-    @property
+    @cached_property
     def eps(self) -> float:
         return 1.0 / self.N
 
-    @property
+    @cached_property
     def pf(self) -> float:
         return float(self.p)
 
-    @property
+    @cached_property
     def qf(self) -> float:
         return float(self.q)
 
@@ -138,8 +146,8 @@ class ExactTable:
 
     def value(self, n: int, x: int) -> Fraction:
         """Exact ``K_n(x)``."""
-        _check_range("n", n, self.params.N)
-        _check_range("x", x, self.params.N)
+        check_index("n", n, self.params.N)
+        check_index("x", x, self.params.N)
         return Fraction(self.scaled_row(n)[x], self.params.denom**n)
 
     def scaled_row(self, n: int) -> tuple:
@@ -185,8 +193,8 @@ def krawtchouk_sum(n: int, x: int, params: Params) -> Fraction:
     index is smaller than the lower one vanish, so at most min(n,x)+1 terms
     are live.  The sum is accumulated as a single integer over denom**n.
     """
-    _check_range("n", n, params.N)
-    _check_range("x", x, params.N)
+    check_index("n", n, params.N)
+    check_index("x", x, params.N)
     N = params.N
     ap, aq = params.p_num, params.q_num
     total = 0
@@ -195,36 +203,6 @@ def krawtchouk_sum(n: int, x: int, params: Params) -> Fraction:
         if c:
             total += c * aq**k * (-ap) ** (n - k)
     return Fraction(total, params.denom**n)
-
-
-def _falling_binom(a: Fraction, k: int) -> Fraction:
-    """Generalized binomial C(a, k) = a(a-1)...(a-k+1)/k! for rational a."""
-    num = Fraction(1)
-    for i in range(k):
-        num *= a - i
-    return num / math.factorial(k)
-
-
-def krawtchouk_real(n: int, x, params: Params) -> float:
-    """``K_n`` extended to real ``x`` via falling-factorial binomials.
-
-    A float ``x`` is taken at face value as the dyadic rational it stores and
-    the whole computation stays exact until the final conversion, so integer
-    inputs reproduce :func:`krawtchouk_sum` to the last bit.
-    """
-    _check_range("n", n, params.N)
-    xv = Fraction(x)
-    N, p, q = params.N, params.p, params.q
-    total = Fraction(0)
-    for k in range(n + 1):
-        c1 = _falling_binom(xv, k)
-        if c1 == 0:
-            continue
-        c2 = _falling_binom(N - xv, n - k)
-        if c2 == 0:
-            continue
-        total += c1 * c2 * q**k * (-p) ** (n - k)
-    return float(total)
 
 
 def exact_row(n: int, params: Params) -> tuple:
@@ -240,7 +218,7 @@ def exact_row(n: int, params: Params) -> tuple:
     divisibility, and as a final self-check the x = N equation
     Nq K_n(N-1) = (Nq - n) K_n(N) must hold.
     """
-    _check_range("n", n, params.N)
+    check_index("n", n, params.N)
     N, b = params.N, params.denom
     ap, aq = params.p_num, params.q_num
     row = [math.comb(N, n) * (-ap) ** n]
@@ -265,7 +243,7 @@ def build_table(params: Params) -> ExactTable:
 
 def weight(x: int, params: Params) -> Fraction:
     """Binomial weight C(N,x) p^x q^(N-x), exactly."""
-    _check_range("x", x, params.N)
+    check_index("x", x, params.N)
     N = params.N
     return math.comb(N, x) * params.p**x * params.q ** (N - x)
 
@@ -276,8 +254,8 @@ def orthogonality_sum(i: int, j: int, params: Params, table: ExactTable) -> Frac
     Equals C(N,j) (pq)^j when i == j and 0 otherwise; the whole sum is
     accumulated as one integer over denom**(i+j+N).
     """
-    _check_range("i", i, params.N)
-    _check_range("j", j, params.N)
+    check_index("i", i, params.N)
+    check_index("j", j, params.N)
     N = params.N
     ap, aq = params.p_num, params.q_num
     ri, rj = table.scaled_row(i), table.scaled_row(j)
@@ -289,8 +267,8 @@ def orthogonality_sum(i: int, j: int, params: Params, table: ExactTable) -> Frac
 
 def symmetry_image(n: int, x: int, params: Params) -> Fraction:
     """(-1)^n K_n(N-x) with p and q swapped; equals K_n(x) exactly."""
-    _check_range("n", n, params.N)
-    _check_range("x", x, params.N)
+    check_index("n", n, params.N)
+    check_index("x", x, params.N)
     value = krawtchouk_sum(n, params.N - x, params.swapped())
     return -value if n % 2 else value
 
@@ -305,7 +283,7 @@ def lemma3_value(m: int, n: int, params: Params) -> float:
     """
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
-    _check_range("n", n, params.N)
+    check_index("n", n, params.N)
     N = params.N
     ln_mag = (
         math.lgamma(N + 1)

@@ -26,10 +26,11 @@ import cmath
 import math
 from typing import List, NamedTuple, Tuple
 
-from .exact_core import DomainError, Params
+from .exact_core import DomainError, Params, check_index
 from .special_fns import airy_ai, airy_bi, hermite, lambda_j, pcf_d
 from .state_space import (
     DEFAULT_CONFIG,
+    REGION_TAGS,
     ClassifierConfig,
     RegionId,
     ScaledPoint,
@@ -159,13 +160,6 @@ def _zero(region: RegionId) -> ApproxValue:
     return ApproxValue(0.0, 0.0, region, -math.inf)
 
 
-def _check_count(value: int, name: str, params: Params) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value <= params.N:
-        raise DomainError(f"{name}={value} outside [0, {params.N}]")
-
-
 def _check_real(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -180,7 +174,7 @@ def _check_real(value: float, name: str) -> float:
 
 def k1(n: int, y: float, params: Params) -> ApproxValue:
     """Bottom rows away from the center: (y - p)^n / (n! eps^n)."""
-    _check_count(n, "n", params)
+    check_index("n", n, params.N)
     y = _check_real(y, "y")
     region = RegionId("I")
     if n == 0:
@@ -195,7 +189,7 @@ def k1(n: int, y: float, params: Params) -> ApproxValue:
 
 def k2(n: int, eta: float, params: Params) -> ApproxValue:
     """Bottom-center corner: scaled Hermite polynomial in the corner variable."""
-    _check_count(n, "n", params)
+    check_index("n", n, params.N)
     eta = _check_real(eta, "eta")
     region = RegionId("II")
     H = hermite(n, eta)
@@ -391,7 +385,7 @@ def k11(j: int, y: float, params: Params) -> ApproxValue:
 
     The second term has binomial support x >= N - j and vanishes outside it.
     """
-    _check_count(j, "j", params)
+    check_index("j", j, params.N)
     y = _check_real(y, "y")
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"y={y} outside the unit interval")
@@ -426,7 +420,7 @@ def k12(j: int, xi: float, params: Params) -> ApproxValue:
     The sin factor vanishes identically at integer x (its argument reduces to
     pi*(N - x) there), so only the D_j term survives on the grid.
     """
-    _check_count(j, "j", params)
+    check_index("j", j, params.N)
     xi = _check_real(xi, "xi")
     region = RegionId("XII")
     p, q = params.pf, params.qf
@@ -492,9 +486,7 @@ def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
     domain; raises DomainError for an unknown tag and propagates each
     formula's own domain/singularity errors unchanged.
     """
-    if tag not in (
-        "I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII",
-    ):
+    if tag not in REGION_TAGS:
         raise DomainError(f"unknown region tag {tag!r}")
     return _eval_tag(tag, x, n, params)
 

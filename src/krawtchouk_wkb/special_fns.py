@@ -109,7 +109,9 @@ def pcf_d(nu: float, z: Union[float, complex]) -> complex:
 
     Supports real order |nu| <= 32 and real or complex |z| <= 15, which
     covers every corner-layer use in the package.  Real input gives a result
-    with a vanishing imaginary component (within 1e-12 relative).
+    with a vanishing imaginary component (within 1e-12 relative).  At an
+    exact zero of D_nu (D_2(1), say) the series cancels completely; zeroprec
+    lets mpmath return 0 there instead of raising.
     """
     if not -_PCF_NU_MAX <= nu <= _PCF_NU_MAX:
         raise RangeError(f"pcf_d order {nu} outside [-{_PCF_NU_MAX}, {_PCF_NU_MAX}]")
@@ -117,7 +119,7 @@ def pcf_d(nu: float, z: Union[float, complex]) -> complex:
         raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
     with mp.workdps(_PCF_DPS):
         try:
-            value = mp.pcfd(mp.mpf(nu), mp.mpmathify(z))
+            value = mp.pcfd(mp.mpf(nu), mp.mpmathify(z), zeroprec=4 * mp.mp.prec)
         except mp.libmp.NoConvergence as exc:  # pragma: no cover - defensive
             raise NonConvergenceError(f"pcf_d series did not converge at {z}") from exc
         return complex(value)

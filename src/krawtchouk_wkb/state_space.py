@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .exact_core import DomainError, Params
+from .exact_core import DomainError, Params, check_index
 
 __all__ = [
     "ScaledPoint",
@@ -205,13 +205,6 @@ def u_pm(pt: ScaledPoint, params: Params) -> Tuple[complex, complex]:
     return complex(um, 0.0), complex(up, 0.0)
 
 
-def _check_index(value: int, name: str, N: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value <= N:
-        raise DomainError(f"{name}={value} outside [0, {N}]")
-
-
 def _direct_tag(x: int, n: int, params: Params, cfg: ClassifierConfig) -> Optional[str]:
     """Tag for the unreflected orientation, or None when the point belongs to
     the reflected half (on or beyond the upper turning strip)."""
@@ -253,8 +246,8 @@ def classify(x: int, n: int, params: Params, cfg: ClassifierConfig = DEFAULT_CON
     exchanged and re-classified; a reflected III is reported as IV, any other
     reflected tag keeps its name, and both carry ``mirrored=True``.
     """
-    _check_index(x, "x", params.N)
-    _check_index(n, "n", params.N)
+    check_index("x", x, params.N)
+    check_index("n", n, params.N)
     tag = _direct_tag(x, n, params, cfg)
     if tag is not None:
         return RegionId(tag, mirrored=False)
@@ -283,8 +276,8 @@ class CornerCoords(NamedTuple):
 
 def corner_coords(x: int, n: int, params: Params) -> CornerCoords:
     """All five stretched coordinates for the grid point (x, n)."""
-    _check_index(x, "x", params.N)
-    _check_index(n, "n", params.N)
+    check_index("x", x, params.N)
+    check_index("n", n, params.N)
     eps, p, q = params.eps, params.pf, params.qf
     y, z = x * eps, n * eps
     s2 = math.sqrt(2.0 * p * q * eps)

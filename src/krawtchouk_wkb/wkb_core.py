@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import Tuple
 
 from .exact_core import DomainError, Params
 from .special_fns import RangeError
@@ -26,14 +26,12 @@ from .state_space import ScaledPoint, u0, u_pm, y_pm
 
 __all__ = [
     "SingularityError",
-    "ComplexAmplitude",
     "plog",
     "psqrt",
     "psi_pm",
     "l_pm",
     "k_pm",
     "k_pm_log",
-    "amplitude",
     "psi0",
     "theta",
     "vartheta",
@@ -51,13 +49,6 @@ _WINDING_SNAP = 1e-9
 
 class SingularityError(ArithmeticError):
     """A branch quantity was requested on or too close to one of its poles."""
-
-
-class ComplexAmplitude(NamedTuple):
-    """Phase/amplitude pair (psi, L) of one branch at one point."""
-
-    psi: complex
-    L: complex
 
 
 def plog(w: complex) -> complex:
@@ -82,45 +73,44 @@ def psqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def _branch_root(branch: str, pt: ScaledPoint, params: Params) -> complex:
+def _guarded_root(branch: str, pt: ScaledPoint, params: Params) -> Tuple[complex, float]:
+    """The branch root U and u0(z)^2, solved once, refused near coalescence."""
+    if not 0.0 < pt.z < 1.0:
+        raise SingularityError(f"branch quantities are singular at z={pt.z!r}")
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
     um, up = u_pm(pt, params)
-    return up if branch == "+" else um
-
-
-def _guarded_root(branch: str, pt: ScaledPoint, params: Params) -> complex:
-    if not 0.0 < pt.z < 1.0:
-        raise SingularityError(f"branch quantities are singular at z={pt.z!r}")
-    U = _branch_root(branch, pt, params)
+    U = up if branch == "+" else um
     r2 = u0(pt.z, params) ** 2
     if abs(U * U - r2) < _COALESCENCE_RTOL * r2:
         raise SingularityError(
             f"branches coalesce near (y={pt.y!r}, z={pt.z!r}); "
             "use the turning-strip formulas there"
         )
-    return U
+    return U, r2
 
 
-def psi_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
-    """Branch phase psi = ln[U^{z-1} (U-p)^{1-y} (U+q)^y], principal branches."""
-    U = _guarded_root(branch, pt, params)
+def _psi(U: complex, pt: ScaledPoint, params: Params) -> complex:
     p, q = params.pf, params.qf
     y, z = pt.y, pt.z
     return (z - 1.0) * plog(U) + (1.0 - y) * plog(U - p) + y * plog(U + q)
 
 
-def l_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
-    """Branch amplitude L = sqrt[(U-p)(U+q) / (z * (U^2 - u0^2))]."""
-    U = _guarded_root(branch, pt, params)
+def _amp(U: complex, r2: float, pt: ScaledPoint, params: Params) -> complex:
     p, q = params.pf, params.qf
-    r2 = u0(pt.z, params) ** 2
     return psqrt((U - p) * (U + q) / (pt.z * (U * U - r2)))
 
 
-def amplitude(branch: str, pt: ScaledPoint, params: Params) -> ComplexAmplitude:
-    """Both branch ingredients at once."""
-    return ComplexAmplitude(psi_pm(branch, pt, params), l_pm(branch, pt, params))
+def psi_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
+    """Branch phase psi = ln[U^{z-1} (U-p)^{1-y} (U+q)^y], principal branches."""
+    U, _ = _guarded_root(branch, pt, params)
+    return _psi(U, pt, params)
+
+
+def l_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
+    """Branch amplitude L = sqrt[(U-p)(U+q) / (z * (U^2 - u0^2))]."""
+    U, r2 = _guarded_root(branch, pt, params)
+    return _amp(U, r2, pt, params)
 
 
 def k_pm_log(branch: str, pt: ScaledPoint, params: Params) -> complex:
@@ -128,12 +118,11 @@ def k_pm_log(branch: str, pt: ScaledPoint, params: Params) -> complex:
 
     The real part is ln|K| and the imaginary part the accumulated phase (not
     reduced mod 2*pi).  psi/eps is computed as psi*N, which is exact in the
-    scaling.
+    scaling.  The branch root is solved once for both psi and L.
     """
-    psi = psi_pm(branch, pt, params)
-    L = l_pm(branch, pt, params)
+    U, r2 = _guarded_root(branch, pt, params)
     half_log_pref = 0.5 * (math.log(params.eps) - math.log(2.0 * math.pi))
-    return half_log_pref + psi * params.N + plog(L)
+    return half_log_pref + _psi(U, pt, params) * params.N + plog(_amp(U, r2, pt, params))
 
 
 def k_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:

@@ -2,6 +2,7 @@
 config handling, and the acceptance-check entry point."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +173,26 @@ class TestCompare:
             sign, ln = signed_log(krawtchouk_sum(10, x, params))
             assert int(row["exact_sign"]) == sign
             assert float(row["exact_ln_mag"]) == pytest.approx(ln, rel=1e-11, abs=1e-9)
+
+    def test_exact_cylinder_zero_on_the_grid(self, capsys):
+        # N=16, q=1/2 puts the zero D_2(1) = 0 under several VI and XII
+        # points; each reports an exact zero and the grid completes.
+        code, out, err = run_cli(capsys, "compare", "--N", "16", "--q", "0.5")
+        assert code == 0, err
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 17 * 17
+        row = dict(zip(header, rows[6 * 17 + 2]))  # (x, n) = (2, 6)
+        assert (row["region"], row["approx_sign"], row["approx_ln_mag"]) == ("VI", "0", "-inf")
+
+    def test_golden_csv_byte_for_byte(self, capsys):
+        # A fixed invocation must keep printing the same bytes.  The file is
+        # this command's output, covering 11 labels (IX and the mirrored IV*,
+        # VI*, VIII* among them); a change that fixes a documented defect
+        # regenerates it in the same diff.
+        golden = Path(__file__).parent / "data" / "compare_N24_q0.74894783.csv"
+        code, out, _ = run_cli(capsys, "compare", "--N", "24", "--q", "0.74894783")
+        assert code == 0
+        assert out.encode("utf-8") == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from krawtchouk_wkb.exact_core import (
     Params,
     build_table,
     exact_row,
-    krawtchouk_real,
     krawtchouk_sum,
     lemma3_value,
     orthogonality_sum,
@@ -99,39 +98,6 @@ def test_sum_rejects_out_of_range():
         krawtchouk_sum(0, -1, params)
 
 
-# --- real-x extension ------------------------------------------------------
-
-
-def test_real_degree_zero_any_x():
-    params = Params.from_p(10, Fraction(1, 2))
-    assert krawtchouk_real(0, 3.7, params) == 1.0
-
-
-def test_real_degree_one():
-    params = Params.from_p(10, Fraction(1, 2))
-    assert krawtchouk_real(1, 2.5, params) == -2.5
-
-
-def test_real_matches_sum_at_integers():
-    params = Params.from_p(10, Fraction(1, 2))
-    exact = krawtchouk_sum(3, 4, params)
-    got = krawtchouk_real(3, 4, params)
-    assert got == pytest.approx(float(exact), rel=1e-12)
-
-
-@given(
-    n=st.integers(min_value=0, max_value=8),
-    x=st.integers(min_value=0, max_value=12),
-    p=st.sampled_from(P_POOL),
-)
-@settings(max_examples=60, deadline=None)
-def test_real_equals_sum_exactly_on_integers(n, x, p):
-    # integer inputs go through exact Fractions end to end, so the float
-    # results must agree to the last bit
-    params = Params.from_p(12, p)
-    assert krawtchouk_real(n, x, params) == float(krawtchouk_sum(n, x, params))
-
-
 # --- table / recurrence ----------------------------------------------------
 
 
@@ -205,6 +171,24 @@ def test_exact_row_equals_sum(case):
     assert len(row) == N + 1
     for x in range(N + 1):
         assert Fraction(row[x], params.denom**n) == krawtchouk_sum(n, x, params)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: ExactTable(p).value(True, 0),
+        lambda p: ExactTable(p).value(0, False),
+        lambda p: krawtchouk_sum(True, 0, p),
+        lambda p: krawtchouk_sum(0, True, p),
+        lambda p: exact_row(True, p),
+        lambda p: weight(True, p),
+    ],
+    ids=["value-n", "value-x", "sum-n", "sum-x", "exact_row", "weight"],
+)
+def test_bool_is_not_an_index(call):
+    # bool subclasses int; the shared validator still refuses it
+    with pytest.raises(DomainError):
+        call(Params.from_p(5, Fraction(1, 2)))
 
 
 def test_exact_row_rejects_out_of_range():

@@ -7,13 +7,14 @@ real behavioral change, not tolerance noise.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krawtchouk_wkb.cli import FIGURES, exact_table, formula_gap, norm_err
-from krawtchouk_wkb.exact_core import DomainError, Params, krawtchouk_real
+from krawtchouk_wkb.exact_core import DomainError, Params, krawtchouk_sum
 from krawtchouk_wkb.region_formulas import (
     approx,
     evaluate_region,
@@ -319,7 +320,7 @@ class TestOscillatoryInterior:
             eta = (x - center) / half
             profile = TestOscillatoryInterior._cosine_profile(n, eta, params)
             env = max(
-                abs(krawtchouk_real(n, float(xx), params))
+                abs(float(krawtchouk_sum(n, xx, params)))
                 for xx in range(max(0, x - 5), min(N, x + 5) + 1)
             )
             worst = max(worst, abs(av.value - profile) / env)
@@ -391,6 +392,21 @@ class TestTopCorner:
 # ---------------------------------------------------------------------------
 
 
+#: q values for the totality property: 1/2 and 1/10 (where the cylinder
+#: function has exact zeros on the grid) and values near 0 and 1.
+Q_TOTALITY = [Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000), Fraction(1, 100),
+              Fraction(99, 100), Fraction(999, 1000), Fraction(1, 4), Fraction(7, 10)]
+
+
+@st.composite
+def grid_points(draw):
+    N = draw(st.integers(min_value=1, max_value=40))
+    q = draw(st.sampled_from(Q_TOTALITY))
+    x = draw(st.integers(min_value=0, max_value=N))
+    n = draw(st.integers(min_value=0, max_value=N))
+    return N, q, x, n
+
+
 class TestDispatcher:
     def test_unknown_tag_rejected(self):
         with pytest.raises(DomainError):
@@ -414,6 +430,18 @@ class TestDispatcher:
         base = evaluate_region("III", 1, 17, P100_74.swapped())
         assert av.value == -base.value  # odd degree flips the sign
         assert av.ln_scale == base.ln_scale
+
+    # The examples sit on exact zeros D_2(1) = 0: region VI at N=16, q=1/2,
+    # (x, n) = (2, 6), and region XII at N=25, q=1/10, (x, n) = (4, 23).
+    @settings(max_examples=150, deadline=None)
+    @given(point=grid_points())
+    @example(point=(16, Fraction(1, 2), 2, 6))
+    @example(point=(25, Fraction(1, 10), 4, 23))
+    def test_approx_is_total_for_small_N(self, point):
+        N, q, x, n = point
+        av = approx(x, n, Params.from_q(N, q))
+        assert not math.isnan(av.ln_scale)
+        assert av.ln_scale != math.inf
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -19,9 +19,7 @@ from krawtchouk_wkb.exact_core import DomainError, Params, build_table
 from krawtchouk_wkb.special_fns import RangeError
 from krawtchouk_wkb.state_space import ScaledPoint, u0, u_pm, y_pm
 from krawtchouk_wkb.wkb_core import (
-    ComplexAmplitude,
     SingularityError,
-    amplitude,
     k_pm,
     k_pm_log,
     l_pm,
@@ -235,14 +233,6 @@ class TestAmplitudeSigns:
         r1 = abs(l_pm("-", ScaledPoint(ym - 1.0 * s, z), P))
         r4 = abs(l_pm("-", ScaledPoint(ym - 4.0 * s, z), P))
         assert r1 / r4 == pytest.approx(4.0 ** 0.25, rel=0.02)
-
-    def test_amplitude_bundle(self):
-        P = params_for(100, "0.34894783")
-        pt = ScaledPoint(0.1, 0.2)
-        amp = amplitude("-", pt, P)
-        assert isinstance(amp, ComplexAmplitude)
-        assert amp.psi == psi_pm("-", pt, P)
-        assert amp.L == l_pm("-", pt, P)
 
 
 class TestSmallZLimits:
