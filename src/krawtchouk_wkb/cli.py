@@ -111,7 +111,7 @@ def window_env_log(table: ExactTable, n: int, x: int) -> float:
     """ln of max |K_n| over the 11-point window |x' - x| <= 5, clipped."""
     N = table.params.N
     lo, hi = max(0, x - 5), min(N, x + 5)
-    return max(table.signed_log(n, xx)[1] for xx in range(lo, hi + 1))
+    return max(table.row_logs(n)[lo:hi + 1])
 
 
 def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int) -> float:
@@ -333,6 +333,8 @@ def _compare_rows(
     force_tag: Optional[str],
 ) -> List[List[str]]:
     rows: List[List[str]] = []
+    # Forced-formula skips per exception class: [count, first x, first n, message].
+    skipped: Dict[str, list] = {}
     for n in ns:
         for x in xs:
             es, el = table.signed_log(n, x)
@@ -340,7 +342,8 @@ def _compare_rows(
             if force_tag is not None:
                 try:
                     av = evaluate_region(force_tag, x, n, params)
-                except (DomainError, SingularityError):
+                except (DomainError, SingularityError) as exc:
+                    skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
                     rows.append(base + [force_tag, "0", str(es), _fmt(el), "", "", "", ""])
                     continue
                 region, mirrored = force_tag, "0"
@@ -361,6 +364,12 @@ def _compare_rows(
                     f"{av.im_residue:.3e}",
                 ]
             )
+    for name, (count, x, n, message) in skipped.items():
+        print(
+            f"compare --region {force_tag}: skipped {count} of {len(ns) * len(xs)} points "
+            f"on {name}, first at (x, n) = ({x}, {n}): {message}",
+            file=sys.stderr,
+        )
     return rows
 
 

@@ -133,16 +133,19 @@ class ExactTable:
 
     Row ``n`` comes from :func:`exact_row` on its first read and is kept as a
     tuple of integers scaled by ``denom**n``; the :meth:`value` accessor
-    undoes the scaling.  Memory grows with the rows read, never past N+1.
-    Stored rows never change, so the table is safe to share between threads
-    (a race at worst computes a row twice).
+    undoes the scaling.  The first log read of row ``n`` also keeps the row's
+    ``ln|K_n(x)|`` values (:meth:`row_logs`), so each cell's log is taken
+    once per table.  Memory grows with the rows read, never past N+1 integer
+    rows and N+1 log rows.  Stored rows never change, so the table is safe to
+    share between threads (a race at worst computes a row twice).
     """
 
-    __slots__ = ("params", "_rows")
+    __slots__ = ("params", "_rows", "_logs")
 
     def __init__(self, params: Params) -> None:
         self.params = params
         self._rows = [None] * (params.N + 1)
+        self._logs = [None] * (params.N + 1)
 
     def value(self, n: int, x: int) -> Fraction:
         """Exact ``K_n(x)``."""
@@ -157,13 +160,18 @@ class ExactTable:
             row = self._rows[n] = exact_row(n, self.params)
         return row
 
+    def row_logs(self, n: int) -> tuple:
+        """``ln|K_n(x)|`` for x = 0..N as floats, ``-inf`` at exact zeros."""
+        logs = self._logs[n]
+        if logs is None:
+            ln_scale = n * math.log(self.params.denom)
+            logs = self._logs[n] = tuple(_ln_abs_int(num) - ln_scale for num in self.scaled_row(n))
+        return logs
+
     def signed_log(self, n: int, x: int):
         """``(sign, ln|K_n(x)|)`` without building a huge float."""
         num = self.scaled_row(n)[x]
-        if num == 0:
-            return 0, float("-inf")
-        ln = _ln_abs_int(num) - n * math.log(self.params.denom)
-        return (1 if num > 0 else -1), ln
+        return (num > 0) - (num < 0), self.row_logs(n)[x]
 
 
 def _ln_abs_int(value: int) -> float:

@@ -134,16 +134,21 @@ class TestCompare:
                 assert row["approx_sign"] == row["exact_sign"], f"x={row['x']}"
 
     def test_forced_region_skips_out_of_domain_points(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "compare", "--N", "100", "--q", "0.74894783",
             "--n", "10", "--x-range", "0:40", "--region", "X",
         )
         assert code == 0
+        # one stderr line per exception class says how many were skipped and why
+        assert err.splitlines() == [
+            "compare --region X: skipped 5 of 41 points on DomainError, first at "
+            "(x, n) = (0, 10): point (y=0.0, z=0.1) is not between the turning curves"
+        ]
         meta, header, rows = parse_csv(out)
         assert meta["region_override"] == "X"
         blank = [r for r in rows if dict(zip(header, r))["approx_ln_mag"] == ""]
         filled = [r for r in rows if dict(zip(header, r))["approx_ln_mag"] != ""]
-        assert blank and filled  # exterior points blank, interior points filled
+        assert len(blank) == 5 and filled  # exterior points blank, interior points filled
         for r in filled:
             assert float(dict(zip(header, r))["norm_err"]) < 0.10
 

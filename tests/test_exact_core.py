@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krawtchouk_wkb import exact_core
+from krawtchouk_wkb import cli, exact_core
 from krawtchouk_wkb.exact_core import (
     DomainError,
     ExactTable,
@@ -19,6 +20,8 @@ from krawtchouk_wkb.exact_core import (
     symmetry_image,
     weight,
 )
+from krawtchouk_wkb.region_formulas import ApproxValue, approx
+from krawtchouk_wkb.state_space import DEFAULT_CONFIG
 
 # Frozen oracle values produced by tests/_oracle_gen/gen_exact_literals.py,
 # which expands the generating function (1+qt)^x (1-pt)^(N-x) with sympy and
@@ -151,8 +154,8 @@ def test_table_equals_sum_property(p, N):
 
 
 @st.composite
-def row_cases(draw):
-    N = draw(st.integers(min_value=1, max_value=60))
+def row_cases(draw, max_N=60):
+    N = draw(st.integers(min_value=1, max_value=max_N))
     return N, draw(st.sampled_from(P_POOL)), draw(st.integers(min_value=0, max_value=N))
 
 
@@ -213,7 +216,55 @@ def test_table_computes_only_the_rows_read(monkeypatch):
         assert table.value(7, x) == krawtchouk_sum(7, x, params)
     table.signed_log(7, 3)
     table.scaled_row(19)
+    # log reads build rows only as integer reads do
+    for n in (7, 19):
+        table.signed_log(n, 30)
+        table.row_logs(n)
+        cli.window_env_log(table, n, 12)
     assert computed == [7, 19]
+
+
+def per_cell_signed_log(table, n, x):
+    """``ExactTable.signed_log`` before row logs: one big-integer log per read."""
+    num = table.scaled_row(n)[x]
+    if num == 0:
+        return 0, float("-inf")
+    return (1 if num > 0 else -1), exact_core._ln_abs_int(num) - n * math.log(table.params.denom)
+
+
+def per_cell_env_log(table, n, x):
+    """``cli.window_env_log`` before row logs: the clipped window read cell by cell."""
+    lo, hi = max(0, x - 5), min(table.params.N, x + 5)
+    return max(table.signed_log(n, xx)[1] for xx in range(lo, hi + 1))
+
+
+@given(case=row_cases(max_N=40))
+@example(case=(10, Fraction(1, 2), 5))  # K_5(5) = 0: exact zeros in the row
+@example(case=(40, Fraction("0.64894783"), 20))  # clipped edges and full interior windows
+@example(case=(7, Fraction(1, 3), 3))  # N < 11: the window covers the whole row
+@settings(max_examples=25, deadline=None)
+def test_envelope_matches_per_cell_reference(case):
+    N, p, n = case
+    params = Params.from_p(N, p)
+    avs = [approx(x, n, params, DEFAULT_CONFIG) for x in range(N + 1)]
+
+    def metrics(table):
+        out = []
+        for x, av in enumerate(avs):
+            sign, ln = table.signed_log(n, x)
+            exact = ApproxValue(float(sign), 0.0, av.region, ln)
+            out.append((
+                sign, ln, cli.window_env_log(table, n, x),
+                cli.norm_err(av, table, n, x), cli.formula_gap(av, exact, table, n, x),
+            ))
+        return out
+
+    got = metrics(ExactTable(params))
+    with mock.patch.object(ExactTable, "signed_log", per_cell_signed_log), \
+            mock.patch.object(cli, "window_env_log", per_cell_env_log):
+        want = metrics(ExactTable(params))
+    # repr is exact for floats and tells nan, inf and -0.0 apart
+    assert repr(got) == repr(want)
 
 
 # --- weight and orthogonality ----------------------------------------------
