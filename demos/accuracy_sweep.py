@@ -10,8 +10,8 @@ columns, which keeps the metric meaningful at sign changes (nodes).
 
 import sys
 
-from krawtchouk_wkb import Params, approx
-from krawtchouk_wkb.cli import exact_table, norm_err
+from krawtchouk_wkb import ExactTable, Params, approx
+from krawtchouk_wkb.accuracy import norm_err
 
 
 def bar(err: float, width: int = 40) -> str:
@@ -24,7 +24,7 @@ def main() -> int:
     q = sys.argv[2] if len(sys.argv) > 2 else "0.34894783"
     n = int(sys.argv[3]) if len(sys.argv) > 3 else 10
     params = Params.from_q(N, q)
-    table = exact_table(N, q)
+    table = ExactTable(params)
     print(f"N={N}  q={q}  degree n={n}   (error bar full scale = 10%)")
     print(f"{'x':>4} {'region':>8} {'exact sign':>10} {'windowed err':>13}")
     worst = (0.0, -1, "")

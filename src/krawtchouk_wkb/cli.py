@@ -19,45 +19,19 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .exact_core import (
-    DomainError,
-    ExactTable,
-    Params,
-    krawtchouk_sum,
-    lemma3_value,
-    orthogonality_sum,
-    symmetry_image,
-)
-from .region_formulas import ApproxValue, approx, evaluate_region
-from .special_fns import airy_ai, gamma_real, hermite, lambda_j, pcf_d
-from .state_space import (
-    DEFAULT_CONFIG,
-    REGION_TAGS,
-    ClassifierConfig,
-    ScaledPoint,
-    classify,
-    corner_coords,
-    u_pm,
-    y_pm,
-)
-from .wkb_core import SingularityError, k_pm, l_pm, lambda_pm, plog, psi_pm
+from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err, run_criterion
+from .exact_core import DomainError, ExactTable, Params
+from .region_formulas import approx, evaluate_region
+from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, classify, corner_coords
+from .wkb_core import SingularityError
 
-__all__ = [
-    "FIGURES",
-    "FigureSpec",
-    "CheckResult",
-    "CRITERIA",
-    "run_criterion",
-    "load_config",
-    "main",
-]
+__all__ = ["load_config", "main"]
 
 
 class CliError(Exception):
@@ -65,111 +39,27 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Built-in figure sweeps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """Parameters of one built-in comparison sweep."""
-
-    fig_id: int
-    N: int
-    q: str
-    n: int
-    tag: str
-    #: per-figure error budget on windowed normalized error at in-region x
-    bar: float
-
-
-FIGURES: Dict[int, FigureSpec] = {
-    3: FigureSpec(3, 100, "0.64894783", 2, "I", 0.05),
-    4: FigureSpec(4, 100, "0.64894783", 2, "II", 0.05),
-    5: FigureSpec(5, 100, "0.34894783", 10, "III", 0.05),
-    6: FigureSpec(6, 100, "0.34894783", 10, "IV", 0.05),
-    7: FigureSpec(7, 100, "0.74894783", 80, "V", 0.05),
-    8: FigureSpec(8, 100, "0.74894783", 25, "VI", 0.05),
-    9: FigureSpec(9, 40, "0.74894783", 35, "VII", 0.08),
-    10: FigureSpec(10, 100, "0.34894783", 10, "VIII", 0.08),
-    11: FigureSpec(11, 50, "0.74894783", 40, "IX", 0.08),
-    12: FigureSpec(12, 50, "0.74894783", 40, "X", 0.08),
-    13: FigureSpec(13, 20, "0.74894783", 19, "XI", 0.10),
-    14: FigureSpec(14, 20, "0.74894783", 20, "XII", 0.10),
-}
-
-# ---------------------------------------------------------------------------
-# Exact tables and the windowed error metric
-# ---------------------------------------------------------------------------
-
-
-def exact_table(N: int, q: str) -> ExactTable:
-    """The exact table for (N, q); each row is computed on its first read."""
-    return ExactTable(Params.from_q(N, q))
-
-
-def window_env_log(table: ExactTable, n: int, x: int) -> float:
-    """ln of max |K_n| over the 11-point window |x' - x| <= 5, clipped."""
-    N = table.params.N
-    lo, hi = max(0, x - 5), min(N, x + 5)
-    return max(table.row_logs(n)[lo:hi + 1])
-
-
-def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int) -> float:
-    """|approx - exact| / windowed envelope, computed overflow-free.
-
-    Both values are rescaled by the envelope's log before subtracting, so the
-    metric is exact even when |K| is far outside double range.  An
-    approximation too large to rescale into double range gives ``inf``.
-    """
-    env_log = window_env_log(table, n, x)
-    if env_log == float("-inf"):
-        return float("nan")
-    es, el = table.signed_log(n, x)
-    exact_scaled = es * math.exp(el - env_log) if el > float("-inf") else 0.0
-    if av.ln_scale == float("-inf"):
-        approx_scaled = 0.0
-    else:
-        try:
-            approx_scaled = math.copysign(1.0, av.value) * math.exp(av.ln_scale - env_log)
-        except OverflowError:
-            return math.inf
-    return abs(approx_scaled - exact_scaled)
-
-
-def formula_gap(a: ApproxValue, b: ApproxValue, table: ExactTable, n: int, x: int) -> float:
-    """|a - b| / windowed exact envelope (the overlap metric); inf past double range."""
-    env_log = window_env_log(table, n, x)
-    try:
-        sa = math.copysign(1.0, a.value) * math.exp(a.ln_scale - env_log)
-        sb = math.copysign(1.0, b.value) * math.exp(b.ln_scale - env_log)
-    except OverflowError:
-        return math.inf
-    return abs(sa - sb)
-
-
-# ---------------------------------------------------------------------------
 # Parsing and rendering helpers
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise CliError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise CliError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(lower: int) -> Callable[[str], int]:
+    """Argument parser for integers >= lower, which is 1 (positive) or 0."""
+    kind = "positive" if lower else "nonnegative"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise CliError(f"expected an integer, got {text!r}")
+        if value < lower:
+            raise CliError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise CliError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise CliError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int, _nonneg_int = _int_at_least(1), _int_at_least(0)
 
 
 def _int_range(text: str) -> Tuple[int, int]:
@@ -209,7 +99,8 @@ def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
     """Parse a flat key=value config file.
 
     Keys matching ClassifierConfig fields override the classifier widths;
-    tol_* keys override check tolerances; anything else is an error.
+    the keys of ``accuracy.TOLERANCES`` override check tolerances; anything
+    else is an error.
     """
     cfg_fields = {f.name: f.type for f in fields(ClassifierConfig)}
     overrides: Dict[str, object] = {}
@@ -232,7 +123,7 @@ def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
                 overrides[key] = int(text) if key in ("n_small", "x_small", "j_small") else float(text)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
-        elif key.startswith("tol_"):
+        elif key in TOLERANCES:
             try:
                 tolerances[key] = float(text)
             except ValueError:
@@ -307,7 +198,7 @@ def _base_meta(command: str, params: Params, q: str, digits: int) -> List[Tuple[
 def cmd_eval(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     ns, xs = _resolve_grid(args, params.N)
-    table = exact_table(args.N, args.q)
+    table = ExactTable(params)
     rows = []
     for n in ns:
         for x in xs:
@@ -377,7 +268,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     ns, xs = _resolve_grid(args, params.N)
     cfg = args.cfg
-    table = exact_table(args.N, args.q)
+    table = ExactTable(params)
     rows = _compare_rows(params, table, ns, xs, cfg, args.region)
     meta = _base_meta("compare", params, args.q, args.digits)
     meta.append(("config", _config_meta(cfg)))
@@ -404,10 +295,10 @@ def cmd_regions(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     spec = FIGURES.get(args.fig_id)
     if spec is None:
-        raise CliError(f"unknown figure id {args.fig_id}; expected 3..14")
+        raise CliError(f"unknown figure id {args.fig_id}; expected {min(FIGURES)}..{max(FIGURES)}")
     params = Params.from_q(spec.N, spec.q)
     cfg = args.cfg
-    table = exact_table(spec.N, spec.q)
+    table = ExactTable(params)
     rows = _compare_rows(params, table, [spec.n], list(range(0, spec.N + 1)), cfg, None)
     meta = _base_meta("figures", params, spec.q, args.digits)
     meta.insert(3, ("figure", str(spec.fig_id)))
@@ -421,448 +312,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Acceptance criteria (shared by `check` and the test suite)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    crit_id: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-
-
-def _figure_sweep_worst(spec: FigureSpec, cfg: ClassifierConfig) -> Tuple[float, int, int]:
-    """(worst windowed error, its x, in-region point count) for one figure."""
-    params = Params.from_q(spec.N, spec.q)
-    table = exact_table(spec.N, spec.q)
-    worst, worst_x, count = 0.0, -1, 0
-    for x in range(0, spec.N + 1):
-        rid = classify(x, spec.n, params, cfg)
-        if rid.tag != spec.tag:
-            continue
-        count += 1
-        err = norm_err(approx(x, spec.n, params, cfg), table, spec.n, x)
-        if err > worst:
-            worst, worst_x = err, x
-    return worst, worst_x, count
-
-
-def criterion_1(cfg: ClassifierConfig = DEFAULT_CONFIG,
-                tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Exact-oracle identities in exact rational arithmetic, N in {10, 25, 40}."""
-    start = time.monotonic()
-    failures: List[str] = []
-    qs = "0.64894783"
-    for N in (10, 25, 40):
-        params = Params.from_q(N, qs)
-        table = exact_table(N, qs)
-        p, q = params.p, params.q
-        for n in range(N + 1):
-            for x in range(N + 1):
-                if table.value(n, x) != krawtchouk_sum(n, x, params):
-                    failures.append(f"N={N}: recurrence!=sum at (n={n},x={x})")
-        for i in range(N + 1):
-            for j in range(N + 1):
-                expect = math.comb(N, j) * (p * q) ** j if i == j else Fraction(0)
-                if orthogonality_sum(i, j, params, table) != expect:
-                    failures.append(f"N={N}: orthogonality fails at (i={i},j={j})")
-        for n in range(N + 1):
-            for x in range(N + 1):
-                if table.value(n, x) != symmetry_image(n, x, params):
-                    failures.append(f"N={N}: symmetry fails at (n={n},x={x})")
-        for n in range(N + 1):
-            if table.value(n, 0) != math.comb(N, n) * (-p) ** n:
-                failures.append(f"N={N}: left boundary fails at n={n}")
-            if table.value(n, N) != math.comb(N, n) * q**n:
-                failures.append(f"N={N}: right boundary fails at n={n}")
-            if table.value(0, n) != 1:
-                failures.append(f"N={N}: degree-0 row fails at x={n}")
-            if table.value(N, n) != q**n * (-p) ** (N - n):
-                failures.append(f"N={N}: degree-N row fails at x={n}")
-        for m in (0, 1):
-            for n in range(N + 1):
-                envelope = lemma3_value(m, n, params)
-                exact = table.value(n, m)
-                if exact == 0:
-                    if abs(envelope) > 1e-12:
-                        failures.append(f"N={N}: envelope m={m} n={n} nonzero at exact zero")
-                    continue
-                es, el = table.signed_log(n, m)
-                rel = abs(envelope - es * math.exp(el)) / math.exp(el)
-                if rel > 1e-9:
-                    failures.append(f"N={N}: envelope m={m} n={n} rel={rel:.2e}")
-    detail = "recurrence=sum, orthogonality, symmetry, boundaries, small-x envelope all exact for N in {10,25,40}"
-    if failures:
-        detail = "; ".join(failures[:4]) + (f" (+{len(failures)-4} more)" if len(failures) > 4 else "")
-    return CheckResult(1, "exact-oracle identities", not failures, detail, time.monotonic() - start)
-
-
-def criterion_2(cfg: ClassifierConfig = DEFAULT_CONFIG,
-                tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Figure sweeps: windowed error <= 5% (figures 3-8) / 10% (9-14)."""
-    start = time.monotonic()
-    tol = tol or {}
-    early = tol.get("tol_figures_early", 0.05)
-    late = tol.get("tol_figures_late", 0.10)
-    failures: List[str] = []
-    details: List[str] = []
-    for fig_id, spec in sorted(FIGURES.items()):
-        bar = early if fig_id <= 8 else late
-        worst, worst_x, count = _figure_sweep_worst(spec, cfg)
-        details.append(f"fig{fig_id:02d}:{worst*100:.2f}%@x={worst_x}")
-        if count == 0:
-            failures.append(f"fig{fig_id}: no in-region points under config")
-        elif worst > bar:
-            failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {bar*100:.0f}% at x={worst_x}")
-    u = corner_coords(0, FIGURES[8].n, Params.from_q(FIGURES[8].N, FIGURES[8].q)).u
-    if abs(u - 0.024265) > 5e-6:
-        failures.append(f"fig8 corner variable {u:.6f} != 0.024265 to 5 decimals")
-    detail = " ".join(details)
-    if failures:
-        detail = "; ".join(failures) + " | " + detail
-    return CheckResult(2, "figure reproduction", not failures, detail, time.monotonic() - start)
-
-
-#: Fixed interior scaled points for the convergence check: (region tag, y, z).
-_CONVERGENCE_POINTS = (("III", 0.05, 0.10), ("IV", 0.95, 0.10), ("X", 0.35, 0.50))
-
-
-def criterion_3(cfg: ClassifierConfig = DEFAULT_CONFIG,
-                tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Windowed error at fixed interior points shrinks: err(400) <= 0.6 err(100)."""
-    start = time.monotonic()
-    tol = tol or {}
-    factor = tol.get("tol_convergence", 0.6)
-    qs = "0.64894783"
-    failures: List[str] = []
-    details: List[str] = []
-    for tag, y, z in _CONVERGENCE_POINTS:
-        errs = {}
-        for N in (100, 400):
-            params = Params.from_q(N, qs)
-            table = exact_table(N, qs)
-            x, n = round(y * N), round(z * N)
-            rid = classify(x, n, params, cfg)
-            if rid.tag != tag:
-                failures.append(f"{tag}: point (y={y},z={z}) classified {rid.label} at N={N}")
-            errs[N] = norm_err(approx(x, n, params, cfg), table, n, x)
-        details.append(f"{tag}: {errs[100]*100:.3f}%->{errs[400]*100:.3f}%")
-        if not errs[400] <= factor * errs[100]:
-            failures.append(
-                f"{tag}: err(400)={errs[400]:.4e} > {factor} * err(100)={errs[100]:.4e}"
-            )
-    detail = " ".join(details)
-    if failures:
-        detail = "; ".join(failures) + " | " + detail
-    return CheckResult(3, "convergence order", not failures, detail, time.monotonic() - start)
-
-
-def _overlap_pairs(eps_half: bool) -> List[Tuple[str, str, str, str, int, List[Tuple[int, List[int]]]]]:
-    """Probe loci per pair: (name, tag_a, tag_b, q, N, [(n, xs), ...]).
-
-    Loci were chosen by direct measurement against the exact tables: each
-    pair is probed across a phase-covering window of its shared strip, corner
-    pairs sit at |u| ~ 2 with x = 0 where both forms are individually
-    accurate, and the IX/X window spans beta in [-1.35, -0.70] over three
-    z values to sample the oscillation fairly at both grid sizes.
-    """
-    scale = 2 if eps_half else 1
-
-    def beta_window(N: int, q: str, n: int) -> Tuple[int, List[int]]:
-        params = Params.from_q(N, q)
-        ym_scaled = y_pm(n / N, params)[0] * N
-        width = (1.0 / N) ** (2.0 / 3.0) * N
-        lo = math.ceil(ym_scaled + 0.70 * width)
-        hi = math.floor(ym_scaled + 1.35 * width)
-        return n, list(range(lo, hi + 1))
-
-    q34, q64, q74 = "0.34894783", "0.64894783", "0.74894783"
-    if not eps_half:
-        return [
-            ("III-VIII", "III", "VIII", q34, 100, [(10, list(range(28, 33)))]),
-            ("VIII-X", "VIII", "X", q34, 100, [(10, list(range(35, 40)))]),
-            ("IX-X", "IX", "X", q74, 100, [beta_window(100, q74, n) for n in (75, 80, 85)]),
-            ("VII-IX", "VII", "IX", q74, 100, [(80, list(range(22, 30)))]),
-            ("V-VI", "V", "VI", q74, 100, [(n, [0, 1, 2, 3]) for n in (33, 34, 35)]),
-            ("VI-III", "VI", "III", q74, 100, [(16, [0]), (17, [0])]),
-            ("X-XII", "X", "XII", q64, 100, [(90, list(range(60, 70)))]),
-            ("VII-V", "VII", "V", q74, 100, [(80, [7, 8, 9, 10])]),
-        ]
-    return [
-        ("III-VIII", "III", "VIII", q34, 200, [(20, list(range(59, 65)))]),
-        ("VIII-X", "VIII", "X", q34, 200, [(20, list(range(71, 78)))]),
-        ("IX-X", "IX", "X", q74, 200, [beta_window(200, q74, n) for n in (150, 160, 170)]),
-        ("VII-IX", "VII", "IX", q74, 200, [(160, list(range(49, 59)))]),
-        ("V-VI", "V", "VI", q74, 200, [(n, [0, 1, 2, 3]) for n in (62, 63, 64)]),
-        ("VI-III", "VI", "III", q74, 200, [(37, [0]), (38, [0])]),
-        ("X-XII", "X", "XII", q64, 200, [(190, list(range(125, 135)))]),
-        ("VII-V", "VII", "V", q74, 200, [(160, [7, 8, 9, 10])]),
-    ]
-
-
-def _pair_worst_gap(tag_a: str, tag_b: str, q: str, N: int,
-                    loci: List[Tuple[int, List[int]]]) -> float:
-    params = Params.from_q(N, q)
-    table = exact_table(N, q)
-    worst = 0.0
-    for n, xs in loci:
-        for x in xs:
-            a = evaluate_region(tag_a, x, n, params)
-            b = evaluate_region(tag_b, x, n, params)
-            worst = max(worst, formula_gap(a, b, table, n, x))
-    return worst
-
-
-def _reachable_tags(N: int, q: str, cfg: ClassifierConfig) -> frozenset:
-    """Set of region tags the classifier assigns anywhere on the (N, q) grid."""
-    params = Params.from_q(N, q)
-    return frozenset(classify(x, n, params, cfg).tag for n in range(N + 1) for x in range(N + 1))
-
-
-def _pair_precondition(tag_a: str, tag_b: str, reachable: frozenset) -> Optional[str]:
-    """Both regions of a pair must be classified somewhere under the config.
-
-    A config that eliminates a region from the map makes the corresponding
-    matching claim vacuous, so the criterion reports it as a failure rather
-    than silently comparing formulas nobody is routed to.
-    """
-    for tag in (tag_a, tag_b):
-        if tag not in reachable:
-            return f"region {tag} never assigned by the classifier under this config"
-    return None
-
-
-def criterion_4(cfg: ClassifierConfig = DEFAULT_CONFIG,
-                tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Adjacent formulas agree in shared strips and the gap shrinks with eps."""
-    start = time.monotonic()
-    tol = tol or {}
-    bar = tol.get("tol_overlap", 0.15)
-    failures: List[str] = []
-    details: List[str] = []
-    full = _overlap_pairs(eps_half=False)
-    half = {entry[0]: entry for entry in _overlap_pairs(eps_half=True)}
-    reachable: Dict[Tuple[int, str], frozenset] = {}
-    for name, tag_a, tag_b, q, N, loci in full:
-        if (N, q) not in reachable:
-            reachable[N, q] = _reachable_tags(N, q, cfg)
-        problem = _pair_precondition(tag_a, tag_b, reachable[N, q])
-        if problem:
-            failures.append(f"{name}: {problem}")
-            continue
-        gap_full = _pair_worst_gap(tag_a, tag_b, q, N, loci)
-        _, _, _, q2, N2, loci2 = half[name]
-        gap_half = _pair_worst_gap(tag_a, tag_b, q2, N2, loci2)
-        details.append(f"{name}:{gap_full*100:.2f}%->{gap_half*100:.2f}%")
-        if gap_full > bar:
-            failures.append(f"{name}: gap {gap_full*100:.2f}% > {bar*100:.0f}%")
-        if not gap_half < gap_full:
-            failures.append(
-                f"{name}: gap did not shrink ({gap_full*100:.2f}% -> {gap_half*100:.2f}%)"
-            )
-    detail = " ".join(details)
-    if failures:
-        detail = "; ".join(failures) + " | " + detail
-    return CheckResult(4, "matching overlaps", not failures, detail, time.monotonic() - start)
-
-
-def criterion_5(cfg: ClassifierConfig = DEFAULT_CONFIG,
-                tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Integer-x algebraic identities hold exactly (or to 1e-12 relative)."""
-    start = time.monotonic()
-    failures: List[str] = []
-    params = Params.from_q(100, "0.74894783")
-    for x in (10, 14, 19, 23, 26):
-        pt = ScaledPoint.from_indices(x, 80, params)
-        k7_val = evaluate_region("VII", x, 80, params)
-        plus = k_pm("+", pt, params)
-        rel = abs(k7_val.value - plus.real) / abs(plus.real)
-        if rel > 1e-12:
-            failures.append(f"two-term split != Re(K+) at x={x}: rel={rel:.2e}")
-    for x, n in ((5, 50), (3, 60), (7, 45)):
-        av = evaluate_region("V", x, n, params)
-        if av.im_residue != 0.0:
-            failures.append(f"left-edge sine term leaked at (x={x},n={n}): {av.im_residue:.2e}")
-    params20 = Params.from_q(20, "0.74894783")
-    for x, n in ((15, 18), (16, 19), (17, 20)):
-        av = evaluate_region("XII", x, n, params20)
-        if av.im_residue != 0.0:
-            failures.append(f"right-corner sine term leaked at (x={x},n={n}): {av.im_residue:.2e}")
-    for x, n in ((30, 80), (40, 70), (28, 75)):
-        beta = corner_coords(x, n, params).beta
-        z = n / params.N
-        lam_plus = lambda_pm("+", beta, z, params)
-        lam_minus = lambda_pm("-", beta, z, params)
-        if lam_plus != 2.0 + 0.0j or lam_minus != 0.0 + 0.0j:
-            failures.append(f"winding pair not (2, 0) at (x={x},n={n})")
-        if (lam_plus - lam_minus) / 2.0 != 1.0 + 0.0j:
-            failures.append(f"winding half-difference != 1 at (x={x},n={n})")
-    detail = "two-term split = Re(K+) to 1e-12; sine terms exactly 0; winding pair (2,0)"
-    if failures:
-        detail = "; ".join(failures[:5])
-    return CheckResult(5, "integer-x identities", not failures, detail, time.monotonic() - start)
-
-
-def criterion_6(cfg: ClassifierConfig = DEFAULT_CONFIG,
-                tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Phase/amplitude residuals of the underlying expansion equations."""
-    start = time.monotonic()
-    failures: List[str] = []
-    params = Params.from_q(100, "0.74894783")
-    p, q = params.pf, params.qf
-    grid = 200
-    worst_res = 0.0
-    for i in range(grid):
-        y = (i + 0.5) / grid
-        for j in range(grid):
-            z = (j + 0.5) / grid
-            pt = ScaledPoint(y, z)
-            b = p - y + z * (q - p)
-            c = p * q * (1.0 - z)
-            for root in u_pm(pt, params):
-                res = abs(z * root * root + b * root + c)
-                scale = max(abs(z * root * root), abs(b * root), abs(c))
-                worst_res = max(worst_res, res / scale)
-    if worst_res > 1e-10:
-        failures.append(f"branch-root residual {worst_res:.2e} > 1e-10")
-    worst_order = float("inf")
-    for branch, y, z in (("-", 0.2, 0.3), ("+", 0.2, 0.75), ("+", 0.45, 0.5)):
-        target = plog(_branch_root_for(branch, y, z, params))
-        errs = []
-        for h in (1e-3, 1e-4):
-            dpsi = (
-                psi_pm(branch, ScaledPoint(y, z + h), params)
-                - psi_pm(branch, ScaledPoint(y, z - h), params)
-            ) / (2.0 * h)
-            errs.append(abs(dpsi - target))
-        order = math.log(errs[0] / errs[1]) / math.log(10.0)
-        worst_order = min(worst_order, order)
-    if worst_order < 1.9:
-        failures.append(f"phase-gradient FD order {worst_order:.2f} < 1.9")
-    worst_transport = 0.0
-    transport_pts = (
-        ("-", 0.20, 0.75, "0.74894783"),
-        ("+", 0.20, 0.75, "0.74894783"),
-        ("-", 0.45, 0.50, "0.34894783"),
-        ("+", 0.45, 0.50, "0.34894783"),
-        ("+", 0.95, 0.10, "0.34894783"),
-        ("-", 0.95, 0.10, "0.34894783"),
-    )
-    h = 1e-5
-    for branch, y, z, qs in transport_pts:
-        tp = Params.from_q(100, qs)
-        tpf, tqf = tp.pf, tp.qf
-        root = _branch_root_for(branch, y, z, tp)
-        amp_z = (
-            l_pm(branch, ScaledPoint(y, z + h), tp) - l_pm(branch, ScaledPoint(y, z - h), tp)
-        ) / (2.0 * h)
-        root_z = (
-            _branch_root_for(branch, y, z + h, tp) - _branch_root_for(branch, y, z - h, tp)
-        ) / (2.0 * h)
-        amp = l_pm(branch, ScaledPoint(y, z), tp)
-        t1 = (z * root * root - tpf * tqf * (1.0 - z)) * amp_z
-        t2 = (0.5 * (z * root * root + tpf * tqf * (1.0 - z)) * (root_z / root) + root * root + tpf * tqf) * amp
-        worst_transport = max(worst_transport, abs(t1 + t2) / max(abs(t1), abs(t2)))
-    if worst_transport > 1e-4:
-        failures.append(f"amplitude-equation residual {worst_transport:.2e} > 1e-4")
-    detail = (
-        f"branch-root residual {worst_res:.1e}; FD order {worst_order:.2f}; "
-        f"amplitude residual {worst_transport:.1e}"
-    )
-    if failures:
-        detail = "; ".join(failures)
-    return CheckResult(6, "expansion residuals", not failures, detail, time.monotonic() - start)
-
-
-def _branch_root_for(branch: str, y: float, z: float, params: Params) -> complex:
-    minus, plus = u_pm(ScaledPoint(y, z), params)
-    return plus if branch == "+" else minus
-
-
-def criterion_7(cfg: ClassifierConfig = DEFAULT_CONFIG,
-                tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Special-function anchors: identities and asymptotic ratio pins."""
-    start = time.monotonic()
-    failures: List[str] = []
-    for n in range(11):
-        x = 1.9
-        expected = 2 ** (-n / 2) * math.exp(-x * x / 4) * hermite(n, x / math.sqrt(2))
-        got = pcf_d(n, x)
-        if got.imag != 0 or abs(got.real - expected) > 1e-10 * abs(expected):
-            failures.append(f"cylinder/Hermite identity fails at n={n}")
-    x = 30.0
-    stirling = math.sqrt(2 * math.pi / x) * x**x * math.exp(-x)
-    if abs(gamma_real(x) / stirling - 1) > 0.003:
-        failures.append("gamma leading form out of tolerance at x=30")
-    d = pcf_d(3.5, 9.0).real
-    gap = abs(d / (math.exp(-81 / 4) * 9**3.5) - 1)
-    if not 0.04 < gap < 0.065:
-        failures.append(f"cylinder growing-anchor gap {gap*100:.2f}% outside [4%, 6.5%]")
-    xv, u = 1.5, 9.0
-    t1 = math.exp(-u * u / 4) * u**xv * math.cos(math.pi * xv)
-    t2 = (
-        -math.sqrt(2 / math.pi) * xv * gamma_real(xv) * math.sin(math.pi * xv)
-        * u ** (-xv - 1) * math.exp(u * u / 4)
-    )
-    gap = abs(pcf_d(xv, -u).real - (t1 + t2)) / max(abs(t1), abs(t2))
-    if not 0.04 < gap < 0.065:
-        failures.append(f"cylinder two-term anchor gap {gap*100:.2f}% outside [4%, 6.5%]")
-    x = 8.0
-    rhs = x ** (-0.25) * math.exp(-2 / 3 * x**1.5) / (2 * math.sqrt(math.pi))
-    if abs(airy_ai(x) / rhs - 1) > 0.01:
-        failures.append("Airy decay anchor out of tolerance")
-    amp = x ** (-0.25) / math.sqrt(math.pi)
-    rhs = amp * math.sin(2 / 3 * x**1.5 + math.pi / 4)
-    if abs(airy_ai(-x) - rhs) > 0.02 * amp:
-        failures.append("Airy oscillation anchor out of tolerance")
-    for j in (1, 4, 10, 25, 30):
-        for xi in (-1.1, -0.4, 0.0, 0.5, 1.2):
-            value = lambda_j(j, xi)  # raises if the realness residue exceeds 1e-8
-            if not math.isfinite(value):
-                failures.append(f"recurrence solution not finite at (j={j},xi={xi})")
-    j = 25
-    amp = math.sqrt(2 / j) * math.exp((j / 2) * (1 - math.log(j)))
-    for xi in (-1.2, -0.9, -0.3, 0.3, 0.7, 1.1):
-        asym = amp * math.sin(math.sqrt(2 * j) * xi - j * math.pi / 2)
-        if abs(lambda_j(j, xi) - asym) > 0.05 * amp:
-            failures.append(f"large-order form off at xi={xi}")
-    detail = "identity, gamma/Airy/cylinder anchors, recurrence-solution large-order form all in bounds"
-    if failures:
-        detail = "; ".join(failures[:5])
-    return CheckResult(7, "special-function anchors", not failures, detail, time.monotonic() - start)
-
-
-CRITERIA: Dict[int, Callable[..., CheckResult]] = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-}
-
-
-def run_criterion(crit_id: int, cfg: ClassifierConfig = DEFAULT_CONFIG,
-                  tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    return CRITERIA[crit_id](cfg, tol)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = args.cfg
-    tol = args.tolerances
     wanted = args.criteria if args.criteria else sorted(CRITERIA)
     all_passed = True
     for crit_id in wanted:
-        result = run_criterion(crit_id, cfg, tol)
+        result = run_criterion(crit_id, args.cfg, args.tolerances)
         all_passed &= result.passed
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status}  criterion-{result.crit_id} {result.name} "
-              f"({result.seconds:.1f}s): {result.detail}")
+        print(result.line())
     if not all_passed:
         print("acceptance: FAIL")
         return 2
@@ -885,7 +341,7 @@ def _criteria_list(text: str) -> List[int]:
     for piece in text.split(","):
         value = _positive_int(piece.strip())
         if value not in CRITERIA:
-            raise CliError(f"unknown criterion {value}; expected 1..7")
+            raise CliError(f"unknown criterion {value}; expected {min(CRITERIA)}..{max(CRITERIA)}")
         out.append(value)
     return out
 

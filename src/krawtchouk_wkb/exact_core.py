@@ -149,12 +149,13 @@ class ExactTable:
 
     def value(self, n: int, x: int) -> Fraction:
         """Exact ``K_n(x)``."""
-        check_index("n", n, self.params.N)
+        row = self.scaled_row(n)
         check_index("x", x, self.params.N)
-        return Fraction(self.scaled_row(n)[x], self.params.denom**n)
+        return Fraction(row[x], self.params.denom**n)
 
     def scaled_row(self, n: int) -> tuple:
         """Row ``n`` as integers, scaled by ``denom**n`` (internal units)."""
+        check_index("n", n, self.params.N)
         row = self._rows[n]
         if row is None:
             row = self._rows[n] = exact_row(n, self.params)
@@ -162,6 +163,7 @@ class ExactTable:
 
     def row_logs(self, n: int) -> tuple:
         """``ln|K_n(x)|`` for x = 0..N as floats, ``-inf`` at exact zeros."""
+        check_index("n", n, self.params.N)
         logs = self._logs[n]
         if logs is None:
             ln_scale = n * math.log(self.params.denom)
@@ -170,8 +172,10 @@ class ExactTable:
 
     def signed_log(self, n: int, x: int):
         """``(sign, ln|K_n(x)|)`` without building a huge float."""
-        num = self.scaled_row(n)[x]
-        return (num > 0) - (num < 0), self.row_logs(n)[x]
+        logs = self.row_logs(n)  # validates n and builds the row
+        check_index("x", x, self.params.N)
+        num = self._rows[n][x]
+        return (num > 0) - (num < 0), logs[x]
 
 
 def _ln_abs_int(value: int) -> float:

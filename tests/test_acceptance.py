@@ -7,7 +7,7 @@ the stated runtime budget where one exists.
 
 import pytest
 
-from krawtchouk_wkb.cli import CRITERIA, run_criterion
+from krawtchouk_wkb.accuracy import CRITERIA, run_criterion
 
 #: wall-clock budgets in seconds for the criteria that state one
 BUDGETS = {1: 60.0, 2: 300.0, 3: 180.0}
@@ -16,10 +16,8 @@ BUDGETS = {1: 60.0, 2: 300.0, 3: 180.0}
 @pytest.mark.parametrize("crit_id", sorted(CRITERIA))
 def test_criterion(crit_id, capsys):
     result = run_criterion(crit_id)
-    status = "PASS" if result.passed else "FAIL"
     with capsys.disabled():
-        print(f"{status}  criterion-{result.crit_id} {result.name} "
-              f"({result.seconds:.1f}s): {result.detail}")
+        print(result.line())
     assert result.passed, f"criterion-{crit_id} {result.name}: {result.detail}"
     budget = BUDGETS.get(crit_id)
     if budget is not None:

@@ -2,6 +2,7 @@
 config handling, and the acceptance-check entry point."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,10 @@ class TestErrors:
             capsys, "regions", "--N", "10", "--q", "0.5", "--config", str(bad_key)
         )
         assert code == 1 and "unknown config key" in err
+        bad_tol = tmp_path / "t.cfg"
+        bad_tol.write_text("tol_overlp=0.0001\n")
+        code, _, err = run_cli(capsys, "check", "--criteria", "5", "--config", str(bad_tol))
+        assert code == 1 and "unknown config key" in err
         bad_value = tmp_path / "v.cfg"
         bad_value.write_text("beta_max=wide\n")
         code, _, err = run_cli(
@@ -317,6 +322,14 @@ class TestCheck:
         assert len(lines) == 2
         assert all(l.startswith("PASS") for l in lines)
         assert out.splitlines()[-1] == "acceptance: PASS"
+
+    def test_output_matches_golden(self, capsys):
+        # Every PASS line, detail and all, is pinned; only the seconds vary.
+        # The file is this command's output with "(N.Ns)" for the seconds.
+        golden = Path(__file__).parent / "data" / "check_stdout.txt"
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 0
+        assert re.sub(r"\(\d+\.\ds\)", "(N.Ns)", out) == golden.read_text(encoding="utf-8")
 
     def test_degenerate_config_fails_overlap_criterion(self, capsys, tmp_path):
         cfg = tmp_path / "no_strips.cfg"

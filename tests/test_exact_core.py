@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krawtchouk_wkb import cli, exact_core
+from krawtchouk_wkb import accuracy, exact_core
 from krawtchouk_wkb.exact_core import (
     DomainError,
     ExactTable,
@@ -202,6 +202,27 @@ def test_exact_row_rejects_out_of_range():
         exact_row(-1, params)
 
 
+@pytest.mark.parametrize("bad", [-1, 11, True], ids=["negative", "N+1", "bool"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda table, i: table.scaled_row(i),
+        lambda table, i: table.row_logs(i),
+        lambda table, i: table.signed_log(i, 2),
+        lambda table, i: table.signed_log(2, i),
+        lambda table, i: accuracy.window_env_log(table, i, 2),
+        lambda table, i: accuracy.window_env_log(table, 2, i),
+    ],
+    ids=["scaled_row", "row_logs", "signed_log-n", "signed_log-x", "window-n", "window-x"],
+)
+def test_table_reads_reject_bad_indices(read, bad):
+    table = ExactTable(Params.from_p(10, Fraction(1, 2)))
+    for n in (1, 2, 10):  # built rows are what a wrapped or bool index would read
+        table.row_logs(n)
+    with pytest.raises(DomainError):
+        read(table, bad)
+
+
 def test_table_computes_only_the_rows_read(monkeypatch):
     computed = []
 
@@ -220,7 +241,7 @@ def test_table_computes_only_the_rows_read(monkeypatch):
     for n in (7, 19):
         table.signed_log(n, 30)
         table.row_logs(n)
-        cli.window_env_log(table, n, 12)
+        accuracy.window_env_log(table, n, 12)
     assert computed == [7, 19]
 
 
@@ -233,7 +254,7 @@ def per_cell_signed_log(table, n, x):
 
 
 def per_cell_env_log(table, n, x):
-    """``cli.window_env_log`` before row logs: the clipped window read cell by cell."""
+    """``accuracy.window_env_log`` before row logs: the clipped window read cell by cell."""
     lo, hi = max(0, x - 5), min(table.params.N, x + 5)
     return max(table.signed_log(n, xx)[1] for xx in range(lo, hi + 1))
 
@@ -254,14 +275,14 @@ def test_envelope_matches_per_cell_reference(case):
             sign, ln = table.signed_log(n, x)
             exact = ApproxValue(float(sign), 0.0, av.region, ln)
             out.append((
-                sign, ln, cli.window_env_log(table, n, x),
-                cli.norm_err(av, table, n, x), cli.formula_gap(av, exact, table, n, x),
+                sign, ln, accuracy.window_env_log(table, n, x),
+                accuracy.norm_err(av, table, n, x), accuracy.formula_gap(av, exact, table, n, x),
             ))
         return out
 
     got = metrics(ExactTable(params))
     with mock.patch.object(ExactTable, "signed_log", per_cell_signed_log), \
-            mock.patch.object(cli, "window_env_log", per_cell_env_log):
+            mock.patch.object(accuracy, "window_env_log", per_cell_env_log):
         want = metrics(ExactTable(params))
     # repr is exact for floats and tells nan, inf and -0.0 apart
     assert repr(got) == repr(want)

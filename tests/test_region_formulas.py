@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krawtchouk_wkb.cli import FIGURES, exact_table, formula_gap, norm_err
-from krawtchouk_wkb.exact_core import DomainError, Params, krawtchouk_sum
+from krawtchouk_wkb.accuracy import FIGURES, figure_sweep, formula_gap, norm_err
+from krawtchouk_wkb.exact_core import DomainError, ExactTable, Params, krawtchouk_sum
 from krawtchouk_wkb.region_formulas import (
     approx,
     evaluate_region,
@@ -30,7 +30,6 @@ from krawtchouk_wkb.region_formulas import (
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
     ScaledPoint,
-    classify,
     corner_coords,
 )
 from krawtchouk_wkb.wkb_core import SingularityError, k_pm
@@ -46,16 +45,16 @@ P20_74 = Params.from_q(20, "0.74894783")
 ALL_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII")
 
 
-def region_gap(tag_a: str, tag_b: str, x: int, n: int, params: Params, q: str) -> float:
+def region_gap(tag_a: str, tag_b: str, x: int, n: int, params: Params) -> float:
     """Envelope-normalized disagreement of two formulas at one grid point."""
-    table = exact_table(params.N, q)
+    table = ExactTable(params)
     a = evaluate_region(tag_a, x, n, params)
     b = evaluate_region(tag_b, x, n, params)
     return formula_gap(a, b, table, n, x)
 
 
-def point_err(tag: str, x: int, n: int, params: Params, q: str) -> float:
-    table = exact_table(params.N, q)
+def point_err(tag: str, x: int, n: int, params: Params) -> float:
+    table = ExactTable(params)
     return norm_err(evaluate_region(tag, x, n, params), table, n, x)
 
 
@@ -68,17 +67,9 @@ def point_err(tag: str, x: int, n: int, params: Params, q: str) -> float:
 @pytest.mark.parametrize("fig_id", sorted(FIGURES))
 def test_reference_row_within_budget(fig_id):
     spec = FIGURES[fig_id]
-    params = Params.from_q(spec.N, spec.q)
-    table = exact_table(spec.N, spec.q)
-    in_region = 0
-    for x in range(0, spec.N + 1):
-        rid = classify(x, spec.n, params, DEFAULT_CONFIG)
-        if rid.tag != spec.tag:
-            continue
-        in_region += 1
-        err = norm_err(approx(x, spec.n, params, DEFAULT_CONFIG), table, spec.n, x)
-        assert err <= spec.bar, f"x={x}: windowed error {err:.4f} > {spec.bar}"
+    worst, worst_x, in_region = figure_sweep(spec, DEFAULT_CONFIG)
     assert in_region > 0, "no point of the row was assigned the expected region"
+    assert worst <= spec.bar, f"x={worst_x}: windowed error {worst:.4f} > {spec.bar}"
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +109,7 @@ class TestBottomRows:
     def test_corner_profile_matches_exact_row(self):
         # degree-2 row at the grid point nearest the corner center
         x = round(100 * P100_74.pf)
-        assert point_err("II", x, 2, P100_74, "0.74894783") <= 0.01
+        assert point_err("II", x, 2, P100_74) <= 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +127,7 @@ class TestSingleBranchExterior:
             evaluate_region("III", 30, 10, P100_74)  # between the curves
 
     def test_branch_selection_and_signs(self):
-        table = exact_table(100, "0.34894783")
+        table = ExactTable(P100_34)
         left = evaluate_region("III", 20, 10, P100_34)
         assert left.region.tag == "III"
         right = evaluate_region("IV", 95, 10, P100_34)
@@ -163,7 +154,7 @@ class TestLeftEdge:
 
     def test_edge_accuracy_at_column_zero(self):
         # measured 0.13% windowed at (x=0, n=90, N=200)
-        assert point_err("V", 0, 90, P200_74, "0.74894783") <= 0.02
+        assert point_err("V", 0, 90, P200_74) <= 0.02
 
     def test_edge_sine_term_absent_on_grid(self):
         av = k5(5.0, 0.5, P100_74)
@@ -171,18 +162,18 @@ class TestLeftEdge:
 
     def test_crossover_profile_small_u(self):
         # the built-in row through the crossover has |u| ~ 0.02 at x = 0
-        assert point_err("VI", 0, 25, P100_74, "0.74894783") <= 0.02
+        assert point_err("VI", 0, 25, P100_74) <= 0.02
 
     def test_crossover_matches_branch_form_at_moderate_u(self):
         # junction at u ~ +2: oracle-measured 5.9% (n=16) and 1.1% (n=17)
-        worst = max(region_gap("VI", "III", 0, n, P100_74, "0.74894783") for n in (16, 17))
+        worst = max(region_gap("VI", "III", 0, n, P100_74) for n in (16, 17))
         assert worst <= 0.065
 
     def test_crossover_gap_at_large_u_is_pinned(self):
         # at u ~ +3 the neglected cubic exponent dominates; the gap decays
         # with N like exp(c/sqrt(N)) and is pinned at both grid sizes
-        gap_100 = region_gap("VI", "III", 0, 12, P100_74, "0.74894783")
-        gap_200 = region_gap("VI", "III", 0, 32, P200_74, "0.74894783")
+        gap_100 = region_gap("VI", "III", 0, 12, P100_74)
+        gap_200 = region_gap("VI", "III", 0, 32, P200_74)
         assert 0.55 <= gap_100 <= 0.68
         assert 0.28 <= gap_200 <= 0.40
         assert gap_200 < gap_100
@@ -209,7 +200,7 @@ class TestInterferenceExterior:
 
     def test_matches_left_edge_where_domains_meet(self):
         worst = max(
-            region_gap("VII", "V", x, 80, P100_74, "0.74894783") for x in (8, 9, 10)
+            region_gap("VII", "V", x, 80, P100_74) for x in (8, 9, 10)
         )
         assert worst <= 0.015
 
@@ -228,13 +219,13 @@ class TestLowerStrip:
 
     def test_matches_branch_form_inside_strip(self):
         # |beta| ~ 1.2: the stated 10% agreement holds (measured 9.7%)
-        assert region_gap("VIII", "III", 28, 10, P100_34, "0.34894783") <= 0.105
+        assert region_gap("VIII", "III", 28, 10, P100_34) <= 0.105
 
     def test_strip_edge_gap_is_pinned(self):
         # |beta| ~ 2: leading-order envelopes have detuned; the normalized
         # gap is pinned at N=100 and must shrink at N=200 (measured 18% -> 11%)
-        gap_100 = region_gap("VIII", "III", 24, 10, P100_34, "0.34894783")
-        gap_200 = region_gap("VIII", "III", 56, 20, P200_34, "0.34894783")
+        gap_100 = region_gap("VIII", "III", 24, 10, P100_34)
+        gap_200 = region_gap("VIII", "III", 56, 20, P200_34)
         assert 0.14 <= gap_100 <= 0.22
         assert gap_200 < gap_100
 
@@ -248,7 +239,7 @@ class TestUpperStrip:
 
     def test_matches_interference_form_outward(self):
         worst = max(
-            region_gap("IX", "VII", x, 80, P100_74, "0.74894783") for x in (21, 22)
+            region_gap("IX", "VII", x, 80, P100_74) for x in (21, 22)
         )
         assert worst <= 0.06
 
@@ -256,7 +247,7 @@ class TestUpperStrip:
         # the worst point tracks the first zero of the oscillatory profile
         # (measured 11.6% at N=100); pinned rather than forced under 10%
         worst = max(
-            region_gap("IX", "X", x, 80, P100_74, "0.74894783") for x in (39, 40)
+            region_gap("IX", "X", x, 80, P100_74) for x in (39, 40)
         )
         assert 0.07 <= worst <= 0.13
 
@@ -355,7 +346,7 @@ class TestTopRows:
             k11(1, 0.505 / 2.0, P100_74)  # y*N not an integer
 
     def test_top_row_is_exact(self):
-        table = exact_table(20, "0.74894783")
+        table = ExactTable(P20_74)
         for x in (3, 10, 19):
             av = k11(0, x / 20.0, P20_74)
             sign, ln_mag = table.signed_log(20, x)
@@ -364,7 +355,7 @@ class TestTopRows:
 
 class TestTopCorner:
     def test_top_corner_profile_exact_at_order_zero(self):
-        table = exact_table(20, "0.74894783")
+        table = ExactTable(P20_74)
         for x in (4, 9, 15):
             xi = corner_coords(x, 20, P20_74).xi
             av = k12(0, xi, P20_74)
@@ -378,10 +369,10 @@ class TestTopCorner:
 
     def test_matches_interior_form_at_moderate_order(self):
         worst_100 = max(
-            region_gap("XII", "X", x, 90, P100_64, "0.64894783") for x in range(60, 70)
+            region_gap("XII", "X", x, 90, P100_64) for x in range(60, 70)
         )
         worst_200 = max(
-            region_gap("XII", "X", x, 190, P200_64, "0.64894783") for x in range(125, 135)
+            region_gap("XII", "X", x, 190, P200_64) for x in range(125, 135)
         )
         assert worst_100 <= 0.10
         assert worst_200 < worst_100
@@ -421,7 +412,7 @@ class TestDispatcher:
         base = evaluate_region("VIII", 6, 10, P100_34.swapped())
         assert av.value == base.value  # even degree: mirror sign is +1
         assert av.ln_scale == base.ln_scale
-        table = exact_table(100, "0.34894783")
+        table = ExactTable(P100_34)
         assert norm_err(av, table, 10, 94) <= 0.08
 
     def test_mirrored_exterior_point_with_odd_sign(self):
