@@ -238,7 +238,7 @@ def criterion_2(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         if count == 0:
             failures.append(f"fig{fig_id}: no in-region points under config")
         elif not worst <= bar:
-            failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {bar*100:.0f}% at x={worst_x}")
+            failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {bar*100:g}% at x={worst_x}")
     u = corner_coords(0, FIGURES[8].n, Params.from_q(FIGURES[8].N, FIGURES[8].q)).u
     if abs(u - 0.024265) > 5e-6:
         failures.append(f"fig8 corner variable {u:.6f} != 0.024265 to 5 decimals")
@@ -336,7 +336,7 @@ def criterion_4(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         gap_half = _worst_gap(tag_a, tag_b, q, 200, loci_half)
         details.append(f"{name}:{gap_full*100:.2f}%->{gap_half*100:.2f}%")
         if gap_full > bar:
-            failures.append(f"{name}: gap {gap_full*100:.2f}% > {bar*100:.0f}%")
+            failures.append(f"{name}: gap {gap_full*100:.2f}% > {bar*100:g}%")
         if not gap_half < gap_full:
             failures.append(
                 f"{name}: gap did not shrink ({gap_full*100:.2f}% -> {gap_half*100:.2f}%)"

@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err, run_criterion
@@ -102,7 +102,7 @@ def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
     the keys of ``accuracy.TOLERANCES`` override check tolerances; anything
     else is an error.
     """
-    cfg_fields = {f.name: f.type for f in fields(ClassifierConfig)}
+    cfg_types = get_type_hints(ClassifierConfig)  # field name -> int or float
     overrides: Dict[str, object] = {}
     tolerances: Dict[str, float] = {}
     try:
@@ -118,9 +118,9 @@ def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key in cfg_fields:
+        if key in cfg_types:
             try:
-                overrides[key] = int(text) if key in ("n_small", "x_small", "j_small") else float(text)
+                overrides[key] = cfg_types[key](text)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
         elif key in TOLERANCES:

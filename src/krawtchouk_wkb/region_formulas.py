@@ -368,16 +368,20 @@ def k9(beta: float, z: float, params: Params) -> ApproxValue:
 
 
 def k10(pt: ScaledPoint, params: Params) -> ApproxValue:
-    """Oscillatory interior: sum of the two conjugate branches."""
+    """Oscillatory interior: sum of the two conjugate branches, 2 Re K+.
+
+    Inside the ellipse the branch roots are exact complex conjugates, so
+    k_pm_log("-") is the conjugate of k_pm_log("+") to the last bit and the
+    sum is formed from the plus branch alone.
+    """
     ym, yp = y_pm(pt.z, params)
     if not ym < pt.y < yp:
         raise DomainError(
             f"point (y={pt.y!r}, z={pt.z!r}) is not between the turning curves"
         )
     region = RegionId("X")
-    terms = [_from_log(k_pm_log(branch, pt, params)) for branch in ("+", "-")]
-    m, s = _sum_scaled(terms)
-    return _finalize(m, s, region)
+    m, s = _from_log(k_pm_log("+", pt, params))
+    return _finalize(complex(2.0 * m.real, 0.0), s, region)
 
 
 def k11(j: int, y: float, params: Params) -> ApproxValue:

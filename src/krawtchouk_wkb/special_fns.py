@@ -1,14 +1,28 @@
 """Special functions needed by the asymptotic region formulas.
 
-Hermite polynomials run on their exact integer-coefficient recurrence; the
-Gamma function comes from the standard library; Airy and parabolic-cylinder
-values are evaluated with mpmath's arbitrary-precision hypergeometric series
-(30+ decimal digits internally) and returned as machine floats.  Everything
-here is pure and reentrant.
+Everything that ``approx`` evaluates on the integer grid runs in machine
+floats:
+
+* Hermite polynomials run on their exact integer-coefficient recurrence and
+  follow the type of their argument (Fraction in, Fraction out).
+* The Gamma function comes from the standard library.
+* ``airy_ai`` sums a Taylor series re-centred at the nearest integer node
+  for |x| <= 8.5, seeded with tabulated Ai and Ai' at the node, and the
+  standard asymptotic expansions (DLMF 9.7.5, 9.7.9) beyond.
+* ``pcf_d`` with a nonnegative integer order and a real argument is
+  e^{-z^2/4} He_n(z), with He_n from the probabilists' recurrence in z, so
+  exact zeros such as D_2(1) = 0 stay exact.
+
+mpmath (30-40 decimal digits, returned as machine floats) remains for what
+the grid never reaches: ``airy_bi`` and ``lambda_j`` (their weights vanish
+at integer x), and ``pcf_d`` at a non-integer or negative order or a complex
+argument (off-grid forced formulas and the special-function checks).
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import Union
 
@@ -38,6 +52,43 @@ _PCF_NU_MAX = 32.0
 _PCF_Z_MAX = 15.0
 _LAMBDA_J_MAX = 30
 _LAMBDA_XI_MAX = 8.0
+
+#: (Ai(c), Ai'(c)) at the Taylor nodes c = -8, -7, ..., 8, each rounded to
+#: the nearest double; printed by tests/_oracle_gen/gen_airy_nodes.py.
+_AI_NODES = (
+    (-0.0527050503563862, 0.9355609381983065),
+    (0.18428083525050565, -0.7710081684101265),
+    (-0.3291451736298231, 0.3459354872813429),
+    (0.35076100902411433, 0.32719281855444315),
+    (-0.07026553294928951, -0.7906285753685813),
+    (-0.37881429367765806, 0.3145837692165988),
+    (0.22740742820168558, 0.618259020741691),
+    (0.5355608832923521, -0.01016056711664521),
+    (0.3550280538878172, -0.2588194037928068),
+    (0.13529241631288141, -0.1591474412967932),
+    (0.03492413042327438, -0.05309038443365363),
+    (0.006591139357460719, -0.011912976705951319),
+    (0.0009515638512048018, -0.001958640950204179),
+    (0.00010834442813607442, -0.0002474138908684625),
+    (9.947694360252889e-06, -2.4765200397034955e-05),
+    (7.492128863997167e-07, -2.008150894738792e-06),
+    (4.6922076160992316e-08, -1.3414392979067865e-07),
+)
+
+#: |x| up to which airy_ai uses the Taylor series (|x - c| <= 1/2).  Beyond
+#: it zeta = (2/3)|x|^{3/2} > 16.5, where the smallest term of the
+#: asymptotic series is below 4e-16.
+_AI_TAYLOR_MAX = 8.5
+
+#: Taylor terms per evaluation; 20 already reach rounding level at
+#: |x - c| = 1/2, |c| = 8 (19 leave 2e-14 of the envelope).
+_AI_TERMS = 22
+
+#: The asymptotic sums stop once a term drops below this.
+_AI_ASYM_TOL = 1e-17
+
+_SQRT_PI = math.sqrt(math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class RangeError(DomainError):
@@ -81,21 +132,86 @@ def gamma_real(x: float) -> float:
 
 
 def airy_ai(x: float) -> float:
-    """Airy function Ai(x), any finite real x, good to well over 10 digits."""
-    return _airy(mp.airyai, x)
+    """Airy function Ai(x) in floating point, any finite real x.
+
+    Within 1e-13 of max(|Ai|, |Ai'|/sqrt(1+|x|)) on |x| <= 1e12 (below the
+    smallest normal double the error is absolute).  Further out on the
+    negative axis the double phase zeta loses digits; where zeta itself
+    overflows (|x| > 4e205, |Ai| < 1e-51) the result is 0.0.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"airy argument must be finite, got {x!r}")
+    x = float(x)
+    if abs(x) <= _AI_TAYLOR_MAX:
+        return _airy_ai_taylor(x)
+    return _airy_ai_asymptotic(x)
+
+
+def _airy_ai_taylor(x: float) -> float:
+    """Ai(c + h) = sum a_k h^k about the nearest node c, |h| <= 1/2.
+
+    Ai'' = x Ai gives a_{k+2} = (c a_k + a_{k-1}) / ((k+1)(k+2)), seeded with
+    a_0 = Ai(c), a_1 = Ai'(c) and a_{-1} = 0.
+    """
+    c = round(x)
+    h = x - c
+    a_prev = 0.0
+    a, a_next = _AI_NODES[c + 8]
+    total = a + a_next * h
+    hk = h
+    for k in range(_AI_TERMS - 2):
+        a_prev, a, a_next = a, a_next, (c * a + a_prev) / ((k + 1) * (k + 2))
+        hk *= h
+        total += a_next * hk
+    return total
+
+
+def _airy_ai_asymptotic(x: float) -> float:
+    """DLMF 9.7.5 (x > 0) and 9.7.9 (x < 0), truncated at the smallest term."""
+    ax = abs(x)
+    # zeta's absolute rounding error, up to half an ulp of zeta (6e-14 at
+    # |x| = 100, 6e-5 at |x| = 1e8), enters exp(-zeta) and cos(zeta) as a
+    # relative error, so zeta is carried as zeta + zeta_lo from a 40-digit
+    # decimal evaluation at the exact double |x|.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal(ax)
+        zeta_d = 2 * d * d.sqrt() / 3
+        zeta = float(zeta_d)
+        if math.isinf(zeta):
+            return 0.0
+        zeta_lo = float(zeta_d - decimal.Decimal(zeta))
+    # t_k = u_k / zeta^k with u_k = u_{k-1} (6k-5)(6k-3)(6k-1) / ((2k-1) 216 k)
+    alternating = 1.0          # sum (-1)^k t_k                      (9.7.5)
+    even_odd = [1.0, 0.0]      # sum (-1)^m t_2m, sum (-1)^m t_2m+1  (9.7.9)
+    t = 1.0
+    k = 0
+    while True:
+        k += 1
+        t_next = t * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216 * k * zeta)
+        if t_next < _AI_ASYM_TOL or t_next >= t:
+            break
+        t = t_next
+        alternating += -t if k % 2 else t
+        even_odd[k % 2] += -t if (k // 2) % 2 else t
+    root4 = math.sqrt(math.sqrt(ax))
+    if x > 0.0:
+        return math.exp(-zeta) * math.exp(-zeta_lo) * alternating / (2.0 * _SQRT_PI * root4)
+    cos_hi, sin_hi = math.cos(zeta), math.sin(zeta)
+    cos_lo, sin_lo = math.cos(zeta_lo), math.sin(zeta_lo)
+    cz = cos_hi * cos_lo - sin_hi * sin_lo
+    sz = sin_hi * cos_lo + cos_hi * sin_lo
+    # sqrt(2) cos(zeta - pi/4) = cz + sz and sqrt(2) sin(zeta - pi/4) = sz - cz
+    return ((cz + sz) * even_odd[0] + (sz - cz) * even_odd[1]) / (_SQRT_2PI * root4)
 
 
 def airy_bi(x: float) -> float:
-    """Airy function Bi(x); overflows to a RangeError for x beyond ~100."""
-    return _airy(mp.airybi, x)
-
-
-def _airy(fn, x: float) -> float:
+    """Airy function Bi(x) from mpmath; overflows to a RangeError for x beyond ~100."""
     if not math.isfinite(x):
         raise DomainError(f"airy argument must be finite, got {x!r}")
     with mp.workdps(_AIRY_DPS):
         try:
-            value = fn(x)
+            value = mp.airybi(x)
         except mp.libmp.NoConvergence as exc:  # pragma: no cover - defensive
             raise NonConvergenceError(f"airy series did not converge at {x}") from exc
     out = float(value)
@@ -105,18 +221,29 @@ def _airy(fn, x: float) -> float:
 
 
 def pcf_d(nu: float, z: Union[float, complex]) -> complex:
-    """Parabolic cylinder function D_nu(z) via its confluent series.
+    """Parabolic cylinder function D_nu(z).
 
     Supports real order |nu| <= 32 and real or complex |z| <= 15, which
-    covers every corner-layer use in the package.  Real input gives a result
-    with a vanishing imaginary component (within 1e-12 relative).  At an
-    exact zero of D_nu (D_2(1), say) the series cancels completely; zeroprec
-    lets mpmath return 0 there instead of raising.
+    covers every corner-layer use in the package.  A nonnegative integer
+    order n with a real argument (a complex z with zero imaginary part
+    included) gives e^{-z^2/4} He_n(z) in floats, He_n from the recurrence
+    He_{k+1} = z He_k - k He_{k-1} in z itself, so exact zeros such as
+    D_2(1) = 0 come out as 0.0.  Every other order or argument goes through
+    mpmath's confluent series; real input then gives a result with a
+    vanishing imaginary component (within 1e-12 relative), and zeroprec
+    lets mpmath return 0 at an exact zero instead of raising.
     """
     if not -_PCF_NU_MAX <= nu <= _PCF_NU_MAX:
         raise RangeError(f"pcf_d order {nu} outside [-{_PCF_NU_MAX}, {_PCF_NU_MAX}]")
     if abs(z) > _PCF_Z_MAX:
         raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
+    zc = complex(z)
+    if nu >= 0 and float(nu).is_integer() and zc.imag == 0.0:
+        t = zc.real
+        he_prev, he = 0.0, 1.0  # He_{-1}, He_0
+        for k in range(int(nu)):
+            he_prev, he = he, t * he - k * he_prev
+        return complex(math.exp(-0.25 * t * t) * he, 0.0)
     with mp.workdps(_PCF_DPS):
         try:
             value = mp.pcfd(mp.mpf(nu), mp.mpmathify(z), zeroprec=4 * mp.mp.prec)

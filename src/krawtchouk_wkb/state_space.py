@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, get_type_hints
 
 from .exact_core import DomainError, Params, check_index
 
@@ -115,13 +115,12 @@ class ClassifierConfig:
     beta_max: float = 0.9
 
     def __post_init__(self) -> None:
-        for name in ("n_small", "x_small", "j_small"):
+        for name, kind in get_type_hints(ClassifierConfig).items():
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
-        for name in ("corner_width", "beta_max"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if kind is int:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
+            elif not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
                 raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
 
 

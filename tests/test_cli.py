@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from krawtchouk_wkb.cli import main, render_fraction
+from krawtchouk_wkb.cli import load_config, main, render_fraction
 from krawtchouk_wkb.exact_core import Params, krawtchouk_sum, signed_log
 from fractions import Fraction
 
@@ -231,6 +231,14 @@ class TestRegions:
         assert "VIII" in tags_default
         assert "VIII" not in tags_zero and "IX" not in tags_zero
 
+    def test_config_values_take_the_field_types(self, tmp_path):
+        cfg_file = tmp_path / "types.cfg"
+        cfg_file.write_text("x_small=3\nbeta_max=1\n")
+        cfg, tolerances = load_config(str(cfg_file))
+        assert type(cfg.x_small) is int and cfg.x_small == 3
+        assert type(cfg.beta_max) is float and cfg.beta_max == 1.0
+        assert tolerances == {}
+
 
 # ---------------------------------------------------------------------------
 # figures
@@ -330,6 +338,14 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check")
         assert code == 0
         assert re.sub(r"\(\d+\.\ds\)", "(N.Ns)", out) == golden.read_text(encoding="utf-8")
+
+    def test_small_tolerance_prints_its_digits(self, capsys, tmp_path):
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("tol_figures_early=0.001\ntol_overlap=0.0001\n")
+        code, out, _ = run_cli(capsys, "check", "--criteria", "2,4", "--config", str(cfg))
+        assert code == 2
+        assert "fig3: worst 4.53% > 0.1% at x=56" in out
+        assert "III-VIII: gap 9.73% > 0.01%" in out
 
     def test_degenerate_config_fails_overlap_criterion(self, capsys, tmp_path):
         cfg = tmp_path / "no_strips.cfg"

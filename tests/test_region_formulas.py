@@ -8,14 +8,19 @@ real behavioral change, not tolerance noise.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krawtchouk_wkb.accuracy import FIGURES, figure_sweep, formula_gap, norm_err
 from krawtchouk_wkb.exact_core import DomainError, ExactTable, Params, krawtchouk_sum
 from krawtchouk_wkb.region_formulas import (
+    _finalize,
+    _from_log,
+    _sum_scaled,
     approx,
     evaluate_region,
     k1,
@@ -29,10 +34,12 @@ from krawtchouk_wkb.region_formulas import (
 )
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
+    RegionId,
     ScaledPoint,
+    classify,
     corner_coords,
 )
-from krawtchouk_wkb.wkb_core import SingularityError, k_pm
+from krawtchouk_wkb.wkb_core import SingularityError, k_pm, k_pm_log
 
 P100_74 = Params.from_q(100, "0.74894783")
 P200_74 = Params.from_q(200, "0.74894783")
@@ -43,6 +50,9 @@ P200_64 = Params.from_q(200, "0.64894783")
 P20_74 = Params.from_q(20, "0.74894783")
 
 ALL_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII")
+
+# the p values of the exact-core property tests
+P_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction("0.64894783")]
 
 
 def region_gap(tag_a: str, tag_b: str, x: int, n: int, params: Params) -> float:
@@ -266,6 +276,42 @@ class TestOscillatoryInterior:
         with pytest.raises(DomainError):
             k10(ScaledPoint(0.01, 0.10), P100_74)
 
+    @staticmethod
+    def _two_branch_k10(pt: ScaledPoint, params: Params):
+        """The interior form as the explicit sum of both branches."""
+        terms = [_from_log(k_pm_log(branch, pt, params)) for branch in ("+", "-")]
+        m, s = _sum_scaled(terms)
+        return _finalize(m, s, RegionId("X"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        N=st.integers(min_value=20, max_value=300),
+        p=st.sampled_from(P_POOL),
+    )
+    def test_plus_branch_alone_equals_two_branch_sum(self, data, N, p):
+        # Inside the ellipse the minus branch is the exact conjugate of the
+        # plus branch, so 2 Re K+ reproduces the two-branch sum bit for bit.
+        params = Params.from_p(N, p)
+        x = data.draw(st.integers(min_value=0, max_value=N))
+        n = data.draw(st.integers(min_value=0, max_value=N))
+        rid = classify(x, n, params)
+        assume(rid.tag == "X")
+        if rid.mirrored:
+            x, params = N - x, params.swapped()
+        pt = ScaledPoint.from_indices(x, n, params)
+        got = k10(pt, params)
+        old = self._two_branch_k10(pt, params)
+        assert (repr(got.value), repr(got.ln_scale), repr(got.im_residue)) == (
+            repr(old.value), repr(old.ln_scale), repr(old.im_residue)
+        )
+
+    def test_plus_branch_alone_off_the_grid(self):
+        for y, z in ((0.347, 0.503), (0.61, 0.42), (0.2, 0.35)):
+            got = k10(ScaledPoint(y, z), P100_64)
+            old = self._two_branch_k10(ScaledPoint(y, z), P100_64)
+            assert got == old
+
     def test_conjugate_branches_cancel_imaginary_part(self):
         for x, n in ((35, 50), (40, 60), (30, 40), (45, 30)):
             av = evaluate_region("X", x, n, P100_64)
@@ -433,6 +479,21 @@ class TestDispatcher:
         av = approx(x, n, Params.from_q(N, q))
         assert not math.isnan(av.ln_scale)
         assert av.ln_scale != math.inf
+
+    def test_grid_makes_no_mpmath_call(self):
+        # Ai and integer-order D_n are evaluated in floats; Bi and Lambda_j
+        # carry weights that vanish at integer x and are never called.
+        fail = {"side_effect": AssertionError("mpmath called on the grid path")}
+        tags = set()
+        with mock.patch.object(mpmath, "airyai", **fail), mock.patch.object(
+            mpmath, "airybi", **fail
+        ), mock.patch.object(mpmath, "pcfd", **fail):
+            for q in ("0.5", "0.34894783", "0.64894783"):
+                params = Params.from_q(60, q)
+                for n in range(61):
+                    for x in range(61):
+                        tags.add(approx(x, n, params).region.tag)
+        assert {"VI", "VIII", "IX", "X", "XII"} <= tags
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -1,10 +1,14 @@
 import math
+import sys
 from fractions import Fraction
+from unittest import mock
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krawtchouk_wkb import special_fns
 from krawtchouk_wkb.exact_core import DomainError
 from krawtchouk_wkb.special_fns import (
     RangeError,
@@ -19,7 +23,9 @@ from krawtchouk_wkb.special_fns import (
 # Frozen oracle values from tests/_oracle_gen/gen_special_literals.py:
 # Airy from an own-series Maclaurin evaluation at 60 digits, D_nu from the
 # confluent (Kummer M) representation validated against the D_0, D_1, D_{-1}
-# closed forms.  The package itself uses a different backend.
+# closed forms.  The package itself uses different routes: Taylor series and
+# asymptotic expansions for Ai, the Hermite recurrence for integer-order D_n,
+# mpmath for the rest.
 AIRY = {  # x: (Ai, Bi, Ai', Bi')
     -8.0: ("-0.0527050503563862026220826757939", "-0.331251580751137859969876239276",
            "0.935560938198306551025522462133", "-0.15945049781298138934993573365"),
@@ -181,8 +187,51 @@ def test_airy_large_negative_argument_supported():
 def test_airy_domain_and_overflow():
     with pytest.raises(DomainError):
         airy_ai(float("nan"))
+    with pytest.raises(DomainError):
+        airy_ai(-math.inf)
     with pytest.raises(RangeError):
         airy_bi(1e4)
+
+
+def test_airy_node_table_matches_mpmath():
+    # the Taylor seeds are mpmath's Ai(c), Ai'(c) at 50 digits rounded to
+    # the nearest double (tests/_oracle_gen/gen_airy_nodes.py prints them)
+    with mp.workdps(50):
+        expected = tuple(
+            (float(mp.airyai(c)), float(mp.airyai(c, derivative=1))) for c in range(-8, 9)
+        )
+    assert special_fns._AI_NODES == expected
+
+
+def _airy_sweep_points():
+    dense = [k / 32 for k in range(-12 * 32, 12 * 32 + 1)]
+    edges = [math.nextafter(v, w) for v in (-8.5, 8.5) for w in (-math.inf, math.inf)]
+    return dense + edges + [-186.0, -50.0, 30.0, 100.0, 106.0, 110.0, -1e6, -1e10, -1e12]
+
+
+def test_airy_against_mpmath():
+    # error relative to the local envelope max(|Ai|, |Ai'|/sqrt(1+|x|)), so
+    # zeros of Ai on the negative axis are judged on the oscillation scale;
+    # below the smallest normal double the comparison is absolute
+    worst = []
+    with mp.workdps(40):
+        for x in _airy_sweep_points():
+            ref = mp.airyai(x)
+            env = max(abs(ref), abs(mp.airyai(x, derivative=1)) / mp.sqrt(1 + abs(x)))
+            err = abs(airy_ai(x) - ref)
+            if env < sys.float_info.min:
+                assert err <= 1e-13 * sys.float_info.min, x
+            else:
+                worst.append((float(err / env), x))
+    assert max(worst) <= (1e-13, math.inf)
+
+
+def test_airy_total_on_finite_reals():
+    for x in (sys.float_info.max, 1e206, 1e15, 5e-324, -5e-324, -1e15, -1e206, -sys.float_info.max):
+        v = airy_ai(x)
+        assert math.isfinite(v)
+        assert abs(v) <= abs(x) ** -0.25 / math.sqrt(math.pi) or abs(x) < 1
+    assert airy_ai(-0.0) == airy_ai(0.0) == special_fns._AI_NODES[8][0]
 
 
 # --- parabolic cylinder --------------------------------------------------------
@@ -194,6 +243,49 @@ def test_pcf_against_series_oracle(key):
     expected = PCF[key]
     got = pcf_d(nu, z)
     assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("key", [(2, 1.7 + 0j), (8, -3.1 + 0j)])
+def test_pcf_integer_order_oracle_literals_take_the_float_path(key):
+    with mock.patch.object(mp, "pcfd", side_effect=AssertionError("mpmath.pcfd called")):
+        got = pcf_d(*key)
+    assert got.imag == 0.0
+    assert abs(got - PCF[key]) <= 1e-13 * abs(PCF[key])
+
+
+def test_pcf_integer_order_against_mpmath():
+    # The float path evaluates He_n by its recurrence; its rounding error is
+    # bounded by that of the same recurrence in |z| with all signs positive,
+    # sum_k |He_n coefficient_k| |z|^k, which scales the tolerance.
+    with mp.workdps(40):
+        for n in range(9):
+            for k in range(-60, 61):
+                z = k / 4
+                got = pcf_d(n, z)
+                ref = mp.pcfd(n, z, zeroprec=4 * mp.mp.prec)
+                bound_prev, bound = 0.0, 1.0
+                for m in range(n):
+                    bound_prev, bound = bound, abs(z) * bound + m * bound_prev
+                assert got.imag == 0.0
+                assert abs(got.real - ref) <= 1e-13 * math.exp(-z * z / 4) * bound, (n, z)
+        # integer-valued float orders and complex z on the real axis agree
+        assert pcf_d(4.0, 2.5) == pcf_d(4, 2.5 + 0j) == pcf_d(4, 2.5)
+
+
+def test_pcf_integer_order_exact_zeros():
+    assert pcf_d(2, 1.0) == 0.0
+    assert pcf_d(2, -1.0) == 0.0
+    assert pcf_d(2.0, 1.0 + 0j) == 0.0
+    for n in (1, 3, 5, 7):
+        assert pcf_d(n, 0.0) == 0.0
+    assert pcf_d(0, 0.0) == 1.0
+
+
+def test_pcf_non_integer_or_complex_stays_on_mpmath():
+    for nu, z in [(2.5, 1.0), (-2, 1.0), (2, 1.0 + 0.5j)]:
+        with mock.patch.object(mp, "pcfd", side_effect=AssertionError("mpmath.pcfd called")):
+            with pytest.raises(AssertionError, match="mpmath.pcfd called"):
+                pcf_d(nu, z)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -262,6 +354,13 @@ def test_pcf_range_errors():
         pcf_d(1.0, 16.0)
     with pytest.raises(RangeError):
         pcf_d(1.0, 12 + 12j)
+    # integer orders with real arguments are range-checked the same way
+    with pytest.raises(RangeError):
+        pcf_d(34, 0.5)
+    with pytest.raises(RangeError):
+        pcf_d(2, -15.5)
+    with pytest.raises(RangeError):
+        pcf_d(2, 15.5 + 0j)
 
 
 # --- lambda_j ------------------------------------------------------------------
