@@ -200,6 +200,17 @@ class TestCompare:
         assert code == 0
         assert out.encode("utf-8") == golden.read_bytes()
 
+    @pytest.mark.parametrize("q, region", [("0.34894783", "VIII"), ("0.74894783", "IX")])
+    def test_forced_strip_golden_byte_for_byte(self, capsys, q, region):
+        # Forcing each turning-strip formula over the whole N=24 grid pins
+        # 800 strip evaluations: VIII below z = p, IX above it, 317 of them
+        # on airy_ai's asymptotic branch.  Refused points print empty
+        # approx cells, so the files also pin each formula's domain.
+        golden = Path(__file__).parent / "data" / f"compare_N24_q{q}_{region}.csv"
+        code, out, _ = run_cli(capsys, "compare", "--N", "24", "--q", q, "--region", region)
+        assert code == 0
+        assert out.encode("utf-8") == golden.read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # regions
