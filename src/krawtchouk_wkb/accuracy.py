@@ -367,8 +367,7 @@ def criterion_5(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     for x, n in ((30, 80), (40, 70), (28, 75)):
         beta = corner_coords(x, n, params).beta
         z = n / params.N
-        lam_plus = lambda_pm("+", beta, z, params)
-        lam_minus = lambda_pm("-", beta, z, params)
+        lam_plus, lam_minus = lambda_pm(beta, z, params)
         if lam_plus != 2.0 + 0.0j or lam_minus != 0.0 + 0.0j:
             failures.append(f"winding pair not (2, 0) at (x={x},n={n})")
         if (lam_plus - lam_minus) / 2.0 != 1.0 + 0.0j:

@@ -292,6 +292,7 @@ def lemma3_value(m: int, n: int, params: Params) -> float:
     small-x asymptotic of K_n(m).  Log-gamma keeps the binomial finite far
     past the point where C(N,n) overflows a double.  The base 1 - n/(pN)
     is negative for n > pN, which is fine: its sign is tracked separately.
+    A magnitude beyond double range saturates to +-inf with that sign.
     """
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
@@ -311,4 +312,7 @@ def lemma3_value(m: int, n: int, params: Params) -> float:
         if t < 0 and m % 2:
             sign = -sign
         ln_mag += m * math.log(abs(float(t)))
-    return sign * math.exp(ln_mag)
+    try:
+        return sign * math.exp(ln_mag)
+    except OverflowError:
+        return sign * math.inf

@@ -36,10 +36,9 @@ from .state_space import (
     ScaledPoint,
     classify,
     corner_coords,
-    u0,
     y_pm,
 )
-from .wkb_core import SingularityError, k_pm_log, lambda_pm, phi0, psi0, theta, u0_log_ratio, vartheta
+from .wkb_core import SingularityError, k_pm_log, lambda_pm, phi0, strip_coeffs
 
 __all__ = [
     "ApproxValue",
@@ -204,18 +203,25 @@ def k2(n: int, eta: float, params: Params) -> ApproxValue:
 def k3_k4(pt: ScaledPoint, params: Params) -> ApproxValue:
     """Lower exterior of the oscillatory zone: single dominant branch.
 
-    Left of the lower turning curve the minus branch applies (value alternates
-    like (-1)^n); right of the upper curve the plus branch applies.
+    Left of the lower turning curve (III, z < p) the minus branch applies
+    (value alternates like (-1)^n); right of the upper curve (IV, z < q) the
+    plus branch applies.  Beyond those heights the exterior is the
+    interference wedge: VII on the left, and by the mirror VII* on the right.
     """
-    if pt.z >= params.pf:
-        raise DomainError(
-            "single-branch exterior formula requires z < p; the upper-left "
-            "exterior uses the interference formula instead"
-        )
     ym, yp = y_pm(pt.z, params)
     if pt.y < ym:
+        if pt.z >= params.pf:
+            raise DomainError(
+                "single-branch exterior formula requires z < p; the upper-left "
+                "exterior uses the interference formula instead"
+            )
         branch, region = "-", RegionId("III")
     elif pt.y > yp:
+        if pt.z >= params.qf:
+            raise DomainError(
+                "single-branch exterior formula requires z < q; the upper-right "
+                "exterior uses the mirrored interference formula instead"
+            )
         branch, region = "+", RegionId("IV")
     else:
         raise DomainError(
@@ -319,17 +325,15 @@ def k8(beta: float, z: float, params: Params) -> ApproxValue:
         raise DomainError(f"lower-strip formula requires 0 < z < p, got z={z!r}")
     region = RegionId("VIII")
     N = params.N
-    th = theta(z, params)
-    ai = airy_ai(th ** (2.0 / 3.0) * beta)
+    c = strip_coeffs(z, params)  # slope is real for z < p
+    ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
         return _zero(region)
-    ps0 = psi0(z, params)
-    slope = u0_log_ratio(z, params)  # real for z < p
-    s = (math.log(params.eps) / 3.0 + ps0.real * N
-         + slope.real * beta * params.eps ** (-1.0 / 3.0)
-         + math.log(abs(ai)) - math.log(th) / 3.0
-         - 0.5 * math.log(z * u0(z, params)))
-    m = math.copysign(1.0, ai) * _phase_factor(ps0.imag * N / math.pi)
+    s = (math.log(params.eps) / 3.0 + c.psi0.real * N
+         + c.slope.real * beta * params.eps ** (-1.0 / 3.0)
+         + math.log(abs(ai)) - math.log(c.theta) / 3.0
+         - 0.5 * math.log(z * c.u0))
+    m = math.copysign(1.0, ai) * _phase_factor(c.psi0.imag * N / math.pi)
     return _finalize(m, s, region)
 
 
@@ -347,22 +351,20 @@ def k9(beta: float, z: float, params: Params) -> ApproxValue:
         raise DomainError(f"upper-strip formula requires p < z < 1, got z={z!r}")
     region = RegionId("IX")
     N = params.N
-    vt = vartheta(z, params)
+    c = strip_coeffs(z, params)  # slope carries -i*pi for z > p
+    vt = -c.theta
     arg = vt ** (2.0 / 3.0) * beta
-    lam_p = lambda_pm("+", beta, z, params)
-    lam_m = lambda_pm("-", beta, z, params)
+    lam_p, lam_m = lambda_pm(beta, z, params)
     bracket = lam_p * airy_ai(arg)
     if lam_m != 0.0:
         bracket += 1j * lam_m * airy_bi(arg)
     if bracket == 0.0:
         return _zero(region)
-    ps0 = psi0(z, params)
-    slope = u0_log_ratio(z, params)  # carries -i*pi for z > p
     stretch = params.eps ** (-1.0 / 3.0)
-    s = (math.log(params.eps) / 3.0 + ps0.real * N + slope.real * beta * stretch
+    s = (math.log(params.eps) / 3.0 + c.psi0.real * N + c.slope.real * beta * stretch
          + math.log(0.5) - math.log(vt) / 3.0
-         - 0.5 * math.log(z * u0(z, params)))
-    t = (ps0.imag * N + slope.imag * beta * stretch) / math.pi
+         - 0.5 * math.log(z * c.u0))
+    t = (c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi
     m = _phase_factor(t) * bracket
     return _finalize(m, s, region)
 

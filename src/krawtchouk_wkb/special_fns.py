@@ -16,8 +16,10 @@ floats:
 mpmath (30-40 decimal digits, returned as machine floats) remains for what
 the grid never reaches: ``airy_bi`` and ``lambda_j`` (their weights vanish
 at integer x), and ``pcf_d`` at a non-integer or negative order or a complex
-argument (off-grid forced formulas and the special-function checks).
-Everything here is pure and reentrant.
+argument (off-grid forced formulas and the special-function checks).  It
+is imported inside those three paths, so it loads on first use and a run
+that stays on the grid never loads it.  Everything here is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import decimal
 import math
 from typing import Union
-
-import mpmath as mp
 
 from .exact_core import DomainError
 
@@ -209,6 +209,8 @@ def airy_bi(x: float) -> float:
     """Airy function Bi(x) from mpmath; overflows to a RangeError for x beyond ~100."""
     if not math.isfinite(x):
         raise DomainError(f"airy argument must be finite, got {x!r}")
+    import mpmath as mp
+
     with mp.workdps(_AIRY_DPS):
         try:
             value = mp.airybi(x)
@@ -244,6 +246,8 @@ def pcf_d(nu: float, z: Union[float, complex]) -> complex:
         for k in range(int(nu)):
             he_prev, he = he, t * he - k * he_prev
         return complex(math.exp(-0.25 * t * t) * he, 0.0)
+    import mpmath as mp
+
     with mp.workdps(_PCF_DPS):
         try:
             value = mp.pcfd(mp.mpf(nu), mp.mpmathify(z), zeroprec=4 * mp.mp.prec)
@@ -264,6 +268,8 @@ def lambda_j(j: int, xi: float) -> float:
         raise RangeError(f"lambda_j degree must be an integer in [0, {_LAMBDA_J_MAX}], got {j!r}")
     if abs(xi) > _LAMBDA_XI_MAX:
         raise RangeError(f"lambda_j argument |{xi}| > {_LAMBDA_XI_MAX}")
+    import mpmath as mp
+
     with mp.workdps(_PCF_DPS):
         arg = mp.mpc(0, 1) * mp.sqrt(2) * xi
         a = mp.pcfd(-j - 1, arg)

@@ -7,18 +7,19 @@ mapped to +i*pi, which fixes every sign convention downstream; exp(psi/eps)
 is only ever formed in log-space (``k_pm_log``) because its real part grows
 like N.
 
-The remaining operations are the turning-strip ingredients: the phase
-``psi0`` and slope ``u0_log_ratio`` of the strip expansion, the curvature
-coefficients ``theta``/``vartheta`` feeding the oscillator-equation argument,
-the interference coefficients ``lambda_pm``, and the left-edge phase
-``phi0``.
+The remaining operations are the turning-strip ingredients and the
+left-edge phase ``phi0``.  ``strip_coeffs`` solves u0 and Y^-(z) once and
+returns every z-only coefficient of the Airy expansion across the lower
+turning curve: the curvature theta that scales the Airy argument, the
+phase psi0 and the slope.  ``lambda_pm`` returns both interference weights
+of the upper strip from one winding number.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .exact_core import DomainError, Params
 from .special_fns import RangeError
@@ -32,10 +33,8 @@ __all__ = [
     "l_pm",
     "k_pm",
     "k_pm_log",
-    "psi0",
-    "theta",
-    "vartheta",
-    "u0_log_ratio",
+    "StripCoeffs",
+    "strip_coeffs",
     "lambda_pm",
     "phi0",
 ]
@@ -136,68 +135,54 @@ def k_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
         ) from exc
 
 
-def psi0(z: float, params: Params) -> complex:
-    """Phase of the turning-strip expansion on the lower curve.
+class StripCoeffs(NamedTuple):
+    """The z-only coefficients of the Airy expansion across the lower curve Y^-(z).
 
-    psi0 = z*pi*i + (z-1) ln u0 + Y^-(z) ln(u0 - q) + (1 - Y^-(z)) ln(u0 + p);
-    for z > p the factor u0 - q is negative and contributes +i*pi*Y^-.
-    Singular at z = p, where u0 = q.
+    u0 is the coalescence root u0(z).  theta = sqrt(u0/z) / ((u0+p)(u0-q)) is
+    the curvature coefficient, positive for z < p (region VIII) and negative
+    for z > p (IX, which uses -theta).  psi0 = z*pi*i + (z-1) ln u0
+    + Y^-(z) ln(u0 - q) + (1 - Y^-(z)) ln(u0 + p) is the strip phase; for
+    z > p the factor u0 - q is negative and contributes +i*pi*Y^-.  slope is
+    ln(u0+p) - ln(u0-q) with principal branches taken factor-wise: for z > p
+    it carries -i*pi, and taking plog of the quotient would flip that sign
+    and corrupt the strip phase.
+    """
+
+    u0: float
+    theta: float
+    psi0: complex
+    slope: complex
+
+
+def strip_coeffs(z: float, params: Params) -> StripCoeffs:
+    """Solve u0 and Y^-(z) once for all the turning-strip coefficients at z.
+
+    Singular at the ends of (0, 1) and at z = p, where u0 = q.
     """
     if not 0.0 < z < 1.0:
-        raise SingularityError(f"psi0 is singular at z={z!r}")
+        raise SingularityError(f"strip coefficients are singular at z={z!r}")
     p, q = params.pf, params.qf
     r = u0(z, params)
+    if r == q:
+        raise SingularityError("strip coefficients diverge where u0 = q (z = p)")
     ym = y_pm(z, params)[0]
-    return (
+    psi = (
         complex(0.0, z * math.pi)
         + (z - 1.0) * plog(r)
         + ym * plog(r - q)
         + (1.0 - ym) * plog(r + p)
     )
+    th = math.sqrt(r / z) / ((r + p) * (r - q))
+    return StripCoeffs(r, th, psi, plog(r + p) - plog(r - q))
 
 
-def theta(z: float, params: Params) -> float:
-    """Strip curvature coefficient sqrt(u0/z) / ((u0+p)(u0-q)); positive for z < p."""
-    if not 0.0 < z < 1.0:
-        raise SingularityError(f"theta is singular at z={z!r}")
-    p, q = params.pf, params.qf
-    r = u0(z, params)
-    den = (r + p) * (r - q)
-    if den == 0.0:
-        raise SingularityError("theta diverges where u0 = q (z = p)")
-    return math.sqrt(r / z) / den
-
-
-def vartheta(z: float, params: Params) -> float:
-    """Negated curvature coefficient, positive for z > p."""
-    return -theta(z, params)
-
-
-def u0_log_ratio(z: float, params: Params) -> complex:
-    """ln(u0+p) - ln(u0-q) with principal branches taken factor-wise.
-
-    For z > p the second factor is negative, so the difference carries -i*pi;
-    taking plog of the quotient would flip that sign and corrupt the strip
-    phase, so the factors must stay separate.
-    """
-    if not 0.0 < z < 1.0:
-        raise SingularityError(f"u0_log_ratio is singular at z={z!r}")
-    p, q = params.pf, params.qf
-    r = u0(z, params)
-    if r == q:
-        raise SingularityError("u0_log_ratio diverges where u0 = q (z = p)")
-    return plog(r + p) - plog(r - q)
-
-
-def lambda_pm(sign: str, beta: float, z: float, params: Params) -> complex:
-    """Interference coefficients exp{2*pi*i*[Y^-(z) - beta*eps^{2/3}]/eps} ± 1.
+def lambda_pm(beta: float, z: float, params: Params) -> Tuple[complex, complex]:
+    """Interference coefficients (w + 1, w - 1), w = exp{2*pi*i*[Y^-(z) - beta*eps^{2/3}]/eps}.
 
     The winding number [Y^-(z) - beta*eps^{2/3}]/eps equals x when beta was
     derived from an integer grid point; windings within 1e-9 of an integer
-    are snapped so that the '+' value is exactly 2 and the '-' value exactly 0.
+    are snapped so that the pair is exactly (2, 0).
     """
-    if sign not in ("+", "-"):
-        raise DomainError(f"sign must be '+' or '-', got {sign!r}")
     eps = params.eps
     winding = (y_pm(z, params)[0] - beta * eps ** (2.0 / 3.0)) / eps
     nearest = round(winding)
@@ -205,7 +190,7 @@ def lambda_pm(sign: str, beta: float, z: float, params: Params) -> complex:
         w = complex(1.0, 0.0)
     else:
         w = cmath.exp(complex(0.0, 2.0 * math.pi * winding))
-    return w + 1.0 if sign == "+" else w - 1.0
+    return w + 1.0, w - 1.0
 
 
 def phi0(z: float, params: Params) -> complex:

@@ -2,7 +2,10 @@
 config handling, and the acceptance-check entry point."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,6 +213,23 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--N", "24", "--q", q, "--region", region)
         assert code == 0
         assert out.encode("utf-8") == golden.read_bytes()
+
+    def test_full_grid_never_loads_mpmath(self):
+        # A fresh interpreter: mpmath is only imported by the special
+        # functions the grid never reaches.
+        import krawtchouk_wkb
+
+        code = (
+            "import io, sys, contextlib\n"
+            "import krawtchouk_wkb.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['compare', '--N', '60', '--q', '0.64894783']) == 0\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(krawtchouk_wkb.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,14 @@ def test_lemma3_sign_for_large_n():
     assert got < 0
 
 
+@pytest.mark.parametrize("m, n, expected", [(0, 1000, math.inf), (0, 1001, -math.inf),
+                                            (1, 1000, math.inf)])
+def test_lemma3_saturates_beyond_double_range(m, n, expected):
+    # C(2000, 1000) 0.9^1000 is about e^1277: the value saturates with the
+    # tracked sign (-1)^n instead of raising OverflowError.
+    assert lemma3_value(m, n, Params.from_q(2000, "0.1")) == expected
+
+
 # --- params / misc -----------------------------------------------------------
 
 

@@ -136,6 +136,25 @@ class TestSingleBranchExterior:
         with pytest.raises(DomainError):
             evaluate_region("III", 30, 10, P100_74)  # between the curves
 
+    @pytest.mark.parametrize("x, n", [(157, 51), (185, 60), (197, 91)])
+    def test_plus_branch_reaches_z_up_to_q(self, x, n):
+        # With q > 1/2 the classifier labels IV* up to z = q, above p; the
+        # forced IV arm evaluates there and agrees with the mirrored III.
+        assert n * P200_74.eps >= P200_74.pf
+        assert classify(x, n, P200_74).tag == "IV"
+        forced = evaluate_region("IV", x, n, P200_74)
+        routed = approx(x, n, P200_74)
+        assert forced.ln_scale == pytest.approx(routed.ln_scale, abs=1e-12)
+        assert math.copysign(1.0, forced.value) == math.copysign(1.0, routed.value)
+
+    def test_plus_branch_rejects_z_from_q(self):
+        # With q < 1/2, right of the upper curve at q <= z < p is VII*.
+        x, n = 190, 130
+        assert P200_34.qf <= n * P200_34.eps < P200_34.pf
+        assert classify(x, n, P200_34).label == "VII*"
+        with pytest.raises(DomainError, match="z < q"):
+            evaluate_region("IV", x, n, P200_34)
+
     def test_branch_selection_and_signs(self):
         table = ExactTable(P100_34)
         left = evaluate_region("III", 20, 10, P100_34)

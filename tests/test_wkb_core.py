@@ -20,18 +20,16 @@ from krawtchouk_wkb.special_fns import RangeError
 from krawtchouk_wkb.state_space import ScaledPoint, u0, u_pm, y_pm
 from krawtchouk_wkb.wkb_core import (
     SingularityError,
+    StripCoeffs,
     k_pm,
     k_pm_log,
     l_pm,
     lambda_pm,
     phi0,
     plog,
-    psi0,
     psi_pm,
     psqrt,
-    theta,
-    u0_log_ratio,
-    vartheta,
+    strip_coeffs,
 )
 
 Q_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction("0.64894783"), Fraction("0.74894783")]
@@ -360,39 +358,39 @@ class TestStripPhase:
         # For z < p: Im(psi0) = pi*z.
         P = params_for(100, "0.74894783")
         z = P.pf - 0.05
-        assert psi0(z, P).imag == pytest.approx(math.pi * z, abs=1e-12)
+        assert strip_coeffs(z, P).psi0.imag == pytest.approx(math.pi * z, abs=1e-12)
 
     def test_imag_above_crossover(self):
         # For z > p the factor u0 - q goes negative: Im(psi0) = pi*(z + Y^-).
         P = params_for(100, "0.74894783")
         z = P.pf + 0.05
         expected = math.pi * (z + y_pm(z, P)[0])
-        assert psi0(z, P).imag == pytest.approx(expected, abs=1e-12)
+        assert strip_coeffs(z, P).psi0.imag == pytest.approx(expected, abs=1e-12)
 
     def test_singular_at_crossover_and_edges(self):
         P = params_for(100, "0.74894783")
         for z in (P.pf, 0.0, 1.0):
             with pytest.raises(SingularityError):
-                psi0(z, P)
+                strip_coeffs(z, P)
 
     def test_finite_on_both_sides(self):
         P = params_for(100, "0.74894783")
         for dz in (0.01, -0.01):
-            v = psi0(P.pf + dz, P)
+            v = strip_coeffs(P.pf + dz, P).psi0
             assert math.isfinite(v.real) and math.isfinite(v.imag)
 
 
 class TestStripSlope:
     def test_real_below_crossover(self):
         P = params_for(100, "0.74894783")
-        v = u0_log_ratio(0.1, P)
+        v = strip_coeffs(0.1, P).slope
         assert v.imag == 0.0
         r = u0(0.1, P)
         assert v.real == pytest.approx(math.log((r + P.pf) / (r - P.qf)))
 
     def test_imag_above_crossover(self):
         P = params_for(100, "0.74894783")
-        v = u0_log_ratio(0.5, P)
+        v = strip_coeffs(0.5, P).slope
         assert v.imag == pytest.approx(-math.pi)
         r = u0(0.5, P)
         assert v.real == pytest.approx(math.log((r + P.pf) / (P.qf - r)))
@@ -400,7 +398,7 @@ class TestStripSlope:
     def test_singular_at_crossover(self):
         P = params_for(100, "0.74894783")
         with pytest.raises(SingularityError):
-            u0_log_ratio(P.pf, P)
+            strip_coeffs(P.pf, P)
 
 
 class TestCurvatureCoefficient:
@@ -408,7 +406,8 @@ class TestCurvatureCoefficient:
         # For p = q = 1/2 at z = 1/4: u0 = sqrt(3)/2, (u0+p)(u0-q) = 1/2,
         # so theta = 2*sqrt(2*sqrt(3)).
         P = params_for(16, "1/2")
-        assert theta(0.25, P) == pytest.approx(2.0 * math.sqrt(2.0 * math.sqrt(3.0)), rel=1e-14)
+        theta = strip_coeffs(0.25, P).theta
+        assert theta == pytest.approx(2.0 * math.sqrt(2.0 * math.sqrt(3.0)), rel=1e-14)
 
     @pytest.mark.parametrize("qs,z", [("1/2", 0.25), ("0.74894783", 0.1), ("0.74894783", 0.6)])
     def test_matches_turning_curve_curvature(self, qs, z):
@@ -419,20 +418,65 @@ class TestCurvatureCoefficient:
         dym = (y_pm(z + h, P)[0] - y_pm(z - h, P)[0]) / (2.0 * h)
         ym = y_pm(z, P)[0]
         rhs = -2.0 / (dym ** 2 * ((P.pf - P.qf) * z + ym - P.pf))
-        assert theta(z, P) ** 2 == pytest.approx(rhs, rel=1e-8)
+        assert strip_coeffs(z, P).theta ** 2 == pytest.approx(rhs, rel=1e-8)
 
     def test_signs_either_side(self):
+        # IX scales its Airy argument by -theta, positive for z > p.
         P = params_for(100, "0.74894783")
-        assert theta(0.1, P) > 0.0
-        assert theta(0.5, P) < 0.0
-        assert vartheta(0.5, P) > 0.0
+        assert strip_coeffs(0.1, P).theta > 0.0
+        assert strip_coeffs(0.5, P).theta < 0.0
+        assert -strip_coeffs(0.5, P).theta > 0.0
 
     def test_divergence_at_crossover(self):
         P = params_for(100, "0.74894783")
         with pytest.raises(SingularityError):
-            theta(P.pf, P)
+            strip_coeffs(P.pf, P)
         # Detectable divergence when approaching the crossover.
-        assert abs(theta(P.pf - 1e-6, P)) > 1e4 * abs(theta(P.pf - 0.1, P))
+        near = strip_coeffs(P.pf - 1e-6, P).theta
+        assert abs(near) > 1e4 * abs(strip_coeffs(P.pf - 0.1, P).theta)
+
+
+def _reference_strip_coeffs(z, P):
+    """The separate coefficient formulas that strip_coeffs replaced, each
+    solving u0 for itself, in their original operation order (the fourth,
+    vartheta, was -theta)."""
+    p, q = P.pf, P.qf
+
+    def psi0():
+        r = u0(z, P)
+        ym = y_pm(z, P)[0]
+        return (
+            complex(0.0, z * math.pi)
+            + (z - 1.0) * plog(r)
+            + ym * plog(r - q)
+            + (1.0 - ym) * plog(r + p)
+        )
+
+    def theta():
+        r = u0(z, P)
+        den = (r + p) * (r - q)
+        return math.sqrt(r / z) / den
+
+    def u0_log_ratio():
+        r = u0(z, P)
+        return plog(r + p) - plog(r - q)
+
+    return StripCoeffs(u0(z, P), theta(), psi0(), u0_log_ratio())
+
+
+class TestStripCoeffsReference:
+    @given(q=q_strategy, side=st.sampled_from((-1.0, 1.0)), frac=st.floats(1e-12, 0.999))
+    @settings(max_examples=200, deadline=None)
+    def test_fields_match_the_separate_formulas(self, q, side, frac):
+        # z on either side of p: a fraction of the way from p to 0 or to 1.
+        P = Params.from_q(100, q)
+        z = P.pf - frac * P.pf if side < 0 else P.pf + frac * (1.0 - P.pf)
+        if z == P.pf:
+            return
+        got = strip_coeffs(z, P)
+        ref = _reference_strip_coeffs(z, P)
+        for field in StripCoeffs._fields:
+            assert repr(getattr(got, field)) == repr(getattr(ref, field)), field
 
 
 class TestInterference:
@@ -443,23 +487,18 @@ class TestInterference:
         P = params_for(50, "0.74894783")
         beta = corner_coords(9, 40, P).beta
         z = 40 * P.eps
-        assert lambda_pm("+", beta, z, P) == 2.0 + 0j
-        assert lambda_pm("-", beta, z, P) == 0j
+        lp, lm = lambda_pm(beta, z, P)
+        assert lp == 2.0 + 0j
+        assert lm == 0j
 
     @given(q=q_strategy, beta=st.floats(-2.0, 2.0), z=st.floats(0.05, 0.95))
     @settings(max_examples=60, deadline=None)
     def test_difference_is_two(self, q, beta, z):
         P = Params.from_q(100, q)
-        lp = lambda_pm("+", beta, z, P)
-        lm = lambda_pm("-", beta, z, P)
+        lp, lm = lambda_pm(beta, z, P)
         assert (lp - lm) / 2.0 == 1.0 + 0j
         assert abs(lp) <= 2.0 + 1e-12
         assert abs(lm) <= 2.0 + 1e-12
-
-    def test_bad_sign_label(self):
-        P = params_for(100, "0.74894783")
-        with pytest.raises(DomainError):
-            lambda_pm("0", 1.0, 0.5, P)
 
 
 class TestLeftEdgePhase:
