@@ -28,22 +28,7 @@ from .state_space import (
     u_pm,
     y_pm,
 )
-from .region_formulas import (
-    ApproxValue,
-    approx,
-    evaluate_region,
-    k1,
-    k2,
-    k3_k4,
-    k5,
-    k6,
-    k7,
-    k8,
-    k9,
-    k10,
-    k11,
-    k12,
-)
+from .region_formulas import ApproxValue, approx, evaluate_region
 from .wkb_core import (
     SingularityError,
     StripCoeffs,
@@ -83,17 +68,6 @@ __all__ = [
     "ApproxValue",
     "approx",
     "evaluate_region",
-    "k1",
-    "k2",
-    "k3_k4",
-    "k5",
-    "k6",
-    "k7",
-    "k8",
-    "k9",
-    "k10",
-    "k11",
-    "k12",
     "SingularityError",
     "StripCoeffs",
     "k_pm",

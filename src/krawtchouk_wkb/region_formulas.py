@@ -1,12 +1,11 @@
 """Final asymptotic approximations for each of the twelve regions.
 
-Every formula returns an :class:`ApproxValue`: a real approximation to the
-polynomial value at one grid point, together with an imaginary-residue
-diagnostic, the region it came from, and the log-magnitude for overflow-free
-reporting.  Internally each formula works in a scale-split representation
-``mantissa * exp(scale)`` with a complex O(1) mantissa and a real scale that
-absorbs everything growing like N, so sums of exponentially mismatched terms
-and values beyond double range are handled uniformly.
+The formulas ``k1`` ... ``k12`` are kernels: each returns the scale-split
+pair ``(mantissa, scale)`` for ``mantissa * exp(scale)``, with a complex
+O(1) mantissa and a real scale that absorbs everything growing like N, so
+sums of exponentially mismatched terms and values beyond double range are
+handled uniformly.  Region IV has no kernel of its own: it is III on the
+reflected grid.
 
 Phases of the form exp(i*pi*t) are snapped to +-1 (and cos/sin factors to
 exact 0/+-1) whenever t is within 1e-9 of an integer, which is the case for
@@ -15,9 +14,14 @@ exactly instead of to rounding, and makes im_residue exactly zero on the
 purely real evaluation paths.  Non-integer inputs keep the full complex phase
 and report its leaked imaginary part.
 
-The :func:`approx` dispatcher classifies the point, routes it to the matching
-formula, and applies the mirror symmetry (evaluate at (N-x, n) with the roles
-of p and q swapped, multiply by (-1)^n) for points on the mirrored side.
+One dispatcher turns a region into an :class:`ApproxValue`: a real
+approximation to the polynomial value at one grid point, together with an
+imaginary-residue diagnostic, the region it came from, and the log-magnitude
+for overflow-free reporting.  It applies the mirror symmetry (evaluate at
+(N-x, n) with the roles of p and q swapped, multiply by (-1)^n) to mirrored
+regions, so the classifier's mirrored points and a forced IV take one path.
+:func:`approx` classifies the point first and is total on the grid, z = p
+included; :func:`evaluate_region` forces one region's formula.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .exact_core import DomainError, Params, check_index
 from .special_fns import airy_ai, airy_bi, hermite, lambda_j, pcf_d
 from .state_space import (
     DEFAULT_CONFIG,
-    REGION_TAGS,
     ClassifierConfig,
     RegionId,
     ScaledPoint,
@@ -40,22 +43,7 @@ from .state_space import (
 )
 from .wkb_core import SingularityError, k_pm_log, lambda_pm, phi0, strip_coeffs
 
-__all__ = [
-    "ApproxValue",
-    "k1",
-    "k2",
-    "k3_k4",
-    "k5",
-    "k6",
-    "k7",
-    "k8",
-    "k9",
-    "k10",
-    "k11",
-    "k12",
-    "approx",
-    "evaluate_region",
-]
+__all__ = ["ApproxValue", "approx", "evaluate_region"]
 
 #: Distance from an integer (or half-integer) below which trigonometric
 #: factors of pi*t are snapped to their exact values.
@@ -155,10 +143,6 @@ def _finalize(m: complex, s: float, region: RegionId) -> ApproxValue:
     return ApproxValue(value, im_residue, region, ln_scale)
 
 
-def _zero(region: RegionId) -> ApproxValue:
-    return ApproxValue(0.0, 0.0, region, -math.inf)
-
-
 def _check_real(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -171,68 +155,54 @@ def _check_real(value: float, name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def k1(n: int, y: float, params: Params) -> ApproxValue:
+def k1(n: int, y: float, params: Params) -> _Scaled:
     """Bottom rows away from the center: (y - p)^n / (n! eps^n)."""
     check_index("n", n, params.N)
     y = _check_real(y, "y")
-    region = RegionId("I")
     if n == 0:
-        return ApproxValue(1.0, 0.0, region, 0.0)
+        return complex(1.0, 0.0), 0.0
     d = y - params.pf
     if d == 0.0:
-        return _zero(region)
+        return 0j, 0.0
     s = n * (math.log(abs(d)) - math.log(params.eps)) - math.lgamma(n + 1)
     m = complex(1.0 if d > 0.0 or n % 2 == 0 else -1.0, 0.0)
-    return _finalize(m, s, region)
+    return m, s
 
 
-def k2(n: int, eta: float, params: Params) -> ApproxValue:
+def k2(n: int, eta: float, params: Params) -> _Scaled:
     """Bottom-center corner: scaled Hermite polynomial in the corner variable."""
     check_index("n", n, params.N)
     eta = _check_real(eta, "eta")
-    region = RegionId("II")
     H = hermite(n, eta)
     if H == 0.0:
-        return _zero(region)
+        return 0j, 0.0
     p, q = params.pf, params.qf
     s = (0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps))
          - math.lgamma(n + 1) + math.log(abs(H)))
-    return _finalize(complex(math.copysign(1.0, H), 0.0), s, region)
+    return complex(math.copysign(1.0, H), 0.0), s
 
 
-def k3_k4(pt: ScaledPoint, params: Params) -> ApproxValue:
-    """Lower exterior of the oscillatory zone: single dominant branch.
+def k3(pt: ScaledPoint, params: Params) -> _Scaled:
+    """Lower-left exterior (III): the minus branch alone, alternating like (-1)^n.
 
-    Left of the lower turning curve (III, z < p) the minus branch applies
-    (value alternates like (-1)^n); right of the upper curve (IV, z < q) the
-    plus branch applies.  Beyond those heights the exterior is the
-    interference wedge: VII on the left, and by the mirror VII* on the right.
+    Its reflection is IV, right of the upper curve up to z = q.  Above those
+    heights the exterior is the interference wedge: VII on the left, and by
+    the mirror VII* on the right.
     """
-    ym, yp = y_pm(pt.z, params)
-    if pt.y < ym:
-        if pt.z >= params.pf:
-            raise DomainError(
-                "single-branch exterior formula requires z < p; the upper-left "
-                "exterior uses the interference formula instead"
-            )
-        branch, region = "-", RegionId("III")
-    elif pt.y > yp:
-        if pt.z >= params.qf:
-            raise DomainError(
-                "single-branch exterior formula requires z < q; the upper-right "
-                "exterior uses the mirrored interference formula instead"
-            )
-        branch, region = "+", RegionId("IV")
-    else:
+    if not 0.0 < pt.z < params.pf:
         raise DomainError(
-            f"point (y={pt.y!r}, z={pt.z!r}) lies between the turning curves; "
-            "use the oscillatory-interior formula"
+            "single-branch exterior formula requires 0 < z < p (z < q for IV, "
+            f"its reflection), got z={pt.z!r}"
         )
-    m, s = _from_log(k_pm_log(branch, pt, params))
-    return _finalize(m, s, region)
+    if pt.y >= y_pm(pt.z, params)[0]:
+        raise DomainError(
+            f"point (y={pt.y!r}, z={pt.z!r}) is not left of the lower turning "
+            "curve (for IV: right of the upper one, on the reflected grid)"
+        )
+    return _from_log(k_pm_log("-", pt, params))
 
 
-def k5(x: float, z: float, params: Params) -> ApproxValue:
+def k5(x: float, z: float, params: Params) -> _Scaled:
     """Left edge above the crossover, small x: explicit two-term form.
 
     The second term carries sin(pi*x) and vanishes identically at integer x;
@@ -247,7 +217,6 @@ def k5(x: float, z: float, params: Params) -> ApproxValue:
         raise SingularityError("z = p is the corner layer; use the corner formula")
     if not p < z < 1.0:
         raise DomainError(f"left-edge formula requires p < z < 1, got z={z!r}")
-    region = RegionId("V")
     N = params.N
     eps = params.eps
     phase = _phase_factor(z * N)  # alternation factor exp(i*pi*z/eps)
@@ -260,22 +229,20 @@ def k5(x: float, z: float, params: Params) -> ApproxValue:
               + x * math.log(q * eps / (z - p)) - math.log(z - p)
               + (z - 1.0) * math.log(q) * N)
         terms.append((-sn * phase, s2))
-    m, s = _sum_scaled(terms)
-    return _finalize(m, s, region)
+    return _sum_scaled(terms)
 
 
-def k6(x: float, u: float, params: Params) -> ApproxValue:
+def k6(x: float, u: float, params: Params) -> _Scaled:
     """Left-edge corner at the crossover: parabolic-cylinder profile in u."""
     x = _check_real(x, "x")
     u = _check_real(u, "u")
     if x < 0.0:
         raise DomainError(f"x={x} must be nonnegative")
-    region = RegionId("VI")
     p, q = params.pf, params.qf
     N = params.N
     D = pcf_d(x, u).real
     if D == 0.0:
-        return _zero(region)
+        return 0j, 0.0
     root_pqN = math.sqrt(p * q * N)
     s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * p * q)
          + 0.5 * x * math.log(q * params.eps / p) - 0.25 * u * u
@@ -284,10 +251,10 @@ def k6(x: float, u: float, params: Params) -> ApproxValue:
     # Oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))]; the argument is
     # exactly pi*n when u comes from an integer grid point.
     m = math.copysign(1.0, D) * _phase_factor(p * N - u * root_pqN)
-    return _finalize(m, s, region)
+    return m, s
 
 
-def k7(pt: ScaledPoint, params: Params) -> ApproxValue:
+def k7(pt: ScaledPoint, params: Params) -> _Scaled:
     """Upper-left exterior: two-branch interference form.
 
     value = Re{ (w + 1)/2 * K+ + (w - 1) * K- } with w = exp(2*pi*i*y/eps).
@@ -302,7 +269,6 @@ def k7(pt: ScaledPoint, params: Params) -> ApproxValue:
         raise DomainError(
             f"point (y={pt.y!r}, z={pt.z!r}) is not left of the lower turning curve"
         )
-    region = RegionId("VII")
     w = _phase_factor(2.0 * pt.y * params.N)
     mp, sp = _from_log(k_pm_log("+", pt, params))
     terms = [(0.5 * (w + 1.0) * mp, sp)]
@@ -310,11 +276,10 @@ def k7(pt: ScaledPoint, params: Params) -> ApproxValue:
     if cm != 0.0:
         mm, sm = _from_log(k_pm_log("-", pt, params))
         terms.append((cm * mm, sm))
-    m, s = _sum_scaled(terms)
-    return _finalize(m, s, region)
+    return _sum_scaled(terms)
 
 
-def k8(beta: float, z: float, params: Params) -> ApproxValue:
+def k8(beta: float, z: float, params: Params) -> _Scaled:
     """Lower turning strip: Airy profile across the curve (z < p)."""
     beta = _check_real(beta, "beta")
     z = _check_real(z, "z")
@@ -323,21 +288,20 @@ def k8(beta: float, z: float, params: Params) -> ApproxValue:
         raise SingularityError("strip coefficient diverges at z = p")
     if not 0.0 < z < p:
         raise DomainError(f"lower-strip formula requires 0 < z < p, got z={z!r}")
-    region = RegionId("VIII")
     N = params.N
     c = strip_coeffs(z, params)  # slope is real for z < p
     ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
-        return _zero(region)
+        return 0j, 0.0
     s = (math.log(params.eps) / 3.0 + c.psi0.real * N
          + c.slope.real * beta * params.eps ** (-1.0 / 3.0)
          + math.log(abs(ai)) - math.log(c.theta) / 3.0
          - 0.5 * math.log(z * c.u0))
     m = math.copysign(1.0, ai) * _phase_factor(c.psi0.imag * N / math.pi)
-    return _finalize(m, s, region)
+    return m, s
 
 
-def k9(beta: float, z: float, params: Params) -> ApproxValue:
+def k9(beta: float, z: float, params: Params) -> _Scaled:
     """Upper turning strip (z > p): Airy pair weighted by interference factors.
 
     At integer x the weights collapse to (2, 0) so only the Ai term remains.
@@ -349,7 +313,6 @@ def k9(beta: float, z: float, params: Params) -> ApproxValue:
         raise SingularityError("strip coefficient diverges at z = p")
     if not p < z < 1.0:
         raise DomainError(f"upper-strip formula requires p < z < 1, got z={z!r}")
-    region = RegionId("IX")
     N = params.N
     c = strip_coeffs(z, params)  # slope carries -i*pi for z > p
     vt = -c.theta
@@ -359,17 +322,17 @@ def k9(beta: float, z: float, params: Params) -> ApproxValue:
     if lam_m != 0.0:
         bracket += 1j * lam_m * airy_bi(arg)
     if bracket == 0.0:
-        return _zero(region)
+        return 0j, 0.0
     stretch = params.eps ** (-1.0 / 3.0)
     s = (math.log(params.eps) / 3.0 + c.psi0.real * N + c.slope.real * beta * stretch
          + math.log(0.5) - math.log(vt) / 3.0
          - 0.5 * math.log(z * c.u0))
     t = (c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi
     m = _phase_factor(t) * bracket
-    return _finalize(m, s, region)
+    return m, s
 
 
-def k10(pt: ScaledPoint, params: Params) -> ApproxValue:
+def k10(pt: ScaledPoint, params: Params) -> _Scaled:
     """Oscillatory interior: sum of the two conjugate branches, 2 Re K+.
 
     Inside the ellipse the branch roots are exact complex conjugates, so
@@ -381,12 +344,11 @@ def k10(pt: ScaledPoint, params: Params) -> ApproxValue:
         raise DomainError(
             f"point (y={pt.y!r}, z={pt.z!r}) is not between the turning curves"
         )
-    region = RegionId("X")
     m, s = _from_log(k_pm_log("+", pt, params))
-    return _finalize(complex(2.0 * m.real, 0.0), s, region)
+    return complex(2.0 * m.real, 0.0), s
 
 
-def k11(j: int, y: float, params: Params) -> ApproxValue:
+def k11(j: int, y: float, params: Params) -> _Scaled:
     """Top rows (n = N - j for small j): two combinatorial terms.
 
     The second term has binomial support x >= N - j and vanishes outside it.
@@ -403,7 +365,6 @@ def k11(j: int, y: float, params: Params) -> ApproxValue:
     x = round(xf)
     if abs(xf - x) > _SNAP * max(1.0, N):
         raise DomainError(f"y*N={xf!r} must be an integer for the binomial term")
-    region = RegionId("XI")
     sign_qy = 1.0 if y < q else -1.0
     s1 = (math.log(math.comb(N, j)) + (N - j) * math.log(p)
           + xf * math.log(q / p) + j * (math.log(abs(q - y)) - math.log(q)))
@@ -416,11 +377,10 @@ def k11(j: int, y: float, params: Params) -> ApproxValue:
             s2 = math.log(c2) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
             m2 = sign_qy if (j + 1) % 2 else 1.0
             terms.append((complex(m2, 0.0), s2))
-    m, s = _sum_scaled(terms)
-    return _finalize(m, s, region)
+    return _sum_scaled(terms)
 
 
-def k12(j: int, xi: float, params: Params) -> ApproxValue:
+def k12(j: int, xi: float, params: Params) -> _Scaled:
     """Top corner: parabolic-cylinder profile in the corner variable xi.
 
     The sin factor vanishes identically at integer x (its argument reduces to
@@ -428,7 +388,6 @@ def k12(j: int, xi: float, params: Params) -> ApproxValue:
     """
     check_index("j", j, params.N)
     xi = _check_real(xi, "xi")
-    region = RegionId("XII")
     p, q = params.pf, params.qf
     N = params.N
     root = xi * math.sqrt(2.0 * p * q * N)
@@ -448,8 +407,7 @@ def k12(j: int, xi: float, params: Params) -> ApproxValue:
         if lam != 0.0:
             sB = s_common + math.log(abs(lam)) - 0.5 * math.log(2.0 * math.pi)
             terms.append((complex(-math.copysign(1.0, lam) * sn, 0.0), sB))
-    m, s = _sum_scaled(terms)
-    return _finalize(m, s, region)
+    return _sum_scaled(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +415,15 @@ def k12(j: int, xi: float, params: Params) -> ApproxValue:
 # ---------------------------------------------------------------------------
 
 
-def _eval_tag(tag: str, x: int, n: int, params: Params) -> ApproxValue:
+def _kernel(tag: str, x: int, n: int, params: Params) -> _Scaled:
+    """Run region ``tag``'s kernel at the grid point (x, n) as given."""
     pt = ScaledPoint.from_indices(x, n, params)
     if tag == "I":
         return k1(n, pt.y, params)
     if tag == "II":
         return k2(n, corner_coords(x, n, params).eta, params)
-    if tag in ("III", "IV"):
-        return k3_k4(pt, params)
+    if tag == "III":
+        return k3(pt, params)
     if tag == "V":
         return k5(float(x), pt.z, params)
     if tag == "VI":
@@ -477,39 +436,44 @@ def _eval_tag(tag: str, x: int, n: int, params: Params) -> ApproxValue:
         return k9(corner_coords(x, n, params).beta, pt.z, params)
     if tag == "X":
         return k10(pt, params)
+    cc = corner_coords(x, n, params)
     if tag == "XI":
-        return k11(corner_coords(x, n, params).j, pt.y, params)
-    if tag == "XII":
-        cc = corner_coords(x, n, params)
-        return k12(cc.j, cc.xi, params)
-    raise DomainError(f"unknown region tag {tag!r}")
+        return k11(cc.j, pt.y, params)
+    return k12(cc.j, cc.xi, params)
+
+
+def _evaluate(rid: RegionId, x: int, n: int, params: Params) -> ApproxValue:
+    """The value of region ``rid``'s formula at (x, n), labelled ``rid``.
+
+    A mirrored region is evaluated at (N - x, n) with p and q exchanged and
+    its sign multiplied by (-1)^n; IV is always mirrored and is III there.
+    """
+    if rid.mirrored:
+        x, params = params.N - x, params.swapped()
+    m, s = _kernel("III" if rid.tag == "IV" else rid.tag, x, n, params)
+    if rid.mirrored and n % 2:
+        m = -m
+    return _finalize(m, s, rid)
 
 
 def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
     """Evaluate one region's formula at (x, n), bypassing the classifier.
 
     Useful for sweeping a single formula across (and beyond) its nominal
-    domain; raises DomainError for an unknown tag and propagates each
+    domain.  IV is III on the reflected grid, as the classifier routes it.
+    Raises DomainError for an unknown tag or a bad index and propagates each
     formula's own domain/singularity errors unchanged.
     """
-    if tag not in REGION_TAGS:
-        raise DomainError(f"unknown region tag {tag!r}")
-    return _eval_tag(tag, x, n, params)
+    rid = RegionId(tag, mirrored=tag == "IV")
+    check_index("x", x, params.N)
+    check_index("n", n, params.N)
+    return _evaluate(rid, x, n, params)
 
 
 def approx(x: int, n: int, params: Params,
            cfg: ClassifierConfig = DEFAULT_CONFIG) -> ApproxValue:
     """Classify (x, n) and evaluate the matching regional formula.
 
-    Mirrored points are evaluated at (N - x, n) with the roles of p and q
-    swapped and the result multiplied by (-1)^n; the reported region keeps the
-    mirrored flag from the classifier.
+    The reported region is the classifier's, mirrored flag included.
     """
-    rid = classify(x, n, params, cfg)
-    if rid.mirrored:
-        inner = "III" if rid.tag == "IV" else rid.tag
-        base = _eval_tag(inner, params.N - x, n, params.swapped())
-        sign = -1.0 if n % 2 else 1.0
-        return ApproxValue(sign * base.value, base.im_residue, rid, base.ln_scale)
-    base = _eval_tag(rid.tag, x, n, params)
-    return ApproxValue(base.value, base.im_residue, rid, base.ln_scale)
+    return _evaluate(classify(x, n, params, cfg), x, n, params)

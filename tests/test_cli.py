@@ -156,6 +156,15 @@ class TestCompare:
         for r in filled:
             assert float(dict(zip(header, r))["norm_err"]) < 0.10
 
+    @pytest.mark.parametrize("region, limit", [("III", "z < p"), ("IV", "z < q")])
+    def test_forced_exterior_skips_name_the_z_limit(self, capsys, region, limit):
+        code, _, err = run_cli(
+            capsys, "compare", "--N", "40", "--q", "0.74894783", "--region", region,
+        )
+        assert code == 0
+        assert len(err.splitlines()) == 1
+        assert limit in err and "y_pm" not in err
+
     def test_approximation_beyond_double_range_of_envelope(self, capsys):
         # At the far right of this top row the exact values are ~e^-970 while
         # the approximation is ~e^-15: the windowed error is unbounded and

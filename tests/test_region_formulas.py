@@ -38,6 +38,7 @@ from krawtchouk_wkb.state_space import (
     ScaledPoint,
     classify,
     corner_coords,
+    y_pm,
 )
 from krawtchouk_wkb.wkb_core import SingularityError, k_pm, k_pm_log
 
@@ -61,6 +62,11 @@ def region_gap(tag_a: str, tag_b: str, x: int, n: int, params: Params) -> float:
     a = evaluate_region(tag_a, x, n, params)
     b = evaluate_region(tag_b, x, n, params)
     return formula_gap(a, b, table, n, x)
+
+
+def finalized(pair, tag: str):
+    """A kernel's (mantissa, scale) pair as the dispatcher reports it."""
+    return _finalize(*pair, RegionId(tag))
 
 
 def point_err(tag: str, x: int, n: int, params: Params) -> float:
@@ -89,19 +95,19 @@ def test_reference_row_within_budget(fig_id):
 
 class TestBottomRows:
     def test_degree_zero_is_one(self):
-        av = k1(0, 0.37, P100_74)
+        av = finalized(k1(0, 0.37, P100_74), "I")
         assert av.value == 1.0
         assert av.ln_scale == 0.0
         assert av.im_residue == 0.0
 
     def test_degree_one_is_linear(self):
         x = 30
-        av = k1(1, x / 100.0, P100_74)
+        av = finalized(k1(1, x / 100.0, P100_74), "I")
         expected = x - 100 * P100_74.pf
         assert av.value == pytest.approx(expected, rel=1e-12)
 
     def test_exact_zero_on_the_node(self):
-        av = k1(3, P100_74.pf, P100_74)
+        av = finalized(k1(3, P100_74.pf, P100_74), "I")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
@@ -112,7 +118,7 @@ class TestBottomRows:
             k1(-1, 0.3, P100_74)
 
     def test_corner_profile_zero_at_odd_node(self):
-        av = k2(1, 0.0, P100_74)
+        av = finalized(k2(1, 0.0, P100_74), "II")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
@@ -138,14 +144,38 @@ class TestSingleBranchExterior:
 
     @pytest.mark.parametrize("x, n", [(157, 51), (185, 60), (197, 91)])
     def test_plus_branch_reaches_z_up_to_q(self, x, n):
-        # With q > 1/2 the classifier labels IV* up to z = q, above p; the
-        # forced IV arm evaluates there and agrees with the mirrored III.
+        # With q > 1/2 the classifier labels IV* up to z = q, above p; forced
+        # IV, the mirrored III, evaluates there and agrees with the routed value.
         assert n * P200_74.eps >= P200_74.pf
         assert classify(x, n, P200_74).tag == "IV"
         forced = evaluate_region("IV", x, n, P200_74)
         routed = approx(x, n, P200_74)
         assert forced.ln_scale == pytest.approx(routed.ln_scale, abs=1e-12)
         assert math.copysign(1.0, forced.value) == math.copysign(1.0, routed.value)
+
+    @pytest.mark.parametrize("q", ["0.34894783", "0.64894783", "0.74894783"])
+    def test_forced_iv_is_routed_iv_and_each_side_refuses_the_other(self, q):
+        # IV is III on the reflected grid, so forcing it reproduces the routed
+        # value to the bit; III never evaluates right of the upper curve and
+        # IV never left of the lower one.
+        params = Params.from_q(60, q)
+        iv_points = 0
+        for n in range(1, 61):
+            ym, yp = y_pm(n * params.eps, params)
+            for x in range(61):
+                y = x * params.eps
+                if classify(x, n, params).tag == "IV":
+                    iv_points += 1
+                    forced, routed = evaluate_region("IV", x, n, params), approx(x, n, params)
+                    for field in ("value", "ln_scale", "im_residue"):
+                        assert repr(getattr(forced, field)) == repr(getattr(routed, field))
+                if y > yp:
+                    with pytest.raises(DomainError):
+                        evaluate_region("III", x, n, params)
+                if y < ym:
+                    with pytest.raises(DomainError):
+                        evaluate_region("IV", x, n, params)
+        assert iv_points > 0
 
     def test_plus_branch_rejects_z_from_q(self):
         # With q < 1/2, right of the upper curve at q <= z < p is VII*.
@@ -186,7 +216,7 @@ class TestLeftEdge:
         assert point_err("V", 0, 90, P200_74) <= 0.02
 
     def test_edge_sine_term_absent_on_grid(self):
-        av = k5(5.0, 0.5, P100_74)
+        av = finalized(k5(5.0, 0.5, P100_74), "V")
         assert av.im_residue == 0.0
 
     def test_crossover_profile_small_u(self):
@@ -299,8 +329,7 @@ class TestOscillatoryInterior:
     def _two_branch_k10(pt: ScaledPoint, params: Params):
         """The interior form as the explicit sum of both branches."""
         terms = [_from_log(k_pm_log(branch, pt, params)) for branch in ("+", "-")]
-        m, s = _sum_scaled(terms)
-        return _finalize(m, s, RegionId("X"))
+        return finalized(_sum_scaled(terms), "X")
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -319,7 +348,7 @@ class TestOscillatoryInterior:
         if rid.mirrored:
             x, params = N - x, params.swapped()
         pt = ScaledPoint.from_indices(x, n, params)
-        got = k10(pt, params)
+        got = finalized(k10(pt, params), "X")
         old = self._two_branch_k10(pt, params)
         assert (repr(got.value), repr(got.ln_scale), repr(got.im_residue)) == (
             repr(old.value), repr(old.ln_scale), repr(old.im_residue)
@@ -327,7 +356,7 @@ class TestOscillatoryInterior:
 
     def test_plus_branch_alone_off_the_grid(self):
         for y, z in ((0.347, 0.503), (0.61, 0.42), (0.2, 0.35)):
-            got = k10(ScaledPoint(y, z), P100_64)
+            got = finalized(k10(ScaledPoint(y, z), P100_64), "X")
             old = self._two_branch_k10(ScaledPoint(y, z), P100_64)
             assert got == old
 
@@ -336,7 +365,7 @@ class TestOscillatoryInterior:
             av = evaluate_region("X", x, n, P100_64)
             assert av.im_residue <= 1e-8 * abs(av.value)
         # off-grid points do not phase-snap; cancellation is to rounding only
-        av = k10(ScaledPoint(0.347, 0.503), P100_64)
+        av = finalized(k10(ScaledPoint(0.347, 0.503), P100_64), "X")
         assert av.im_residue <= 1e-8 * abs(av.value)
 
     @staticmethod
@@ -352,7 +381,8 @@ class TestOscillatoryInterior:
         # corner evaluator; pinned at n = 4, 10, 20 on a fixed eta grid
         def worst(n):
             return max(
-                abs(self._cosine_profile(n, eta, P100_74) / k2(n, eta, P100_74).value - 1.0)
+                abs(self._cosine_profile(n, eta, P100_74)
+                    / finalized(k2(n, eta, P100_74), "II").value - 1.0)
                 for eta in (-0.9, -0.45, 0.0, 0.45, 0.9)
             )
 
@@ -372,7 +402,7 @@ class TestOscillatoryInterior:
         center = N * params.pf
         worst = 0.0
         for x in range(math.ceil(center - 0.9 * half), math.floor(center + 0.9 * half) + 1):
-            av = k10(ScaledPoint.from_indices(x, n, params), params)
+            av = finalized(k10(ScaledPoint.from_indices(x, n, params), params), "X")
             eta = (x - center) / half
             profile = TestOscillatoryInterior._cosine_profile(n, eta, params)
             env = max(
@@ -413,7 +443,7 @@ class TestTopRows:
     def test_top_row_is_exact(self):
         table = ExactTable(P20_74)
         for x in (3, 10, 19):
-            av = k11(0, x / 20.0, P20_74)
+            av = finalized(k11(0, x / 20.0, P20_74), "XI")
             sign, ln_mag = table.signed_log(20, x)
             assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
 
@@ -423,7 +453,7 @@ class TestTopCorner:
         table = ExactTable(P20_74)
         for x in (4, 9, 15):
             xi = corner_coords(x, 20, P20_74).xi
-            av = k12(0, xi, P20_74)
+            av = finalized(k12(0, xi, P20_74), "XII")
             sign, ln_mag = table.signed_log(20, x)
             assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
 
@@ -469,6 +499,11 @@ class TestDispatcher:
             evaluate_region("Q", 10, 10, P100_74)
         with pytest.raises(DomainError):
             evaluate_region("iii", 10, 10, P100_74)
+
+    @pytest.mark.parametrize("tag, x, n", [("X", 30.5, 50), ("I", -0.0, 2), ("I", True, 2)])
+    def test_forced_evaluation_rejects_non_integer_indices(self, tag, x, n):
+        with pytest.raises(DomainError, match="x must be an integer"):
+            evaluate_region(tag, x, n, P100_74)
 
     def test_mirrored_strip_point(self):
         av = approx(94, 10, P100_34)
