@@ -226,6 +226,10 @@ def _direct_tag(x: int, n: int, params: Params, cfg: ClassifierConfig) -> Option
     ym, yp = y_pm(z, params)
     strip = cfg.beta_max * eps ** (2.0 / 3.0)
     if abs(y - ym) <= strip:
+        # The strip coefficients diverge at z = p, where Y^-(z) meets the left
+        # edge; a row there with pN an integer is served by VI, whose u is 0.
+        if z == p:
+            return "VI"
         return "VIII" if z < p else "IX"
     if abs(y - yp) <= strip:
         return None

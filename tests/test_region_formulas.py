@@ -505,6 +505,18 @@ class TestDispatcher:
         with pytest.raises(DomainError, match="x must be an integer"):
             evaluate_region(tag, x, n, P100_74)
 
+    @pytest.mark.parametrize("N, q, x, n", [
+        (1000, "0.5", 9, 500), (1200, "0.75", 9, 300), (1200, "0.75", 1191, 900),
+        (2000, "0.25", 10, 1500),
+    ])
+    def test_strip_point_at_z_equal_p_is_served_by_the_corner(self, N, q, x, n):
+        # With pN an integer the row z = p crosses the lower strip, whose
+        # coefficients diverge there; VI (u = 0) serves it (measured <= 8.8e-6).
+        params = Params.from_q(N, q)
+        av = approx(x, n, params)
+        assert av.region.tag == "VI"
+        assert norm_err(av, ExactTable(params), n, x) <= 1e-5
+
     def test_mirrored_strip_point(self):
         av = approx(94, 10, P100_34)
         assert av.region.tag == "VIII"
