@@ -14,10 +14,10 @@ zone.  ``classify`` assigns every grid point to one of twelve regions:
 * corner layers II (small n, y near p), VI (small x, z near p) and
   XII (n near N, y near q) of width O(sqrt(eps)).
 
-Points to the right of the upper turning curve are classified by reflecting
-(x, n) -> (N - x, n) with p and q exchanged (the symmetry of the polynomial
-family); such results carry ``mirrored=True``, and a reflected lower-zone
-tag III is reported as IV.
+Points to the right of the upper turning curve, and top-row points right of
+the XII corner, are classified by reflecting (x, n) -> (N - x, n) with p and
+q exchanged (the symmetry of the polynomial family); such results carry
+``mirrored=True``, and a reflected lower-zone tag III is reported as IV.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ class ScaledPoint:
     def from_indices(cls, x: int, n: int, params: Params) -> "ScaledPoint":
         """Scaled point (x*eps, n*eps) for an integer grid point.
 
-        Every module builds scaled coordinates through this constructor so
-        that classification and evaluation agree bit-for-bit.
+        The classifier and :func:`corner_coords` form the same products
+        ``x * eps`` and ``n * eps`` inline, so a point built here agrees with
+        them bit-for-bit.
         """
         eps = params.eps
         return cls(x * eps, n * eps)
@@ -214,7 +215,11 @@ def _direct_tag(x: int, n: int, params: Params, cfg: ClassifierConfig) -> Option
     if n <= cfg.n_small:
         return "II" if abs(y - p) <= corner_y else "I"
     if N - n <= cfg.j_small:
-        return "XII" if abs(y - q) <= corner_y else "XI"
+        if abs(y - q) <= corner_y:
+            return "XII"
+        # Right of the corner the top rows are XI of the mirror.  The test is
+        # exact, so a point and its reflection never both defer to the other.
+        return "XI" if x <= N * params.q else None
     if x <= cfg.x_small:
         if abs(z - p) <= cfg.corner_width * math.sqrt(p * q * eps):
             return "VI"
@@ -245,8 +250,9 @@ def classify(x: int, n: int, params: Params, cfg: ClassifierConfig = DEFAULT_CON
 
     Layer tests run in priority order -- corners beat edges beat strips beat
     bulk zones -- so membership is total and deterministic.  Points on or
-    beyond the upper turning strip are reflected to (N - x, n) with p and q
-    exchanged and re-classified; a reflected III is reported as IV, any other
+    beyond the upper turning strip, and top-row points right of the XII
+    corner, are reflected to (N - x, n) with p and q exchanged and
+    re-classified; a reflected III is reported as IV, any other
     reflected tag keeps its name, and both carry ``mirrored=True``.
     """
     check_index("x", x, params.N)

@@ -448,6 +448,24 @@ class TestTopRows:
             assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
 
 
+    @pytest.mark.parametrize("N", [100, 200])
+    @pytest.mark.parametrize("q", ["0.34894783", "0.64894783", "0.74894783"])
+    def test_top_rows_right_of_the_corner_are_mirrored(self, N, q):
+        # Right of the XII corner the top rows are XI of the mirror; the
+        # unreflected formula was off by up to 7e82 there (measured max
+        # after the fix: 0.108 at N=100, q=0.64894783).
+        params = Params.from_q(N, q)
+        table = ExactTable(params)
+        labels = set()
+        for n in range(N - 4, N + 1):
+            for x in range(N + 1):
+                av = approx(x, n, params)
+                if av.region.tag == "XI":
+                    labels.add(av.region.label)
+                    assert norm_err(av, table, n, x) <= 0.15, (x, n)
+        assert "XI*" in labels
+
+
 class TestTopCorner:
     def test_top_corner_profile_exact_at_order_zero(self):
         table = ExactTable(P20_74)
