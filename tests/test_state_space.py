@@ -308,11 +308,6 @@ class TestClassify:
         assert classify(24, 10, P).tag == "III"
         assert classify(24, 10, P, wide).tag == "VIII"
 
-    def test_top_rows_right_of_the_corner_are_mirrored(self):
-        P = params_for(100, "0.34894783")
-        assert classify(99, 99, P).label == "XI*"
-        assert classify(5, 99, P).label == "XI"
-
     def test_zero_corner_width_top_rows_at_x_equal_qn(self):
         # q = 7/10 at N = 10: 7 * 0.1 > 0.7 and 3 * 0.1 > 0.3 in doubles, so
         # only an exact test keeps (7, n) and its mirror from both deferring.
