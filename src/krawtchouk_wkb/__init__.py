@@ -22,13 +22,14 @@ from .state_space import (
     RegionId,
     ScaledPoint,
     classify,
+    classify_row,
     corner_coords,
     ellipse_residual,
     u0,
     u_pm,
     y_pm,
 )
-from .region_formulas import ApproxValue, approx, evaluate_region
+from .region_formulas import ApproxValue, approx, approx_row, evaluate_region
 from .wkb_core import (
     SingularityError,
     StripCoeffs,
@@ -60,6 +61,7 @@ __all__ = [
     "RegionId",
     "ScaledPoint",
     "classify",
+    "classify_row",
     "corner_coords",
     "ellipse_residual",
     "u0",
@@ -67,6 +69,7 @@ __all__ = [
     "y_pm",
     "ApproxValue",
     "approx",
+    "approx_row",
     "evaluate_region",
     "SingularityError",
     "StripCoeffs",

@@ -23,14 +23,15 @@ from .exact_core import (
     orthogonality_sum,
     symmetry_image,
 )
-from .region_formulas import ApproxValue, approx, evaluate_region
+from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .special_fns import airy_ai, gamma_real, hermite, lambda_j, pcf_d
 from .state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     ScaledPoint,
-    classify,
+    classify_row,
     corner_coords,
+    row_terms,
     u_pm,
     y_pm,
 )
@@ -57,25 +58,25 @@ __all__ = [
 
 def window_env_log(table: ExactTable, n: int, x: int) -> float:
     """ln of max |K_n| over the 11-point window |x' - x| <= 5, clipped."""
-    N = table.params.N
-    check_index("x", x, N)
-    lo, hi = max(0, x - 5), min(N, x + 5)
-    return max(table.row_logs(n)[lo:hi + 1])
+    check_index("x", x, table.params.N)
+    return table.row_envelope(n)[x]
 
 
-def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int) -> float:
+def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int,
+             exact: Optional[Tuple[int, float]] = None) -> float:
     """|approx - exact| / windowed envelope, computed overflow-free.
 
     Both values are rescaled by the envelope's log before subtracting, so the
     metric is exact even when |K| is far outside double range.  An
     approximation too large to rescale into double range gives ``inf``.
+    ``exact`` is ``table.signed_log(n, x)`` when the caller has read it.
     """
     env_log = window_env_log(table, n, x)
-    if env_log == float("-inf"):
-        return float("nan")
-    es, el = table.signed_log(n, x)
-    exact_scaled = es * math.exp(el - env_log) if el > float("-inf") else 0.0
-    if av.ln_scale == float("-inf"):
+    if env_log == -math.inf:
+        return math.nan
+    es, el = table.signed_log(n, x) if exact is None else exact
+    exact_scaled = es * math.exp(el - env_log) if el > -math.inf else 0.0
+    if av.ln_scale == -math.inf:
         approx_scaled = 0.0
     else:
         try:
@@ -137,16 +138,14 @@ def figure_sweep(spec: FigureSpec, cfg: ClassifierConfig) -> Tuple[float, int, i
     """(worst windowed error, its x, in-region point count) for one figure."""
     params = Params.from_q(spec.N, spec.q)
     table = ExactTable(params)
-    worst, worst_x, count = 0.0, -1, 0
-    for x in range(0, spec.N + 1):
-        rid = classify(x, spec.n, params, cfg)
-        if rid.tag != spec.tag:
-            continue
-        count += 1
-        err = norm_err(approx(x, spec.n, params, cfg), table, spec.n, x)
+    row = range(0, spec.N + 1)
+    xs = [x for x, rid in zip(row, classify_row(spec.n, row, params, cfg)) if rid.tag == spec.tag]
+    worst, worst_x = 0.0, -1
+    for x, av in zip(xs, approx_row(spec.n, xs, params, cfg)):
+        err = norm_err(av, table, spec.n, x)
         if err > worst or math.isnan(err):  # a NaN error stays the worst
             worst, worst_x = err, x
-    return worst, worst_x, count
+    return worst, worst_x, len(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +259,10 @@ def criterion_3(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
             params = Params.from_q(N, _Q64)
             table = ExactTable(params)
             x, n = round(y * N), round(z * N)
-            rid = classify(x, n, params, cfg)
-            if rid.tag != tag:
-                failures.append(f"{tag}: point (y={y},z={z}) classified {rid.label} at N={N}")
-            errs[N] = norm_err(approx(x, n, params, cfg), table, n, x)
+            av = approx_row(n, [x], params, cfg)[0]
+            if av.region.tag != tag:
+                failures.append(f"{tag}: point (y={y},z={z}) classified {av.region.label} at N={N}")
+            errs[N] = norm_err(av, table, n, x)
         details.append(f"{tag}: {errs[100]*100:.3f}%->{errs[400]*100:.3f}%")
         if not errs[400] <= factor * errs[100]:
             failures.append(
@@ -327,7 +326,7 @@ def criterion_4(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         # formulas no point is routed to.
         if q not in reachable:
             params = Params.from_q(100, q)
-            reachable[q] = {classify(x, n, params, cfg).tag for n in range(101) for x in range(101)}
+            reachable[q] = {rid.tag for n in range(101) for rid in classify_row(n, range(101), params, cfg)}
         missing = [tag for tag in (tag_a, tag_b) if tag not in reachable[q]]
         if missing:
             failures.append(f"{name}: region {missing[0]} never assigned by the classifier under this config")
@@ -381,6 +380,7 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     params = Params.from_q(100, _Q74)
     p, q = params.pf, params.qf
     grid = 200
+    rows = [row_terms((j + 0.5) / grid, params) for j in range(grid)]
     worst_res = 0.0
     for i in range(grid):
         y = (i + 0.5) / grid
@@ -389,7 +389,7 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
             pt = ScaledPoint(y, z)
             b = p - y + z * (q - p)
             c = p * q * (1.0 - z)
-            for root in u_pm(pt, params):
+            for root in u_pm(pt, params, rows[j]):
                 res = abs(z * root * root + b * root + c)
                 scale = max(abs(z * root * root), abs(b * root), abs(c))
                 worst_res = max(worst_res, res / scale)

@@ -27,8 +27,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, ge
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err, run_criterion
 from .exact_core import DomainError, ExactTable, Params
-from .region_formulas import approx, evaluate_region
-from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, classify, corner_coords
+from .region_formulas import ApproxValue, approx_row, evaluate_region
+from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, classify_row, corner_coords
 from .wkb_core import SingularityError
 
 __all__ = ["load_config", "main"]
@@ -226,35 +226,29 @@ def _compare_rows(
     rows: List[List[str]] = []
     # Forced-formula skips per exception class: [count, first x, first n, message].
     skipped: Dict[str, list] = {}
+    N, sxs = str(params.N), [str(x) for x in xs]
     for n in ns:
-        for x in xs:
-            es, el = table.signed_log(n, x)
-            base = [str(x), str(n), str(params.N)]
-            if force_tag is not None:
+        if force_tag is None:
+            avs: List[Optional[ApproxValue]] = approx_row(n, xs, params, cfg)
+        else:
+            avs = []
+            for x in xs:
                 try:
-                    av = evaluate_region(force_tag, x, n, params)
+                    avs.append(evaluate_region(force_tag, x, n, params))
                 except (DomainError, SingularityError) as exc:
                     skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
-                    rows.append(base + [force_tag, "0", str(es), _fmt(el), "", "", "", ""])
-                    continue
-                region, mirrored = force_tag, "0"
-            else:
-                av = approx(x, n, params, cfg)
-                region, mirrored = av.region.tag, str(int(av.region.mirrored))
-            asign = 0 if av.ln_scale == float("-inf") else int(math.copysign(1.0, av.value))
-            rows.append(
-                base
-                + [
-                    region,
-                    mirrored,
-                    str(es),
-                    _fmt(el),
-                    str(asign),
-                    _fmt(av.ln_scale),
-                    f"{norm_err(av, table, n, x):.9e}",
-                    f"{av.im_residue:.3e}",
-                ]
-            )
+                    avs.append(None)
+        sn = str(n)
+        for x, sx, av in zip(xs, sxs, avs):
+            exact = es, el = table.signed_log(n, x)
+            if av is None:
+                rows.append([sx, sn, N, force_tag, "0", str(es), _fmt(el), "", "", "", ""])
+                continue
+            asign = 0 if av.ln_scale == -math.inf else int(math.copysign(1.0, av.value))
+            rows.append([
+                sx, sn, N, av.region.tag, str(int(av.region.mirrored)), str(es), _fmt(el), str(asign),
+                _fmt(av.ln_scale), f"{norm_err(av, table, n, x, exact):.9e}", f"{av.im_residue:.3e}",
+            ])
     for name, (count, x, n, message) in skipped.items():
         print(
             f"compare --region {force_tag}: skipped {count} of {len(ns) * len(xs)} points "
@@ -282,10 +276,10 @@ def cmd_regions(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     cfg = args.cfg
     rows = []
-    for n in range(0, params.N + 1):
-        for x in range(0, params.N + 1):
-            rid = classify(x, n, params, cfg)
-            rows.append([str(x), str(n), rid.label])
+    xs = range(0, params.N + 1)
+    for n in xs:
+        sn = str(n)
+        rows.extend([str(x), sn, rid.label] for x, rid in zip(xs, classify_row(n, xs, params, cfg)))
     meta = _base_meta("regions", params, args.q, 17)
     meta.append(("config", _config_meta(cfg)))
     _write_csv(args.out, meta, ["x", "n", "region"], rows)

@@ -20,15 +20,18 @@ imaginary-residue diagnostic, the region it came from, and the log-magnitude
 for overflow-free reporting.  It applies the mirror symmetry (evaluate at
 (N-x, n) with the roles of p and q swapped, multiply by (-1)^n) to mirrored
 regions, so the classifier's mirrored points and a forced IV take one path.
-:func:`approx` classifies the point first and is total on the grid, z = p
-included; :func:`evaluate_region` forces one region's formula.
+:func:`approx_row` classifies a row of points and evaluates each, with the
+row's z-only terms solved once; it is total on the grid, z = p included, and
+:func:`approx` is its one-point case.  :func:`evaluate_region` forces one
+region's formula.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import List, NamedTuple, Tuple
+from functools import cached_property
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .exact_core import DomainError, Params, check_index
 from .special_fns import airy_ai, airy_bi, hermite, lambda_j, pcf_d
@@ -37,13 +40,13 @@ from .state_space import (
     ClassifierConfig,
     RegionId,
     ScaledPoint,
-    classify,
+    classify_row,
     corner_coords,
-    y_pm,
+    row_terms,
 )
 from .wkb_core import SingularityError, k_pm_log, lambda_pm, phi0, strip_coeffs
 
-__all__ = ["ApproxValue", "approx", "evaluate_region"]
+__all__ = ["ApproxValue", "approx", "approx_row", "evaluate_region"]
 
 #: Distance from an integer (or half-integer) below which trigonometric
 #: factors of pi*t are snapped to their exact values.
@@ -182,7 +185,7 @@ def k2(n: int, eta: float, params: Params) -> _Scaled:
     return complex(math.copysign(1.0, H), 0.0), s
 
 
-def k3(pt: ScaledPoint, params: Params) -> _Scaled:
+def k3(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
     """Lower-left exterior (III): the minus branch alone, alternating like (-1)^n.
 
     Its reflection is IV, right of the upper curve up to z = q.  Above those
@@ -194,12 +197,13 @@ def k3(pt: ScaledPoint, params: Params) -> _Scaled:
             "single-branch exterior formula requires 0 < z < p (z < q for IV, "
             f"its reflection), got z={pt.z!r}"
         )
-    if pt.y >= y_pm(pt.z, params)[0]:
+    terms = row.terms
+    if pt.y >= terms.ym:
         raise DomainError(
             f"point (y={pt.y!r}, z={pt.z!r}) is not left of the lower turning "
             "curve (for IV: right of the upper one, on the reflected grid)"
         )
-    return _from_log(k_pm_log("-", pt, params))
+    return _from_log(k_pm_log("-", pt, params, terms))
 
 
 def k5(x: float, z: float, params: Params) -> _Scaled:
@@ -254,7 +258,7 @@ def k6(x: float, u: float, params: Params) -> _Scaled:
     return m, s
 
 
-def k7(pt: ScaledPoint, params: Params) -> _Scaled:
+def k7(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
     """Upper-left exterior: two-branch interference form.
 
     value = Re{ (w + 1)/2 * K+ + (w - 1) * K- } with w = exp(2*pi*i*y/eps).
@@ -264,22 +268,22 @@ def k7(pt: ScaledPoint, params: Params) -> _Scaled:
     """
     if pt.z <= params.pf:
         raise DomainError(f"interference formula requires z > p, got z={pt.z!r}")
-    ym = y_pm(pt.z, params)[0]
-    if pt.y >= ym:
+    terms = row.terms
+    if pt.y >= terms.ym:
         raise DomainError(
             f"point (y={pt.y!r}, z={pt.z!r}) is not left of the lower turning curve"
         )
     w = _phase_factor(2.0 * pt.y * params.N)
-    mp, sp = _from_log(k_pm_log("+", pt, params))
-    terms = [(0.5 * (w + 1.0) * mp, sp)]
+    mp, sp = _from_log(k_pm_log("+", pt, params, terms))
+    parts = [(0.5 * (w + 1.0) * mp, sp)]
     cm = w - 1.0
     if cm != 0.0:
-        mm, sm = _from_log(k_pm_log("-", pt, params))
-        terms.append((cm * mm, sm))
-    return _sum_scaled(terms)
+        mm, sm = _from_log(k_pm_log("-", pt, params, terms))
+        parts.append((cm * mm, sm))
+    return _sum_scaled(parts)
 
 
-def k8(beta: float, z: float, params: Params) -> _Scaled:
+def k8(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
     """Lower turning strip: Airy profile across the curve (z < p)."""
     beta = _check_real(beta, "beta")
     z = _check_real(z, "z")
@@ -289,7 +293,7 @@ def k8(beta: float, z: float, params: Params) -> _Scaled:
     if not 0.0 < z < p:
         raise DomainError(f"lower-strip formula requires 0 < z < p, got z={z!r}")
     N = params.N
-    c = strip_coeffs(z, params)  # slope is real for z < p
+    c = row.strip  # slope is real for z < p
     ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
         return 0j, 0.0
@@ -301,7 +305,7 @@ def k8(beta: float, z: float, params: Params) -> _Scaled:
     return m, s
 
 
-def k9(beta: float, z: float, params: Params) -> _Scaled:
+def k9(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
     """Upper turning strip (z > p): Airy pair weighted by interference factors.
 
     At integer x the weights collapse to (2, 0) so only the Ai term remains.
@@ -314,7 +318,7 @@ def k9(beta: float, z: float, params: Params) -> _Scaled:
     if not p < z < 1.0:
         raise DomainError(f"upper-strip formula requires p < z < 1, got z={z!r}")
     N = params.N
-    c = strip_coeffs(z, params)  # slope carries -i*pi for z > p
+    c = row.strip  # slope carries -i*pi for z > p
     vt = -c.theta
     arg = vt ** (2.0 / 3.0) * beta
     lam_p, lam_m = lambda_pm(beta, z, params)
@@ -332,19 +336,19 @@ def k9(beta: float, z: float, params: Params) -> _Scaled:
     return m, s
 
 
-def k10(pt: ScaledPoint, params: Params) -> _Scaled:
+def k10(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
     """Oscillatory interior: sum of the two conjugate branches, 2 Re K+.
 
     Inside the ellipse the branch roots are exact complex conjugates, so
     k_pm_log("-") is the conjugate of k_pm_log("+") to the last bit and the
     sum is formed from the plus branch alone.
     """
-    ym, yp = y_pm(pt.z, params)
-    if not ym < pt.y < yp:
+    terms = row.terms
+    if not terms.ym < pt.y < terms.yp:
         raise DomainError(
             f"point (y={pt.y!r}, z={pt.z!r}) is not between the turning curves"
         )
-    m, s = _from_log(k_pm_log("+", pt, params))
+    m, s = _from_log(k_pm_log("+", pt, params, terms))
     return complex(2.0 * m.real, 0.0), s
 
 
@@ -415,42 +419,51 @@ def k12(j: int, xi: float, params: Params) -> _Scaled:
 # ---------------------------------------------------------------------------
 
 
-def _kernel(tag: str, x: int, n: int, params: Params) -> _Scaled:
-    """Run region ``tag``'s kernel at the grid point (x, n) as given."""
-    pt = ScaledPoint.from_indices(x, n, params)
-    if tag == "I":
-        return k1(n, pt.y, params)
-    if tag == "II":
-        return k2(n, corner_coords(x, n, params).eta, params)
-    if tag == "III":
-        return k3(pt, params)
-    if tag == "V":
-        return k5(float(x), pt.z, params)
-    if tag == "VI":
-        return k6(float(x), corner_coords(x, n, params).u, params)
-    if tag == "VII":
-        return k7(pt, params)
-    if tag == "VIII":
-        return k8(corner_coords(x, n, params).beta, pt.z, params)
-    if tag == "IX":
-        return k9(corner_coords(x, n, params).beta, pt.z, params)
-    if tag == "X":
-        return k10(pt, params)
-    cc = corner_coords(x, n, params)
-    if tag == "XI":
-        return k11(cc.j, pt.y, params)
-    return k12(cc.j, cc.xi, params)
+class _Row:
+    """The row at height z in one orientation: its z-only terms, each solved
+    on first use (after the kernel's own domain checks, so theirs come first)."""
+
+    def __init__(self, z: float, params: Params) -> None:
+        self.z, self.params = z, params
+
+    terms = cached_property(lambda self: row_terms(self.z, self.params))
+    strip = cached_property(lambda self: strip_coeffs(self.z, self.params))
 
 
-def _evaluate(rid: RegionId, x: int, n: int, params: Params) -> ApproxValue:
+def _evaluate(rid: RegionId, x: int, n: int, row: _Row) -> ApproxValue:
     """The value of region ``rid``'s formula at (x, n), labelled ``rid``.
 
-    A mirrored region is evaluated at (N - x, n) with p and q exchanged and
-    its sign multiplied by (-1)^n; IV is always mirrored and is III there.
+    A mirrored region is evaluated at (N - x, n) on ``row``, which then
+    carries p and q exchanged, and its sign multiplied by (-1)^n; IV is
+    always mirrored and is III there.
     """
+    params, tag = row.params, rid.tag
     if rid.mirrored:
-        x, params = params.N - x, params.swapped()
-    m, s = _kernel("III" if rid.tag == "IV" else rid.tag, x, n, params)
+        x = params.N - x
+    pt = ScaledPoint.from_indices(x, n, params)
+    if tag == "X":
+        m, s = k10(pt, params, row)
+    elif tag == "I":
+        m, s = k1(n, pt.y, params)
+    elif tag == "II":
+        m, s = k2(n, corner_coords(x, n, params).eta, params)
+    elif tag in ("III", "IV"):
+        m, s = k3(pt, params, row)
+    elif tag == "V":
+        m, s = k5(float(x), pt.z, params)
+    elif tag == "VI":
+        m, s = k6(float(x), corner_coords(x, n, params).u, params)
+    elif tag == "VII":
+        m, s = k7(pt, params, row)
+    elif tag == "VIII":
+        m, s = k8(corner_coords(x, n, params).beta, pt.z, params, row)
+    elif tag == "IX":
+        m, s = k9(corner_coords(x, n, params).beta, pt.z, params, row)
+    elif tag == "XI":
+        m, s = k11(params.N - n, pt.y, params)
+    else:
+        cc = corner_coords(x, n, params)
+        m, s = k12(cc.j, cc.xi, params)
     if rid.mirrored and n % 2:
         m = -m
     return _finalize(m, s, rid)
@@ -467,13 +480,22 @@ def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
     rid = RegionId(tag, mirrored=tag == "IV")
     check_index("x", x, params.N)
     check_index("n", n, params.N)
-    return _evaluate(rid, x, n, params)
+    return _evaluate(rid, x, n, _Row(n * params.eps, params.swapped() if rid.mirrored else params))
+
+
+def approx_row(n: int, xs: Sequence[int], params: Params,
+               cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[ApproxValue]:
+    """Classify each point (x, n), x in xs, and evaluate the matching formula,
+    labelled with the classifier's region; the row's z-only terms are solved
+    once per orientation, on first need."""
+    z = n * params.eps
+    rows = (_Row(z, params), _Row(z, params.swapped()))
+    return [_evaluate(rid, x, n, rows[rid.mirrored])
+            for x, rid in zip(xs, classify_row(n, xs, params, cfg))]
 
 
 def approx(x: int, n: int, params: Params,
            cfg: ClassifierConfig = DEFAULT_CONFIG) -> ApproxValue:
-    """Classify (x, n) and evaluate the matching regional formula.
-
-    The reported region is the classifier's, mirrored flag included.
-    """
-    return _evaluate(classify(x, n, params, cfg), x, n, params)
+    """Classify (x, n) and evaluate the matching regional formula: the
+    one-point case of :func:`approx_row`."""
+    return approx_row(n, [x], params, cfg)[0]

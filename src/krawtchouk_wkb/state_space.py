@@ -5,7 +5,7 @@ An index pair (x, n) on the integer grid [0, N]^2 maps to scaled coordinates
 asymptotic branches has roots U^- <= U^+ that are real outside an ellipse E
 inscribed in the unit square and complex conjugates inside it; the curves
 y = Y^-(z) and y = Y^+(z), where the roots coalesce, bound the oscillatory
-zone.  ``classify`` assigns every grid point to one of twelve regions:
+zone.  ``classify_row`` assigns each point of a row to one of twelve regions:
 
 * bulk zones III, IV (exponential, below/above the ellipse), VII
   (oscillatory-exponential wedge) and X (oscillatory interior),
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, get_type_hints
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
 from .exact_core import DomainError, Params, check_index
 
@@ -39,7 +39,10 @@ __all__ = [
     "y_pm",
     "ellipse_residual",
     "u_pm",
+    "RowTerms",
+    "row_terms",
     "classify",
+    "classify_row",
     "corner_coords",
 ]
 
@@ -127,6 +130,9 @@ class ClassifierConfig:
 
 DEFAULT_CONFIG = ClassifierConfig()
 
+#: Every region the classifier reports, built once: _RIDS[tag, mirrored].
+_RIDS = {(tag, m): RegionId(tag, m) for tag in REGION_TAGS for m in (False, True)}
+
 
 def u0(z: float, params: Params) -> float:
     """The positive root magnitude sqrt(p*q*(1-z)/z) at the branch-coalescence point.
@@ -170,25 +176,47 @@ def ellipse_residual(pt: ScaledPoint, params: Params) -> float:
     return w * w + v * v + 2.0 * (p - q) * w * v - p * q
 
 
-def u_pm(pt: ScaledPoint, params: Params) -> Tuple[complex, complex]:
+class RowTerms(NamedTuple):
+    """The z-only terms of one row: zqp = z(q-p) and c = pq(1-z) of the branch
+    quadratic, disc_c = 4z*c of its discriminant, r2 = u0(z)^2, and Y^±(z)."""
+
+    zqp: float
+    c: float
+    disc_c: float
+    r2: float
+    ym: float
+    yp: float
+
+
+def row_terms(z: float, params: Params) -> RowTerms:
+    """Solve the z-only terms of row z once; requires 0 < z <= 1."""
+    ym, yp = y_pm(z, params)
+    p, q = params.pf, params.qf
+    c = p * q * (1.0 - z)
+    return RowTerms(z * (q - p), c, 4.0 * z * c, u0(z, params) ** 2, ym, yp)
+
+
+def u_pm(pt: ScaledPoint, params: Params, row: Optional[RowTerms] = None) -> Tuple[complex, complex]:
     """The two branch roots (U^-, U^+) of z*U^2 + [p - y + z(q-p)]*U + pq(1-z) = 0.
 
     Real with U^- <= U^+ outside the ellipse, complex conjugates (U^+ in the
     upper half plane) inside it, and both equal to ±u0(z) on the turning
     curves y = Y^±(z).  The smaller-magnitude root is computed from the root
-    product pq(1-z)/z to avoid cancellation.
+    product pq(1-z)/z to avoid cancellation.  ``row`` is
+    ``row_terms(pt.z, params)`` when the caller already has it.
     """
     y, z = pt.y, pt.z
-    if not 0.0 < z <= 1.0:
-        raise DomainError(f"u_pm requires 0 < z <= 1, got z={z!r}")
-    p, q = params.pf, params.qf
-    b = p - y + z * (q - p)
-    c = p * q * (1.0 - z)
-    disc = b * b - 4.0 * z * c
+    if row is None:
+        if not 0.0 < z <= 1.0:
+            raise DomainError(f"u_pm requires 0 < z <= 1, got z={z!r}")
+        row = row_terms(z, params)
+    b = params.pf - y + row.zqp
+    c = row.c
+    disc = b * b - row.disc_c
     # A discriminant at rounding level means the point sits on a turning
     # curve to within double precision; split roots there would carry a
     # spurious sqrt(ulp) ~ 1e-8 separation, so collapse to the double root.
-    if abs(disc) <= 1e-14 * (b * b + abs(4.0 * z * c)):
+    if abs(disc) <= 1e-14 * (b * b + abs(row.disc_c)):
         r = -b / (2.0 * z)
         return complex(r, 0.0), complex(r, 0.0)
     if disc < 0.0:
@@ -205,65 +233,86 @@ def u_pm(pt: ScaledPoint, params: Params) -> Tuple[complex, complex]:
     return complex(um, 0.0), complex(up, 0.0)
 
 
-def _direct_tag(x: int, n: int, params: Params, cfg: ClassifierConfig) -> Optional[str]:
-    """Tag for the unreflected orientation, or None when the point belongs to
-    the reflected half (on or beyond the upper turning strip)."""
+def _row_tests(n: int, params: Params, cfg: ClassifierConfig) -> Callable[[int], Optional[str]]:
+    """The region tests of row n, their x-independent terms solved once: a
+    map from x to the tag in this orientation, or None when the point belongs
+    to the reflected half (on or beyond the upper turning strip)."""
     N = params.N
     eps, p, q = params.eps, params.pf, params.qf
-    y, z = x * eps, n * eps
+    z = n * eps
     corner_y = cfg.corner_width * math.sqrt(2.0 * p * q * eps)
     if n <= cfg.n_small:
-        return "II" if abs(y - p) <= corner_y else "I"
+        return lambda x: "II" if abs(x * eps - p) <= corner_y else "I"
     if N - n <= cfg.j_small:
-        if abs(y - q) <= corner_y:
-            return "XII"
-        # Right of the corner the top rows are XI of the mirror.  The test is
-        # exact, so a point and its reflection never both defer to the other.
-        return "XI" if x <= N * params.q else None
-    if x <= cfg.x_small:
-        if abs(z - p) <= cfg.corner_width * math.sqrt(p * q * eps):
-            return "VI"
-        if z > p:
-            return "V"
-        # Small x with z below the corner falls through to the bulk tests:
-        # the left edge there belongs to the exponential zone III (or its
-        # turning strip VIII), not to a separate layer.
+        # Right of the corner the top rows are XI of the mirror.  The cut
+        # x <= qN is exact, so a point and its reflection never both defer.
+        xi_cut = math.floor(N * params.q)
+        return lambda x: "XII" if abs(x * eps - q) <= corner_y else "XI" if x <= xi_cut else None
+    # Small x with z below the corner falls through to the bulk tests: the
+    # left edge there belongs to the exponential zone III (or its turning
+    # strip VIII), not to a separate layer.
+    if abs(z - p) <= cfg.corner_width * math.sqrt(p * q * eps):
+        x_small, left = cfg.x_small, "VI"
+    else:
+        x_small, left = (cfg.x_small, "V") if z > p else (-1, None)
     ym, yp = y_pm(z, params)
     strip = cfg.beta_max * eps ** (2.0 / 3.0)
-    if abs(y - ym) <= strip:
-        # The strip coefficients diverge at z = p, where Y^-(z) meets the left
-        # edge; a row there with pN an integer is served by VI, whose u is 0.
-        if z == p:
-            return "VI"
-        return "VIII" if z < p else "IX"
-    if abs(y - yp) <= strip:
-        return None
-    if y < ym:
-        return "VII" if z > p else "III"
-    if y < yp:
-        return "X"
-    return None
+    # The strip coefficients diverge at z = p, where Y^-(z) meets the left
+    # edge; a row there with pN an integer is served by VI, whose u is 0.
+    strip_tag = "VI" if z == p else "VIII" if z < p else "IX"
+    below = "VII" if z > p else "III"
+
+    def tag(x: int) -> Optional[str]:
+        y = x * eps
+        if x <= x_small:
+            return left
+        if abs(y - ym) <= strip:
+            return strip_tag
+        if abs(y - yp) <= strip:
+            return None
+        if y < ym:
+            return below
+        return "X" if y < yp else None
+
+    return tag
 
 
-def classify(x: int, n: int, params: Params, cfg: ClassifierConfig = DEFAULT_CONFIG) -> RegionId:
-    """Assign the grid point (x, n) to one of the twelve regions.
+def classify_row(n: int, xs: Sequence[int], params: Params,
+                 cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[RegionId]:
+    """Assign each grid point (x, n), x in xs, to one of the twelve regions.
 
     Layer tests run in priority order -- corners beat edges beat strips beat
     bulk zones -- so membership is total and deterministic.  Points on or
     beyond the upper turning strip, and top-row points right of the XII
     corner, are reflected to (N - x, n) with p and q exchanged and
     re-classified; a reflected III is reported as IV, any other
-    reflected tag keeps its name, and both carry ``mirrored=True``.
+    reflected tag keeps its name, and both carry ``mirrored=True``.  The
+    row's x-independent terms are solved once, the mirror's on first need.
     """
-    check_index("x", x, params.N)
     check_index("n", n, params.N)
-    tag = _direct_tag(x, n, params, cfg)
-    if tag is not None:
-        return RegionId(tag, mirrored=False)
-    mtag = _direct_tag(params.N - x, n, params.swapped(), cfg)
-    if mtag is None:  # pragma: no cover - excluded by the strip geometry
-        raise AssertionError("classifier fell through both orientations")
-    return RegionId("IV" if mtag == "III" else mtag, mirrored=True)
+    # One range test for the row, once any non-integer has been refused.
+    bad = [x for x in xs if not isinstance(x, int) or isinstance(x, bool)]
+    for x in bad[:1] or ([min(xs), max(xs)] if xs else []):
+        check_index("x", x, params.N)
+    tag_of, mirror_of = _row_tests(n, params, cfg), None
+    out = []
+    for x in xs:
+        tag = tag_of(x)
+        if tag is not None:
+            out.append(_RIDS[tag, False])
+            continue
+        if mirror_of is None:
+            mirror_of = _row_tests(n, params.swapped(), cfg)
+        tag = mirror_of(params.N - x)
+        if tag is None:  # pragma: no cover - excluded by the strip geometry
+            raise AssertionError("classifier fell through both orientations")
+        out.append(_RIDS["IV" if tag == "III" else tag, True])
+    return out
+
+
+def classify(x: int, n: int, params: Params, cfg: ClassifierConfig = DEFAULT_CONFIG) -> RegionId:
+    """Assign the grid point (x, n) to a region: the one-point :func:`classify_row`."""
+    return classify_row(n, [x], params, cfg)[0]
 
 
 class CornerCoords(NamedTuple):

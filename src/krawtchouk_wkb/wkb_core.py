@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .exact_core import DomainError, Params
 from .special_fns import RangeError
-from .state_space import ScaledPoint, u0, u_pm, y_pm
+from .state_space import RowTerms, ScaledPoint, row_terms, u0, u_pm, y_pm
 
 __all__ = [
     "SingularityError",
@@ -72,15 +72,17 @@ def psqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def _guarded_root(branch: str, pt: ScaledPoint, params: Params) -> Tuple[complex, float]:
+def _guarded_root(branch: str, pt: ScaledPoint, params: Params,
+                  row: Optional[RowTerms] = None) -> Tuple[complex, float]:
     """The branch root U and u0(z)^2, solved once, refused near coalescence."""
     if not 0.0 < pt.z < 1.0:
         raise SingularityError(f"branch quantities are singular at z={pt.z!r}")
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    um, up = u_pm(pt, params)
+    row = row or row_terms(pt.z, params)
+    um, up = u_pm(pt, params, row)
     U = up if branch == "+" else um
-    r2 = u0(pt.z, params) ** 2
+    r2 = row.r2
     if abs(U * U - r2) < _COALESCENCE_RTOL * r2:
         raise SingularityError(
             f"branches coalesce near (y={pt.y!r}, z={pt.z!r}); "
@@ -112,14 +114,15 @@ def l_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
     return _amp(U, r2, pt, params)
 
 
-def k_pm_log(branch: str, pt: ScaledPoint, params: Params) -> complex:
+def k_pm_log(branch: str, pt: ScaledPoint, params: Params, row: Optional[RowTerms] = None) -> complex:
     """log of the branch contribution K = sqrt(eps/(2*pi)) e^{psi/eps} L.
 
     The real part is ln|K| and the imaginary part the accumulated phase (not
     reduced mod 2*pi).  psi/eps is computed as psi*N, which is exact in the
-    scaling.  The branch root is solved once for both psi and L.
+    scaling.  The branch root is solved once for both psi and L, from the
+    z-only terms ``row`` (``row_terms(pt.z, params)``, solved here if None).
     """
-    U, r2 = _guarded_root(branch, pt, params)
+    U, r2 = _guarded_root(branch, pt, params, row)
     half_log_pref = 0.5 * (math.log(params.eps) - math.log(2.0 * math.pi))
     return half_log_pref + _psi(U, pt, params) * params.N + plog(_amp(U, r2, pt, params))
 

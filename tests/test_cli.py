@@ -12,6 +12,7 @@ import pytest
 
 from krawtchouk_wkb.cli import load_config, main, render_fraction
 from krawtchouk_wkb.exact_core import Params, krawtchouk_sum, signed_log
+from krawtchouk_wkb.region_formulas import evaluate_region
 from fractions import Fraction
 
 
@@ -156,6 +157,22 @@ class TestCompare:
         for r in filled:
             assert float(dict(zip(header, r))["norm_err"]) < 0.10
 
+    def test_forced_iv_reports_the_reflection(self, capsys):
+        # Forced IV is III on the reflected grid, so every evaluated row says
+        # mirrored = 1, as the library's value does; a refused point has no
+        # value and keeps 0.
+        N, q = 40, "0.74894783"
+        code, out, _ = run_cli(capsys, "compare", "--N", str(N), "--q", q, "--region", "IV")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        params = Params.from_q(N, q)
+        filled = [dict(zip(header, r)) for r in rows if dict(zip(header, r))["approx_ln_mag"]]
+        assert len(filled) == 238 and len(rows) == (N + 1) ** 2
+        for row in filled:
+            av = evaluate_region("IV", int(row["x"]), int(row["n"]), params)
+            assert row["mirrored"] == str(int(av.region.mirrored)) == "1"
+        assert {r[4] for r in rows if not dict(zip(header, r))["approx_ln_mag"]} == {"0"}
+
     @pytest.mark.parametrize("region, limit", [("III", "z < p"), ("IV", "z < q")])
     def test_forced_exterior_skips_name_the_z_limit(self, capsys, region, limit):
         code, _, err = run_cli(
@@ -261,6 +278,15 @@ class TestRegions:
         assert bottom <= {"I", "II"}
         top = {r[2] for r in rows if r[1] == str(N)}
         assert top <= {"XI", "XII"}
+
+    def test_golden_map_byte_for_byte(self, capsys):
+        # The map as written before the classifier read per-row constants;
+        # N=40 at this q has eleven regions (all but VII) and five mirrored
+        # labels (IV*, V*, VI*, VIII*, XI*).
+        golden = Path(__file__).parent / "data" / "regions_N40_q0.54894783.csv"
+        code, out, _ = run_cli(capsys, "regions", "--N", "40", "--q", "0.54894783")
+        assert code == 0
+        assert out.encode("utf-8") == golden.read_bytes()
 
     def test_config_overrides_change_the_map(self, capsys, tmp_path):
         cfg = tmp_path / "wide.cfg"

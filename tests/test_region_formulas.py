@@ -6,8 +6,10 @@ being frozen here, so a change that moves a value outside its interval is a
 real behavioral change, not tolerance noise.
 """
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -18,10 +20,12 @@ from hypothesis import strategies as st
 from krawtchouk_wkb.accuracy import FIGURES, figure_sweep, formula_gap, norm_err
 from krawtchouk_wkb.exact_core import DomainError, ExactTable, Params, krawtchouk_sum
 from krawtchouk_wkb.region_formulas import (
+    _Row,
     _finalize,
     _from_log,
     _sum_scaled,
     approx,
+    approx_row,
     evaluate_region,
     k1,
     k2,
@@ -272,9 +276,9 @@ class TestInterferenceExterior:
 class TestLowerStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k8(1.0, P100_34.pf, P100_34)
+            k8(1.0, P100_34.pf, P100_34, _Row(P100_34.pf, P100_34))
         with pytest.raises(DomainError):
-            k8(1.0, 0.99, P100_34)
+            k8(1.0, 0.99, P100_34, _Row(0.99, P100_34))
 
     def test_matches_branch_form_inside_strip(self):
         # |beta| ~ 1.2: the stated 10% agreement holds (measured 9.7%)
@@ -292,9 +296,9 @@ class TestLowerStrip:
 class TestUpperStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k9(1.0, P100_74.pf, P100_74)
+            k9(1.0, P100_74.pf, P100_74, _Row(P100_74.pf, P100_74))
         with pytest.raises(DomainError):
-            k9(1.0, 0.10, P100_74)
+            k9(1.0, 0.10, P100_74, _Row(0.10, P100_74))
 
     def test_matches_interference_form_outward(self):
         worst = max(
@@ -323,7 +327,7 @@ class TestUpperStrip:
 class TestOscillatoryInterior:
     def test_rejects_exterior_points(self):
         with pytest.raises(DomainError):
-            k10(ScaledPoint(0.01, 0.10), P100_74)
+            k10(ScaledPoint(0.01, 0.10), P100_74, _Row(0.10, P100_74))
 
     @staticmethod
     def _two_branch_k10(pt: ScaledPoint, params: Params):
@@ -348,7 +352,7 @@ class TestOscillatoryInterior:
         if rid.mirrored:
             x, params = N - x, params.swapped()
         pt = ScaledPoint.from_indices(x, n, params)
-        got = finalized(k10(pt, params), "X")
+        got = finalized(k10(pt, params, _Row(pt.z, params)), "X")
         old = self._two_branch_k10(pt, params)
         assert (repr(got.value), repr(got.ln_scale), repr(got.im_residue)) == (
             repr(old.value), repr(old.ln_scale), repr(old.im_residue)
@@ -356,7 +360,7 @@ class TestOscillatoryInterior:
 
     def test_plus_branch_alone_off_the_grid(self):
         for y, z in ((0.347, 0.503), (0.61, 0.42), (0.2, 0.35)):
-            got = finalized(k10(ScaledPoint(y, z), P100_64), "X")
+            got = finalized(k10(ScaledPoint(y, z), P100_64, _Row(z, P100_64)), "X")
             old = self._two_branch_k10(ScaledPoint(y, z), P100_64)
             assert got == old
 
@@ -365,7 +369,7 @@ class TestOscillatoryInterior:
             av = evaluate_region("X", x, n, P100_64)
             assert av.im_residue <= 1e-8 * abs(av.value)
         # off-grid points do not phase-snap; cancellation is to rounding only
-        av = finalized(k10(ScaledPoint(0.347, 0.503), P100_64), "X")
+        av = finalized(k10(ScaledPoint(0.347, 0.503), P100_64, _Row(0.503, P100_64)), "X")
         assert av.im_residue <= 1e-8 * abs(av.value)
 
     @staticmethod
@@ -402,7 +406,8 @@ class TestOscillatoryInterior:
         center = N * params.pf
         worst = 0.0
         for x in range(math.ceil(center - 0.9 * half), math.floor(center + 0.9 * half) + 1):
-            av = finalized(k10(ScaledPoint.from_indices(x, n, params), params), "X")
+            pt = ScaledPoint.from_indices(x, n, params)
+            av = finalized(k10(pt, params, _Row(pt.z, params)), "X")
             eta = (x - center) / half
             profile = TestOscillatoryInterior._cosine_profile(n, eta, params)
             env = max(
@@ -600,3 +605,44 @@ class TestDispatcher:
             assert av.value == 0.0
         else:
             assert av.value != 0.0
+
+
+# ---------------------------------------------------------------------------
+# Full grids: the windowed error of every region, pinned per label
+# ---------------------------------------------------------------------------
+
+
+def _grid_pins():
+    """Per-label pins of each full grid in data/full_grid_errors.csv: point
+    count, p50, p99 and max windowed error (3 significant digits) and the
+    count of points above 10%, measured against the exact tables."""
+    path = Path(__file__).parent / "data" / "full_grid_errors.csv"
+    grids = {}
+    with path.open(encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            grids.setdefault((int(row["N"]), row["q"]), {})[row["label"]] = row
+    return [pytest.param(grid, pins, id=f"N{grid[0]}-q{grid[1]}") for grid, pins in sorted(grids.items())]
+
+
+@pytest.mark.parametrize("grid, pins", _grid_pins())
+def test_full_grid_error_per_region_is_pinned(grid, pins):
+    # A change that moves any region's error distribution on these grids,
+    # for better or worse, shows up here and re-measures its pins.
+    N, q = grid
+    params = Params.from_q(N, q)
+    table = ExactTable(params)
+    xs = range(N + 1)
+    errs = {}
+    for n in xs:
+        for x, av in zip(xs, approx_row(n, xs, params)):
+            errs.setdefault(av.region.label, []).append(norm_err(av, table, n, x))
+    assert sorted(errs) == sorted(pins)
+    for label, values in errs.items():
+        assert not any(math.isnan(e) for e in values), label
+        values.sort()
+        pin, k = pins[label], len(values)
+        assert k == int(pin["points"]), label
+        assert sum(e > 0.10 for e in values) == int(pin["above_10pct"]), label
+        for stat, share in (("p50", 0.5), ("p99", 0.99), ("max", 1.0)):
+            got, want = values[round(share * (k - 1))], float(pin[stat])
+            assert 0.99 * want <= got <= 1.01 * want, (label, stat, got)

@@ -1,0 +1,186 @@
+"""The row path against the per-point code it replaced.
+
+``classify_row``, ``approx_row`` and the per-row envelope solve each row's
+x-independent terms once.  The references below are the per-point versions
+they replaced, kept verbatim: the classifier test that solved every z-only
+term at each point, the plus/minus branch log that re-solved the branch
+quadratic's z-only terms, u0(z)^2 and the log prefactor at each point, and
+the envelope read as a slice of the row's logs.  Both sides must agree to
+the last bit.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from krawtchouk_wkb import accuracy, region_formulas
+from krawtchouk_wkb.exact_core import ExactTable, Params, check_index
+from krawtchouk_wkb.region_formulas import approx, approx_row
+from krawtchouk_wkb.state_space import (
+    DEFAULT_CONFIG,
+    ClassifierConfig,
+    RegionId,
+    classify_row,
+    u0,
+    y_pm,
+)
+from krawtchouk_wkb.wkb_core import SingularityError, plog, psqrt
+
+# the p values of the exact-core property tests
+P_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction("0.64894783")]
+
+
+def ref_direct_tag(x, n, params, cfg):
+    """Per-point classifier test: tag for the unreflected orientation, or None
+    when the point belongs to the reflected half."""
+    N = params.N
+    eps, p, q = params.eps, params.pf, params.qf
+    y, z = x * eps, n * eps
+    corner_y = cfg.corner_width * math.sqrt(2.0 * p * q * eps)
+    if n <= cfg.n_small:
+        return "II" if abs(y - p) <= corner_y else "I"
+    if N - n <= cfg.j_small:
+        if abs(y - q) <= corner_y:
+            return "XII"
+        return "XI" if x <= N * params.q else None
+    if x <= cfg.x_small:
+        if abs(z - p) <= cfg.corner_width * math.sqrt(p * q * eps):
+            return "VI"
+        if z > p:
+            return "V"
+    ym, yp = y_pm(z, params)
+    strip = cfg.beta_max * eps ** (2.0 / 3.0)
+    if abs(y - ym) <= strip:
+        if z == p:
+            return "VI"
+        return "VIII" if z < p else "IX"
+    if abs(y - yp) <= strip:
+        return None
+    if y < ym:
+        return "VII" if z > p else "III"
+    if y < yp:
+        return "X"
+    return None
+
+
+def ref_classify(x, n, params, cfg):
+    check_index("x", x, params.N)
+    check_index("n", n, params.N)
+    tag = ref_direct_tag(x, n, params, cfg)
+    if tag is not None:
+        return RegionId(tag, mirrored=False)
+    mtag = ref_direct_tag(params.N - x, n, params.swapped(), cfg)
+    return RegionId("IV" if mtag == "III" else mtag, mirrored=True)
+
+
+def ref_classify_row(n, xs, params, cfg):
+    return [ref_classify(x, n, params, cfg) for x in xs]
+
+
+def ref_k_pm_log(branch, pt, params, row=None):
+    """Per-point branch log: the quadratic's z-only terms, u0(z)^2 and the
+    prefactor solved at the point (``row`` is ignored)."""
+    y, z = pt.y, pt.z
+    if not 0.0 < z < 1.0:
+        raise SingularityError(f"branch quantities are singular at z={z!r}")
+    p, q = params.pf, params.qf
+    b = p - y + z * (q - p)
+    c = p * q * (1.0 - z)
+    disc = b * b - 4.0 * z * c
+    if abs(disc) <= 1e-14 * (b * b + abs(4.0 * z * c)):
+        um = up = complex(-b / (2.0 * z), 0.0)
+    elif disc < 0.0:
+        re, im = -b / (2.0 * z), math.sqrt(-disc) / (2.0 * z)
+        um, up = complex(re, -im), complex(re, im)
+    else:
+        s = math.sqrt(disc)
+        if b >= 0.0:
+            m = (-b - s) / (2.0 * z)
+            um, up = complex(m, 0.0), complex(c / (z * m) if m != 0.0 else (-b + s) / (2.0 * z), 0.0)
+        else:
+            u = (-b + s) / (2.0 * z)
+            um, up = complex(c / (z * u) if u != 0.0 else (-b - s) / (2.0 * z), 0.0), complex(u, 0.0)
+    U = up if branch == "+" else um
+    r2 = u0(z, params) ** 2
+    if abs(U * U - r2) < 1e-10 * r2:
+        raise SingularityError(f"branches coalesce near (y={y!r}, z={z!r}); use the turning-strip formulas there")
+    half_log_pref = 0.5 * (math.log(params.eps) - math.log(2.0 * math.pi))
+    psi = (z - 1.0) * plog(U) + (1.0 - y) * plog(U - p) + y * plog(U + q)
+    amp = psqrt((U - p) * (U + q) / (z * (U * U - r2)))
+    return half_log_pref + psi * params.N + plog(amp)
+
+
+def ref_window_env_log(table, n, x):
+    """Per-point envelope: the clipped window sliced from the row's logs."""
+    N = table.params.N
+    check_index("x", x, N)
+    lo, hi = max(0, x - 5), min(N, x + 5)
+    return max(table.row_logs(n)[lo:hi + 1])
+
+
+def outcome(thunk):
+    """thunk()'s value, or the text of what it raised."""
+    try:
+        return thunk()
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def row_cases(draw):
+    N = draw(st.integers(min_value=1, max_value=300))
+    n = draw(st.integers(min_value=0, max_value=N))
+    point = st.integers(min_value=0, max_value=N)
+    kind = draw(st.sampled_from(["contiguous", "single", "scattered"]))
+    if kind == "contiguous":
+        lo, hi = sorted((draw(point), draw(point)))
+        xs = list(range(lo, hi + 1))
+    elif kind == "single":
+        xs = [draw(point)]
+    else:
+        xs = draw(st.lists(point, min_size=2, max_size=25))
+    cfg = ClassifierConfig(
+        n_small=draw(st.sampled_from([0, 1, 4])),
+        x_small=draw(st.sampled_from([0, 3, 8])),
+        j_small=draw(st.sampled_from([0, 4])),
+        corner_width=draw(st.sampled_from([0.0, 1.5, 3.0])),
+        beta_max=draw(st.sampled_from([0.0, 0.9])),
+    )
+    return N, draw(st.sampled_from(P_POOL)), n, xs, cfg
+
+
+FULL_200 = list(range(201))
+ZERO_WIDTHS = ClassifierConfig(0, 0, 0, 0.0, 0.0)
+
+
+@given(case=row_cases())
+@example(case=(200, Fraction("0.35105217"), 100, FULL_200, DEFAULT_CONFIG))  # X, X*, IV*, IX* ...
+@example(case=(200, Fraction("0.35105217"), 197, FULL_200, DEFAULT_CONFIG))  # top row: XI, XI*, XII
+@example(case=(100, Fraction(1, 2), 50, list(range(101)), DEFAULT_CONFIG))  # the row z = p
+@example(case=(120, Fraction(2, 7), 90, [119, 3, 60, 60, 0], ZERO_WIDTHS))
+@settings(max_examples=60, deadline=None)
+def test_row_path_matches_per_point_references(case):
+    N, p, n, xs, cfg = case
+    params = Params.from_p(N, p)
+    assert classify_row(n, xs, params, cfg) == ref_classify_row(n, xs, params, cfg)
+
+    table = ExactTable(params)
+    got = outcome(lambda: approx_row(n, xs, params, cfg))
+    if isinstance(got, list):  # the exact value read once, as compare reads it
+        got = [(av, accuracy.norm_err(av, table, n, x, table.signed_log(n, x))) for x, av in zip(xs, got)]
+
+    ref_table = ExactTable(params)
+    with mock.patch.object(region_formulas, "classify_row", ref_classify_row), \
+            mock.patch.object(region_formulas, "k_pm_log", ref_k_pm_log), \
+            mock.patch.object(accuracy, "window_env_log", ref_window_env_log):
+        want = [outcome(lambda: approx(x, n, params, cfg)) for x in xs]
+        failures = [w for w in want if isinstance(w, str)]
+        if failures:
+            want = failures[0]  # the row path stops at the first failing point
+        else:
+            want = [(av, accuracy.norm_err(av, ref_table, n, x)) for x, av in zip(xs, want)]
+    # repr is exact for floats and tells nan, inf and -0.0 apart
+    assert repr(got) == repr(want)

@@ -16,6 +16,7 @@ from krawtchouk_wkb.state_space import (
     RegionId,
     ScaledPoint,
     classify,
+    classify_row,
     corner_coords,
     ellipse_residual,
     u0,
@@ -262,6 +263,13 @@ class TestClassify:
         P = params_for(100, "0.64894783")
         with pytest.raises(DomainError):
             classify(2.5, 3, P)
+
+    @pytest.mark.parametrize("xs", [[1, 2.5, 3], [0, True], [3, 101, 7], [5, -1], ["a", 4]])
+    def test_row_refuses_any_bad_abscissa(self, xs):
+        # the row's range is tested once, so a bad entry inside it must still be caught
+        P = params_for(100, "0.64894783")
+        with pytest.raises(DomainError):
+            classify_row(3, xs, P)
 
     @settings(max_examples=300)
     @given(
