@@ -10,7 +10,7 @@ from .exact_core import (
     build_table,
     krawtchouk_sum,
     lemma3_value,
-    orthogonality_sum,
+    orthogonality_row,
     symmetry_image,
     weight,
 )
@@ -51,7 +51,7 @@ __all__ = [
     "build_table",
     "krawtchouk_sum",
     "lemma3_value",
-    "orthogonality_sum",
+    "orthogonality_row",
     "symmetry_image",
     "weight",
     "DEFAULT_CONFIG",

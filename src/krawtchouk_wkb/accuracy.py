@@ -20,7 +20,7 @@ from .exact_core import (
     check_index,
     krawtchouk_sum,
     lemma3_value,
-    orthogonality_sum,
+    orthogonality_row,
     symmetry_image,
 )
 from .region_formulas import ApproxValue, approx_row, evaluate_region
@@ -192,9 +192,10 @@ def criterion_1(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
                 if table.value(n, x) != krawtchouk_sum(n, x, params):
                     failures.append(f"N={N}: recurrence!=sum at (n={n},x={x})")
         for i in range(N + 1):
+            sums = orthogonality_row(i, table)
             for j in range(N + 1):
                 expect = math.comb(N, j) * (p * q) ** j if i == j else Fraction(0)
-                if orthogonality_sum(i, j, params, table) != expect:
+                if sums[j] != expect:
                     failures.append(f"N={N}: orthogonality fails at (i={i},j={j})")
         for n in range(N + 1):
             for x in range(N + 1):

@@ -336,6 +336,8 @@ def _criteria_list(text: str) -> List[int]:
         value = _positive_int(piece.strip())
         if value not in CRITERIA:
             raise CliError(f"unknown criterion {value}; expected {min(CRITERIA)}..{max(CRITERIA)}")
+        if value in out:
+            raise CliError(f"criterion {value} listed twice")
         out.append(value)
     return out
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Union
 
 RationalLike = Union[int, str, Fraction]
@@ -25,7 +26,7 @@ __all__ = [
     "build_table",
     "exact_row",
     "weight",
-    "orthogonality_sum",
+    "orthogonality_row",
     "symmetry_image",
     "lemma3_value",
     "signed_log",
@@ -212,19 +213,19 @@ def signed_log(value: Fraction):
 def krawtchouk_sum(n: int, x: int, params: Params) -> Fraction:
     """Evaluate ``K_n(x)`` by its terminating binomial sum, exactly.
 
-    K_n(x) = sum_k C(x,k) C(N-x, n-k) q^k (-p)^(n-k).  Binomials whose upper
-    index is smaller than the lower one vanish, so at most min(n,x)+1 terms
-    are live.  The sum is accumulated as a single integer over denom**n.
+    K_n(x) = sum_k C(x,k) C(N-x, n-k) q^k (-p)^(n-k).  Only the terms with
+    n+x-N <= k <= min(n,x) have nonzero binomials.  The sum is accumulated as
+    a single integer over denom**n, q^k multiplied up and (-p)^(n-k) divided
+    down exactly from term to term.
     """
     check_index("n", n, params.N)
     check_index("x", x, params.N)
-    N = params.N
-    ap, aq = params.p_num, params.q_num
-    total = 0
-    for k in range(min(n, x) + 1):
-        c = math.comb(x, k) * math.comb(N - x, n - k)
-        if c:
-            total += c * aq**k * (-ap) ** (n - k)
+    N, mp, aq = params.N, -params.p_num, params.q_num
+    lo = max(0, n + x - N)
+    total, qk, pk = 0, aq**lo, mp ** (n - lo)
+    for k in range(lo, min(n, x) + 1):
+        total += math.comb(x, k) * math.comb(N - x, n - k) * qk * pk
+        qk, pk = qk * aq, pk // mp  # exact while k < n; the last quotient is unused
     return Fraction(total, params.denom**n)
 
 
@@ -271,21 +272,20 @@ def weight(x: int, params: Params) -> Fraction:
     return math.comb(N, x) * params.p**x * params.q ** (N - x)
 
 
-def orthogonality_sum(i: int, j: int, params: Params, table: ExactTable) -> Fraction:
-    """sum_k K_i(k) K_j(k) weight(k), exactly.
+def orthogonality_row(i: int, table: ExactTable) -> tuple:
+    """sum_k K_i(k) K_j(k) weight(k) for j = 0..N, exactly.
 
-    Equals C(N,j) (pq)^j when i == j and 0 otherwise; the whole sum is
-    accumulated as one integer over denom**(i+j+N).
+    Entry j equals C(N,j) (pq)^j when j == i and 0 otherwise.  The integer
+    weights and row i's weighted products are formed once; each entry is one
+    integer sum over denom**(i+j+N).
     """
-    check_index("i", i, params.N)
-    check_index("j", j, params.N)
-    N = params.N
-    ap, aq = params.p_num, params.q_num
-    ri, rj = table.scaled_row(i), table.scaled_row(j)
-    total = 0
-    for k in range(N + 1):
-        total += math.comb(N, k) * ap**k * aq ** (N - k) * ri[k] * rj[k]
-    return Fraction(total, params.denom ** (i + j + N))
+    params = table.params
+    N, ap, aq = params.N, params.p_num, params.q_num
+    check_index("i", i, N)
+    wi = [math.comb(N, k) * ap**k * aq ** (N - k) * v for k, v in enumerate(table.scaled_row(i))]
+    return tuple(
+        Fraction(sum(map(mul, wi, table.scaled_row(j))), params.denom ** (i + j + N)) for j in range(N + 1)
+    )
 
 
 def symmetry_image(n: int, x: int, params: Params) -> Fraction:

@@ -362,6 +362,12 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("listed", ["5,5", "5,7,5"])
+    def test_repeated_criterion_is_refused(self, capsys, listed):
+        code, out, err = run_cli(capsys, "check", "--criteria", listed)
+        assert code == 1 and out == ""
+        assert err == "error: criterion 5 listed twice\n"
+
     def test_bad_config_keys_and_values(self, capsys, tmp_path):
         bad_key = tmp_path / "k.cfg"
         bad_key.write_text("strip_width=1.0\n")

@@ -13,9 +13,10 @@ from krawtchouk_wkb.exact_core import (
     Params,
     build_table,
     exact_row,
+    check_index,
     krawtchouk_sum,
     lemma3_value,
-    orthogonality_sum,
+    orthogonality_row,
     signed_log,
     symmetry_image,
     weight,
@@ -91,6 +92,43 @@ def test_sum_right_boundary():
     params = Params.from_p(11, Fraction(2, 7))
     for n in range(12):
         assert krawtchouk_sum(n, 11, params) == math.comb(11, n) * params.q**n
+
+
+def two_power_sum(n, x, params):
+    """``krawtchouk_sum`` before the running products: two ``**`` per term."""
+    check_index("n", n, params.N)
+    check_index("x", x, params.N)
+    N = params.N
+    ap, aq = params.p_num, params.q_num
+    total = 0
+    for k in range(min(n, x) + 1):
+        c = math.comb(x, k) * math.comb(N - x, n - k)
+        if c:
+            total += c * aq**k * (-ap) ** (n - k)
+    return Fraction(total, params.denom**n)
+
+
+@st.composite
+def cell_cases(draw, max_N=60):
+    N = draw(st.integers(min_value=1, max_value=max_N))
+    n, x = draw(st.integers(min_value=0, max_value=N)), draw(st.integers(min_value=0, max_value=N))
+    return N, draw(st.sampled_from(P_POOL)), n, x
+
+
+@given(case=cell_cases())
+@example(case=(60, Fraction("0.64894783"), 0, 0))
+@example(case=(60, Fraction("0.64894783"), 0, 60))
+@example(case=(60, Fraction("0.64894783"), 60, 0))
+@example(case=(60, Fraction("0.64894783"), 60, 60))
+@example(case=(60, Fraction(2, 7), 60, 17))  # n = N: one live term, k = x
+@example(case=(60, Fraction(1, 3), 23, 0))  # x = 0: one live term, k = 0
+@example(case=(1, Fraction(1, 2), 1, 1))
+@settings(max_examples=200, deadline=None)
+def test_sum_equals_two_power_reference(case):
+    N, p, n, x = case
+    params = Params.from_p(N, p)
+    got = krawtchouk_sum(n, x, params)
+    assert type(got) is Fraction and got == two_power_sum(n, x, params)
 
 
 def test_sum_rejects_out_of_range():
@@ -305,9 +343,8 @@ def test_weights_sum_to_one():
 def test_orthogonality_examples():
     params = Params.from_p(6, Fraction(1, 3))
     table = build_table(params)
-    assert orthogonality_sum(0, 1, params, table) == 0
-    assert orthogonality_sum(0, 0, params, table) == 1
-    assert orthogonality_sum(2, 2, params, table) == Fraction(60, 81)
+    assert orthogonality_row(0, table) == (1, 0, 0, 0, 0, 0, 0)
+    assert orthogonality_row(2, table) == (0, 0, Fraction(60, 81), 0, 0, 0, 0)
 
 
 @given(p=st.sampled_from(P_POOL), N=st.integers(min_value=1, max_value=10))
@@ -316,9 +353,39 @@ def test_orthogonality_property(p, N):
     params = Params.from_p(N, p)
     table = build_table(params)
     for i in range(N + 1):
-        for j in range(i, N + 1):
+        sums = orthogonality_row(i, table)
+        assert len(sums) == N + 1
+        for j in range(N + 1):
             expected = math.comb(N, j) * (params.p * params.q) ** j if i == j else 0
-            assert orthogonality_sum(i, j, params, table) == expected
+            assert sums[j] == expected
+
+
+@pytest.mark.parametrize("bad", [-1, 11, True], ids=["negative", "N+1", "bool"])
+def test_orthogonality_row_rejects_bad_index(bad):
+    table = build_table(Params.from_p(10, Fraction(1, 2)))
+    with pytest.raises(DomainError):
+        orthogonality_row(bad, table)
+
+
+def test_criterion_1_names_a_corrupted_cell(monkeypatch):
+    # K_7(3) at N=25 off by one unit of the scaled row: every identity that
+    # reads the cell must report it, and every pair of row 7 and column 7
+    # (51 of the 26 x 26 orthogonality matrix) must be compared and fail.
+    def corrupted_row(n, params):
+        row = exact_row(n, params)
+        if params.N == 25 and n == 7:
+            row = row[:3] + (row[3] + 1,) + row[4:]
+        return row
+
+    monkeypatch.setattr(exact_core, "exact_row", corrupted_row)
+    failures, _ = accuracy.CRITERIA[1][1](DEFAULT_CONFIG, accuracy.TOLERANCES)
+    pairs = sorted({(7, j) for j in range(26)} | {(i, 7) for i in range(26)})
+    assert len(pairs) == 51
+    assert failures == [
+        "N=25: recurrence!=sum at (n=7,x=3)",
+        *(f"N=25: orthogonality fails at (i={i},j={j})" for i, j in pairs),
+        "N=25: symmetry fails at (n=7,x=3)",
+    ]
 
 
 # --- symmetry ----------------------------------------------------------------
