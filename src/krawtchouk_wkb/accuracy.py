@@ -18,6 +18,7 @@ from .exact_core import (
     ExactTable,
     Params,
     check_index,
+    check_indices,
     krawtchouk_sum,
     lemma3_value,
     orthogonality_row,
@@ -29,6 +30,7 @@ from .state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     ScaledPoint,
+    branch_roots,
     classify_row,
     corner_coords,
     row_terms,
@@ -40,6 +42,7 @@ from .wkb_core import k_pm, l_pm, lambda_pm, plog, psi_pm
 __all__ = [
     "window_env_log",
     "norm_err",
+    "norm_err_row",
     "formula_gap",
     "FigureSpec",
     "FIGURES",
@@ -62,28 +65,37 @@ def window_env_log(table: ExactTable, n: int, x: int) -> float:
     return table.row_envelope(n)[x]
 
 
-def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int,
-             exact: Optional[Tuple[int, float]] = None) -> float:
+def norm_err_row(avs: Sequence[ApproxValue], table: ExactTable, n: int,
+                 xs: Sequence[int]) -> List[float]:
+    """:func:`norm_err` at each (x, n), x in xs, with avs[i] the value at xs[i];
+    the row's envelope, logs and scaled integers are read once."""
+    check_indices("x", xs, table.params.N)
+    envs, logs, nums = table.row_envelope(n), table.row_logs(n), table.scaled_row(n)
+    out = []
+    for av, x in zip(avs, xs):
+        env_log, num, el = envs[x], nums[x], logs[x]
+        if env_log == -math.inf:
+            out.append(math.nan)
+            continue
+        exact_scaled = ((num > 0) - (num < 0)) * math.exp(el - env_log) if el > -math.inf else 0.0
+        try:
+            approx_scaled = (0.0 if av.ln_scale == -math.inf
+                             else math.copysign(1.0, av.value) * math.exp(av.ln_scale - env_log))
+        except OverflowError:
+            approx_scaled = math.inf  # beyond double range, so the metric is inf
+        out.append(abs(approx_scaled - exact_scaled))
+    return out
+
+
+def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int) -> float:
     """|approx - exact| / windowed envelope, computed overflow-free.
 
     Both values are rescaled by the envelope's log before subtracting, so the
     metric is exact even when |K| is far outside double range.  An
-    approximation too large to rescale into double range gives ``inf``.
-    ``exact`` is ``table.signed_log(n, x)`` when the caller has read it.
+    approximation too large to rescale into double range gives ``inf``, and
+    a window of exact zeros ``nan``.  The one-point case of :func:`norm_err_row`.
     """
-    env_log = window_env_log(table, n, x)
-    if env_log == -math.inf:
-        return math.nan
-    es, el = table.signed_log(n, x) if exact is None else exact
-    exact_scaled = es * math.exp(el - env_log) if el > -math.inf else 0.0
-    if av.ln_scale == -math.inf:
-        approx_scaled = 0.0
-    else:
-        try:
-            approx_scaled = math.copysign(1.0, av.value) * math.exp(av.ln_scale - env_log)
-        except OverflowError:
-            return math.inf
-    return abs(approx_scaled - exact_scaled)
+    return norm_err_row([av], table, n, [x])[0]
 
 
 def formula_gap(a: ApproxValue, b: ApproxValue, table: ExactTable, n: int, x: int) -> float:
@@ -141,8 +153,7 @@ def figure_sweep(spec: FigureSpec, cfg: ClassifierConfig) -> Tuple[float, int, i
     row = range(0, spec.N + 1)
     xs = [x for x, rid in zip(row, classify_row(spec.n, row, params, cfg)) if rid.tag == spec.tag]
     worst, worst_x = 0.0, -1
-    for x, av in zip(xs, approx_row(spec.n, xs, params, cfg)):
-        err = norm_err(av, table, spec.n, x)
+    for x, err in zip(xs, norm_err_row(approx_row(spec.n, xs, params, cfg), table, spec.n, xs)):
         if err > worst or math.isnan(err):  # a NaN error stays the worst
             worst, worst_x = err, x
     return worst, worst_x, len(xs)
@@ -387,10 +398,9 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         y = (i + 0.5) / grid
         for j in range(grid):
             z = (j + 0.5) / grid
-            pt = ScaledPoint(y, z)
             b = p - y + z * (q - p)
             c = p * q * (1.0 - z)
-            for root in u_pm(pt, params, rows[j]):
+            for root in branch_roots(y, z, params, rows[j]):  # u_pm's solver, given the row
                 res = abs(z * root * root + b * root + c)
                 scale = max(abs(z * root * root), abs(b * root), abs(c))
                 worst_res = max(worst_res, res / scale)

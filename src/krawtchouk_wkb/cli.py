@@ -21,11 +21,10 @@ import math
 import sys
 from dataclasses import fields, replace
 from decimal import Decimal, localcontext
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 from . import __version__
-from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err, run_criterion
+from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
 from .exact_core import DomainError, ExactTable, Params
 from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, classify_row, corner_coords
@@ -72,27 +71,23 @@ def _int_range(text: str) -> Tuple[int, int]:
     return lo, hi
 
 
-def render_fraction(value: Fraction, digits: int) -> str:
-    """Decimal string of an exact rational at `digits` significant digits.
+def render_ratio(num: int, den: int, digits: int) -> str:
+    """Decimal string of the exact rational num/den (den > 0) at `digits`
+    significant digits.
 
     Finite decimals shorter than the budget render exactly (so input decimal
     strings round-trip unchanged); everything else is correctly rounded.
+    The fraction need not be in lowest terms: the quotient is the same.
     """
-    if value == 0:
-        return "0"
-    if value.denominator == 1 and len(str(abs(value.numerator))) <= digits:
-        return str(value.numerator)
+    if num % den == 0 and len(str(abs(num // den))) <= digits:
+        return str(num // den)
     with localcontext() as ctx:
         ctx.prec = digits
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
+        dec = Decimal(num) / Decimal(den)
     text = str(dec)
     if "E" not in text and "." in text:
         text = text.rstrip("0").rstrip(".")
     return text or "0"
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
 
 
 def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
@@ -119,17 +114,15 @@ def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
         if key in cfg_types:
-            try:
-                overrides[key] = cfg_types[key](text)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
+            into, kind = overrides, cfg_types[key]
         elif key in TOLERANCES:
-            try:
-                tolerances[key] = float(text)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
+            into, kind = tolerances, float
         else:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            into[key] = kind(text)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
     try:
         cfg = replace(DEFAULT_CONFIG, **overrides)
     except (TypeError, ValueError) as exc:
@@ -141,16 +134,9 @@ def _config_meta(cfg: ClassifierConfig) -> str:
     return ";".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(ClassifierConfig))
 
 
-def _write_csv(
-    out_path: Optional[str],
-    meta: Sequence[Tuple[str, str]],
-    header: Sequence[str],
-    rows: Iterable[Sequence[str]],
-) -> None:
-    lines = [f"# {key}={value}" for key, value in meta]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write_csv(out_path: Optional[str], meta: Sequence[Tuple[str, str]],
+               header: Sequence[str], lines: Sequence[str]) -> None:
+    text = "\n".join([*(f"# {key}={value}" for key, value in meta), ",".join(header), *lines, ""])
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -160,22 +146,14 @@ def _write_csv(
 
 def _resolve_grid(args: argparse.Namespace, N: int) -> Tuple[List[int], List[int]]:
     """n and x lists from --n/--n-range/--x/--x-range, default full grid."""
-    if getattr(args, "n", None) is not None:
-        ns = [args.n]
-    elif getattr(args, "n_range", None) is not None:
-        ns = list(range(args.n_range[0], args.n_range[1] + 1))
-    else:
-        ns = list(range(0, N + 1))
-    if getattr(args, "x", None) is not None:
-        xs = [args.x]
-    elif getattr(args, "x_range", None) is not None:
-        xs = list(range(args.x_range[0], args.x_range[1] + 1))
-    else:
-        xs = list(range(0, N + 1))
-    for name, values in (("n", ns), ("x", xs)):
-        if values[0] < 0 or values[-1] > N:
-            raise CliError(f"{name} range [{values[0]}, {values[-1]}] outside [0, {N}]")
-    return ns, xs
+    grid = []
+    for name in ("n", "x"):
+        one = getattr(args, name, None)
+        lo, hi = (one, one) if one is not None else getattr(args, f"{name}_range", None) or (0, N)
+        if lo < 0 or hi > N:
+            raise CliError(f"{name} range [{lo}, {hi}] outside [0, {N}]")
+        grid.append(list(range(lo, hi + 1)))
+    return grid[0], grid[1]
 
 
 def _base_meta(command: str, params: Params, q: str, digits: int) -> List[Tuple[str, str]]:
@@ -185,8 +163,8 @@ def _base_meta(command: str, params: Params, q: str, digits: int) -> List[Tuple[
         ("command", command),
         ("N", str(params.N)),
         ("q", q),
-        ("p", render_fraction(params.p, digits)),
-        ("eps", render_fraction(Fraction(1, params.N), digits)),
+        ("p", render_ratio(params.p.numerator, params.p.denominator, digits)),
+        ("eps", render_ratio(1, params.N, digits)),
     ]
 
 
@@ -199,13 +177,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     ns, xs = _resolve_grid(args, params.N)
     table = ExactTable(params)
-    rows = []
+    lines = []
     for n in ns:
-        for x in xs:
-            rows.append([str(x), str(n), str(params.N), render_fraction(table.value(n, x), args.digits)])
+        nums, den = table.scaled_row(n), params.denom**n
+        lines.extend(f"{x},{n},{params.N},{render_ratio(nums[x], den, args.digits)}" for x in xs)
     meta = _base_meta("eval", params, args.q, args.digits)
     meta.append(("digits", str(args.digits)))
-    _write_csv(args.out, meta, ["x", "n", "N", "exact"], rows)
+    _write_csv(args.out, meta, ["x", "n", "N", "exact"], lines)
     return 0
 
 
@@ -214,19 +192,17 @@ _COMPARE_HEADER = [
     "approx_sign", "approx_ln_mag", "norm_err", "im_residue",
 ]
 
+#: One data line of compare: a single %-format per line is measurably
+#: faster than an f-string, or a join, of the eleven fields.
+_COMPARE_LINE = "%d,%d,%d,%s,%d,%d,%.12g,%d,%.12g,%.9e,%.3e"
 
-def _compare_rows(
-    params: Params,
-    table: ExactTable,
-    ns: Sequence[int],
-    xs: Sequence[int],
-    cfg: ClassifierConfig,
-    force_tag: Optional[str],
-) -> List[List[str]]:
-    rows: List[List[str]] = []
+
+def _compare_rows(params: Params, table: ExactTable, ns: Sequence[int], xs: Sequence[int],
+                  cfg: ClassifierConfig, force_tag: Optional[str]) -> List[str]:
+    lines: List[str] = []
     # Forced-formula skips per exception class: [count, first x, first n, message].
     skipped: Dict[str, list] = {}
-    N, sxs = str(params.N), [str(x) for x in xs]
+    N = params.N
     for n in ns:
         if force_tag is None:
             avs: List[Optional[ApproxValue]] = approx_row(n, xs, params, cfg)
@@ -238,24 +214,26 @@ def _compare_rows(
                 except (DomainError, SingularityError) as exc:
                     skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
                     avs.append(None)
-        sn = str(n)
-        for x, sx, av in zip(xs, sxs, avs):
-            exact = es, el = table.signed_log(n, x)
+        live = [(x, av) for x, av in zip(xs, avs) if av is not None]
+        errs = iter(norm_err_row([av for _, av in live], table, n, [x for x, _ in live]))
+        nums, logs = table.scaled_row(n), table.row_logs(n)
+        for x, av in zip(xs, avs):
+            num = nums[x]
+            es = (num > 0) - (num < 0)
             if av is None:
-                rows.append([sx, sn, N, force_tag, "0", str(es), _fmt(el), "", "", "", ""])
+                lines.append("%d,%d,%d,%s,0,%d,%.12g,,,," % (x, n, N, force_tag, es, logs[x]))
                 continue
-            asign = 0 if av.ln_scale == -math.inf else int(math.copysign(1.0, av.value))
-            rows.append([
-                sx, sn, N, av.region.tag, str(int(av.region.mirrored)), str(es), _fmt(el), str(asign),
-                _fmt(av.ln_scale), f"{norm_err(av, table, n, x, exact):.9e}", f"{av.im_residue:.3e}",
-            ])
+            value, im_residue, rid, ln_scale = av
+            asign = 0 if ln_scale == -math.inf else int(math.copysign(1.0, value))
+            lines.append(_COMPARE_LINE % (x, n, N, rid.tag, rid.mirrored, es, logs[x], asign,
+                                          ln_scale, next(errs), im_residue))
     for name, (count, x, n, message) in skipped.items():
         print(
             f"compare --region {force_tag}: skipped {count} of {len(ns) * len(xs)} points "
             f"on {name}, first at (x, n) = ({x}, {n}): {message}",
             file=sys.stderr,
         )
-    return rows
+    return lines
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -263,26 +241,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ns, xs = _resolve_grid(args, params.N)
     cfg = args.cfg
     table = ExactTable(params)
-    rows = _compare_rows(params, table, ns, xs, cfg, args.region)
+    lines = _compare_rows(params, table, ns, xs, cfg, args.region)
     meta = _base_meta("compare", params, args.q, args.digits)
     meta.append(("config", _config_meta(cfg)))
     if args.region:
         meta.append(("region_override", args.region))
-    _write_csv(args.out, meta, _COMPARE_HEADER, rows)
+    _write_csv(args.out, meta, _COMPARE_HEADER, lines)
     return 0
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     cfg = args.cfg
-    rows = []
+    lines = []
     xs = range(0, params.N + 1)
     for n in xs:
-        sn = str(n)
-        rows.extend([str(x), sn, rid.label] for x, rid in zip(xs, classify_row(n, xs, params, cfg)))
+        lines.extend(f"{x},{n},{rid.label}" for x, rid in zip(xs, classify_row(n, xs, params, cfg)))
     meta = _base_meta("regions", params, args.q, 17)
     meta.append(("config", _config_meta(cfg)))
-    _write_csv(args.out, meta, ["x", "n", "region"], rows)
+    _write_csv(args.out, meta, ["x", "n", "region"], lines)
     return 0
 
 
@@ -293,7 +270,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     params = Params.from_q(spec.N, spec.q)
     cfg = args.cfg
     table = ExactTable(params)
-    rows = _compare_rows(params, table, [spec.n], list(range(0, spec.N + 1)), cfg, None)
+    lines = _compare_rows(params, table, [spec.n], list(range(0, spec.N + 1)), cfg, None)
     meta = _base_meta("figures", params, spec.q, args.digits)
     meta.insert(3, ("figure", str(spec.fig_id)))
     meta.append(("n", str(spec.n)))
@@ -302,7 +279,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if spec.fig_id == 8:
         u = corner_coords(0, spec.n, params).u
         meta.append(("u", f"{u:.6f}"))
-    _write_csv(args.out, meta, _COMPARE_HEADER, rows)
+    _write_csv(args.out, meta, _COMPARE_HEADER, lines)
     return 0
 
 
@@ -404,10 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             args.cfg, args.tolerances = DEFAULT_CONFIG, {}
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, SingularityError, ValueError) as exc:
+    except (CliError, DomainError, SingularityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,6 +20,7 @@ RationalLike = Union[int, str, Fraction]
 __all__ = [
     "DomainError",
     "check_index",
+    "check_indices",
     "Params",
     "ExactTable",
     "krawtchouk_sum",
@@ -57,6 +58,13 @@ def check_index(name: str, value: int, upper: int) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if not 0 <= value <= upper:
         raise DomainError(f"{name}={value} outside [0, {upper}]")
+
+
+def check_indices(name: str, values, upper: int) -> None:
+    """:func:`check_index` for each value: a non-integer first, then the range."""
+    bad = [v for v in values if not isinstance(v, int) or isinstance(v, bool)]
+    for v in bad[:1] or ([min(values), max(values)] if values else []):
+        check_index(name, v, upper)
 
 
 @dataclass(frozen=True)

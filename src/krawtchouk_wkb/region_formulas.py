@@ -14,13 +14,15 @@ exactly instead of to rounding, and makes im_residue exactly zero on the
 purely real evaluation paths.  Non-integer inputs keep the full complex phase
 and report its leaked imaginary part.
 
-One dispatcher turns a region into an :class:`ApproxValue`: a real
-approximation to the polynomial value at one grid point, together with an
-imaginary-residue diagnostic, the region it came from, and the log-magnitude
-for overflow-free reporting.  It applies the mirror symmetry (evaluate at
-(N-x, n) with the roles of p and q swapped, multiply by (-1)^n) to mirrored
+One dispatcher turns kernel values into :class:`ApproxValue` records: a
+real approximation to the polynomial value at one grid point, together with
+an imaginary-residue diagnostic, the region it came from, and the
+log-magnitude for overflow-free reporting.  It applies the mirror symmetry
+(evaluate at (N-x, n) with p and q swapped, multiply by (-1)^n) to mirrored
 regions, so the classifier's mirrored points and a forced IV take one path.
-:func:`approx_row` classifies a row of points and evaluates each, with the
+The branch kernels (III and IV, VII, X) take a run of a row's points and
+draw them from one branch-log loop; the other kernels take one point.
+:func:`approx_row` evaluates a row a run of one label at a time, with the
 row's z-only terms solved once; it is total on the grid, z = p included, and
 :func:`approx` is its one-point case.  :func:`evaluate_region` forces one
 region's formula.
@@ -31,7 +33,9 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
-from typing import List, NamedTuple, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exact_core import DomainError, Params, check_index
 from .special_fns import airy_ai, airy_bi, hermite, lambda_j, pcf_d
@@ -39,12 +43,11 @@ from .state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     RegionId,
-    ScaledPoint,
     classify_row,
     corner_coords,
     row_terms,
 )
-from .wkb_core import SingularityError, k_pm_log, lambda_pm, phi0, strip_coeffs
+from .wkb_core import SingularityError, k_pm_logs, lambda_pm, phi0, strip_coeffs
 
 __all__ = ["ApproxValue", "approx", "approx_row", "evaluate_region"]
 
@@ -139,10 +142,7 @@ def _finalize(m: complex, s: float, region: RegionId) -> ApproxValue:
     else:
         ln_scale = s + math.log(abs(re))
         value = _signed_exp(re, ln_scale)
-    if im == 0.0:
-        im_residue = 0.0
-    else:
-        im_residue = abs(_signed_exp(1.0, s + math.log(abs(im))))
+    im_residue = 0.0 if im == 0.0 else abs(_signed_exp(1.0, s + math.log(abs(im))))
     return ApproxValue(value, im_residue, region, ln_scale)
 
 
@@ -185,25 +185,31 @@ def k2(n: int, eta: float, params: Params) -> _Scaled:
     return complex(math.copysign(1.0, H), 0.0), s
 
 
-def k3(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
+def _branch_logs(branch: str, ys: Sequence[float], params: Params, row: _Row,
+                 lo: float, hi: float, where: str) -> Iterator[Tuple[float, _Scaled]]:
+    """(y, scale-split branch contribution) along ys on ``row``; each y is
+    refused, before its contribution is solved, unless lo < y < hi."""
+    logs = k_pm_logs(branch, ys, row.z, params, row.terms)
+    for y in ys:
+        if not lo < y < hi:
+            raise DomainError(f"point (y={y!r}, z={row.z!r}) is not {where}")
+        yield y, _from_log(next(logs))
+
+
+def k3(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
     """Lower-left exterior (III): the minus branch alone, alternating like (-1)^n.
 
     Its reflection is IV, right of the upper curve up to z = q.  Above those
     heights the exterior is the interference wedge: VII on the left, and by
     the mirror VII* on the right.
     """
-    if not 0.0 < pt.z < params.pf:
+    if not 0.0 < row.z < params.pf:
         raise DomainError(
             "single-branch exterior formula requires 0 < z < p (z < q for IV, "
-            f"its reflection), got z={pt.z!r}"
+            f"its reflection), got z={row.z!r}"
         )
-    terms = row.terms
-    if pt.y >= terms.ym:
-        raise DomainError(
-            f"point (y={pt.y!r}, z={pt.z!r}) is not left of the lower turning "
-            "curve (for IV: right of the upper one, on the reflected grid)"
-        )
-    return _from_log(k_pm_log("-", pt, params, terms))
+    where = "left of the lower turning curve (for IV: right of the upper one, on the reflected grid)"
+    return [ms for _, ms in _branch_logs("-", ys, params, row, -math.inf, row.terms.ym, where)]
 
 
 def k5(x: float, z: float, params: Params) -> _Scaled:
@@ -258,7 +264,7 @@ def k6(x: float, u: float, params: Params) -> _Scaled:
     return m, s
 
 
-def k7(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
+def k7(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
     """Upper-left exterior: two-branch interference form.
 
     value = Re{ (w + 1)/2 * K+ + (w - 1) * K- } with w = exp(2*pi*i*y/eps).
@@ -266,21 +272,19 @@ def k7(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
     K+ alone; the minus branch is then not evaluated at all (it is singular
     at y = 0).
     """
-    if pt.z <= params.pf:
-        raise DomainError(f"interference formula requires z > p, got z={pt.z!r}")
-    terms = row.terms
-    if pt.y >= terms.ym:
-        raise DomainError(
-            f"point (y={pt.y!r}, z={pt.z!r}) is not left of the lower turning curve"
-        )
-    w = _phase_factor(2.0 * pt.y * params.N)
-    mp, sp = _from_log(k_pm_log("+", pt, params, terms))
-    parts = [(0.5 * (w + 1.0) * mp, sp)]
-    cm = w - 1.0
-    if cm != 0.0:
-        mm, sm = _from_log(k_pm_log("-", pt, params, terms))
-        parts.append((cm * mm, sm))
-    return _sum_scaled(parts)
+    if row.z <= params.pf:
+        raise DomainError(f"interference formula requires z > p, got z={row.z!r}")
+    out = []
+    for y, (mp, sp) in _branch_logs("+", ys, params, row, -math.inf, row.terms.ym,
+                                    "left of the lower turning curve"):
+        w = _phase_factor(2.0 * y * params.N)
+        parts = [(0.5 * (w + 1.0) * mp, sp)]
+        cm = w - 1.0
+        if cm != 0.0:
+            mm, sm = _from_log(next(k_pm_logs("-", (y,), row.z, params, row.terms)))
+            parts.append((cm * mm, sm))
+        out.append(_sum_scaled(parts))
+    return out
 
 
 def k8(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
@@ -336,7 +340,7 @@ def k9(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
     return m, s
 
 
-def k10(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
+def k10(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
     """Oscillatory interior: sum of the two conjugate branches, 2 Re K+.
 
     Inside the ellipse the branch roots are exact complex conjugates, so
@@ -344,12 +348,8 @@ def k10(pt: ScaledPoint, params: Params, row: _Row) -> _Scaled:
     sum is formed from the plus branch alone.
     """
     terms = row.terms
-    if not terms.ym < pt.y < terms.yp:
-        raise DomainError(
-            f"point (y={pt.y!r}, z={pt.z!r}) is not between the turning curves"
-        )
-    m, s = _from_log(k_pm_log("+", pt, params, terms))
-    return complex(2.0 * m.real, 0.0), s
+    return [(complex(2.0 * m.real, 0.0), s) for _, (m, s)
+            in _branch_logs("+", ys, params, row, terms.ym, terms.yp, "between the turning curves")]
 
 
 def k11(j: int, y: float, params: Params) -> _Scaled:
@@ -430,8 +430,35 @@ class _Row:
     strip = cached_property(lambda self: strip_coeffs(self.z, self.params))
 
 
-def _evaluate(rid: RegionId, x: int, n: int, row: _Row) -> ApproxValue:
-    """The value of region ``rid``'s formula at (x, n), labelled ``rid``.
+def _layer(tag: str, x: int, n: int, row: _Row) -> _Scaled:
+    """The kernel of a layer region, or of a strip, at one checked grid point."""
+    params, z = row.params, row.z
+    if tag == "I":
+        return k1(n, x * params.eps, params)
+    if tag == "II":
+        return k2(n, corner_coords(x, n, params).eta, params)
+    if tag == "V":
+        return k5(float(x), z, params)
+    if tag == "VI":
+        return k6(float(x), corner_coords(x, n, params).u, params)
+    if tag == "VIII":
+        return k8(corner_coords(x, n, params).beta, z, params, row)
+    if tag == "IX":
+        return k9(corner_coords(x, n, params).beta, z, params, row)
+    if tag == "XI":
+        return k11(params.N - n, x * params.eps, params)
+    cc = corner_coords(x, n, params)
+    return k12(cc.j, cc.xi, params)
+
+
+#: The branch regions' kernels, each of which evaluates a run of a row at once.
+_BRANCH_KERNELS = {"III": k3, "IV": k3, "VII": k7, "X": k10}
+
+
+def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: _Row) -> List[ApproxValue]:
+    """The value of region ``rid``'s formula at each (x, n), x in xs, labelled
+    ``rid``; the indices are already checked, and a failing point raises
+    before any later one is evaluated.
 
     A mirrored region is evaluated at (N - x, n) on ``row``, which then
     carries p and q exchanged, and its sign multiplied by (-1)^n; IV is
@@ -439,34 +466,12 @@ def _evaluate(rid: RegionId, x: int, n: int, row: _Row) -> ApproxValue:
     """
     params, tag = row.params, rid.tag
     if rid.mirrored:
-        x = params.N - x
-    pt = ScaledPoint.from_indices(x, n, params)
-    if tag == "X":
-        m, s = k10(pt, params, row)
-    elif tag == "I":
-        m, s = k1(n, pt.y, params)
-    elif tag == "II":
-        m, s = k2(n, corner_coords(x, n, params).eta, params)
-    elif tag in ("III", "IV"):
-        m, s = k3(pt, params, row)
-    elif tag == "V":
-        m, s = k5(float(x), pt.z, params)
-    elif tag == "VI":
-        m, s = k6(float(x), corner_coords(x, n, params).u, params)
-    elif tag == "VII":
-        m, s = k7(pt, params, row)
-    elif tag == "VIII":
-        m, s = k8(corner_coords(x, n, params).beta, pt.z, params, row)
-    elif tag == "IX":
-        m, s = k9(corner_coords(x, n, params).beta, pt.z, params, row)
-    elif tag == "XI":
-        m, s = k11(params.N - n, pt.y, params)
-    else:
-        cc = corner_coords(x, n, params)
-        m, s = k12(cc.j, cc.xi, params)
-    if rid.mirrored and n % 2:
-        m = -m
-    return _finalize(m, s, rid)
+        xs = [params.N - x for x in xs]
+    kernel = _BRANCH_KERNELS.get(tag)
+    pairs = ([_layer(tag, x, n, row) for x in xs] if kernel is None
+             else kernel([x * params.eps for x in xs], params, row))
+    flip = rid.mirrored and n % 2
+    return [_finalize(-m if flip else m, s, rid) for m, s in pairs]
 
 
 def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
@@ -480,18 +485,21 @@ def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
     rid = RegionId(tag, mirrored=tag == "IV")
     check_index("x", x, params.N)
     check_index("n", n, params.N)
-    return _evaluate(rid, x, n, _Row(n * params.eps, params.swapped() if rid.mirrored else params))
+    return _evaluate(rid, [x], n, _Row(n * params.eps, params.swapped() if rid.mirrored else params))[0]
 
 
 def approx_row(n: int, xs: Sequence[int], params: Params,
                cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[ApproxValue]:
     """Classify each point (x, n), x in xs, and evaluate the matching formula,
-    labelled with the classifier's region; the row's z-only terms are solved
-    once per orientation, on first need."""
+    labelled with the classifier's region.  Each run of points with one label
+    is evaluated at once, and the row's z-only terms are solved once per
+    orientation, on first need; the first failing point in xs order raises."""
     z = n * params.eps
     rows = (_Row(z, params), _Row(z, params.swapped()))
-    return [_evaluate(rid, x, n, rows[rid.mirrored])
-            for x, rid in zip(xs, classify_row(n, xs, params, cfg))]
+    out: List[ApproxValue] = []
+    for rid, run in groupby(zip(xs, classify_row(n, xs, params, cfg)), itemgetter(1)):
+        out += _evaluate(rid, [x for x, _ in run], n, rows[rid.mirrored])
+    return out
 
 
 def approx(x: int, n: int, params: Params,

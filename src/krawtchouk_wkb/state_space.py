@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
-from .exact_core import DomainError, Params, check_index
+from .exact_core import DomainError, Params, check_index, check_indices
 
 __all__ = [
     "ScaledPoint",
@@ -39,6 +39,7 @@ __all__ = [
     "y_pm",
     "ellipse_residual",
     "u_pm",
+    "branch_roots",
     "RowTerms",
     "row_terms",
     "classify",
@@ -201,17 +202,20 @@ def u_pm(pt: ScaledPoint, params: Params, row: Optional[RowTerms] = None) -> Tup
 
     Real with U^- <= U^+ outside the ellipse, complex conjugates (U^+ in the
     upper half plane) inside it, and both equal to ±u0(z) on the turning
-    curves y = Y^±(z).  The smaller-magnitude root is computed from the root
-    product pq(1-z)/z to avoid cancellation.  ``row`` is
-    ``row_terms(pt.z, params)`` when the caller already has it.
+    curves y = Y^±(z).  ``row`` is ``row_terms(pt.z, params)`` when the
+    caller already has it.
     """
-    y, z = pt.y, pt.z
     if row is None:
-        if not 0.0 < z <= 1.0:
-            raise DomainError(f"u_pm requires 0 < z <= 1, got z={z!r}")
-        row = row_terms(z, params)
-    b = params.pf - y + row.zqp
-    c = row.c
+        if not 0.0 < pt.z <= 1.0:
+            raise DomainError(f"u_pm requires 0 < z <= 1, got z={pt.z!r}")
+        row = row_terms(pt.z, params)
+    return branch_roots(pt.y, pt.z, params, row)
+
+
+def branch_roots(y: float, z: float, params: Params, row: RowTerms) -> Tuple[complex, complex]:
+    """:func:`u_pm` at (y, z) from row z's terms, unchecked (the row path); the
+    smaller-magnitude root comes from the root product pq(1-z)/z."""
+    b, c = params.pf - y + row.zqp, row.c
     disc = b * b - row.disc_c
     # A discriminant at rounding level means the point sits on a turning
     # curve to within double precision; split roots there would carry a
@@ -220,8 +224,7 @@ def u_pm(pt: ScaledPoint, params: Params, row: Optional[RowTerms] = None) -> Tup
         r = -b / (2.0 * z)
         return complex(r, 0.0), complex(r, 0.0)
     if disc < 0.0:
-        re = -b / (2.0 * z)
-        im = math.sqrt(-disc) / (2.0 * z)
+        re, im = -b / (2.0 * z), math.sqrt(-disc) / (2.0 * z)
         return complex(re, -im), complex(re, im)
     s = math.sqrt(disc)
     if b >= 0.0:
@@ -290,10 +293,7 @@ def classify_row(n: int, xs: Sequence[int], params: Params,
     row's x-independent terms are solved once, the mirror's on first need.
     """
     check_index("n", n, params.N)
-    # One range test for the row, once any non-integer has been refused.
-    bad = [x for x in xs if not isinstance(x, int) or isinstance(x, bool)]
-    for x in bad[:1] or ([min(xs), max(xs)] if xs else []):
-        check_index("x", x, params.N)
+    check_indices("x", xs, params.N)
     tag_of, mirror_of = _row_tests(n, params, cfg), None
     out = []
     for x in xs:

@@ -4,8 +4,8 @@ Each branch contributes K = sqrt(eps/(2*pi)) * exp(psi/eps) * L, where the
 phase psi and the amplitude L are algebraic functions of the branch root U.
 All logarithms and square roots take principal branches with negative reals
 mapped to +i*pi, which fixes every sign convention downstream; exp(psi/eps)
-is only ever formed in log-space (``k_pm_log``) because its real part grows
-like N.
+is only ever formed in log-space (``k_pm_log``, and ``k_pm_logs`` for the
+points of a row) because its real part grows like N.
 
 The remaining operations are the turning-strip ingredients and the
 left-edge phase ``phi0``.  ``strip_coeffs`` solves u0 and Y^-(z) once and
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .exact_core import DomainError, Params
 from .special_fns import RangeError
-from .state_space import RowTerms, ScaledPoint, row_terms, u0, u_pm, y_pm
+from .state_space import RowTerms, ScaledPoint, branch_roots, row_terms, u0, y_pm
 
 __all__ = [
     "SingularityError",
@@ -33,6 +33,7 @@ __all__ = [
     "l_pm",
     "k_pm",
     "k_pm_log",
+    "k_pm_logs",
     "StripCoeffs",
     "strip_coeffs",
     "lambda_pm",
@@ -72,46 +73,48 @@ def psqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def _guarded_root(branch: str, pt: ScaledPoint, params: Params,
-                  row: Optional[RowTerms] = None) -> Tuple[complex, float]:
-    """The branch root U and u0(z)^2, solved once, refused near coalescence."""
-    if not 0.0 < pt.z < 1.0:
-        raise SingularityError(f"branch quantities are singular at z={pt.z!r}")
+def _branch_terms(branch: str, ys: Iterable[float], z: float, params: Params,
+                  row: Optional[RowTerms] = None) -> Iterator[Tuple[complex, complex]]:
+    """(psi, L) of one branch at each y of ys on row z, lazily: the loop of
+    :func:`k_pm_logs`, whose contract it keeps."""
+    if not 0.0 < z < 1.0:
+        raise SingularityError(f"branch quantities are singular at z={z!r}")
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    row = row or row_terms(pt.z, params)
-    um, up = u_pm(pt, params, row)
-    U = up if branch == "+" else um
-    r2 = row.r2
-    if abs(U * U - r2) < _COALESCENCE_RTOL * r2:
-        raise SingularityError(
-            f"branches coalesce near (y={pt.y!r}, z={pt.z!r}); "
-            "use the turning-strip formulas there"
-        )
-    return U, r2
-
-
-def _psi(U: complex, pt: ScaledPoint, params: Params) -> complex:
-    p, q = params.pf, params.qf
-    y, z = pt.y, pt.z
-    return (z - 1.0) * plog(U) + (1.0 - y) * plog(U - p) + y * plog(U + q)
-
-
-def _amp(U: complex, r2: float, pt: ScaledPoint, params: Params) -> complex:
-    p, q = params.pf, params.qf
-    return psqrt((U - p) * (U + q) / (pt.z * (U * U - r2)))
+    row = row or row_terms(z, params)
+    plus, p, q, r2 = branch == "+", params.pf, params.qf, row.r2
+    for y in ys:
+        U = branch_roots(y, z, params, row)[plus]
+        gap = U * U - r2
+        if abs(gap) < _COALESCENCE_RTOL * r2:
+            raise SingularityError(f"branches coalesce near (y={y!r}, z={z!r}); "
+                                   "use the turning-strip formulas there")
+        Ump, Upq = U - p, U + q
+        yield (z - 1.0) * plog(U) + (1.0 - y) * plog(Ump) + y * plog(Upq), psqrt(Ump * Upq / (z * gap))
 
 
 def psi_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
     """Branch phase psi = ln[U^{z-1} (U-p)^{1-y} (U+q)^y], principal branches."""
-    U, _ = _guarded_root(branch, pt, params)
-    return _psi(U, pt, params)
+    return next(_branch_terms(branch, (pt.y,), pt.z, params))[0]
 
 
 def l_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
     """Branch amplitude L = sqrt[(U-p)(U+q) / (z * (U^2 - u0^2))]."""
-    U, r2 = _guarded_root(branch, pt, params)
-    return _amp(U, r2, pt, params)
+    return next(_branch_terms(branch, (pt.y,), pt.z, params))[1]
+
+
+def k_pm_logs(branch: str, ys: Iterable[float], z: float, params: Params,
+              row: Optional[RowTerms] = None) -> Iterator[complex]:
+    """:func:`k_pm_log` at each y of ys on row z, lazily and in order.
+
+    The row is checked when the first value is drawn, and each point's root
+    is solved and guarded when its value is, so a caller that tests each
+    point before drawing its value sees the errors in point order.  ``row``
+    is ``row_terms(z, params)``, solved once if None; so is the prefactor.
+    """
+    half_log_pref = 0.5 * (math.log(params.eps) - math.log(2.0 * math.pi))
+    N = params.N
+    return (half_log_pref + psi * N + plog(amp) for psi, amp in _branch_terms(branch, ys, z, params, row))
 
 
 def k_pm_log(branch: str, pt: ScaledPoint, params: Params, row: Optional[RowTerms] = None) -> complex:
@@ -119,12 +122,9 @@ def k_pm_log(branch: str, pt: ScaledPoint, params: Params, row: Optional[RowTerm
 
     The real part is ln|K| and the imaginary part the accumulated phase (not
     reduced mod 2*pi).  psi/eps is computed as psi*N, which is exact in the
-    scaling.  The branch root is solved once for both psi and L, from the
-    z-only terms ``row`` (``row_terms(pt.z, params)``, solved here if None).
+    scaling.  The one-point case of :func:`k_pm_logs`.
     """
-    U, r2 = _guarded_root(branch, pt, params, row)
-    half_log_pref = 0.5 * (math.log(params.eps) - math.log(2.0 * math.pi))
-    return half_log_pref + _psi(U, pt, params) * params.N + plog(_amp(U, r2, pt, params))
+    return next(k_pm_logs(branch, (pt.y,), pt.z, params, row))
 
 
 def k_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:

@@ -1,19 +1,27 @@
 """End-to-end tests of the command-line surface: CSV contracts, exit codes,
 config handling, and the acceptance-check entry point."""
 
+import contextlib
+import hashlib
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from krawtchouk_wkb.cli import load_config, main, render_fraction
+from krawtchouk_wkb.cli import load_config, main, render_ratio
 from krawtchouk_wkb.exact_core import Params, krawtchouk_sum, signed_log
 from krawtchouk_wkb.region_formulas import evaluate_region
 from fractions import Fraction
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +251,36 @@ class TestCompare:
         assert code == 0
         assert out.encode("utf-8") == golden.read_bytes()
 
+    @pytest.mark.parametrize("q, region", [
+        ("0.74894783", "X"), ("0.74894783", "VII"), ("0.34894783", "III"),
+    ])
+    def test_forced_branch_golden_byte_for_byte(self, capsys, q, region):
+        # The three branch-log regions forced over the whole N=24 grid, with
+        # the skip lines on stderr: X refuses 244 points, the first in y_pm
+        # at z = 0; VII refuses points both on DomainError and, on the top
+        # row, on SingularityError.  The files pin each region's values, its
+        # domain, and which error each refused point raises first.
+        stem = f"compare_N24_q{q}_{region}"
+        code, out, err = run_cli(capsys, "compare", "--N", "24", "--q", q, "--region", region)
+        assert code == 0
+        assert out.encode("utf-8") == (DATA / f"{stem}.csv").read_bytes()
+        assert err.encode("utf-8") == (DATA / f"{stem}.err").read_bytes()
+
+    @pytest.mark.parametrize("q, digest", [
+        ("0.34894783", "c2f8c8551075825e16ebe708215bb7a121a357ed71a93fa252be2c725f8c1894"),
+        ("0.64894783", "1c9ffc72a24c51e84ee679a1796cf4dd6e63ce24378558e5b06f52635009e984"),
+        ("0.74894783", "88649154d7a5996fb0955a7a68ddc30bc5c1d86b0ec6a98f99199122b0c60850"),
+    ])
+    def test_full_grid_bytes_are_pinned(self, q, digest):
+        # The SHA-256 of the whole N=100 grid's output, recorded before the
+        # branch regions were evaluated a row at a time: every one of the
+        # 10,201 lines must keep its bytes.  full_grid_errors.csv pins only
+        # the error quantiles per region.
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["compare", "--N", "100", "--q", q]) == 0
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
     def test_full_grid_never_loads_mpmath(self):
         # A fresh interpreter: mpmath is only imported by the special
         # functions the grid never reaches.
@@ -438,20 +476,70 @@ class TestCheck:
 # ---------------------------------------------------------------------------
 
 
+def ref_render_fraction(value, digits):
+    """The renderer as it was when it took a Fraction, kept verbatim."""
+    if value == 0:
+        return "0"
+    if value.denominator == 1 and len(str(abs(value.numerator))) <= digits:
+        return str(value.numerator)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        dec = Decimal(value.numerator) / Decimal(value.denominator)
+    text = str(dec)
+    if "E" not in text and "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text or "0"
+
+
+def rendered(value: Fraction, digits: int) -> str:
+    return render_ratio(value.numerator, value.denominator, digits)
+
+
+@st.composite
+def ratios(draw):
+    """(num, den, digits): integers, short exact decimals, repeating decimals
+    and values past the digit budget, with den not in lowest terms."""
+    kind = draw(st.sampled_from(["integer", "decimal", "any", "huge"]))
+    if kind == "integer":
+        num, den = draw(st.integers(-10**40, 10**40)), 1
+    elif kind == "decimal":
+        num = draw(st.integers(-10**12, 10**12))
+        den = 2 ** draw(st.integers(0, 20)) * 5 ** draw(st.integers(0, 20))
+    elif kind == "any":
+        num, den = draw(st.integers(-10**30, 10**30)), draw(st.integers(1, 10**15))
+    else:
+        num = draw(st.integers(-10**80, 10**80)) * 10 ** draw(st.integers(0, 40))
+        den = draw(st.integers(1, 10**6))
+    k = draw(st.integers(1, 10**6))
+    return num * k, den * k, draw(st.integers(1, 40))
+
+
 class TestRendering:
     def test_exact_decimal_round_trip(self):
-        assert render_fraction(Fraction("0.74894783"), 30) == "0.74894783"
-        assert render_fraction(Fraction("0.25105217"), 30) == "0.25105217"
+        assert rendered(Fraction("0.74894783"), 30) == "0.74894783"
+        assert rendered(Fraction("0.25105217"), 30) == "0.25105217"
 
     def test_integers_render_without_point(self):
-        assert render_fraction(Fraction(252), 30) == "252"
-        assert render_fraction(Fraction(-1), 30) == "-1"
-        assert render_fraction(Fraction(0), 30) == "0"
+        assert rendered(Fraction(252), 30) == "252"
+        assert rendered(Fraction(-1), 30) == "-1"
+        assert rendered(Fraction(0), 30) == "0"
 
     def test_repeating_decimal_is_correctly_rounded(self):
-        assert render_fraction(Fraction(1, 3), 5) == "0.33333"
-        assert render_fraction(Fraction(2, 3), 5) == "0.66667"
+        assert rendered(Fraction(1, 3), 5) == "0.33333"
+        assert rendered(Fraction(2, 3), 5) == "0.66667"
 
     def test_huge_values_use_scientific_notation(self):
-        text = render_fraction(Fraction(10) ** 45 + 1, 10)
+        text = rendered(Fraction(10) ** 45 + 1, 10)
         assert "E" in text or "e" in text
+
+    @given(case=ratios())
+    @example(case=(0, 7, 3))
+    @example(case=(10**45 * 7, 7, 10))  # an exact integer past the budget
+    @example(case=(30, 4, 30))  # 7.5, unreduced
+    @example(case=(-123456789, 1000, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_unreduced_ratio_renders_as_its_fraction(self, case):
+        # eval renders each cell from the row's integer and denom**n without
+        # reducing them; the quotient, and so its text, must be the same.
+        num, den, digits = case
+        assert render_ratio(num, den, digits) == ref_render_fraction(Fraction(num, den), digits)

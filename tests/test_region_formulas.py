@@ -327,7 +327,7 @@ class TestUpperStrip:
 class TestOscillatoryInterior:
     def test_rejects_exterior_points(self):
         with pytest.raises(DomainError):
-            k10(ScaledPoint(0.01, 0.10), P100_74, _Row(0.10, P100_74))
+            k10([0.01], P100_74, _Row(0.10, P100_74))
 
     @staticmethod
     def _two_branch_k10(pt: ScaledPoint, params: Params):
@@ -352,7 +352,7 @@ class TestOscillatoryInterior:
         if rid.mirrored:
             x, params = N - x, params.swapped()
         pt = ScaledPoint.from_indices(x, n, params)
-        got = finalized(k10(pt, params, _Row(pt.z, params)), "X")
+        got = finalized(k10([pt.y], params, _Row(pt.z, params))[0], "X")
         old = self._two_branch_k10(pt, params)
         assert (repr(got.value), repr(got.ln_scale), repr(got.im_residue)) == (
             repr(old.value), repr(old.ln_scale), repr(old.im_residue)
@@ -360,7 +360,7 @@ class TestOscillatoryInterior:
 
     def test_plus_branch_alone_off_the_grid(self):
         for y, z in ((0.347, 0.503), (0.61, 0.42), (0.2, 0.35)):
-            got = finalized(k10(ScaledPoint(y, z), P100_64, _Row(z, P100_64)), "X")
+            got = finalized(k10([y], P100_64, _Row(z, P100_64))[0], "X")
             old = self._two_branch_k10(ScaledPoint(y, z), P100_64)
             assert got == old
 
@@ -369,7 +369,7 @@ class TestOscillatoryInterior:
             av = evaluate_region("X", x, n, P100_64)
             assert av.im_residue <= 1e-8 * abs(av.value)
         # off-grid points do not phase-snap; cancellation is to rounding only
-        av = finalized(k10(ScaledPoint(0.347, 0.503), P100_64, _Row(0.503, P100_64)), "X")
+        av = finalized(k10([0.347], P100_64, _Row(0.503, P100_64))[0], "X")
         assert av.im_residue <= 1e-8 * abs(av.value)
 
     @staticmethod
@@ -407,7 +407,7 @@ class TestOscillatoryInterior:
         worst = 0.0
         for x in range(math.ceil(center - 0.9 * half), math.floor(center + 0.9 * half) + 1):
             pt = ScaledPoint.from_indices(x, n, params)
-            av = finalized(k10(pt, params, _Row(pt.z, params)), "X")
+            av = finalized(k10([pt.y], params, _Row(pt.z, params))[0], "X")
             eta = (x - center) / half
             profile = TestOscillatoryInterior._cosine_profile(n, eta, params)
             env = max(

@@ -1,12 +1,16 @@
 """The row path against the per-point code it replaced.
 
-``classify_row``, ``approx_row`` and the per-row envelope solve each row's
-x-independent terms once.  The references below are the per-point versions
-they replaced, kept verbatim: the classifier test that solved every z-only
-term at each point, the plus/minus branch log that re-solved the branch
-quadratic's z-only terms, u0(z)^2 and the log prefactor at each point, and
-the envelope read as a slice of the row's logs.  Both sides must agree to
-the last bit.
+``classify_row``, ``approx_row`` and ``norm_err_row`` work a row at a time:
+the classifier solves each row's x-independent terms once, the branch
+regions draw each run of points from one ``k_pm_logs`` loop, and the metric
+reads the row's envelope, logs and integers once.  The references below are
+the per-point versions they replaced, kept verbatim: the classifier test
+that solved every z-only term at each point, the plus/minus branch log that
+re-solved the branch quadratic's z-only terms, u0(z)^2 and the log
+prefactor at each point, and the metric that sliced each point's envelope
+from the row's logs and read its exact value on its own.  Both sides must
+agree to the last bit, and a failing row must fail at the same point with
+the same message.
 """
 
 import math
@@ -16,13 +20,15 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krawtchouk_wkb import accuracy, region_formulas
+from krawtchouk_wkb import region_formulas
+from krawtchouk_wkb.accuracy import norm_err_row
 from krawtchouk_wkb.exact_core import ExactTable, Params, check_index
 from krawtchouk_wkb.region_formulas import approx, approx_row
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     RegionId,
+    ScaledPoint,
     classify_row,
     u0,
     y_pm,
@@ -113,12 +119,34 @@ def ref_k_pm_log(branch, pt, params, row=None):
     return half_log_pref + psi * params.N + plog(amp)
 
 
+def ref_k_pm_logs(branch, ys, z, params, row=None):
+    """The row form driven by the per-point reference, one point per draw."""
+    return (ref_k_pm_log(branch, ScaledPoint(y, z), params) for y in ys)
+
+
 def ref_window_env_log(table, n, x):
     """Per-point envelope: the clipped window sliced from the row's logs."""
     N = table.params.N
     check_index("x", x, N)
     lo, hi = max(0, x - 5), min(N, x + 5)
     return max(table.row_logs(n)[lo:hi + 1])
+
+
+def ref_norm_err(av, table, n, x):
+    """Per-point metric: the envelope and the exact value read at the point."""
+    env_log = ref_window_env_log(table, n, x)
+    if env_log == -math.inf:
+        return math.nan
+    es, el = table.signed_log(n, x)
+    exact_scaled = es * math.exp(el - env_log) if el > -math.inf else 0.0
+    if av.ln_scale == -math.inf:
+        approx_scaled = 0.0
+    else:
+        try:
+            approx_scaled = math.copysign(1.0, av.value) * math.exp(av.ln_scale - env_log)
+        except OverflowError:
+            return math.inf
+    return abs(approx_scaled - exact_scaled)
 
 
 def outcome(thunk):
@@ -154,13 +182,27 @@ def row_cases(draw):
 
 FULL_200 = list(range(201))
 ZERO_WIDTHS = ClassifierConfig(0, 0, 0, 0.0, 0.0)
+P_HALF = Fraction(1, 2)
 
 
 @given(case=row_cases())
 @example(case=(200, Fraction("0.35105217"), 100, FULL_200, DEFAULT_CONFIG))  # X, X*, IV*, IX* ...
 @example(case=(200, Fraction("0.35105217"), 197, FULL_200, DEFAULT_CONFIG))  # top row: XI, XI*, XII
-@example(case=(100, Fraction(1, 2), 50, list(range(101)), DEFAULT_CONFIG))  # the row z = p
+@example(case=(100, P_HALF, 50, list(range(101)), DEFAULT_CONFIG))  # the row z = p
 @example(case=(120, Fraction(2, 7), 90, [119, 3, 60, 60, 0], ZERO_WIDTHS))
+# Real negative roots: U, U - p and U + q are negative reals, whose logs
+# lie on the cut that plog puts at +i*pi; III and IV* (minus branch), VII
+# and VII* (plus branch).
+@example(case=(200, Fraction("0.35105217"), 7, FULL_200, DEFAULT_CONFIG))
+@example(case=(200, Fraction("0.35105217"), 182, FULL_200, DEFAULT_CONFIG))
+# Grid points exactly on a turning curve at p = 1/2: the discriminant
+# collapses to rounding level, the roots to the double root, and the
+# coalescence guard refuses the point.  With zero widths the classifier
+# routes them to X (x = 1 of row 2 at N = 10), III (x = 1 of row 18 at
+# N = 50) and VII (x = 1 of row 32), so each row fails there.
+@example(case=(10, P_HALF, 2, list(range(11)), ZERO_WIDTHS))
+@example(case=(50, P_HALF, 18, list(range(51)), ZERO_WIDTHS))
+@example(case=(50, P_HALF, 32, list(range(51)), ZERO_WIDTHS))
 @settings(max_examples=60, deadline=None)
 def test_row_path_matches_per_point_references(case):
     N, p, n, xs, cfg = case
@@ -169,18 +211,17 @@ def test_row_path_matches_per_point_references(case):
 
     table = ExactTable(params)
     got = outcome(lambda: approx_row(n, xs, params, cfg))
-    if isinstance(got, list):  # the exact value read once, as compare reads it
-        got = [(av, accuracy.norm_err(av, table, n, x, table.signed_log(n, x))) for x, av in zip(xs, got)]
+    if isinstance(got, list):  # the metric read a row at a time, as compare reads it
+        got = list(zip(got, norm_err_row(got, table, n, xs)))
 
     ref_table = ExactTable(params)
     with mock.patch.object(region_formulas, "classify_row", ref_classify_row), \
-            mock.patch.object(region_formulas, "k_pm_log", ref_k_pm_log), \
-            mock.patch.object(accuracy, "window_env_log", ref_window_env_log):
+            mock.patch.object(region_formulas, "k_pm_logs", ref_k_pm_logs):
         want = [outcome(lambda: approx(x, n, params, cfg)) for x in xs]
-        failures = [w for w in want if isinstance(w, str)]
-        if failures:
-            want = failures[0]  # the row path stops at the first failing point
-        else:
-            want = [(av, accuracy.norm_err(av, ref_table, n, x)) for x, av in zip(xs, want)]
+    failures = [w for w in want if isinstance(w, str)]
+    if failures:
+        want = failures[0]  # the row path stops at the first failing point
+    else:
+        want = [(av, ref_norm_err(av, ref_table, n, x)) for x, av in zip(xs, want)]
     # repr is exact for floats and tells nan, inf and -0.0 apart
     assert repr(got) == repr(want)
