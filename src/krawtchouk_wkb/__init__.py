@@ -36,7 +36,6 @@ from .wkb_core import (
     k_pm,
     k_pm_log,
     l_pm,
-    lambda_pm,
     phi0,
     psi_pm,
     strip_coeffs,
@@ -76,7 +75,6 @@ __all__ = [
     "k_pm",
     "k_pm_log",
     "l_pm",
-    "lambda_pm",
     "phi0",
     "psi_pm",
     "strip_coeffs",

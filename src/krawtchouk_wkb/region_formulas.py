@@ -7,12 +7,15 @@ sums of exponentially mismatched terms and values beyond double range are
 handled uniformly.  Region IV has no kernel of its own: it is III on the
 reflected grid.
 
-Phases of the form exp(i*pi*t) are snapped to +-1 (and cos/sin factors to
-exact 0/+-1) whenever t is within 1e-9 of an integer, which is the case for
+Phases of the form exp(i*pi*t) are snapped to +-1 (and cos factors to
+exact +-1) whenever t is within 1e-9 of an integer, which is the case for
 every integer grid point; this makes the integer-x algebraic identities hold
 exactly instead of to rounding, and makes im_residue exactly zero on the
-purely real evaluation paths.  Non-integer inputs keep the full complex phase
-and report its leaked imaginary part.
+purely real evaluation paths.  The paper writes V, VII, IX and XII for
+continuous x, each with a second term (a sin(pi*x) factor, a winding factor
+w - 1 or a weight lambda_-) that is exactly 0 at integer x; the kernels keep
+only the term that survives on the grid, which is all the dispatcher
+evaluates.
 
 One dispatcher turns kernel values into :class:`ApproxValue` records: a
 real approximation to the polynomial value at one grid point, together with
@@ -38,7 +41,7 @@ from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exact_core import DomainError, Params, check_index
-from .special_fns import airy_ai, airy_bi, hermite, lambda_j, pcf_d
+from .special_fns import airy_ai, hermite, pcf_d
 from .state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
@@ -47,12 +50,12 @@ from .state_space import (
     corner_coords,
     row_terms,
 )
-from .wkb_core import SingularityError, k_pm_logs, lambda_pm, phi0, strip_coeffs
+from .wkb_core import SingularityError, k_pm_logs, phi0, strip_coeffs
 
 __all__ = ["ApproxValue", "approx", "approx_row", "evaluate_region"]
 
-#: Distance from an integer (or half-integer) below which trigonometric
-#: factors of pi*t are snapped to their exact values.
+#: Distance from an integer below which trigonometric factors of pi*t are
+#: snapped to their exact values.
 _SNAP = 1e-9
 
 #: exp() arguments beyond these act as overflow/underflow in doubles.
@@ -80,25 +83,11 @@ class ApproxValue(NamedTuple):
 
 
 def _cospi(t: float) -> float:
-    """cos(pi*t) with integer and half-integer arguments made exact."""
+    """cos(pi*t) with integer arguments made exact."""
     r = round(t)
     if abs(t - r) < _SNAP:
         return 1.0 if r % 2 == 0 else -1.0
-    k = math.floor(t)
-    if abs(t - k - 0.5) < _SNAP:
-        return 0.0
     return math.cos(math.pi * t)
-
-
-def _sinpi(t: float) -> float:
-    """sin(pi*t) with integer and half-integer arguments made exact."""
-    r = round(t)
-    if abs(t - r) < _SNAP:
-        return 0.0
-    k = math.floor(t)
-    if abs(t - k - 0.5) < _SNAP:
-        return 1.0 if k % 2 == 0 else -1.0
-    return math.sin(math.pi * t)
 
 
 def _phase_factor(t: float) -> complex:
@@ -213,33 +202,25 @@ def k3(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
 
 
 def k5(x: float, z: float, params: Params) -> _Scaled:
-    """Left edge above the crossover, small x: explicit two-term form.
+    """Left edge above the crossover, small x: the cos(pi*x) term of the
+    paper's explicit two-term form.
 
-    The second term carries sin(pi*x) and vanishes identically at integer x;
-    Gamma(x+1)*sin(pi*x) keeps it regular at x = 0.
+    The other term carries sin(pi*x), which is exactly 0 at integer x.
     """
     x = _check_real(x, "x")
     z = _check_real(z, "z")
     if x < 0.0:
         raise DomainError(f"x={x} must be nonnegative")
-    p, q = params.pf, params.qf
+    p = params.pf
     if z == p:
         raise SingularityError("z = p is the corner layer; use the corner formula")
     if not p < z < 1.0:
         raise DomainError(f"left-edge formula requires p < z < 1, got z={z!r}")
     N = params.N
-    eps = params.eps
     phase = _phase_factor(z * N)  # alternation factor exp(i*pi*z/eps)
-    s1 = (0.5 * math.log(eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
-          + phi0(z, params).real * N + x * math.log((z - p) / p))
-    terms = [(_cospi(x) * phase, s1)]
-    sn = _sinpi(x)
-    if sn != 0.0:
-        s2 = (math.log(eps / math.pi) + math.lgamma(x + 1.0)
-              + x * math.log(q * eps / (z - p)) - math.log(z - p)
-              + (z - 1.0) * math.log(q) * N)
-        terms.append((-sn * phase, s2))
-    return _sum_scaled(terms)
+    s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
+         + phi0(z, params).real * N + x * math.log((z - p) / p))
+    return _cospi(x) * phase, s
 
 
 def k6(x: float, u: float, params: Params) -> _Scaled:
@@ -265,26 +246,16 @@ def k6(x: float, u: float, params: Params) -> _Scaled:
 
 
 def k7(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
-    """Upper-left exterior: two-branch interference form.
+    """Upper-left exterior: the plus branch K+ of the paper's interference form.
 
-    value = Re{ (w + 1)/2 * K+ + (w - 1) * K- } with w = exp(2*pi*i*y/eps).
-    At integer x, w = 1 exactly and the dominant minus branch cancels, leaving
-    K+ alone; the minus branch is then not evaluated at all (it is singular
-    at y = 0).
+    The paper's value is Re{ (w + 1)/2 * K+ + (w - 1) * K- } with
+    w = exp(2*pi*i*y/eps).  At integer x, w = 1 exactly, so the weight of the
+    dominant minus branch is 0 and K+ is all that remains.
     """
     if row.z <= params.pf:
         raise DomainError(f"interference formula requires z > p, got z={row.z!r}")
-    out = []
-    for y, (mp, sp) in _branch_logs("+", ys, params, row, -math.inf, row.terms.ym,
-                                    "left of the lower turning curve"):
-        w = _phase_factor(2.0 * y * params.N)
-        parts = [(0.5 * (w + 1.0) * mp, sp)]
-        cm = w - 1.0
-        if cm != 0.0:
-            mm, sm = _from_log(next(k_pm_logs("-", (y,), row.z, params, row.terms)))
-            parts.append((cm * mm, sm))
-        out.append(_sum_scaled(parts))
-    return out
+    return [ms for _, ms in _branch_logs("+", ys, params, row, -math.inf, row.terms.ym,
+                                         "left of the lower turning curve")]
 
 
 def k8(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
@@ -310,9 +281,10 @@ def k8(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
 
 
 def k9(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
-    """Upper turning strip (z > p): Airy pair weighted by interference factors.
+    """Upper turning strip (z > p): the 2*Ai term of the paper's Airy pair.
 
-    At integer x the weights collapse to (2, 0) so only the Ai term remains.
+    The paper weights Ai by lambda_+ = w + 1 and i*Bi by lambda_- = w - 1,
+    with w = exp(2*pi*i*x); at integer x, w = 1, so the weights are (2, 0).
     """
     beta = _check_real(beta, "beta")
     z = _check_real(z, "z")
@@ -325,10 +297,7 @@ def k9(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
     c = row.strip  # slope carries -i*pi for z > p
     vt = -c.theta
     arg = vt ** (2.0 / 3.0) * beta
-    lam_p, lam_m = lambda_pm(beta, z, params)
-    bracket = lam_p * airy_ai(arg)
-    if lam_m != 0.0:
-        bracket += 1j * lam_m * airy_bi(arg)
+    bracket = 2.0 * airy_ai(arg)
     if bracket == 0.0:
         return 0j, 0.0
     stretch = params.eps ** (-1.0 / 3.0)
@@ -385,10 +354,11 @@ def k11(j: int, y: float, params: Params) -> _Scaled:
 
 
 def k12(j: int, xi: float, params: Params) -> _Scaled:
-    """Top corner: parabolic-cylinder profile in the corner variable xi.
+    """Top corner: the D_j term of the paper's parabolic-cylinder profile in
+    the corner variable xi.
 
-    The sin factor vanishes identically at integer x (its argument reduces to
-    pi*(N - x) there), so only the D_j term survives on the grid.
+    The paper's other term is Lambda_j times a sin factor whose argument
+    reduces to pi*(N - x) at integer x, so it is exactly 0 on the grid.
     """
     check_index("j", j, params.N)
     xi = _check_real(xi, "xi")
@@ -398,20 +368,11 @@ def k12(j: int, xi: float, params: Params) -> _Scaled:
     t = p * N - root  # trig argument in units of pi; equals N - x on the grid
     s_common = ((p * math.log(p) + q * math.log(q)) * N + root * math.log(q / p)
                 - 0.5 * j * math.log(p * q * params.eps) + 0.5 * xi * xi)
-    terms: List[_Scaled] = []
-    cs = _cospi(t)
-    if cs != 0.0:
-        D = pcf_d(j, math.sqrt(2.0) * xi).real
-        if D != 0.0:
-            sA = s_common + math.log(abs(D)) - math.lgamma(j + 1)
-            terms.append((complex(math.copysign(1.0, D) * cs, 0.0), sA))
-    sn = _sinpi(t)
-    if sn != 0.0:
-        lam = lambda_j(j, xi)
-        if lam != 0.0:
-            sB = s_common + math.log(abs(lam)) - 0.5 * math.log(2.0 * math.pi)
-            terms.append((complex(-math.copysign(1.0, lam) * sn, 0.0), sB))
-    return _sum_scaled(terms)
+    D = pcf_d(j, math.sqrt(2.0) * xi).real
+    if D == 0.0:
+        return 0j, 0.0
+    s = s_common + math.log(abs(D)) - math.lgamma(j + 1)
+    return complex(math.copysign(1.0, D) * _cospi(t), 0.0), s
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,19 @@ floats:
 
 * Hermite polynomials run on their exact integer-coefficient recurrence and
   follow the type of their argument (Fraction in, Fraction out).
-* The Gamma function comes from the standard library.
 * ``airy_ai`` sums a Taylor series re-centred at the nearest integer node
   for |x| <= 8.5, seeded with tabulated Ai and Ai' at the node, and the
   standard asymptotic expansions (DLMF 9.7.5, 9.7.9) beyond.
-* ``pcf_d`` with a nonnegative integer order and a real argument is
-  e^{-z^2/4} He_n(z), with He_n from the probabilists' recurrence in z, so
-  exact zeros such as D_2(1) = 0 stay exact.
+* ``pcf_d`` takes a nonnegative integer order and a real argument only,
+  the corner layers' uses at integer x: e^{-z^2/4} He_n(z), with He_n from
+  the probabilists' recurrence in z, so exact zeros such as D_2(1) = 0 stay
+  exact.
 
-mpmath (30-40 decimal digits, returned as machine floats) remains for what
-the grid never reaches: ``airy_bi`` and ``lambda_j`` (their weights vanish
-at integer x), and ``pcf_d`` at a non-integer or negative order or a complex
-argument (off-grid forced formulas and the special-function checks).  It
-is imported inside those three paths, so it loads on first use and a run
-that stays on the grid never loads it.  Everything here is pure and
-reentrant.
+mpmath (30-40 decimal digits, returned as machine floats) remains for
+``airy_bi`` and ``lambda_j``, which no region formula calls: their terms
+are exactly 0 at integer x.  It is imported inside those two functions, so
+it loads on first use and a run that stays on the grid never loads it.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ __all__ = [
     "NonConvergenceError",
     "ResidueError",
     "hermite",
-    "gamma_real",
     "airy_ai",
     "airy_bi",
     "pcf_d",
@@ -46,8 +43,7 @@ _AIRY_DPS = 30
 _PCF_DPS = 40
 
 # order/argument bounds for the parabolic cylinder function; generous for
-# every in-package use (degrees up to x_small and the corner variables),
-# and wide enough that lambda_j can reach order -(30+1)
+# every in-package use (degrees up to x_small and the corner variables)
 _PCF_NU_MAX = 32.0
 _PCF_Z_MAX = 15.0
 _LAMBDA_J_MAX = 30
@@ -119,16 +115,6 @@ def hermite(n: int, eta):
     for k in range(1, n):
         h_prev, h = h, 2 * eta * h - 2 * k * h_prev
     return h
-
-
-def gamma_real(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"gamma_real needs x > 0, got {x!r}")
-    try:
-        return math.gamma(x)
-    except OverflowError as exc:
-        raise RangeError(f"gamma_real({x}) overflows a double") from exc
 
 
 def airy_ai(x: float) -> float:
@@ -223,37 +209,29 @@ def airy_bi(x: float) -> float:
 
 
 def pcf_d(nu: float, z: Union[float, complex]) -> complex:
-    """Parabolic cylinder function D_nu(z).
+    """Parabolic cylinder function D_n(z) for an integer order 0 <= n <= 32
+    and a real |z| <= 15, which covers every corner-layer use at integer x.
 
-    Supports real order |nu| <= 32 and real or complex |z| <= 15, which
-    covers every corner-layer use in the package.  A nonnegative integer
-    order n with a real argument (a complex z with zero imaginary part
-    included) gives e^{-z^2/4} He_n(z) in floats, He_n from the recurrence
+    It is e^{-z^2/4} He_n(z) in floats, He_n from the recurrence
     He_{k+1} = z He_k - k He_{k-1} in z itself, so exact zeros such as
-    D_2(1) = 0 come out as 0.0.  Every other order or argument goes through
-    mpmath's confluent series; real input then gives a result with a
-    vanishing imaginary component (within 1e-12 relative), and zeroprec
-    lets mpmath return 0 at an exact zero instead of raising.
+    D_2(1) = 0 come out as 0.0.  An integer-valued float order and a complex
+    z with zero imaginary part are accepted; any other order or argument
+    raises RangeError.
     """
+    # The two bound checks come first, so a forced VI or XII far outside its
+    # layer reports the bound it crossed.
     if not -_PCF_NU_MAX <= nu <= _PCF_NU_MAX:
         raise RangeError(f"pcf_d order {nu} outside [-{_PCF_NU_MAX}, {_PCF_NU_MAX}]")
     if abs(z) > _PCF_Z_MAX:
         raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
     zc = complex(z)
-    if nu >= 0 and float(nu).is_integer() and zc.imag == 0.0:
-        t = zc.real
-        he_prev, he = 0.0, 1.0  # He_{-1}, He_0
-        for k in range(int(nu)):
-            he_prev, he = he, t * he - k * he_prev
-        return complex(math.exp(-0.25 * t * t) * he, 0.0)
-    import mpmath as mp
-
-    with mp.workdps(_PCF_DPS):
-        try:
-            value = mp.pcfd(mp.mpf(nu), mp.mpmathify(z), zeroprec=4 * mp.mp.prec)
-        except mp.libmp.NoConvergence as exc:  # pragma: no cover - defensive
-            raise NonConvergenceError(f"pcf_d series did not converge at {z}") from exc
-        return complex(value)
+    if nu < 0 or not float(nu).is_integer() or zc.imag != 0.0:
+        raise RangeError(f"pcf_d needs a nonnegative integer order and a real argument, got D_{nu}({z})")
+    t = zc.real
+    he_prev, he = 0.0, 1.0  # He_{-1}, He_0
+    for k in range(int(nu)):
+        he_prev, he = he, t * he - k * he_prev
+    return complex(math.exp(-0.25 * t * t) * he, 0.0)
 
 
 def lambda_j(j: int, xi: float) -> float:

@@ -11,8 +11,7 @@ The remaining operations are the turning-strip ingredients and the
 left-edge phase ``phi0``.  ``strip_coeffs`` solves u0 and Y^-(z) once and
 returns every z-only coefficient of the Airy expansion across the lower
 turning curve: the curvature theta that scales the Airy argument, the
-phase psi0 and the slope.  ``lambda_pm`` returns both interference weights
-of the upper strip from one winding number.
+phase psi0 and the slope.
 """
 
 from __future__ import annotations
@@ -36,15 +35,11 @@ __all__ = [
     "k_pm_logs",
     "StripCoeffs",
     "strip_coeffs",
-    "lambda_pm",
     "phi0",
 ]
 
 #: Relative half-width of the coalescence guard around the turning curves.
 _COALESCENCE_RTOL = 1e-10
-
-#: Snap tolerance for integer winding numbers in ``lambda_pm``.
-_WINDING_SNAP = 1e-9
 
 
 class SingularityError(ArithmeticError):
@@ -177,23 +172,6 @@ def strip_coeffs(z: float, params: Params) -> StripCoeffs:
     )
     th = math.sqrt(r / z) / ((r + p) * (r - q))
     return StripCoeffs(r, th, psi, plog(r + p) - plog(r - q))
-
-
-def lambda_pm(beta: float, z: float, params: Params) -> Tuple[complex, complex]:
-    """Interference coefficients (w + 1, w - 1), w = exp{2*pi*i*[Y^-(z) - beta*eps^{2/3}]/eps}.
-
-    The winding number [Y^-(z) - beta*eps^{2/3}]/eps equals x when beta was
-    derived from an integer grid point; windings within 1e-9 of an integer
-    are snapped so that the pair is exactly (2, 0).
-    """
-    eps = params.eps
-    winding = (y_pm(z, params)[0] - beta * eps ** (2.0 / 3.0)) / eps
-    nearest = round(winding)
-    if abs(winding - nearest) < _WINDING_SNAP:
-        w = complex(1.0, 0.0)
-    else:
-        w = cmath.exp(complex(0.0, 2.0 * math.pi * winding))
-    return w + 1.0, w - 1.0
 
 
 def phi0(z: float, params: Params) -> complex:

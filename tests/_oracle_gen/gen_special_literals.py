@@ -1,7 +1,8 @@
 """Generate frozen literals for the special-function tests.
 
 Independent routes, deliberately different from the package implementation
-(which delegates to mpmath's airyai/airybi/pcfd):
+(float Ai and integer-order D_n, mpmath's airybi and pcfd for Bi and
+Lambda_j) and from mpmath, which the tests compare the other D_nu with:
 
 * Airy Ai/Bi and their derivatives from the Maclaurin pair
 

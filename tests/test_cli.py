@@ -266,6 +266,18 @@ class TestCompare:
         assert out.encode("utf-8") == (DATA / f"{stem}.csv").read_bytes()
         assert err.encode("utf-8") == (DATA / f"{stem}.err").read_bytes()
 
+    @pytest.mark.parametrize("region", ["V", "XII"])
+    def test_forced_layer_golden_byte_for_byte(self, capsys, region):
+        # The left-edge and top-corner formulas, whose kernels keep only the
+        # term that survives at integer x, forced over the whole N=24 grid:
+        # V refuses the 200 points outside p < z < 1, XII evaluates all 625 and
+        # prints no skip line, so its stderr file is empty.
+        stem = f"compare_N24_q0.74894783_{region}"
+        code, out, err = run_cli(capsys, "compare", "--N", "24", "--q", "0.74894783", "--region", region)
+        assert code == 0
+        assert out.encode("utf-8") == (DATA / f"{stem}.csv").read_bytes()
+        assert err.encode("utf-8") == (DATA / f"{stem}.err").read_bytes()
+
     @pytest.mark.parametrize("q, digest", [
         ("0.34894783", "c2f8c8551075825e16ebe708215bb7a121a357ed71a93fa252be2c725f8c1894"),
         ("0.64894783", "1c9ffc72a24c51e84ee679a1796cf4dd6e63ce24378558e5b06f52635009e984"),

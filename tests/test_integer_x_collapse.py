@@ -1,0 +1,259 @@
+"""The kernels of V, VII, IX and XII against the paper's continuous-x forms.
+
+The paper writes each of these four formulas with a second term that is
+exactly 0 at integer x: V's carries sin(pi*x), VII's the winding factor
+w - 1 of w = exp(2*pi*i*x), IX's the weight lambda_- = w - 1 of its Bi term,
+and XII's a sin factor whose argument is pi*(N - x) on the grid.  The
+package evaluates integer indices only, so its kernels keep the surviving
+term alone.  The two-term forms are kept here as references, written as the
+kernels computed them before the drop:
+
+* at every integer grid point of each formula's domain, in both
+  orientations, the dropped term's weight is exactly 0 and the kernel's
+  value equals the reference's by ``repr``;
+* at half-integer x the dropped term is non-zero, so the references do
+  carry the continuous-x term and the first check is not vacuous.
+"""
+
+import cmath
+import math
+from typing import Callable, NamedTuple, Optional
+
+import pytest
+
+from krawtchouk_wkb.exact_core import DomainError, Params
+from krawtchouk_wkb.region_formulas import _Row, _finalize, _from_log, _sum_scaled, k5, k7, k9, k12
+from krawtchouk_wkb.special_fns import RangeError, airy_ai, airy_bi, lambda_j, pcf_d
+from krawtchouk_wkb.state_space import RegionId, ScaledPoint, corner_coords, y_pm
+from krawtchouk_wkb.wkb_core import SingularityError, k_pm_log, phi0
+
+GRIDS = [(N, q) for N in (20, 100) for q in ("0.34894783", "0.74894783")]
+REFUSED = (DomainError, SingularityError, RangeError)
+SNAP = 1e-9
+
+#: Half-integer points checked per orientation; lambda_j takes about 2 ms.
+HALF_POINTS = 6
+
+
+# ---------------------------------------------------------------------------
+# The two-term references
+# ---------------------------------------------------------------------------
+
+
+def cospi(t):
+    """cos(pi*t), exact at integer and half-integer t."""
+    r = round(t)
+    if abs(t - r) < SNAP:
+        return 1.0 if r % 2 == 0 else -1.0
+    k = math.floor(t)
+    if abs(t - k - 0.5) < SNAP:
+        return 0.0
+    return math.cos(math.pi * t)
+
+
+def sinpi(t):
+    """sin(pi*t), exact at integer and half-integer t."""
+    r = round(t)
+    if abs(t - r) < SNAP:
+        return 0.0
+    k = math.floor(t)
+    if abs(t - k - 0.5) < SNAP:
+        return 1.0 if k % 2 == 0 else -1.0
+    return math.sin(math.pi * t)
+
+
+def phase(t):
+    """exp(i*pi*t), exactly +-1 at integer t."""
+    r = round(t)
+    if abs(t - r) < SNAP:
+        return complex(1.0 if r % 2 == 0 else -1.0, 0.0)
+    return cmath.exp(complex(0.0, math.pi * t))
+
+
+class Full(NamedTuple):
+    """A two-term value: the scale-split total, the weight of the term the
+    kernel drops, and that term's scale-split value (None at weight 0)."""
+
+    total: tuple
+    weight: complex
+    dropped: Optional[tuple]
+
+
+def ref_k5(x, z, params):
+    p, q, N, eps = params.pf, params.qf, params.N, params.eps
+    ph = phase(z * N)
+    s1 = (0.5 * math.log(eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
+          + phi0(z, params).real * N + x * math.log((z - p) / p))
+    terms = [(cospi(x) * ph, s1)]
+    sn = sinpi(x)
+    dropped = None
+    if sn != 0.0:
+        s2 = (math.log(eps / math.pi) + math.lgamma(x + 1.0)
+              + x * math.log(q * eps / (z - p)) - math.log(z - p)
+              + (z - 1.0) * math.log(q) * N)
+        dropped = (-sn * ph, s2)
+        terms.append(dropped)
+    return Full(_sum_scaled(terms), sn, dropped)
+
+
+def ref_k7(y, params, row):
+    """Re{(w + 1)/2 K+ + (w - 1) K-}, w = exp(2*pi*i*y/eps); K- is drawn only
+    at a non-zero weight, as it is singular at y = 0."""
+    mp, sp = _from_log(k_pm_log("+", ScaledPoint(y, row.z), params, row.terms))
+    w = phase(2.0 * y * params.N)
+    terms = [(0.5 * (w + 1.0) * mp, sp)]
+    cm = w - 1.0
+    dropped = None
+    if cm != 0.0:
+        mm, sm = _from_log(k_pm_log("-", ScaledPoint(y, row.z), params, row.terms))
+        dropped = (cm * mm, sm)
+        terms.append(dropped)
+    return Full(_sum_scaled(terms), cm, dropped)
+
+
+def lambda_pm(beta, z, params):
+    """(w + 1, w - 1) with w = exp(2*pi*i*winding), the winding snapped to an
+    integer within 1e-9."""
+    eps = params.eps
+    winding = (y_pm(z, params)[0] - beta * eps ** (2.0 / 3.0)) / eps
+    if abs(winding - round(winding)) < SNAP:
+        w = complex(1.0, 0.0)
+    else:
+        w = cmath.exp(complex(0.0, 2.0 * math.pi * winding))
+    return w + 1.0, w - 1.0
+
+
+def ref_k9(beta, z, params, row):
+    N, c = params.N, row.strip
+    vt = -c.theta
+    arg = vt ** (2.0 / 3.0) * beta
+    lam_p, lam_m = lambda_pm(beta, z, params)
+    bracket = lam_p * airy_ai(arg)
+    bi_term = None
+    if lam_m != 0.0:
+        bi_term = 1j * lam_m * airy_bi(arg)
+        bracket += bi_term
+    stretch = params.eps ** (-1.0 / 3.0)
+    s = (math.log(params.eps) / 3.0 + c.psi0.real * N + c.slope.real * beta * stretch
+         + math.log(0.5) - math.log(vt) / 3.0 - 0.5 * math.log(z * c.u0))
+    ph = phase((c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi)
+    total = (0j, 0.0) if bracket == 0.0 else (ph * bracket, s)
+    return Full(total, lam_m, None if bi_term is None else (ph * bi_term, s))
+
+
+def ref_k12(j, xi, params):
+    p, q, N = params.pf, params.qf, params.N
+    root = xi * math.sqrt(2.0 * p * q * N)
+    t = p * N - root
+    s_common = ((p * math.log(p) + q * math.log(q)) * N + root * math.log(q / p)
+                - 0.5 * j * math.log(p * q * params.eps) + 0.5 * xi * xi)
+    terms = []
+    cs = cospi(t)
+    if cs != 0.0:
+        D = pcf_d(j, math.sqrt(2.0) * xi).real
+        if D != 0.0:
+            terms.append((complex(math.copysign(1.0, D) * cs, 0.0),
+                          s_common + math.log(abs(D)) - math.lgamma(j + 1)))
+    sn = sinpi(t)
+    dropped = None
+    if sn != 0.0:
+        dropped = (0j, 0.0)
+        lam = lambda_j(j, xi)
+        if lam != 0.0:
+            dropped = (complex(-math.copysign(1.0, lam) * sn, 0.0),
+                       s_common + math.log(abs(lam)) - 0.5 * math.log(2.0 * math.pi))
+            terms.append(dropped)
+    return Full(_sum_scaled(terms), sn, dropped)
+
+
+# ---------------------------------------------------------------------------
+# The kernel and the reference at one point
+# ---------------------------------------------------------------------------
+
+
+class Case(NamedTuple):
+    kernel: Callable
+    reference: Callable
+
+
+def strip_beta(x, z, params):
+    """beta = (Y^-(z) - y) / eps^(2/3) at a real x; corner_coords' beta at integer x."""
+    return (y_pm(z, params)[0] - x * params.eps) / params.eps ** (2.0 / 3.0)
+
+
+def corner_xi(x, params):
+    """xi = (y - q) / sqrt(2 p q eps) at a real x; corner_coords' xi at integer x."""
+    return (x * params.eps - params.qf) / math.sqrt(2.0 * params.pf * params.qf * params.eps)
+
+
+def case(tag, x, n, params, row):
+    """The tag's (kernel, reference) at (x, n), with the kernel's arguments
+    formed as the dispatcher forms them; x may be a half-integer."""
+    z, on_grid = row.z, float(x).is_integer()
+    if tag == "V":
+        return Case(lambda: k5(float(x), z, params), lambda: ref_k5(float(x), z, params))
+    if tag == "VII":
+        y = x * params.eps
+        return Case(lambda: k7([y], params, row)[0], lambda: ref_k7(y, params, row))
+    if tag == "IX":
+        beta = corner_coords(x, n, params).beta if on_grid else strip_beta(x, z, params)
+        return Case(lambda: k9(beta, z, params, row), lambda: ref_k9(beta, z, params, row))
+    xi = corner_coords(x, n, params).xi if on_grid else corner_xi(x, params)
+    j = params.N - n
+    return Case(lambda: k12(j, xi, params), lambda: ref_k12(j, xi, params))
+
+
+def orientations(N, q):
+    params = Params.from_q(N, q)
+    return (params, params.swapped())
+
+
+# ---------------------------------------------------------------------------
+# Tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N, q", GRIDS)
+@pytest.mark.parametrize("tag", ["V", "VII", "IX", "XII"])
+def test_dropped_term_is_zero_and_kernel_equals_reference_on_grid(tag, N, q):
+    rid = RegionId(tag)
+    evaluated = 0
+    for params in orientations(N, q):
+        for n in range(N + 1):
+            row = _Row(n * params.eps, params)
+            for x in range(N + 1):
+                kr = case(tag, x, n, params, row)
+                try:
+                    got = kr.kernel()
+                except REFUSED:
+                    continue
+                ref = kr.reference()
+                assert ref.weight == 0.0 and ref.dropped is None, (x, n)
+                assert repr(_finalize(*got, rid)) == repr(_finalize(*ref.total, rid)), (x, n)
+                evaluated += 1
+    assert evaluated > 0
+
+
+@pytest.mark.parametrize("N, q", GRIDS)
+@pytest.mark.parametrize("tag", ["V", "VII", "IX", "XII"])
+def test_dropped_term_is_nonzero_at_half_integer_x(tag, N, q):
+    # Midway between two grid points the kernel accepts, where the
+    # reference's special functions are in range (airy_bi and lambda_j
+    # refuse large arguments and orders).
+    for params in orientations(N, q):
+        checked = 0
+        for n in range(N + 1):
+            row = _Row(n * params.eps, params)
+            for x in range(N):
+                if checked == HALF_POINTS:
+                    break
+                try:
+                    for end in (x, x + 1):
+                        case(tag, end, n, params, row).kernel()
+                    ref = case(tag, x + 0.5, n, params, row).reference()
+                except REFUSED:
+                    continue
+                assert ref.weight != 0.0, (x, n)
+                assert ref.dropped is not None and ref.dropped[0] != 0.0, (x, n)
+                checked += 1
+        assert checked > 0

@@ -24,7 +24,6 @@ from krawtchouk_wkb.wkb_core import (
     k_pm,
     k_pm_log,
     l_pm,
-    lambda_pm,
     phi0,
     plog,
     psi_pm,
@@ -477,28 +476,6 @@ class TestStripCoeffsReference:
         ref = _reference_strip_coeffs(z, P)
         for field in StripCoeffs._fields:
             assert repr(getattr(got, field)) == repr(getattr(ref, field)), field
-
-
-class TestInterference:
-    def test_integer_snap(self):
-        # beta built from an integer grid point gives exactly 2 and 0.
-        from krawtchouk_wkb.state_space import corner_coords
-
-        P = params_for(50, "0.74894783")
-        beta = corner_coords(9, 40, P).beta
-        z = 40 * P.eps
-        lp, lm = lambda_pm(beta, z, P)
-        assert lp == 2.0 + 0j
-        assert lm == 0j
-
-    @given(q=q_strategy, beta=st.floats(-2.0, 2.0), z=st.floats(0.05, 0.95))
-    @settings(max_examples=60, deadline=None)
-    def test_difference_is_two(self, q, beta, z):
-        P = Params.from_q(100, q)
-        lp, lm = lambda_pm(beta, z, P)
-        assert (lp - lm) / 2.0 == 1.0 + 0j
-        assert abs(lp) <= 2.0 + 1e-12
-        assert abs(lm) <= 2.0 + 1e-12
 
 
 class TestLeftEdgePhase:
