@@ -25,6 +25,7 @@ from .state_space import (
     classify_row,
     corner_coords,
     ellipse_residual,
+    region_runs,
     u0,
     u_pm,
     y_pm,
@@ -63,6 +64,7 @@ __all__ = [
     "classify_row",
     "corner_coords",
     "ellipse_residual",
+    "region_runs",
     "u0",
     "u_pm",
     "y_pm",

@@ -33,6 +33,7 @@ from .state_space import (
     branch_roots,
     classify_row,
     corner_coords,
+    region_runs,
     row_terms,
     u_pm,
     y_pm,
@@ -338,7 +339,7 @@ def criterion_4(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         # formulas no point is routed to.
         if q not in reachable:
             params = Params.from_q(100, q)
-            reachable[q] = {rid.tag for n in range(101) for rid in classify_row(n, range(101), params, cfg)}
+            reachable[q] = {rid.tag for n in range(101) for _, _, rid in region_runs(n, params, cfg)}
         missing = [tag for tag in (tag_a, tag_b) if tag not in reachable[q]]
         if missing:
             failures.append(f"{name}: region {missing[0]} never assigned by the classifier under this config")

@@ -27,7 +27,7 @@ from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
 from .exact_core import DomainError, ExactTable, Params
 from .region_formulas import ApproxValue, approx_row, evaluate_region
-from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, classify_row, corner_coords
+from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, corner_coords, region_runs
 from .wkb_core import SingularityError
 
 __all__ = ["load_config", "main"]
@@ -252,13 +252,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_regions(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
-    cfg = args.cfg
     lines = []
-    xs = range(0, params.N + 1)
-    for n in xs:
-        lines.extend(f"{x},{n},{rid.label}" for x, rid in zip(xs, classify_row(n, xs, params, cfg)))
+    xs = [str(x) for x in range(params.N + 1)]
+    for n in range(params.N + 1):
+        for start, stop, rid in region_runs(n, params, args.cfg):
+            tail = ",%d,%s" % (n, rid.label)  # one string per run: each x text, then the tail
+            lines.append((tail + "\n").join(xs[start:stop]) + tail)
     meta = _base_meta("regions", params, args.q, 17)
-    meta.append(("config", _config_meta(cfg)))
+    meta.append(("config", _config_meta(args.cfg)))
     _write_csv(args.out, meta, ["x", "n", "region"], lines)
     return 0
 

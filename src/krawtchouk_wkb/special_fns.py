@@ -44,7 +44,7 @@ _PCF_DPS = 40
 
 # order/argument bounds for the parabolic cylinder function; generous for
 # every in-package use (degrees up to x_small and the corner variables)
-_PCF_NU_MAX = 32.0
+_PCF_NU_MAX = 32
 _PCF_Z_MAX = 15.0
 _LAMBDA_J_MAX = 30
 _LAMBDA_XI_MAX = 8.0
@@ -220,12 +220,12 @@ def pcf_d(nu: float, z: Union[float, complex]) -> complex:
     """
     # The two bound checks come first, so a forced VI or XII far outside its
     # layer reports the bound it crossed.
-    if not -_PCF_NU_MAX <= nu <= _PCF_NU_MAX:
-        raise RangeError(f"pcf_d order {nu} outside [-{_PCF_NU_MAX}, {_PCF_NU_MAX}]")
+    if not 0 <= nu <= _PCF_NU_MAX:
+        raise RangeError(f"pcf_d order {nu} outside the integers 0..{_PCF_NU_MAX}")
     if abs(z) > _PCF_Z_MAX:
         raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
     zc = complex(z)
-    if nu < 0 or not float(nu).is_integer() or zc.imag != 0.0:
+    if not float(nu).is_integer() or zc.imag != 0.0:
         raise RangeError(f"pcf_d needs a nonnegative integer order and a real argument, got D_{nu}({z})")
     t = zc.real
     he_prev, he = 0.0, 1.0  # He_{-1}, He_0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
 
 from .exact_core import DomainError, Params, check_index, check_indices
 
@@ -44,6 +44,7 @@ __all__ = [
     "row_terms",
     "classify",
     "classify_row",
+    "region_runs",
     "corner_coords",
 ]
 
@@ -236,21 +237,42 @@ def branch_roots(y: float, z: float, params: Params, row: RowTerms) -> Tuple[com
     return complex(um, 0.0), complex(up, 0.0)
 
 
-def _row_tests(n: int, params: Params, cfg: ClassifierConfig) -> Callable[[int], Optional[str]]:
-    """The region tests of row n, their x-independent terms solved once: a
-    map from x to the tag in this orientation, or None when the point belongs
-    to the reflected half (on or beyond the upper turning strip)."""
+def _first(holds: Callable[[int], bool], guess: float, N: int) -> int:
+    """The first x in 0..N where holds, false then true along a row, is true
+    (N + 1 if none): guess, moved by evaluating holds at its neighbours."""
+    x = min(max(math.floor(guess), 0), N + 1)
+    while x > 0 and holds(x - 1):
+        x -= 1
+    while x <= N and not holds(x):
+        x += 1
+    return x
+
+
+def _band_flips(c: float, w: float, eps: float, N: int) -> Tuple[int, int]:
+    """Where abs(x*eps - c) <= w turns on (x*eps - c >= -w) and off (x*eps - c > w)."""
+    return (_first(lambda x: x * eps - c >= -w, (c - w) * N, N),
+            _first(lambda x: x * eps - c > w, (c + w) * N, N))
+
+
+def _row_tests(n: int, params: Params, cfg: ClassifierConfig,
+               flips: bool = False) -> Union[Callable, Tuple[Callable, Tuple[int, ...]]]:
+    """The region tests of row n, their x-independent terms solved once: a map
+    from x to the tag in this orientation, or None when the point belongs to the
+    reflected half (on or beyond the upper turning strip); with flips, also the x
+    at which each test first flips (y = x*eps and y - c never decrease with x)."""
     N = params.N
     eps, p, q = params.eps, params.pf, params.qf
     z = n * eps
     corner_y = cfg.corner_width * math.sqrt(2.0 * p * q * eps)
     if n <= cfg.n_small:
-        return lambda x: "II" if abs(x * eps - p) <= corner_y else "I"
+        tag = lambda x: "II" if abs(x * eps - p) <= corner_y else "I"
+        return (tag, _band_flips(p, corner_y, eps, N)) if flips else tag
     if N - n <= cfg.j_small:
         # Right of the corner the top rows are XI of the mirror.  The cut
         # x <= qN is exact, so a point and its reflection never both defer.
         xi_cut = math.floor(N * params.q)
-        return lambda x: "XII" if abs(x * eps - q) <= corner_y else "XI" if x <= xi_cut else None
+        tag = lambda x: "XII" if abs(x * eps - q) <= corner_y else "XI" if x <= xi_cut else None
+        return (tag, (xi_cut + 1, *_band_flips(q, corner_y, eps, N))) if flips else tag
     # Small x with z below the corner falls through to the bulk tests: the
     # left edge there belongs to the exponential zone III (or its turning
     # strip VIII), not to a separate layer.
@@ -277,7 +299,10 @@ def _row_tests(n: int, params: Params, cfg: ClassifierConfig) -> Callable[[int],
             return below
         return "X" if y < yp else None
 
-    return tag
+    if not flips:
+        return tag
+    # y < ym and y < yp flip only inside their curves' strips, where an earlier test decides.
+    return tag, (x_small + 1, *_band_flips(ym, strip, eps, N), *_band_flips(yp, strip, eps, N))
 
 
 def classify_row(n: int, xs: Sequence[int], params: Params,
@@ -308,6 +333,27 @@ def classify_row(n: int, xs: Sequence[int], params: Params,
             raise AssertionError("classifier fell through both orientations")
         out.append(_RIDS["IV" if tag == "III" else tag, True])
     return out
+
+
+def region_runs(n: int, params: Params,
+                cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[Tuple[int, int, RegionId]]:
+    """Row n of the map as maximal runs (start, stop, region) covering 0..N in
+    order.  Each test of :func:`classify_row` flips at most once along the row;
+    cut at those flips (and the mirror's where it defers), every test is constant
+    on each stretch, so its first point's region is that of all its points."""
+    check_index("n", n, params.N)
+    N = params.N
+    tag_of, flips = _row_tests(n, params, cfg, flips=True)
+    cuts = {0, *flips}
+    if any(tag_of(x) is None for x in cuts if x <= N):
+        cuts.update(N + 1 - x for x in _row_tests(n, params.swapped(), cfg, flips=True)[1])
+    starts = sorted(x for x in cuts if 0 <= x <= N)
+    runs: List[Tuple[int, int, RegionId]] = []
+    for start, stop, rid in zip(starts, [*starts[1:], N + 1], classify_row(n, starts, params, cfg)):
+        if runs and runs[-1][2] is rid:
+            start = runs.pop()[0]
+        runs.append((start, stop, rid))
+    return runs
 
 
 def classify(x: int, n: int, params: Params, cfg: ClassifierConfig = DEFAULT_CONFIG) -> RegionId:

@@ -338,6 +338,32 @@ class TestRegions:
         assert code == 0
         assert out.encode("utf-8") == golden.read_bytes()
 
+    def test_zero_width_map_byte_for_byte(self, capsys):
+        # Every layer width zero: no corner, edge or strip label, so each row
+        # is cut by the turning curves alone.
+        golden = DATA / "regions_N40_q0.54894783_zero.csv"
+        code, out, _ = run_cli(capsys, "regions", "--N", "40", "--q", "0.54894783",
+                               "--config", str(DATA / "zero_widths.cfg"))
+        assert code == 0
+        assert out.encode("utf-8") == golden.read_bytes()
+
+    @pytest.mark.parametrize("N, q, config, digest", [
+        ("400", "0.54894783", None, "96499ed32849604297c3abe2911c5ff6357a094d32a20ae1a88ff871cf96e3d7"),
+        ("400", "1/2", None, "fdd7290158e847cfb20caab6daade94c15c207bb48ec65861b3436acbfacafc2"),
+        ("100", "0.74894783", "zero_widths.cfg",
+         "58bdac48c847f40829234ba8c5738f21a5674f4b84d75899c16974537547fe32"),
+    ])
+    def test_map_bytes_are_pinned(self, N, q, config, digest):
+        # The SHA-256 of the whole map, recorded while the classifier still
+        # tested every point on its own: each label must keep its bytes.
+        argv = ["regions", "--N", N, "--q", q]
+        if config:
+            argv += ["--config", str(DATA / config)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
     def test_config_overrides_change_the_map(self, capsys, tmp_path):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text("beta_max=0\n")

@@ -219,7 +219,7 @@ class TestLeftEdge:
         # measured 0.13% windowed at (x=0, n=90, N=200)
         assert point_err("V", 0, 90, P200_74) <= 0.02
 
-    def test_edge_sine_term_absent_on_grid(self):
+    def test_edge_value_is_real_at_integer_x(self):
         av = finalized(k5(5.0, 0.5, P100_74), "V")
         assert av.im_residue == 0.0
 
@@ -480,7 +480,7 @@ class TestTopCorner:
             sign, ln_mag = table.signed_log(20, x)
             assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
 
-    def test_sine_term_absent_on_grid(self):
+    def test_corner_value_is_real_at_integer_x(self):
         for x, n in ((15, 18), (16, 19), (17, 20)):
             av = evaluate_region("XII", x, n, P20_74)
             assert av.im_residue == 0.0

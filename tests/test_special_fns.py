@@ -326,8 +326,10 @@ def test_pcf_recurrence_property():
 
 
 def test_pcf_range_errors():
-    with pytest.raises(RangeError):
-        pcf_d(33, 1.0)
+    # The order check names the orders it accepts; negative ones are refused too.
+    for nu in (33, -1):
+        with pytest.raises(RangeError, match=r"outside the integers 0\.\.32$"):
+            pcf_d(nu, 1.0)
     with pytest.raises(RangeError):
         pcf_d(1.0, 16.0)
     with pytest.raises(RangeError):

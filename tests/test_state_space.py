@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krawtchouk_wkb.exact_core import DomainError, Params
@@ -19,6 +19,7 @@ from krawtchouk_wkb.state_space import (
     classify_row,
     corner_coords,
     ellipse_residual,
+    region_runs,
     u0,
     u_pm,
     y_pm,
@@ -329,6 +330,62 @@ class TestClassify:
         off = ClassifierConfig(beta_max=0.0)
         tags = {classify(x, 10, P, off).tag for x in range(25, 43)}
         assert "VIII" not in tags
+
+
+@st.composite
+def map_rows(draw):
+    """(N, n, q): a row of a map with N in [1, 500] and q a rational string."""
+    N = draw(st.integers(1, 500))
+    den = draw(st.integers(2, 1000))
+    return N, draw(st.integers(0, N)), f"{draw(st.integers(1, den - 1))}/{den}"
+
+
+layer_configs = st.builds(
+    ClassifierConfig,
+    n_small=st.integers(0, 6),
+    x_small=st.integers(0, 12),
+    j_small=st.integers(0, 6),
+    corner_width=st.floats(0.0, 6.0),
+    beta_max=st.floats(0.0, 12.0),
+)
+
+ZERO_WIDTHS = ClassifierConfig(n_small=0, x_small=0, j_small=0, corner_width=0.0, beta_max=0.0)
+
+
+class TestRegionRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(row=map_rows(), cfg=layer_configs)
+    # z == p: the strip points of the row are VI, and x_small = 0 exposes them
+    @example(row=(400, 200, "1/2"), cfg=DEFAULT_CONFIG)
+    @example(row=(400, 200, "1/2"), cfg=ClassifierConfig(x_small=0))
+    @example(row=(100, 50, "0.74894783"), cfg=ZERO_WIDTHS)
+    @example(row=(100, 100, "1/2"), cfg=ZERO_WIDTHS)
+    # strips wider than the gap between the turning curves: IX runs into V*
+    @example(row=(100, 95, "0.64894783"), cfg=ClassifierConfig(beta_max=12.0))
+    # a mirror whose left layer is wider than the whole grid
+    @example(row=(3, 1, "1/10"), cfg=ClassifierConfig(n_small=0, x_small=12, j_small=0))
+    # bottom rows: I on both sides of the II corner
+    @example(row=(100, 2, "0.64894783"), cfg=DEFAULT_CONFIG)
+    # top rows: XI, then the XII corner, then XI of the mirror
+    @example(row=(100, 100, "0.54894783"), cfg=DEFAULT_CONFIG)
+    @example(row=(100, 97, "0.54894783"), cfg=DEFAULT_CONFIG)
+    # no XII corner: only the exact cut x <= qN separates XI from XI*
+    @example(row=(10, 8, "7/10"), cfg=ClassifierConfig(corner_width=0.0))
+    def test_runs_expand_to_the_row(self, row, cfg):
+        N, n, q = row
+        P = Params.from_q(N, q)
+        runs = region_runs(n, P, cfg)
+        assert [rid for start, stop, rid in runs for _ in range(start, stop)] == \
+            classify_row(n, range(N + 1), P, cfg)
+        assert runs[0][0] == 0 and runs[-1][1] == N + 1
+        assert all(start < stop for start, stop, _ in runs)
+        for (_, stop, rid), (start, _, next_rid) in zip(runs, runs[1:]):
+            assert stop == start and rid != next_rid
+
+    @pytest.mark.parametrize("n", [-1, 101, 2.0, True])
+    def test_bad_row_refused(self, n):
+        with pytest.raises(DomainError):
+            region_runs(n, params_for(100, "0.64894783"))
 
 
 class TestConfigTypes:
