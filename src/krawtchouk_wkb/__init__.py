@@ -8,11 +8,10 @@ from .exact_core import (
     ExactTable,
     Params,
     build_table,
+    gram_matrix,
     krawtchouk_sum,
     lemma3_value,
-    orthogonality_row,
     symmetry_image,
-    weight,
 )
 from .state_space import (
     DEFAULT_CONFIG,
@@ -51,9 +50,8 @@ __all__ = [
     "build_table",
     "krawtchouk_sum",
     "lemma3_value",
-    "orthogonality_row",
+    "gram_matrix",
     "symmetry_image",
-    "weight",
     "DEFAULT_CONFIG",
     "REGION_TAGS",
     "ClassifierConfig",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact_core import (
@@ -19,10 +18,10 @@ from .exact_core import (
     Params,
     check_index,
     check_indices,
-    krawtchouk_sum,
+    gram_matrix,
     lemma3_value,
-    orthogonality_row,
-    symmetry_image,
+    scaled_sum,
+    scaled_symmetry_image,
 )
 from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .special_fns import airy_ai, hermite, lambda_j, pcf_d
@@ -193,40 +192,40 @@ class CheckResult:
 
 
 def criterion_1(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
-    """Exact-oracle identities in exact rational arithmetic, N in {10, 25, 40}."""
+    """Exact-oracle identities, each an integer equality on denom-scaled values, N in {10, 25, 40}."""
     failures: List[str] = []
     for N in (10, 25, 40):
         params = Params.from_q(N, _Q64)
         table = ExactTable(params)
-        p, q = params.p, params.q
-        for n in range(N + 1):
+        ap, aq, b = params.p_num, params.q_num, params.denom
+        rows = [table.scaled_row(n) for n in range(N + 1)]
+        for n, row in enumerate(rows):
             for x in range(N + 1):
-                if table.value(n, x) != krawtchouk_sum(n, x, params):
+                if row[x] != scaled_sum(n, x, params):
                     failures.append(f"N={N}: recurrence!=sum at (n={n},x={x})")
+        gram = gram_matrix(table)  # entry (i, j) scaled by denom**(i+j+N)
         for i in range(N + 1):
-            sums = orthogonality_row(i, table)
             for j in range(N + 1):
-                expect = math.comb(N, j) * (p * q) ** j if i == j else Fraction(0)
-                if sums[j] != expect:
+                expect = math.comb(N, j) * (ap * aq) ** j * b**N if i == j else 0
+                if gram[i][j] != expect:
                     failures.append(f"N={N}: orthogonality fails at (i={i},j={j})")
-        for n in range(N + 1):
+        for n, row in enumerate(rows):
             for x in range(N + 1):
-                if table.value(n, x) != symmetry_image(n, x, params):
+                if row[x] != scaled_symmetry_image(n, x, params):
                     failures.append(f"N={N}: symmetry fails at (n={n},x={x})")
         for n in range(N + 1):
-            if table.value(n, 0) != math.comb(N, n) * (-p) ** n:
+            if rows[n][0] != math.comb(N, n) * (-ap) ** n:
                 failures.append(f"N={N}: left boundary fails at n={n}")
-            if table.value(n, N) != math.comb(N, n) * q**n:
+            if rows[n][N] != math.comb(N, n) * aq**n:
                 failures.append(f"N={N}: right boundary fails at n={n}")
-            if table.value(0, n) != 1:
+            if rows[0][n] != 1:
                 failures.append(f"N={N}: degree-0 row fails at x={n}")
-            if table.value(N, n) != q**n * (-p) ** (N - n):
+            if rows[N][n] != aq**n * (-ap) ** (N - n):
                 failures.append(f"N={N}: degree-N row fails at x={n}")
         for m in (0, 1):
             for n in range(N + 1):
                 envelope = lemma3_value(m, n, params)
-                exact = table.value(n, m)
-                if exact == 0:
+                if rows[n][m] == 0:
                     if abs(envelope) > 1e-12:
                         failures.append(f"N={N}: envelope m={m} n={n} nonzero at exact zero")
                     continue
@@ -374,20 +373,18 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     """Phase/amplitude residuals of the underlying expansion equations."""
     failures: List[str] = []
     params = Params.from_q(100, _Q74)
-    p, q = params.pf, params.qf
+    p = params.pf
     grid = 200
-    rows = [row_terms((j + 0.5) / grid, params) for j in range(grid)]
+    mids = [(i + 0.5) / grid for i in range(grid)]
     worst_res = 0.0
-    for i in range(grid):
-        y = (i + 0.5) / grid
-        for j in range(grid):
-            z = (j + 0.5) / grid
-            b = p - y + z * (q - p)
-            c = p * q * (1.0 - z)
-            for root in branch_roots(y, z, params, rows[j]):  # u_pm's solver, given the row
-                res = abs(z * root * root + b * root + c)
-                scale = max(abs(z * root * root), abs(b * root), abs(c))
-                worst_res = max(worst_res, res / scale)
+    for z in mids:
+        row = row_terms(z, params)
+        zqp, c = row.zqp, row.c  # z(q-p) and pq(1-z) > 0
+        for y in mids:
+            b = p - y + zqp
+            for root in branch_roots(y, z, params, row):  # u_pm's solver, given the row
+                quad, lin = z * root * root, b * root
+                worst_res = max(worst_res, abs(quad + lin + c) / max(abs(quad), abs(lin), c))
     if worst_res > 1e-10:
         failures.append(f"branch-root residual {worst_res:.2e} > 1e-10")
     # u_pm returns (minus, plus): the branch sign picks the index.

@@ -24,11 +24,12 @@ __all__ = [
     "Params",
     "ExactTable",
     "krawtchouk_sum",
+    "scaled_sum",
     "build_table",
     "exact_row",
-    "weight",
-    "orthogonality_row",
+    "gram_matrix",
     "symmetry_image",
+    "scaled_symmetry_image",
     "lemma3_value",
     "signed_log",
 ]
@@ -219,12 +220,16 @@ def signed_log(value: Fraction):
 
 
 def krawtchouk_sum(n: int, x: int, params: Params) -> Fraction:
-    """Evaluate ``K_n(x)`` by its terminating binomial sum, exactly.
+    """Evaluate ``K_n(x)`` by its terminating binomial sum, exactly (:func:`scaled_sum`)."""
+    return Fraction(scaled_sum(n, x, params), params.denom**n)
+
+
+def scaled_sum(n: int, x: int, params: Params) -> int:
+    """``denom**n * K_n(x)`` by the terminating binomial sum, as one integer.
 
     K_n(x) = sum_k C(x,k) C(N-x, n-k) q^k (-p)^(n-k).  Only the terms with
-    n+x-N <= k <= min(n,x) have nonzero binomials.  The sum is accumulated as
-    a single integer over denom**n, q^k multiplied up and (-p)^(n-k) divided
-    down exactly from term to term.
+    n+x-N <= k <= min(n,x) have nonzero binomials.  q^k is multiplied up and
+    (-p)^(n-k) divided down exactly from term to term.
     """
     check_index("n", n, params.N)
     check_index("x", x, params.N)
@@ -234,7 +239,7 @@ def krawtchouk_sum(n: int, x: int, params: Params) -> Fraction:
     for k in range(lo, min(n, x) + 1):
         total += math.comb(x, k) * math.comb(N - x, n - k) * qk * pk
         qk, pk = qk * aq, pk // mp  # exact while k < n; the last quotient is unused
-    return Fraction(total, params.denom**n)
+    return total
 
 
 def exact_row(n: int, params: Params) -> tuple:
@@ -273,34 +278,38 @@ def build_table(params: Params) -> ExactTable:
     return table
 
 
-def weight(x: int, params: Params) -> Fraction:
-    """Binomial weight C(N,x) p^x q^(N-x), exactly."""
+def scaled_weight(x: int, params: Params) -> int:
+    """Binomial weight C(N,x) p^x q^(N-x) as an integer scaled by denom**N."""
     check_index("x", x, params.N)
-    N = params.N
-    return math.comb(N, x) * params.p**x * params.q ** (N - x)
+    return math.comb(params.N, x) * params.p_num**x * params.q_num ** (params.N - x)
 
 
-def orthogonality_row(i: int, table: ExactTable) -> tuple:
-    """sum_k K_i(k) K_j(k) weight(k) for j = 0..N, exactly.
-
-    Entry j equals C(N,j) (pq)^j when j == i and 0 otherwise.  The integer
-    weights and row i's weighted products are formed once; each entry is one
-    integer sum over denom**(i+j+N).
-    """
-    params = table.params
-    N, ap, aq = params.N, params.p_num, params.q_num
-    check_index("i", i, N)
-    wi = [math.comb(N, k) * ap**k * aq ** (N - k) * v for k, v in enumerate(table.scaled_row(i))]
-    return tuple(
-        Fraction(sum(map(mul, wi, table.scaled_row(j))), params.denom ** (i + j + N)) for j in range(N + 1)
-    )
+def gram_matrix(table: ExactTable) -> tuple:
+    """sum_k K_i(k) K_j(k) weight(k), i, j = 0..N; entry (i, j) is an integer
+    scaled by denom**(i+j+N): C(N,j) (a_p a_q)^j denom**N if i == j, else 0,
+    with a_p, a_q the numerators of p, q.  Each sum with j >= i is formed once
+    and mirrored to (j, i), where it is the same integer sum."""
+    params, N = table.params, table.params.N
+    weights = [scaled_weight(k, params) for k in range(N + 1)]
+    rows = [table.scaled_row(n) for n in range(N + 1)]
+    gram = [[0] * (N + 1) for _ in range(N + 1)]
+    for i, row in enumerate(rows):
+        wi = list(map(mul, weights, row))
+        for j in range(i, N + 1):
+            gram[i][j] = gram[j][i] = sum(map(mul, wi, rows[j]))
+    return tuple(map(tuple, gram))
 
 
 def symmetry_image(n: int, x: int, params: Params) -> Fraction:
-    """(-1)^n K_n(N-x) with p and q swapped; equals K_n(x) exactly."""
+    """(-1)^n K_n(N-x) with p and q swapped; equals K_n(x) exactly (:func:`scaled_symmetry_image`)."""
+    return Fraction(scaled_symmetry_image(n, x, params), params.denom**n)
+
+
+def scaled_symmetry_image(n: int, x: int, params: Params) -> int:
+    """``denom**n`` times :func:`symmetry_image`; the swapped instance has the same denom."""
     check_index("n", n, params.N)
     check_index("x", x, params.N)
-    value = krawtchouk_sum(n, params.N - x, params.swapped())
+    value = scaled_sum(n, params.N - x, params.swapped())
     return -value if n % 2 else value
 
 
@@ -317,20 +326,15 @@ def lemma3_value(m: int, n: int, params: Params) -> float:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
     check_index("n", n, params.N)
     N = params.N
-    ln_mag = (
-        math.lgamma(N + 1)
-        - math.lgamma(n + 1)
-        - math.lgamma(N - n + 1)
-        + n * math.log(params.pf)
-    )
+    ln_mag = math.lgamma(N + 1) - math.lgamma(n + 1) - math.lgamma(N - n + 1) + n * math.log(params.pf)
     sign = -1 if n % 2 else 1
     if m > 0:
-        t = 1 - Fraction(n) / (params.p * N)
-        if t == 0:
+        t_num = params.p_num * N - n * params.denom  # 1 - n/(pN) = t_num / (a_p N)
+        if t_num == 0:
             return 0.0
-        if t < 0 and m % 2:
+        if t_num < 0 and m % 2:
             sign = -sign
-        ln_mag += m * math.log(abs(float(t)))
+        ln_mag += m * math.log(abs(t_num) / (params.p_num * N))
     try:
         return sign * math.exp(ln_mag)
     except OverflowError:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -14,12 +15,14 @@ from krawtchouk_wkb.exact_core import (
     build_table,
     exact_row,
     check_index,
+    gram_matrix,
     krawtchouk_sum,
     lemma3_value,
-    orthogonality_row,
+    scaled_sum,
+    scaled_symmetry_image,
+    scaled_weight,
     signed_log,
     symmetry_image,
-    weight,
 )
 from krawtchouk_wkb.region_formulas import ApproxValue, approx
 from krawtchouk_wkb.state_space import DEFAULT_CONFIG
@@ -131,6 +134,20 @@ def test_sum_equals_two_power_reference(case):
     assert type(got) is Fraction and got == two_power_sum(n, x, params)
 
 
+@given(case=cell_cases())
+@example(case=(60, Fraction("0.64894783"), 60, 60))
+@example(case=(1, Fraction(1, 2), 1, 0))
+@settings(max_examples=100, deadline=None)
+def test_scaled_sum_is_the_sum_times_the_scale(case):
+    N, p, n, x = case
+    params = Params.from_p(N, p)
+    scale = params.denom**n
+    got = scaled_sum(n, x, params)
+    assert type(got) is int and got == krawtchouk_sum(n, x, params) * scale
+    image = scaled_symmetry_image(n, x, params)
+    assert type(image) is int and image == symmetry_image(n, x, params) * scale
+
+
 def test_sum_rejects_out_of_range():
     params = Params.from_p(5, Fraction(1, 2))
     with pytest.raises(DomainError):
@@ -222,7 +239,7 @@ def test_exact_row_equals_sum(case):
         lambda p: krawtchouk_sum(True, 0, p),
         lambda p: krawtchouk_sum(0, True, p),
         lambda p: exact_row(True, p),
-        lambda p: weight(True, p),
+        lambda p: scaled_weight(True, p),
     ],
     ids=["value-n", "value-x", "sum-n", "sum-x", "exact_row", "weight"],
 )
@@ -329,40 +346,75 @@ def test_envelope_matches_per_cell_reference(case):
 # --- weight and orthogonality ----------------------------------------------
 
 
+def orthogonality_row(i, table):
+    """Row i of the orthogonality sums as ``Fraction``s, before the Gram matrix."""
+    params = table.params
+    N, ap, aq = params.N, params.p_num, params.q_num
+    check_index("i", i, N)
+    wi = [math.comb(N, k) * ap**k * aq ** (N - k) * v for k, v in enumerate(table.scaled_row(i))]
+    return tuple(
+        Fraction(sum(map(mul, wi, table.scaled_row(j))), params.denom ** (i + j + N)) for j in range(N + 1)
+    )
+
+
+def unscaled_gram_row(gram, i, params):
+    """Row i of :func:`gram_matrix` with each entry (i, j) divided by denom**(i+j+N)."""
+    return tuple(Fraction(g, params.denom ** (i + j + params.N)) for j, g in enumerate(gram[i]))
+
+
 def test_weight_endpoints():
     params = Params.from_p(9, Fraction(3, 5))
-    assert weight(0, params) == params.q**9
-    assert weight(9, params) == params.p**9
+    assert Fraction(scaled_weight(0, params), params.denom**9) == params.q**9
+    assert Fraction(scaled_weight(9, params), params.denom**9) == params.p**9
 
 
 def test_weights_sum_to_one():
     params = Params.from_p(21, Fraction("0.34894783"))
-    assert sum(weight(x, params) for x in range(22)) == 1
+    assert sum(scaled_weight(x, params) for x in range(22)) == params.denom**21
 
 
 def test_orthogonality_examples():
     params = Params.from_p(6, Fraction(1, 3))
-    table = build_table(params)
-    assert orthogonality_row(0, table) == (1, 0, 0, 0, 0, 0, 0)
-    assert orthogonality_row(2, table) == (0, 0, Fraction(60, 81), 0, 0, 0, 0)
+    gram = gram_matrix(build_table(params))
+    assert unscaled_gram_row(gram, 0, params) == (1, 0, 0, 0, 0, 0, 0)
+    assert unscaled_gram_row(gram, 2, params) == (0, 0, Fraction(60, 81), 0, 0, 0, 0)
 
 
 @given(p=st.sampled_from(P_POOL), N=st.integers(min_value=1, max_value=10))
 @settings(max_examples=15, deadline=None)
 def test_orthogonality_property(p, N):
     params = Params.from_p(N, p)
-    table = build_table(params)
+    gram = gram_matrix(build_table(params))
+    assert len(gram) == N + 1
     for i in range(N + 1):
-        sums = orthogonality_row(i, table)
+        sums = unscaled_gram_row(gram, i, params)
         assert len(sums) == N + 1
         for j in range(N + 1):
             expected = math.comb(N, j) * (params.p * params.q) ** j if i == j else 0
             assert sums[j] == expected
+        # the diagonal at the Gram matrix's own scale
+        assert gram[i][i] == math.comb(N, i) * (params.p_num * params.q_num) ** i * params.denom**N
+
+
+@given(p=st.sampled_from(P_POOL), N=st.integers(min_value=1, max_value=10))
+@example(p=Fraction("0.64894783"), N=10)
+@settings(max_examples=25, deadline=None)
+def test_gram_matrix_equals_fraction_reference(p, N):
+    params = Params.from_p(N, p)
+    table = build_table(params)
+    gram = gram_matrix(table)
+    for i in range(N + 1):
+        assert unscaled_gram_row(gram, i, params) == orthogonality_row(i, table)
+        assert all(type(g) is int and g == gram[j][i] for j, g in enumerate(gram[i]))
 
 
 @pytest.mark.parametrize("bad", [-1, 11, True], ids=["negative", "N+1", "bool"])
-def test_orthogonality_row_rejects_bad_index(bad):
+def test_gram_matrix_has_no_bad_index(bad):
+    # The Gram matrix takes no index: it covers the degrees 0..N and no
+    # other, and the reference row it replaces still refuses a bad one.
     table = build_table(Params.from_p(10, Fraction(1, 2)))
+    gram = gram_matrix(table)
+    assert len(gram) == 11 and {len(row) for row in gram} == {11}
     with pytest.raises(DomainError):
         orthogonality_row(bad, table)
 
@@ -385,6 +437,34 @@ def test_criterion_1_names_a_corrupted_cell(monkeypatch):
         "N=25: recurrence!=sum at (n=7,x=3)",
         *(f"N=25: orthogonality fails at (i={i},j={j})" for i, j in pairs),
         "N=25: symmetry fails at (n=7,x=3)",
+    ]
+
+
+def test_criterion_1_names_corrupted_boundary_cells(monkeypatch):
+    # Beside K_7(3), K_3(0) on the left boundary and K_25(5) on the degree-N
+    # row at N=25, each off by one scaled unit: the boundary checks must name
+    # both, next to the recurrence, orthogonality and symmetry messages.  The
+    # list is the one criterion 1 gave when it still compared Fractions.
+    cells = {7: 3, 3: 0, 25: 5}
+
+    def corrupted_row(n, params):
+        row = exact_row(n, params)
+        if params.N == 25 and n in cells:
+            x = cells[n]
+            row = row[:x] + (row[x] + 1,) + row[x + 1:]
+        return row
+
+    monkeypatch.setattr(exact_core, "exact_row", corrupted_row)
+    failures, _ = accuracy.CRITERIA[1][1](DEFAULT_CONFIG, accuracy.TOLERANCES)
+    bad = sorted(cells.items())
+    pairs = [(i, j) for i in range(26) for j in range(26) if i in cells or j in cells]
+    assert len(pairs) == 147
+    assert failures == [
+        *(f"N=25: recurrence!=sum at (n={n},x={x})" for n, x in bad),
+        *(f"N=25: orthogonality fails at (i={i},j={j})" for i, j in pairs),
+        *(f"N=25: symmetry fails at (n={n},x={x})" for n, x in bad),
+        "N=25: left boundary fails at n=3",
+        "N=25: degree-N row fails at x=5",
     ]
 
 
