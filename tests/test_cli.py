@@ -245,33 +245,37 @@ class TestCompare:
         # Forcing each turning-strip formula over the whole N=24 grid pins
         # 800 strip evaluations: VIII below z = p, IX above it, 317 of them
         # on airy_ai's asymptotic branch.  Refused points print empty
-        # approx cells, so the files also pin each formula's domain.
-        golden = Path(__file__).parent / "data" / f"compare_N24_q{q}_{region}.csv"
-        code, out, _ = run_cli(capsys, "compare", "--N", "24", "--q", q, "--region", region)
-        assert code == 0
-        assert out.encode("utf-8") == golden.read_bytes()
-
-    @pytest.mark.parametrize("q, region", [
-        ("0.74894783", "X"), ("0.74894783", "VII"), ("0.34894783", "III"),
-    ])
-    def test_forced_branch_golden_byte_for_byte(self, capsys, q, region):
-        # The three branch-log regions forced over the whole N=24 grid, with
-        # the skip lines on stderr: X refuses 244 points, the first in y_pm
-        # at z = 0; VII refuses points both on DomainError and, on the top
-        # row, on SingularityError.  The files pin each region's values, its
-        # domain, and which error each refused point raises first.
+        # approx cells and a skip line, so the files also pin each formula's
+        # domain.
         stem = f"compare_N24_q{q}_{region}"
         code, out, err = run_cli(capsys, "compare", "--N", "24", "--q", q, "--region", region)
         assert code == 0
         assert out.encode("utf-8") == (DATA / f"{stem}.csv").read_bytes()
         assert err.encode("utf-8") == (DATA / f"{stem}.err").read_bytes()
 
-    @pytest.mark.parametrize("region", ["V", "XII"])
+    @pytest.mark.parametrize("q, region", [
+        ("0.74894783", "X"), ("0.74894783", "VII"), ("0.34894783", "III"),
+        ("0.34894783", "IV"),
+    ])
+    def test_forced_branch_golden_byte_for_byte(self, capsys, q, region):
+        # The branch-log regions forced over the whole N=24 grid, with the
+        # skip lines on stderr: X refuses 244 points, the first in y_pm at
+        # z = 0; VII refuses points both on DomainError and, on the top row,
+        # on SingularityError; IV is III on the reflected grid.  The files pin
+        # each region's values, its domain, and which error each refused
+        # point raises first.
+        stem = f"compare_N24_q{q}_{region}"
+        code, out, err = run_cli(capsys, "compare", "--N", "24", "--q", q, "--region", region)
+        assert code == 0
+        assert out.encode("utf-8") == (DATA / f"{stem}.csv").read_bytes()
+        assert err.encode("utf-8") == (DATA / f"{stem}.err").read_bytes()
+
+    @pytest.mark.parametrize("region", ["I", "II", "V", "VI", "XI", "XII"])
     def test_forced_layer_golden_byte_for_byte(self, capsys, region):
-        # The left-edge and top-corner formulas, whose kernels keep only the
-        # term that survives at integer x, forced over the whole N=24 grid:
-        # V refuses the 200 points outside p < z < 1, XII evaluates all 625 and
-        # prints no skip line, so its stderr file is empty.
+        # The layer formulas forced over the whole N=24 grid: V refuses the
+        # 200 points outside p < z < 1; I, II, VI, XI and XII evaluate all 625
+        # and print no skip line, so their stderr files are empty.  With the
+        # strip and branch goldens this pins all twelve tags.
         stem = f"compare_N24_q0.74894783_{region}"
         code, out, err = run_cli(capsys, "compare", "--N", "24", "--q", "0.74894783", "--region", region)
         assert code == 0
