@@ -59,21 +59,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _window_max(logs: Sequence[float], x: int) -> float:
+    """The largest of logs over the window |x' - x| <= 5, clipped to the row."""
+    return max(logs[max(0, x - 5):x + 6])
+
+
 def window_env_log(table: ExactTable, n: int, x: int) -> float:
     """ln of max |K_n| over the 11-point window |x' - x| <= 5, clipped."""
     check_index("x", x, table.params.N)
-    return table.row_envelope(n)[x]
+    return _window_max(table.row_logs(n), x)
 
 
 def norm_err_row(avs: Sequence[ApproxValue], table: ExactTable, n: int,
                  xs: Sequence[int]) -> List[float]:
     """:func:`norm_err` at each (x, n), x in xs, with avs[i] the value at xs[i];
-    the row's envelope, logs and scaled integers are read once."""
+    the row's logs and scaled integers are read once."""
     check_indices("x", xs, table.params.N)
-    envs, logs, nums = table.row_envelope(n), table.row_logs(n), table.scaled_row(n)
+    logs, nums = table.row_logs(n), table.scaled_row(n)
     out = []
     for av, x in zip(avs, xs):
-        env_log, num, el = envs[x], nums[x], logs[x]
+        env_log, num, el = _window_max(logs, x), nums[x], logs[x]
         if env_log == -math.inf:
             out.append(math.nan)
             continue

@@ -31,7 +31,6 @@ __all__ = [
     "symmetry_image",
     "scaled_symmetry_image",
     "lemma3_value",
-    "signed_log",
 ]
 
 
@@ -145,19 +144,18 @@ class ExactTable:
     tuple of integers scaled by ``denom**n``; the :meth:`value` accessor
     undoes the scaling.  The first log read of row ``n`` also keeps the row's
     ``ln|K_n(x)|`` values (:meth:`row_logs`), so each cell's log is taken
-    once per table, and so are its windowed maxima (:meth:`row_envelope`).
-    Memory grows with the rows read, never past N+1 rows of each kind.
+    once per table.  Memory grows with the rows read, never past N+1 rows of
+    each kind.
     Stored rows never change, so the table is safe to share between threads
     (a race at worst computes a row twice).
     """
 
-    __slots__ = ("params", "_rows", "_logs", "_envs")
+    __slots__ = ("params", "_rows", "_logs")
 
     def __init__(self, params: Params) -> None:
         self.params = params
         self._rows = [None] * (params.N + 1)
         self._logs = [None] * (params.N + 1)
-        self._envs = [None] * (params.N + 1)
 
     def value(self, n: int, x: int) -> Fraction:
         """Exact ``K_n(x)``."""
@@ -182,15 +180,6 @@ class ExactTable:
             logs = self._logs[n] = tuple(_ln_abs_int(num) - ln_scale for num in self.scaled_row(n))
         return logs
 
-    def row_envelope(self, n: int) -> tuple:
-        """ln of max |K_n| over the window |x' - x| <= 5, clipped, for x = 0..N."""
-        check_index("n", n, self.params.N)
-        envs = self._envs[n]
-        if envs is None:
-            logs = self.row_logs(n)
-            envs = self._envs[n] = tuple(max(logs[max(0, x - 5):x + 6]) for x in range(len(logs)))
-        return envs
-
     def signed_log(self, n: int, x: int):
         """``(sign, ln|K_n(x)|)`` without building a huge float."""
         logs = self.row_logs(n)  # validates n and builds the row
@@ -209,14 +198,6 @@ def _ln_abs_int(value: int) -> float:
         return math.log(value)
     shift = bits - 64
     return math.log(value >> shift) + shift * math.log(2)
-
-
-def signed_log(value: Fraction):
-    """``(sign, ln|value|)`` of an exact rational, overflow-free."""
-    if value == 0:
-        return 0, float("-inf")
-    sign = 1 if value > 0 else -1
-    return sign, _ln_abs_int(value.numerator) - _ln_abs_int(value.denominator)
 
 
 def krawtchouk_sum(n: int, x: int, params: Params) -> Fraction:

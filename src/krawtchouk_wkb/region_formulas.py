@@ -7,15 +7,19 @@ sums of exponentially mismatched terms and values beyond double range are
 handled uniformly.  Region IV has no kernel of its own: it is III on the
 reflected grid.
 
-Phases of the form exp(i*pi*t) are snapped to +-1 (and cos factors to
-exact +-1) whenever t is within 1e-9 of an integer, which is the case for
-every integer grid point; this makes the integer-x algebraic identities hold
-exactly instead of to rounding, and makes im_residue exactly zero on the
-purely real evaluation paths.  The paper writes V, VII, IX and XII for
-continuous x, each with a second term (a sin(pi*x) factor, a winding factor
-w - 1 or a weight lambda_-) that is exactly 0 at integer x; the kernels keep
-only the term that survives on the grid, which is all the dispatcher
-evaluates.
+Each kernel takes the grid point it serves: the integers (x, n) and the row
+at height z = n*eps in the orientation being evaluated.  The branch kernels
+(III and IV, VII, X) take a run of a row's x values and draw them from one
+branch-log loop; the others take one x.  The stretched corner and strip
+coordinates come from :func:`corner_coords`.  The paper writes its formulas
+for continuous x, and the package keeps only what survives at integer x:
+V, VII, IX and XII lose a second term (a sin(pi*x) factor, a winding factor
+w - 1 or a weight lambda_-) that is exactly 0 there, and the phases of V,
+VI, XI and XII are the signs (-1)^(x+n), (-1)^n, (-1)^x and (-1)^(N-x),
+taken from the indices.  The other phases exp(i*pi*t) are snapped to +-1
+whenever t is within 1e-9 of an integer.  So the integer-x algebraic
+identities hold exactly instead of to rounding, and im_residue is exactly
+zero on the purely real evaluation paths.
 
 One dispatcher turns kernel values into :class:`ApproxValue` records: a
 real approximation to the polynomial value at one grid point, together with
@@ -23,8 +27,6 @@ an imaginary-residue diagnostic, the region it came from, and the
 log-magnitude for overflow-free reporting.  It applies the mirror symmetry
 (evaluate at (N-x, n) with p and q swapped, multiply by (-1)^n) to mirrored
 regions, so the classifier's mirrored points and a forced IV take one path.
-The branch kernels (III and IV, VII, X) take a run of a row's points and
-draw them from one branch-log loop; the other kernels take one point.
 :func:`approx_row` evaluates a row a run of one label at a time, with the
 row's z-only terms solved once; it is total on the grid, z = p included, and
 :func:`approx` is its one-point case.  :func:`evaluate_region` forces one
@@ -54,8 +56,8 @@ from .wkb_core import SingularityError, k_pm_logs, phi0, strip_coeffs
 
 __all__ = ["ApproxValue", "approx", "approx_row", "evaluate_region"]
 
-#: Distance from an integer below which trigonometric factors of pi*t are
-#: snapped to their exact values.
+#: Distance from an integer below which a phase exp(i*pi*t) is snapped to
+#: its exact value.
 _SNAP = 1e-9
 
 #: exp() arguments beyond these act as overflow/underflow in doubles.
@@ -82,19 +84,16 @@ class ApproxValue(NamedTuple):
     ln_scale: float
 
 
-def _cospi(t: float) -> float:
-    """cos(pi*t) with integer arguments made exact."""
-    r = round(t)
-    if abs(t - r) < _SNAP:
-        return 1.0 if r % 2 == 0 else -1.0
-    return math.cos(math.pi * t)
+def _sign(k: int) -> float:
+    """(-1)^k."""
+    return -1.0 if k % 2 else 1.0
 
 
 def _phase_factor(t: float) -> complex:
     """exp(i*pi*t) snapped to exactly +-1 at integer t."""
     r = round(t)
     if abs(t - r) < _SNAP:
-        return complex(1.0 if r % 2 == 0 else -1.0, 0.0)
+        return complex(_sign(r), 0.0)
     return cmath.exp(complex(0.0, math.pi * t))
 
 
@@ -135,11 +134,16 @@ def _finalize(m: complex, s: float, region: RegionId) -> ApproxValue:
     return ApproxValue(value, im_residue, region, ln_scale)
 
 
-def _check_real(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+class _Row:
+    """The row at height z = n*eps in one orientation: its parameters and its
+    z-only terms, each solved on first use (after the kernel's own domain
+    checks, so theirs come first)."""
+
+    def __init__(self, z: float, params: Params) -> None:
+        self.z, self.params = z, params
+
+    terms = cached_property(lambda self: row_terms(self.z, self.params))
+    strip = cached_property(lambda self: strip_coeffs(self.z, self.params))
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +151,22 @@ def _check_real(value: float, name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def k1(n: int, y: float, params: Params) -> _Scaled:
+def k1(x: int, n: int, row: _Row) -> _Scaled:
     """Bottom rows away from the center: (y - p)^n / (n! eps^n)."""
-    check_index("n", n, params.N)
-    y = _check_real(y, "y")
     if n == 0:
         return complex(1.0, 0.0), 0.0
-    d = y - params.pf
+    params = row.params
+    d = x * params.eps - params.pf
     if d == 0.0:
         return 0j, 0.0
     s = n * (math.log(abs(d)) - math.log(params.eps)) - math.lgamma(n + 1)
-    m = complex(1.0 if d > 0.0 or n % 2 == 0 else -1.0, 0.0)
-    return m, s
+    return complex(_sign(n) if d < 0.0 else 1.0, 0.0), s
 
 
-def k2(n: int, eta: float, params: Params) -> _Scaled:
+def k2(x: int, n: int, row: _Row) -> _Scaled:
     """Bottom-center corner: scaled Hermite polynomial in the corner variable."""
-    check_index("n", n, params.N)
-    eta = _check_real(eta, "eta")
-    H = hermite(n, eta)
+    params = row.params
+    H = hermite(n, corner_coords(x, n, params).eta)
     if H == 0.0:
         return 0j, 0.0
     p, q = params.pf, params.qf
@@ -174,63 +175,58 @@ def k2(n: int, eta: float, params: Params) -> _Scaled:
     return complex(math.copysign(1.0, H), 0.0), s
 
 
-def _branch_logs(branch: str, ys: Sequence[float], params: Params, row: _Row,
-                 lo: float, hi: float, where: str) -> Iterator[Tuple[float, _Scaled]]:
-    """(y, scale-split branch contribution) along ys on ``row``; each y is
-    refused, before its contribution is solved, unless lo < y < hi."""
+def _branch_logs(branch: str, xs: Sequence[int], row: _Row,
+                 lo: float, hi: float, where: str) -> Iterator[_Scaled]:
+    """The scale-split branch contribution at each x of xs on ``row``; each
+    y = x*eps is refused, before its contribution is solved, unless lo < y < hi."""
+    params = row.params
+    ys = [x * params.eps for x in xs]
     logs = k_pm_logs(branch, ys, row.z, params, row.terms)
     for y in ys:
         if not lo < y < hi:
             raise DomainError(f"point (y={y!r}, z={row.z!r}) is not {where}")
-        yield y, _from_log(next(logs))
+        yield _from_log(next(logs))
 
 
-def k3(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
+def k3(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
     """Lower-left exterior (III): the minus branch alone, alternating like (-1)^n.
 
     Its reflection is IV, right of the upper curve up to z = q.  Above those
     heights the exterior is the interference wedge: VII on the left, and by
     the mirror VII* on the right.
     """
-    if not 0.0 < row.z < params.pf:
+    if not 0.0 < row.z < row.params.pf:
         raise DomainError(
             "single-branch exterior formula requires 0 < z < p (z < q for IV, "
             f"its reflection), got z={row.z!r}"
         )
     where = "left of the lower turning curve (for IV: right of the upper one, on the reflected grid)"
-    return [ms for _, ms in _branch_logs("-", ys, params, row, -math.inf, row.terms.ym, where)]
+    return list(_branch_logs("-", xs, row, -math.inf, row.terms.ym, where))
 
 
-def k5(x: float, z: float, params: Params) -> _Scaled:
+def k5(x: int, n: int, row: _Row) -> _Scaled:
     """Left edge above the crossover, small x: the cos(pi*x) term of the
-    paper's explicit two-term form.
+    paper's explicit two-term form, whose phase cos(pi*x) exp(i*pi*z/eps) is
+    (-1)^(x+n) on the grid.
 
     The other term carries sin(pi*x), which is exactly 0 at integer x.
     """
-    x = _check_real(x, "x")
-    z = _check_real(z, "z")
-    if x < 0.0:
-        raise DomainError(f"x={x} must be nonnegative")
-    p = params.pf
+    params, z = row.params, row.z
+    p, N = params.pf, params.N
     if z == p:
         raise SingularityError("z = p is the corner layer; use the corner formula")
     if not p < z < 1.0:
         raise DomainError(f"left-edge formula requires p < z < 1, got z={z!r}")
-    N = params.N
-    phase = _phase_factor(z * N)  # alternation factor exp(i*pi*z/eps)
     s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
          + phi0(z, params).real * N + x * math.log((z - p) / p))
-    return _cospi(x) * phase, s
+    return complex(_sign(x + n), 0.0), s
 
 
-def k6(x: float, u: float, params: Params) -> _Scaled:
+def k6(x: int, n: int, row: _Row) -> _Scaled:
     """Left-edge corner at the crossover: parabolic-cylinder profile in u."""
-    x = _check_real(x, "x")
-    u = _check_real(u, "u")
-    if x < 0.0:
-        raise DomainError(f"x={x} must be nonnegative")
-    p, q = params.pf, params.qf
-    N = params.N
+    params = row.params
+    u = corner_coords(x, n, params).u
+    p, q, N = params.pf, params.qf, params.N
     D = pcf_d(x, u).real
     if D == 0.0:
         return 0j, 0.0
@@ -239,35 +235,31 @@ def k6(x: float, u: float, params: Params) -> _Scaled:
          + 0.5 * x * math.log(q * params.eps / p) - 0.25 * u * u
          + math.log(abs(D))
          - q * math.log(q) * N - u * math.log(q) * root_pqN)
-    # Oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))]; the argument is
-    # exactly pi*n when u comes from an integer grid point.
-    m = math.copysign(1.0, D) * _phase_factor(p * N - u * root_pqN)
-    return m, s
+    # The oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))] is (-1)^n on the grid.
+    return complex(math.copysign(1.0, D) * _sign(n), 0.0), s
 
 
-def k7(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
+def k7(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
     """Upper-left exterior: the plus branch K+ of the paper's interference form.
 
     The paper's value is Re{ (w + 1)/2 * K+ + (w - 1) * K- } with
     w = exp(2*pi*i*y/eps).  At integer x, w = 1 exactly, so the weight of the
     dominant minus branch is 0 and K+ is all that remains.
     """
-    if row.z <= params.pf:
+    if row.z <= row.params.pf:
         raise DomainError(f"interference formula requires z > p, got z={row.z!r}")
-    return [ms for _, ms in _branch_logs("+", ys, params, row, -math.inf, row.terms.ym,
-                                         "left of the lower turning curve")]
+    return list(_branch_logs("+", xs, row, -math.inf, row.terms.ym, "left of the lower turning curve"))
 
 
-def k8(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
+def k8(x: int, n: int, row: _Row) -> _Scaled:
     """Lower turning strip: Airy profile across the curve (z < p)."""
-    beta = _check_real(beta, "beta")
-    z = _check_real(z, "z")
-    p = params.pf
+    params, z = row.params, row.z
+    beta = corner_coords(x, n, params).beta
+    p, N = params.pf, params.N
     if z == p:
         raise SingularityError("strip coefficient diverges at z = p")
     if not 0.0 < z < p:
         raise DomainError(f"lower-strip formula requires 0 < z < p, got z={z!r}")
-    N = params.N
     c = row.strip  # slope is real for z < p
     ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
@@ -276,24 +268,22 @@ def k8(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
          + c.slope.real * beta * params.eps ** (-1.0 / 3.0)
          + math.log(abs(ai)) - math.log(c.theta) / 3.0
          - 0.5 * math.log(z * c.u0))
-    m = math.copysign(1.0, ai) * _phase_factor(c.psi0.imag * N / math.pi)
-    return m, s
+    return math.copysign(1.0, ai) * _phase_factor(c.psi0.imag * N / math.pi), s
 
 
-def k9(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
+def k9(x: int, n: int, row: _Row) -> _Scaled:
     """Upper turning strip (z > p): the 2*Ai term of the paper's Airy pair.
 
     The paper weights Ai by lambda_+ = w + 1 and i*Bi by lambda_- = w - 1,
     with w = exp(2*pi*i*x); at integer x, w = 1, so the weights are (2, 0).
     """
-    beta = _check_real(beta, "beta")
-    z = _check_real(z, "z")
-    p = params.pf
+    params, z = row.params, row.z
+    beta = corner_coords(x, n, params).beta
+    p, N = params.pf, params.N
     if z == p:
         raise SingularityError("strip coefficient diverges at z = p")
     if not p < z < 1.0:
         raise DomainError(f"upper-strip formula requires p < z < 1, got z={z!r}")
-    N = params.N
     c = row.strip  # slope carries -i*pi for z > p
     vt = -c.theta
     arg = vt ** (2.0 / 3.0) * beta
@@ -305,11 +295,10 @@ def k9(beta: float, z: float, params: Params, row: _Row) -> _Scaled:
          + math.log(0.5) - math.log(vt) / 3.0
          - 0.5 * math.log(z * c.u0))
     t = (c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi
-    m = _phase_factor(t) * bracket
-    return m, s
+    return _phase_factor(t) * bracket, s
 
 
-def k10(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
+def k10(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
     """Oscillatory interior: sum of the two conjugate branches, 2 Re K+.
 
     Inside the ellipse the branch roots are exact complex conjugates, so
@@ -317,35 +306,31 @@ def k10(ys: Sequence[float], params: Params, row: _Row) -> List[_Scaled]:
     sum is formed from the plus branch alone.
     """
     terms = row.terms
-    return [(complex(2.0 * m.real, 0.0), s) for _, (m, s)
-            in _branch_logs("+", ys, params, row, terms.ym, terms.yp, "between the turning curves")]
+    return [(complex(2.0 * m.real, 0.0), s)
+            for m, s in _branch_logs("+", xs, row, terms.ym, terms.yp, "between the turning curves")]
 
 
-def k11(j: int, y: float, params: Params) -> _Scaled:
-    """Top rows (n = N - j for small j): two combinatorial terms.
+def k11(x: int, n: int, row: _Row) -> _Scaled:
+    """Top rows (n = N - j for small j): two combinatorial terms.  The first
+    term's phase cos(pi*y*N) is (-1)^x on the grid.
 
     The second term has binomial support x >= N - j and vanishes outside it.
     """
-    check_index("j", j, params.N)
-    y = _check_real(y, "y")
+    params = row.params
+    y = x * params.eps
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"y={y} outside the unit interval")
-    p, q = params.pf, params.qf
+    p, q, N = params.pf, params.qf, params.N
     if y == q:
         raise SingularityError("y = q is the top corner layer; use the corner formula")
-    N = params.N
-    xf = y * N
-    x = round(xf)
-    if abs(xf - x) > _SNAP * max(1.0, N):
-        raise DomainError(f"y*N={xf!r} must be an integer for the binomial term")
+    j = N - n
     sign_qy = 1.0 if y < q else -1.0
-    s1 = (math.log(math.comb(N, j)) + (N - j) * math.log(p)
-          + xf * math.log(q / p) + j * (math.log(abs(q - y)) - math.log(q)))
-    m1 = ((-1.0 if (N - j) % 2 else 1.0) * _cospi(xf)
-          * (sign_qy if j % 2 else 1.0))
+    s1 = (math.log(math.comb(N, j)) + n * math.log(p)
+          + y * N * math.log(q / p) + j * (math.log(abs(q - y)) - math.log(q)))
+    m1 = _sign(n + x) * (sign_qy if j % 2 else 1.0)
     terms = [(complex(m1, 0.0), s1)]
-    if x >= N - j and y < 1.0:
-        c2 = math.comb(x, N - j)
+    if x >= n and y < 1.0:
+        c2 = math.comb(x, n)
         if c2:
             s2 = math.log(c2) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
             m2 = sign_qy if (j + 1) % 2 else 1.0
@@ -353,26 +338,25 @@ def k11(j: int, y: float, params: Params) -> _Scaled:
     return _sum_scaled(terms)
 
 
-def k12(j: int, xi: float, params: Params) -> _Scaled:
+def k12(x: int, n: int, row: _Row) -> _Scaled:
     """Top corner: the D_j term of the paper's parabolic-cylinder profile in
-    the corner variable xi.
+    the corner variable xi, whose cos factor is (-1)^(N - x) on the grid.
 
     The paper's other term is Lambda_j times a sin factor whose argument
     reduces to pi*(N - x) at integer x, so it is exactly 0 on the grid.
     """
-    check_index("j", j, params.N)
-    xi = _check_real(xi, "xi")
-    p, q = params.pf, params.qf
-    N = params.N
-    root = xi * math.sqrt(2.0 * p * q * N)
-    t = p * N - root  # trig argument in units of pi; equals N - x on the grid
-    s_common = ((p * math.log(p) + q * math.log(q)) * N + root * math.log(q / p)
-                - 0.5 * j * math.log(p * q * params.eps) + 0.5 * xi * xi)
+    params = row.params
+    cc = corner_coords(x, n, params)
+    j, xi = cc.j, cc.xi
+    p, q, N = params.pf, params.qf, params.N
     D = pcf_d(j, math.sqrt(2.0) * xi).real
     if D == 0.0:
         return 0j, 0.0
-    s = s_common + math.log(abs(D)) - math.lgamma(j + 1)
-    return complex(math.copysign(1.0, D) * _cospi(t), 0.0), s
+    root = xi * math.sqrt(2.0 * p * q * N)
+    s = ((p * math.log(p) + q * math.log(q)) * N + root * math.log(q / p)
+         - 0.5 * j * math.log(p * q * params.eps) + 0.5 * xi * xi
+         + math.log(abs(D)) - math.lgamma(j + 1))
+    return complex(math.copysign(1.0, D) * _sign(N - x), 0.0), s
 
 
 # ---------------------------------------------------------------------------
@@ -380,40 +364,12 @@ def k12(j: int, xi: float, params: Params) -> _Scaled:
 # ---------------------------------------------------------------------------
 
 
-class _Row:
-    """The row at height z in one orientation: its z-only terms, each solved
-    on first use (after the kernel's own domain checks, so theirs come first)."""
+#: Each region's kernel; IV is III on the reflected grid.
+_KERNELS = {"I": k1, "II": k2, "III": k3, "IV": k3, "V": k5, "VI": k6, "VII": k7,
+            "VIII": k8, "IX": k9, "X": k10, "XI": k11, "XII": k12}
 
-    def __init__(self, z: float, params: Params) -> None:
-        self.z, self.params = z, params
-
-    terms = cached_property(lambda self: row_terms(self.z, self.params))
-    strip = cached_property(lambda self: strip_coeffs(self.z, self.params))
-
-
-def _layer(tag: str, x: int, n: int, row: _Row) -> _Scaled:
-    """The kernel of a layer region, or of a strip, at one checked grid point."""
-    params, z = row.params, row.z
-    if tag == "I":
-        return k1(n, x * params.eps, params)
-    if tag == "II":
-        return k2(n, corner_coords(x, n, params).eta, params)
-    if tag == "V":
-        return k5(float(x), z, params)
-    if tag == "VI":
-        return k6(float(x), corner_coords(x, n, params).u, params)
-    if tag == "VIII":
-        return k8(corner_coords(x, n, params).beta, z, params, row)
-    if tag == "IX":
-        return k9(corner_coords(x, n, params).beta, z, params, row)
-    if tag == "XI":
-        return k11(params.N - n, x * params.eps, params)
-    cc = corner_coords(x, n, params)
-    return k12(cc.j, cc.xi, params)
-
-
-#: The branch regions' kernels, each of which evaluates a run of a row at once.
-_BRANCH_KERNELS = {"III": k3, "IV": k3, "VII": k7, "X": k10}
+#: The branch kernels, each of which evaluates a run of a row at once.
+_RUN_KERNELS = (k3, k7, k10)
 
 
 def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: _Row) -> List[ApproxValue]:
@@ -428,9 +384,8 @@ def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: _Row) -> List[Appro
     params, tag = row.params, rid.tag
     if rid.mirrored:
         xs = [params.N - x for x in xs]
-    kernel = _BRANCH_KERNELS.get(tag)
-    pairs = ([_layer(tag, x, n, row) for x in xs] if kernel is None
-             else kernel([x * params.eps for x in xs], params, row))
+    kernel = _KERNELS[tag]
+    pairs = kernel(xs, n, row) if kernel in _RUN_KERNELS else [kernel(x, n, row) for x in xs]
     flip = rid.mirrored and n % 2
     return [_finalize(-m if flip else m, s, rid) for m, s in pairs]
 

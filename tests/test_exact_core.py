@@ -21,7 +21,6 @@ from krawtchouk_wkb.exact_core import (
     scaled_sum,
     scaled_symmetry_image,
     scaled_weight,
-    signed_log,
     symmetry_image,
 )
 from krawtchouk_wkb.region_formulas import ApproxValue, approx
@@ -552,16 +551,12 @@ def test_params_validation():
         Params(10, Fraction(1, 2), Fraction(1, 3))
 
 
-def test_signed_log_matches_direct_log():
-    sign, ln = signed_log(Fraction(-3, 7))
-    assert sign == -1
-    assert ln == pytest.approx(math.log(3 / 7), rel=1e-12)
-    sign0, ln0 = signed_log(Fraction(0))
-    assert sign0 == 0 and ln0 == float("-inf")
+def test_ln_abs_int_matches_direct_log():
+    assert exact_core._ln_abs_int(-3) == math.log(3)
+    assert exact_core._ln_abs_int(0) == float("-inf")
 
 
-def test_signed_log_huge_values():
-    big = Fraction(10**500, 3)
-    sign, ln = signed_log(big)
-    assert sign == 1
+def test_ln_abs_int_huge_values():
+    # Far past float range: the top 64 bits plus the shifted-out power of 2.
+    ln = exact_core._ln_abs_int(-(10**500 // 3))
     assert ln == pytest.approx(500 * math.log(10) - math.log(3), rel=1e-12)

@@ -1,12 +1,15 @@
-"""The kernels of V, VII, IX and XII against the paper's continuous-x forms.
+"""The kernels of V, VI, VII, IX, XI and XII against the paper's continuous-x forms.
 
-The paper writes each of these four formulas with a second term that is
-exactly 0 at integer x: V's carries sin(pi*x), VII's the winding factor
-w - 1 of w = exp(2*pi*i*x), IX's the weight lambda_- = w - 1 of its Bi term,
-and XII's a sin factor whose argument is pi*(N - x) on the grid.  The
-package evaluates integer indices only, so its kernels keep the surviving
-term alone.  The two-term forms are kept here as references, written as the
-kernels computed them before the drop:
+The paper writes four of these formulas with a second term that is exactly
+0 at integer x: V's carries sin(pi*x), VII's the winding factor w - 1 of
+w = exp(2*pi*i*x), IX's the weight lambda_- = w - 1 of its Bi term, and
+XII's a sin factor whose argument is pi*(N - x) on the grid.  The package
+evaluates integer indices only, so its kernels keep the surviving term
+alone, and they take the phases of V, VI, XI and XII as the signs
+(-1)^(x+n), (-1)^n, (-1)^x and (-1)^(N-x) that the indices fix.  The
+continuous-x forms are kept here as references, written as the kernels
+computed them from a float x, a float phase argument snapped to the
+nearest integer, and the stretched coordinates:
 
 * at every integer grid point of each formula's domain, in both
   orientations, the dropped term's weight is exactly 0 and the kernel's
@@ -22,7 +25,9 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 
 from krawtchouk_wkb.exact_core import DomainError, Params
-from krawtchouk_wkb.region_formulas import _Row, _finalize, _from_log, _sum_scaled, k5, k7, k9, k12
+from krawtchouk_wkb.region_formulas import (
+    _Row, _finalize, _from_log, _sum_scaled, k5, k6, k7, k9, k11, k12,
+)
 from krawtchouk_wkb.special_fns import RangeError, airy_ai, airy_bi, lambda_j, pcf_d
 from krawtchouk_wkb.state_space import RegionId, ScaledPoint, corner_coords, y_pm
 from krawtchouk_wkb.wkb_core import SingularityError, k_pm_log, phi0
@@ -96,6 +101,21 @@ def ref_k5(x, z, params):
     return Full(_sum_scaled(terms), sn, dropped)
 
 
+def ref_k6(x, u, params):
+    """VI with its oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))]
+    formed from u; it has no dropped term."""
+    p, q, N = params.pf, params.qf, params.N
+    D = pcf_d(x, u).real
+    if D == 0.0:
+        return Full((0j, 0.0), 0.0, None)
+    root_pqN = math.sqrt(p * q * N)
+    s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * p * q)
+         + 0.5 * x * math.log(q * params.eps / p) - 0.25 * u * u
+         + math.log(abs(D))
+         - q * math.log(q) * N - u * math.log(q) * root_pqN)
+    return Full((math.copysign(1.0, D) * phase(p * N - u * root_pqN), s), 0.0, None)
+
+
 def ref_k7(y, params, row):
     """Re{(w + 1)/2 K+ + (w - 1) K-}, w = exp(2*pi*i*y/eps); K- is drawn only
     at a non-zero weight, as it is singular at y = 0."""
@@ -139,6 +159,25 @@ def ref_k9(beta, z, params, row):
     ph = phase((c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi)
     total = (0j, 0.0) if bracket == 0.0 else (ph * bracket, s)
     return Full(total, lam_m, None if bi_term is None else (ph * bi_term, s))
+
+
+def ref_k11(j, y, params):
+    """XI with its first term's phase cos(pi*y*N) formed from y; it has no
+    dropped term."""
+    p, q, N = params.pf, params.qf, params.N
+    xf = y * N
+    x = round(xf)
+    sign_qy = 1.0 if y < q else -1.0
+    s1 = (math.log(math.comb(N, j)) + (N - j) * math.log(p)
+          + xf * math.log(q / p) + j * (math.log(abs(q - y)) - math.log(q)))
+    m1 = (-1.0 if (N - j) % 2 else 1.0) * cospi(xf) * (sign_qy if j % 2 else 1.0)
+    terms = [(complex(m1, 0.0), s1)]
+    if x >= N - j and y < 1.0:
+        c2 = math.comb(x, N - j)
+        if c2:
+            s2 = math.log(c2) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
+            terms.append((complex(sign_qy if (j + 1) % 2 else 1.0, 0.0), s2))
+    return Full(_sum_scaled(terms), 0.0, None)
 
 
 def ref_k12(j, xi, params):
@@ -187,20 +226,23 @@ def corner_xi(x, params):
 
 
 def case(tag, x, n, params, row):
-    """The tag's (kernel, reference) at (x, n), with the kernel's arguments
-    formed as the dispatcher forms them; x may be a half-integer."""
+    """The tag's (kernel, reference) at (x, n); x may be a half-integer, and
+    then only the reference may be called."""
     z, on_grid = row.z, float(x).is_integer()
     if tag == "V":
-        return Case(lambda: k5(float(x), z, params), lambda: ref_k5(float(x), z, params))
+        return Case(lambda: k5(x, n, row), lambda: ref_k5(float(x), z, params))
+    if tag == "VI":
+        return Case(lambda: k6(x, n, row), lambda: ref_k6(float(x), corner_coords(x, n, params).u, params))
     if tag == "VII":
-        y = x * params.eps
-        return Case(lambda: k7([y], params, row)[0], lambda: ref_k7(y, params, row))
+        return Case(lambda: k7([x], n, row)[0], lambda: ref_k7(x * params.eps, params, row))
     if tag == "IX":
         beta = corner_coords(x, n, params).beta if on_grid else strip_beta(x, z, params)
-        return Case(lambda: k9(beta, z, params, row), lambda: ref_k9(beta, z, params, row))
+        return Case(lambda: k9(x, n, row), lambda: ref_k9(beta, z, params, row))
+    if tag == "XI":
+        return Case(lambda: k11(x, n, row), lambda: ref_k11(params.N - n, x * params.eps, params))
     xi = corner_coords(x, n, params).xi if on_grid else corner_xi(x, params)
     j = params.N - n
-    return Case(lambda: k12(j, xi, params), lambda: ref_k12(j, xi, params))
+    return Case(lambda: k12(x, n, row), lambda: ref_k12(j, xi, params))
 
 
 def orientations(N, q):
@@ -214,7 +256,7 @@ def orientations(N, q):
 
 
 @pytest.mark.parametrize("N, q", GRIDS)
-@pytest.mark.parametrize("tag", ["V", "VII", "IX", "XII"])
+@pytest.mark.parametrize("tag", ["V", "VI", "VII", "IX", "XI", "XII"])
 def test_dropped_term_is_zero_and_kernel_equals_reference_on_grid(tag, N, q):
     rid = RegionId(tag)
     evaluated = 0

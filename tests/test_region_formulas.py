@@ -36,6 +36,7 @@ from krawtchouk_wkb.region_formulas import (
     k11,
     k12,
 )
+from krawtchouk_wkb.special_fns import hermite
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
     RegionId,
@@ -53,6 +54,8 @@ P200_34 = Params.from_q(200, "0.34894783")
 P100_64 = Params.from_q(100, "0.64894783")
 P200_64 = Params.from_q(200, "0.64894783")
 P20_74 = Params.from_q(20, "0.74894783")
+# p = 1/4 on a grid of exact binary steps: y = p at x = 4 and z = p at n = 4
+P16_25 = Params.from_q(16, "3/4")
 
 ALL_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII")
 
@@ -71,6 +74,11 @@ def region_gap(tag_a: str, tag_b: str, x: int, n: int, params: Params) -> float:
 def finalized(pair, tag: str):
     """A kernel's (mantissa, scale) pair as the dispatcher reports it."""
     return _finalize(*pair, RegionId(tag))
+
+
+def row_of(n: int, params: Params) -> _Row:
+    """Row n in the unreflected orientation, as the dispatcher builds it."""
+    return _Row(n * params.eps, params)
 
 
 def point_err(tag: str, x: int, n: int, params: Params) -> float:
@@ -99,30 +107,26 @@ def test_reference_row_within_budget(fig_id):
 
 class TestBottomRows:
     def test_degree_zero_is_one(self):
-        av = finalized(k1(0, 0.37, P100_74), "I")
+        av = finalized(k1(37, 0, row_of(0, P100_74)), "I")
         assert av.value == 1.0
         assert av.ln_scale == 0.0
         assert av.im_residue == 0.0
 
     def test_degree_one_is_linear(self):
         x = 30
-        av = finalized(k1(1, x / 100.0, P100_74), "I")
+        av = finalized(k1(x, 1, row_of(1, P100_74)), "I")
         expected = x - 100 * P100_74.pf
         assert av.value == pytest.approx(expected, rel=1e-12)
 
     def test_exact_zero_on_the_node(self):
-        av = finalized(k1(3, P100_74.pf, P100_74), "I")
+        assert 4 * P16_25.eps == P16_25.pf
+        av = finalized(k1(4, 3, row_of(3, P16_25)), "I")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
-    def test_degree_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            k1(101, 0.3, P100_74)
-        with pytest.raises(DomainError):
-            k1(-1, 0.3, P100_74)
-
     def test_corner_profile_zero_at_odd_node(self):
-        av = finalized(k2(1, 0.0, P100_74), "II")
+        assert corner_coords(4, 1, P16_25).eta == 0.0
+        av = finalized(k2(4, 1, row_of(1, P16_25)), "II")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
@@ -208,19 +212,17 @@ class TestSingleBranchExterior:
 
 class TestLeftEdge:
     def test_edge_domain_errors(self):
-        with pytest.raises(DomainError):
-            k5(-1.0, 0.45, P100_74)
         with pytest.raises(SingularityError):
-            k5(0.0, P100_74.pf, P100_74)
-        with pytest.raises(DomainError):
-            k5(0.0, 0.10, P100_74)  # below the crossover
+            k5(0, 4, row_of(4, P16_25))  # z = p
+        with pytest.raises(DomainError, match="left-edge formula requires"):
+            k5(0, 10, row_of(10, P100_74))  # below the crossover
 
     def test_edge_accuracy_at_column_zero(self):
         # measured 0.13% windowed at (x=0, n=90, N=200)
         assert point_err("V", 0, 90, P200_74) <= 0.02
 
     def test_edge_value_is_real_at_integer_x(self):
-        av = finalized(k5(5.0, 0.5, P100_74), "V")
+        av = finalized(k5(5, 50, row_of(50, P100_74)), "V")
         assert av.im_residue == 0.0
 
     def test_crossover_profile_small_u(self):
@@ -276,9 +278,9 @@ class TestInterferenceExterior:
 class TestLowerStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k8(1.0, P100_34.pf, P100_34, _Row(P100_34.pf, P100_34))
-        with pytest.raises(DomainError):
-            k8(1.0, 0.99, P100_34, _Row(0.99, P100_34))
+            k8(2, 4, row_of(4, P16_25))  # z = p
+        with pytest.raises(DomainError, match="lower-strip formula requires"):
+            k8(90, 99, row_of(99, P100_34))
 
     def test_matches_branch_form_inside_strip(self):
         # |beta| ~ 1.2: the stated 10% agreement holds (measured 9.7%)
@@ -296,9 +298,9 @@ class TestLowerStrip:
 class TestUpperStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k9(1.0, P100_74.pf, P100_74, _Row(P100_74.pf, P100_74))
-        with pytest.raises(DomainError):
-            k9(1.0, 0.10, P100_74, _Row(0.10, P100_74))
+            k9(2, 4, row_of(4, P16_25))  # z = p
+        with pytest.raises(DomainError, match="upper-strip formula requires"):
+            k9(5, 10, row_of(10, P100_74))
 
     def test_matches_interference_form_outward(self):
         worst = max(
@@ -326,8 +328,8 @@ class TestUpperStrip:
 
 class TestOscillatoryInterior:
     def test_rejects_exterior_points(self):
-        with pytest.raises(DomainError):
-            k10([0.01], P100_74, _Row(0.10, P100_74))
+        with pytest.raises(DomainError, match="between the turning curves"):
+            k10([1], 10, row_of(10, P100_74))
 
     @staticmethod
     def _two_branch_k10(pt: ScaledPoint, params: Params):
@@ -351,16 +353,18 @@ class TestOscillatoryInterior:
         assume(rid.tag == "X")
         if rid.mirrored:
             x, params = N - x, params.swapped()
-        pt = ScaledPoint.from_indices(x, n, params)
-        got = finalized(k10([pt.y], params, _Row(pt.z, params))[0], "X")
-        old = self._two_branch_k10(pt, params)
+        got = finalized(k10([x], n, row_of(n, params))[0], "X")
+        old = self._two_branch_k10(ScaledPoint.from_indices(x, n, params), params)
         assert (repr(got.value), repr(got.ln_scale), repr(got.im_residue)) == (
             repr(old.value), repr(old.ln_scale), repr(old.im_residue)
         )
 
     def test_plus_branch_alone_off_the_grid(self):
+        # The conjugate symmetry that k10 rests on also holds off the grid,
+        # where the branch logs still take a continuous y.
         for y, z in ((0.347, 0.503), (0.61, 0.42), (0.2, 0.35)):
-            got = finalized(k10([y], P100_64, _Row(z, P100_64))[0], "X")
+            m, s = _from_log(k_pm_log("+", ScaledPoint(y, z), P100_64))
+            got = finalized((complex(2.0 * m.real, 0.0), s), "X")
             old = self._two_branch_k10(ScaledPoint(y, z), P100_64)
             assert got == old
 
@@ -369,8 +373,23 @@ class TestOscillatoryInterior:
             av = evaluate_region("X", x, n, P100_64)
             assert av.im_residue <= 1e-8 * abs(av.value)
         # off-grid points do not phase-snap; cancellation is to rounding only
-        av = finalized(k10([0.347], P100_64, _Row(0.503, P100_64))[0], "X")
+        av = self._two_branch_k10(ScaledPoint(0.347, 0.503), P100_64)
         assert av.im_residue <= 1e-8 * abs(av.value)
+
+    @staticmethod
+    def _corner_form(n: int, eta: float, params: Params) -> float:
+        """The bottom-corner form H_n(eta) (pq/(2 eps))^(n/2) / n! at a
+        continuous eta; k2 is this form at the grid points."""
+        p, q = params.pf, params.qf
+        return (hermite(n, eta) * math.exp(0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps))
+                                           - math.lgamma(n + 1)))
+
+    def test_corner_form_is_the_corner_kernel_on_the_grid(self):
+        for n in (2, 4, 10, 20):
+            for x in range(20, 31):
+                eta = corner_coords(x, n, P100_74).eta
+                av = finalized(k2(x, n, row_of(n, P100_74)), "II")
+                assert av.value == pytest.approx(self._corner_form(n, eta, P100_74), rel=1e-12)
 
     @staticmethod
     def _cosine_profile(n: int, eta: float, params: Params) -> float:
@@ -386,7 +405,7 @@ class TestOscillatoryInterior:
         def worst(n):
             return max(
                 abs(self._cosine_profile(n, eta, P100_74)
-                    / finalized(k2(n, eta, P100_74), "II").value - 1.0)
+                    / self._corner_form(n, eta, P100_74) - 1.0)
                 for eta in (-0.9, -0.45, 0.0, 0.45, 0.9)
             )
 
@@ -406,8 +425,7 @@ class TestOscillatoryInterior:
         center = N * params.pf
         worst = 0.0
         for x in range(math.ceil(center - 0.9 * half), math.floor(center + 0.9 * half) + 1):
-            pt = ScaledPoint.from_indices(x, n, params)
-            av = finalized(k10([pt.y], params, _Row(pt.z, params))[0], "X")
+            av = finalized(k10([x], n, row_of(n, params))[0], "X")
             eta = (x - center) / half
             profile = TestOscillatoryInterior._cosine_profile(n, eta, params)
             env = max(
@@ -438,17 +456,15 @@ class TestOscillatoryInterior:
 
 class TestTopRows:
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            k11(1, 1.5, P100_74)
+        with pytest.raises(DomainError, match="outside the unit interval"):
+            k11(150, 99, row_of(99, P100_74))  # y = 1.5
         with pytest.raises(SingularityError):
-            k11(1, P100_74.qf, P100_74)
-        with pytest.raises(DomainError):
-            k11(1, 0.505 / 2.0, P100_74)  # y*N not an integer
+            k11(12, 15, row_of(15, P16_25))  # y = q
 
     def test_top_row_is_exact(self):
         table = ExactTable(P20_74)
         for x in (3, 10, 19):
-            av = finalized(k11(0, x / 20.0, P20_74), "XI")
+            av = finalized(k11(x, 20, row_of(20, P20_74)), "XI")
             sign, ln_mag = table.signed_log(20, x)
             assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
 
@@ -475,8 +491,7 @@ class TestTopCorner:
     def test_top_corner_profile_exact_at_order_zero(self):
         table = ExactTable(P20_74)
         for x in (4, 9, 15):
-            xi = corner_coords(x, 20, P20_74).xi
-            av = finalized(k12(0, xi, P20_74), "XII")
+            av = finalized(k12(x, 20, row_of(20, P20_74)), "XII")
             sign, ln_mag = table.signed_log(20, x)
             assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
 
@@ -527,6 +542,17 @@ class TestDispatcher:
     def test_forced_evaluation_rejects_non_integer_indices(self, tag, x, n):
         with pytest.raises(DomainError, match="x must be an integer"):
             evaluate_region(tag, x, n, P100_74)
+
+    @pytest.mark.parametrize("tag, x, n, match", [
+        ("I", 30, 101, "n=101 outside"), ("I", 30, -1, "n=-1 outside"),
+        ("V", -1, 60, "x=-1 outside"), ("XI", 25.25, 99, "x must be an integer"),
+    ])
+    def test_forced_evaluation_refuses_bad_indices_before_any_kernel(self, tag, x, n, match):
+        # The kernels take checked grid points; the dispatcher refuses the rest.
+        with pytest.raises(DomainError, match=match):
+            evaluate_region(tag, x, n, P100_74)
+        with pytest.raises(DomainError, match=match):
+            approx_row(n, [x], P100_74)
 
     @pytest.mark.parametrize("N, q, x, n", [
         (1000, "0.5", 9, 500), (1200, "0.75", 9, 300), (1200, "0.75", 1191, 900),
