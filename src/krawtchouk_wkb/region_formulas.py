@@ -1,7 +1,7 @@
 """Final asymptotic approximations for each of the twelve regions.
 
 The formulas ``k1`` ... ``k12`` are kernels: each returns the scale-split
-pair ``(mantissa, scale)`` for ``mantissa * exp(scale)``, with a complex
+pair ``(mantissa, scale)`` for ``mantissa * exp(scale)``, with a real signed
 O(1) mantissa and a real scale that absorbs everything growing like N, so
 sums of exponentially mismatched terms and values beyond double range are
 handled uniformly.  Region IV has no kernel of its own: it is III on the
@@ -14,19 +14,20 @@ branch-log loop; the others take one x.  The stretched corner and strip
 coordinates come from :func:`corner_coords`.  The paper writes its formulas
 for continuous x, and the package keeps only what survives at integer x:
 V, VII, IX and XII lose a second term (a sin(pi*x) factor, a winding factor
-w - 1 or a weight lambda_-) that is exactly 0 there, and the phases of V,
-VI, XI and XII are the signs (-1)^(x+n), (-1)^n, (-1)^x and (-1)^(N-x),
-taken from the indices.  The other phases exp(i*pi*t) are snapped to +-1
-whenever t is within 1e-9 of an integer.  So the integer-x algebraic
-identities hold exactly instead of to rounding, and im_residue is exactly
-zero on the purely real evaluation paths.
+w - 1 or a weight lambda_-) that is exactly 0 there, and every phase
+factor is real: those of V, VI, VIII, IX, XI and XII are the signs
+(-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and (-1)^(N-x), taken from
+the indices, and each branch kernel takes the cosine of its accumulated
+phase.  So the integer-x algebraic identities hold exactly instead of to
+rounding, and the complex logarithms of :mod:`.wkb_core` are the only
+complex arithmetic on the evaluation path.
 
 One dispatcher turns kernel values into :class:`ApproxValue` records: a
 real approximation to the polynomial value at one grid point, together with
-an imaginary-residue diagnostic, the region it came from, and the
-log-magnitude for overflow-free reporting.  It applies the mirror symmetry
-(evaluate at (N-x, n) with p and q swapped, multiply by (-1)^n) to mirrored
-regions, so the classifier's mirrored points and a forced IV take one path.
+the region it came from and the log-magnitude for overflow-free reporting.
+It applies the mirror symmetry (evaluate at (N-x, n) with p and q swapped,
+multiply by (-1)^n) to mirrored regions, so the classifier's mirrored points
+and a forced IV take one path.
 :func:`approx_row` evaluates a row a run of one label at a time, with the
 row's z-only terms solved once; it is total on the grid, z = p included, and
 :func:`approx` is its one-point case.  :func:`evaluate_region` forces one
@@ -35,7 +36,6 @@ region's formula.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cached_property
 from itertools import groupby
@@ -56,15 +56,11 @@ from .wkb_core import SingularityError, k_pm_logs, phi0, strip_coeffs
 
 __all__ = ["ApproxValue", "approx", "approx_row", "evaluate_region"]
 
-#: Distance from an integer below which a phase exp(i*pi*t) is snapped to
-#: its exact value.
-_SNAP = 1e-9
-
 #: exp() arguments beyond these act as overflow/underflow in doubles.
 _EXP_MAX = 709.0
 _EXP_MIN = -745.0
 
-_Scaled = Tuple[complex, float]
+_Scaled = Tuple[float, float]
 
 
 class ApproxValue(NamedTuple):
@@ -72,8 +68,8 @@ class ApproxValue(NamedTuple):
 
     value is the real approximation (may be +-0.0 or +-inf when the true
     magnitude leaves double range; sign and ln_scale stay meaningful).
-    im_residue is the magnitude of the imaginary part that was discarded --
-    an implementation diagnostic that should be tiny for integer inputs.
+    im_residue is 0.0: every formula is real on the grid, and the field
+    stays for the CSV column of that name.
     region records which formula produced the value, and ln_scale is
     ln|value| (-inf for an exact zero), valid even when value overflows.
     """
@@ -89,26 +85,20 @@ def _sign(k: int) -> float:
     return -1.0 if k % 2 else 1.0
 
 
-def _phase_factor(t: float) -> complex:
-    """exp(i*pi*t) snapped to exactly +-1 at integer t."""
-    r = round(t)
-    if abs(t - r) < _SNAP:
-        return complex(_sign(r), 0.0)
-    return cmath.exp(complex(0.0, math.pi * t))
-
-
 def _from_log(lk: complex) -> _Scaled:
-    """Split a log-space value into (unit-phase mantissa, real scale)."""
-    return _phase_factor(lk.imag / math.pi), lk.real
+    """Split a log-space value into (the real part of its unit phase, real scale)."""
+    # cos(pi * t) with t = Im/pi, not cos(Im): the round trip through t is the
+    # rounding every pinned output was made with (cos(Im) moves last digits).
+    return math.cos(math.pi * (lk.imag / math.pi)), lk.real
 
 
 def _sum_scaled(terms: List[_Scaled]) -> _Scaled:
     """Add scale-split terms on the largest scale; vastly smaller terms underflow to 0."""
     live = [(m, s) for m, s in terms if m != 0.0]
     if not live:
-        return 0.0j, 0.0
+        return 0.0, 0.0
     smax = max(s for _, s in live)
-    total = 0.0j
+    total = 0.0
     for m, s in live:
         d = s - smax
         if d > _EXP_MIN:
@@ -123,15 +113,11 @@ def _signed_exp(sign_carrier: float, ln_mag: float) -> float:
     return math.copysign(math.exp(ln_mag), sign_carrier)
 
 
-def _finalize(m: complex, s: float, region: RegionId) -> ApproxValue:
-    re, im = m.real, m.imag
-    if re == 0.0:
-        value, ln_scale = 0.0, -math.inf
-    else:
-        ln_scale = s + math.log(abs(re))
-        value = _signed_exp(re, ln_scale)
-    im_residue = 0.0 if im == 0.0 else abs(_signed_exp(1.0, s + math.log(abs(im))))
-    return ApproxValue(value, im_residue, region, ln_scale)
+def _finalize(m: float, s: float, region: RegionId) -> ApproxValue:
+    if m == 0.0:
+        return ApproxValue(0.0, 0.0, region, -math.inf)
+    ln_scale = s + math.log(abs(m))
+    return ApproxValue(_signed_exp(m, ln_scale), 0.0, region, ln_scale)
 
 
 class _Row:
@@ -154,13 +140,13 @@ class _Row:
 def k1(x: int, n: int, row: _Row) -> _Scaled:
     """Bottom rows away from the center: (y - p)^n / (n! eps^n)."""
     if n == 0:
-        return complex(1.0, 0.0), 0.0
+        return 1.0, 0.0
     params = row.params
     d = x * params.eps - params.pf
     if d == 0.0:
-        return 0j, 0.0
+        return 0.0, 0.0
     s = n * (math.log(abs(d)) - math.log(params.eps)) - math.lgamma(n + 1)
-    return complex(_sign(n) if d < 0.0 else 1.0, 0.0), s
+    return _sign(n) if d < 0.0 else 1.0, s
 
 
 def k2(x: int, n: int, row: _Row) -> _Scaled:
@@ -168,11 +154,11 @@ def k2(x: int, n: int, row: _Row) -> _Scaled:
     params = row.params
     H = hermite(n, corner_coords(x, n, params).eta)
     if H == 0.0:
-        return 0j, 0.0
+        return 0.0, 0.0
     p, q = params.pf, params.qf
     s = (0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps))
          - math.lgamma(n + 1) + math.log(abs(H)))
-    return complex(math.copysign(1.0, H), 0.0), s
+    return math.copysign(1.0, H), s
 
 
 def _branch_logs(branch: str, xs: Sequence[int], row: _Row,
@@ -218,8 +204,8 @@ def k5(x: int, n: int, row: _Row) -> _Scaled:
     if not p < z < 1.0:
         raise DomainError(f"left-edge formula requires p < z < 1, got z={z!r}")
     s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
-         + phi0(z, params).real * N + x * math.log((z - p) / p))
-    return complex(_sign(x + n), 0.0), s
+         + phi0(z, params) * N + x * math.log((z - p) / p))
+    return _sign(x + n), s
 
 
 def k6(x: int, n: int, row: _Row) -> _Scaled:
@@ -227,16 +213,16 @@ def k6(x: int, n: int, row: _Row) -> _Scaled:
     params = row.params
     u = corner_coords(x, n, params).u
     p, q, N = params.pf, params.qf, params.N
-    D = pcf_d(x, u).real
+    D = pcf_d(x, u)
     if D == 0.0:
-        return 0j, 0.0
+        return 0.0, 0.0
     root_pqN = math.sqrt(p * q * N)
     s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * p * q)
          + 0.5 * x * math.log(q * params.eps / p) - 0.25 * u * u
          + math.log(abs(D))
          - q * math.log(q) * N - u * math.log(q) * root_pqN)
     # The oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))] is (-1)^n on the grid.
-    return complex(math.copysign(1.0, D) * _sign(n), 0.0), s
+    return math.copysign(1.0, D) * _sign(n), s
 
 
 def k7(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
@@ -252,7 +238,8 @@ def k7(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
 
 
 def k8(x: int, n: int, row: _Row) -> _Scaled:
-    """Lower turning strip: Airy profile across the curve (z < p)."""
+    """Lower turning strip: Airy profile across the curve (z < p).  Its phase
+    Im(psi0)*N = pi*z*N is (-1)^n on the grid."""
     params, z = row.params, row.z
     beta = corner_coords(x, n, params).beta
     p, N = params.pf, params.N
@@ -263,12 +250,12 @@ def k8(x: int, n: int, row: _Row) -> _Scaled:
     c = row.strip  # slope is real for z < p
     ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
-        return 0j, 0.0
+        return 0.0, 0.0
     s = (math.log(params.eps) / 3.0 + c.psi0.real * N
          + c.slope.real * beta * params.eps ** (-1.0 / 3.0)
          + math.log(abs(ai)) - math.log(c.theta) / 3.0
          - 0.5 * math.log(z * c.u0))
-    return math.copysign(1.0, ai) * _phase_factor(c.psi0.imag * N / math.pi), s
+    return math.copysign(1.0, ai) * _sign(n), s
 
 
 def k9(x: int, n: int, row: _Row) -> _Scaled:
@@ -276,6 +263,8 @@ def k9(x: int, n: int, row: _Row) -> _Scaled:
 
     The paper weights Ai by lambda_+ = w + 1 and i*Bi by lambda_- = w - 1,
     with w = exp(2*pi*i*x); at integer x, w = 1, so the weights are (2, 0).
+    The phase Im(psi0)*N + Im(slope)*beta*eps^(-1/3), in which Y^-(z) cancels,
+    is pi*(z + y)*N: the sign (-1)^(n+x) on the grid.
     """
     params, z = row.params, row.z
     beta = corner_coords(x, n, params).beta
@@ -284,18 +273,17 @@ def k9(x: int, n: int, row: _Row) -> _Scaled:
         raise SingularityError("strip coefficient diverges at z = p")
     if not p < z < 1.0:
         raise DomainError(f"upper-strip formula requires p < z < 1, got z={z!r}")
-    c = row.strip  # slope carries -i*pi for z > p
+    c = row.strip
     vt = -c.theta
     arg = vt ** (2.0 / 3.0) * beta
     bracket = 2.0 * airy_ai(arg)
     if bracket == 0.0:
-        return 0j, 0.0
+        return 0.0, 0.0
     stretch = params.eps ** (-1.0 / 3.0)
     s = (math.log(params.eps) / 3.0 + c.psi0.real * N + c.slope.real * beta * stretch
          + math.log(0.5) - math.log(vt) / 3.0
          - 0.5 * math.log(z * c.u0))
-    t = (c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi
-    return _phase_factor(t) * bracket, s
+    return _sign(n + x) * bracket, s
 
 
 def k10(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
@@ -306,7 +294,7 @@ def k10(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
     sum is formed from the plus branch alone.
     """
     terms = row.terms
-    return [(complex(2.0 * m.real, 0.0), s)
+    return [(2.0 * m, s)
             for m, s in _branch_logs("+", xs, row, terms.ym, terms.yp, "between the turning curves")]
 
 
@@ -328,13 +316,13 @@ def k11(x: int, n: int, row: _Row) -> _Scaled:
     s1 = (math.log(math.comb(N, j)) + n * math.log(p)
           + y * N * math.log(q / p) + j * (math.log(abs(q - y)) - math.log(q)))
     m1 = _sign(n + x) * (sign_qy if j % 2 else 1.0)
-    terms = [(complex(m1, 0.0), s1)]
+    terms = [(m1, s1)]
     if x >= n and y < 1.0:
         c2 = math.comb(x, n)
         if c2:
             s2 = math.log(c2) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
             m2 = sign_qy if (j + 1) % 2 else 1.0
-            terms.append((complex(m2, 0.0), s2))
+            terms.append((m2, s2))
     return _sum_scaled(terms)
 
 
@@ -349,14 +337,14 @@ def k12(x: int, n: int, row: _Row) -> _Scaled:
     cc = corner_coords(x, n, params)
     j, xi = cc.j, cc.xi
     p, q, N = params.pf, params.qf, params.N
-    D = pcf_d(j, math.sqrt(2.0) * xi).real
+    D = pcf_d(j, math.sqrt(2.0) * xi)
     if D == 0.0:
-        return 0j, 0.0
+        return 0.0, 0.0
     root = xi * math.sqrt(2.0 * p * q * N)
     s = ((p * math.log(p) + q * math.log(q)) * N + root * math.log(q / p)
          - 0.5 * j * math.log(p * q * params.eps) + 0.5 * xi * xi
          + math.log(abs(D)) - math.lgamma(j + 1))
-    return complex(math.copysign(1.0, D) * _sign(N - x), 0.0), s
+    return math.copysign(1.0, D) * _sign(N - x), s
 
 
 # ---------------------------------------------------------------------------

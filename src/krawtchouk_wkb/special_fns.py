@@ -8,10 +8,11 @@ floats:
 * ``airy_ai`` sums a Taylor series re-centred at the nearest integer node
   for |x| <= 8.5, seeded with tabulated Ai and Ai' at the node, and the
   standard asymptotic expansions (DLMF 9.7.5, 9.7.9) beyond.
-* ``pcf_d`` takes a nonnegative integer order and a real argument only,
-  the corner layers' uses at integer x: e^{-z^2/4} He_n(z), with He_n from
-  the probabilists' recurrence in z, so exact zeros such as D_2(1) = 0 stay
-  exact.
+* ``pcf_d`` takes an ``int`` order 0..32 and a real (``int`` or ``float``)
+  argument only, the corner layers' uses at integer x, and returns a float:
+  e^{-z^2/4} He_n(z), with He_n from the probabilists' recurrence in z, so
+  exact zeros such as D_2(1) = 0 stay exact.  A float order or a complex
+  argument is refused even where its value is an integer or real.
 
 mpmath (30-40 decimal digits, returned as machine floats) remains for
 ``airy_bi`` and ``lambda_j``, which no region formula calls: their terms
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from typing import Union
 
 from .exact_core import DomainError
 
@@ -208,30 +208,27 @@ def airy_bi(x: float) -> float:
     return out
 
 
-def pcf_d(nu: float, z: Union[float, complex]) -> complex:
+def pcf_d(n: int, z: float) -> float:
     """Parabolic cylinder function D_n(z) for an integer order 0 <= n <= 32
     and a real |z| <= 15, which covers every corner-layer use at integer x.
 
     It is e^{-z^2/4} He_n(z) in floats, He_n from the recurrence
     He_{k+1} = z He_k - k He_{k-1} in z itself, so exact zeros such as
-    D_2(1) = 0 come out as 0.0.  An integer-valued float order and a complex
-    z with zero imaginary part are accepted; any other order or argument
-    raises RangeError.
+    D_2(1) = 0 come out as 0.0.  Any other order or argument, a float order
+    or a complex argument included, raises RangeError.
     """
     # The two bound checks come first, so a forced VI or XII far outside its
     # layer reports the bound it crossed.
-    if not 0 <= nu <= _PCF_NU_MAX:
-        raise RangeError(f"pcf_d order {nu} outside the integers 0..{_PCF_NU_MAX}")
+    if not 0 <= n <= _PCF_NU_MAX:
+        raise RangeError(f"pcf_d order {n} outside the integers 0..{_PCF_NU_MAX}")
     if abs(z) > _PCF_Z_MAX:
         raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
-    zc = complex(z)
-    if not float(nu).is_integer() or zc.imag != 0.0:
-        raise RangeError(f"pcf_d needs a nonnegative integer order and a real argument, got D_{nu}({z})")
-    t = zc.real
+    if not isinstance(n, int) or not isinstance(z, (int, float)):
+        raise RangeError(f"pcf_d needs an integer order and a real argument, got D_{n}({z})")
     he_prev, he = 0.0, 1.0  # He_{-1}, He_0
-    for k in range(int(nu)):
-        he_prev, he = he, t * he - k * he_prev
-    return complex(math.exp(-0.25 * t * t) * he, 0.0)
+    for k in range(n):
+        he_prev, he = he, z * he - k * he_prev
+    return math.exp(-0.25 * z * z) * he
 
 
 def lambda_j(j: int, xi: float) -> float:

@@ -147,12 +147,6 @@ def u0(z: float, params: Params) -> float:
     return math.sqrt(p * q * (1.0 - z) / z)
 
 
-def _y_minus_total(z: float, params: Params) -> float:
-    """Lower turning curve, continued to the closed interval [0, 1]."""
-    p, q = params.pf, params.qf
-    return p + (q - p) * z - 2.0 * math.sqrt(p * q * z * (1.0 - z))
-
-
 def y_pm(z: float, params: Params) -> Tuple[float, float]:
     """The turning curves (Y^-(z), Y^+(z)) where the two branch roots coalesce.
 
@@ -366,7 +360,7 @@ class CornerCoords(NamedTuple):
 
     eta:  (y - p)/sqrt(2pq*eps)   -- corner layer at (p, 0)
     u:    (p - z)/sqrt(pq*eps)    -- corner layer at (0, p)
-    beta: (Y^-(z) - y)/eps^{2/3}  -- turning strip (positive outside E)
+    beta: (Y^-(z) - y)/eps^{2/3}  -- turning strip (positive outside E; Y^-(0) = p)
     xi:   (y - q)/sqrt(2pq*eps)   -- corner layer at (q, 1)
     j:    N - n                   -- distance from the top row
     """
@@ -387,6 +381,6 @@ def corner_coords(x: int, n: int, params: Params) -> CornerCoords:
     s2 = math.sqrt(2.0 * p * q * eps)
     eta = (y - p) / s2
     u = (p - z) / math.sqrt(p * q * eps)
-    beta = (_y_minus_total(z, params) - y) / eps ** (2.0 / 3.0)
+    beta = ((y_pm(z, params)[0] if n else p) - y) / eps ** (2.0 / 3.0)
     xi = (y - q) / s2
     return CornerCoords(eta, u, beta, xi, params.N - n)

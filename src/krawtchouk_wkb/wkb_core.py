@@ -174,10 +174,9 @@ def strip_coeffs(z: float, params: Params) -> StripCoeffs:
     return StripCoeffs(r, th, psi, plog(r + p) - plog(r - q))
 
 
-def phi0(z: float, params: Params) -> complex:
-    """Left-edge phase (z-1) ln(1-z) - z ln z + z (ln p + i*pi)."""
+def phi0(z: float, params: Params) -> float:
+    """Left-edge phase (z-1) ln(1-z) - z ln z + z ln p, the real part of the
+    paper's; its imaginary part z*pi only ever enters as exp(i*pi*n) = (-1)^n."""
     if not 0.0 < z < 1.0:
         raise SingularityError(f"phi0 is singular at z={z!r}")
-    p = params.pf
-    real = (z - 1.0) * math.log1p(-z) - z * math.log(z) + z * math.log(p)
-    return complex(real, z * math.pi)
+    return (z - 1.0) * math.log1p(-z) - z * math.log(z) + z * math.log(params.pf)

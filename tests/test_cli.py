@@ -298,6 +298,17 @@ class TestCompare:
             assert main(["compare", "--N", "100", "--q", q]) == 0
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
+    def test_figures_bytes_are_pinned(self, capsys):
+        # figures.sha256 holds, in sha256sum's format, the digest of each
+        # built-in sweep's stdout: the N = 20, 40 and 50 rows it covers
+        # appear in no other golden.
+        pins = [line.split() for line in (DATA / "figures.sha256").read_text().splitlines()]
+        assert [name for _, name in pins] == [f"figures_{k}.csv" for k in range(3, 15)]
+        for digest, name in pins:
+            code, out, err = run_cli(capsys, "figures", name[len("figures_"):-len(".csv")])
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
     def test_full_grid_never_loads_mpmath(self):
         # A fresh interpreter: mpmath is only imported by the special
         # functions the grid never reaches.

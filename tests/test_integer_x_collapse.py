@@ -1,19 +1,22 @@
-"""The kernels of V, VI, VII, IX, XI and XII against the paper's continuous-x forms.
+"""The real kernels of III and V to XII against the paper's complex continuous-x forms.
 
 The paper writes four of these formulas with a second term that is exactly
 0 at integer x: V's carries sin(pi*x), VII's the winding factor w - 1 of
 w = exp(2*pi*i*x), IX's the weight lambda_- = w - 1 of its Bi term, and
 XII's a sin factor whose argument is pi*(N - x) on the grid.  The package
 evaluates integer indices only, so its kernels keep the surviving term
-alone, and they take the phases of V, VI, XI and XII as the signs
-(-1)^(x+n), (-1)^n, (-1)^x and (-1)^(N-x) that the indices fix.  The
-continuous-x forms are kept here as references, written as the kernels
-computed them from a float x, a float phase argument snapped to the
-nearest integer, and the stretched coordinates:
+alone, and every mantissa is a real float: the phases of V, VI, VIII, IX,
+XI and XII are the signs (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and
+(-1)^(N-x) that the indices fix, and the branch kernels III, VII and X take
+the cosine of their accumulated phase.  The continuous-x forms are kept
+here as complex references, written as the kernels once computed them from
+a float x, a float phase argument snapped to the nearest integer by
+:func:`_phase_factor`, and the stretched coordinates:
 
 * at every integer grid point of each formula's domain, in both
-  orientations, the dropped term's weight is exactly 0 and the kernel's
-  value equals the reference's by ``repr``;
+  orientations, the dropped term's weight is exactly 0, the reference's
+  imaginary part is exactly 0, and the kernel's value equals the real part
+  of the reference's by ``repr``;
 * at half-integer x the dropped term is non-zero, so the references do
   carry the continuous-x term and the first check is not vacuous.
 """
@@ -26,7 +29,7 @@ import pytest
 
 from krawtchouk_wkb.exact_core import DomainError, Params
 from krawtchouk_wkb.region_formulas import (
-    _Row, _finalize, _from_log, _sum_scaled, k5, k6, k7, k9, k11, k12,
+    _Row, _finalize, _sum_scaled, k3, k5, k6, k7, k8, k9, k10, k11, k12,
 )
 from krawtchouk_wkb.special_fns import RangeError, airy_ai, airy_bi, lambda_j, pcf_d
 from krawtchouk_wkb.state_space import RegionId, ScaledPoint, corner_coords, y_pm
@@ -34,7 +37,7 @@ from krawtchouk_wkb.wkb_core import SingularityError, k_pm_log, phi0
 
 GRIDS = [(N, q) for N in (20, 100) for q in ("0.34894783", "0.74894783")]
 REFUSED = (DomainError, SingularityError, RangeError)
-SNAP = 1e-9
+_SNAP = 1e-9
 
 #: Half-integer points checked per orientation; lambda_j takes about 2 ms.
 HALF_POINTS = 6
@@ -45,13 +48,35 @@ HALF_POINTS = 6
 # ---------------------------------------------------------------------------
 
 
+def _sign(k: int) -> float:
+    """(-1)^k."""
+    return -1.0 if k % 2 else 1.0
+
+
+# _phase_factor and _from_log are copied verbatim from the region formulas
+# as they stood while their mantissas were complex.
+
+
+def _phase_factor(t: float) -> complex:
+    """exp(i*pi*t) snapped to exactly +-1 at integer t."""
+    r = round(t)
+    if abs(t - r) < _SNAP:
+        return complex(_sign(r), 0.0)
+    return cmath.exp(complex(0.0, math.pi * t))
+
+
+def _from_log(lk: complex) -> tuple:
+    """Split a log-space value into (unit-phase mantissa, real scale)."""
+    return _phase_factor(lk.imag / math.pi), lk.real
+
+
 def cospi(t):
     """cos(pi*t), exact at integer and half-integer t."""
     r = round(t)
-    if abs(t - r) < SNAP:
+    if abs(t - r) < _SNAP:
         return 1.0 if r % 2 == 0 else -1.0
     k = math.floor(t)
-    if abs(t - k - 0.5) < SNAP:
+    if abs(t - k - 0.5) < _SNAP:
         return 0.0
     return math.cos(math.pi * t)
 
@@ -59,20 +84,12 @@ def cospi(t):
 def sinpi(t):
     """sin(pi*t), exact at integer and half-integer t."""
     r = round(t)
-    if abs(t - r) < SNAP:
+    if abs(t - r) < _SNAP:
         return 0.0
     k = math.floor(t)
-    if abs(t - k - 0.5) < SNAP:
+    if abs(t - k - 0.5) < _SNAP:
         return 1.0 if k % 2 == 0 else -1.0
     return math.sin(math.pi * t)
-
-
-def phase(t):
-    """exp(i*pi*t), exactly +-1 at integer t."""
-    r = round(t)
-    if abs(t - r) < SNAP:
-        return complex(1.0 if r % 2 == 0 else -1.0, 0.0)
-    return cmath.exp(complex(0.0, math.pi * t))
 
 
 class Full(NamedTuple):
@@ -84,11 +101,16 @@ class Full(NamedTuple):
     dropped: Optional[tuple]
 
 
+def ref_k3(y, params, row):
+    """III: the minus branch alone; it has no dropped term."""
+    return Full(_from_log(k_pm_log("-", ScaledPoint(y, row.z), params, row.terms)), 0.0, None)
+
+
 def ref_k5(x, z, params):
     p, q, N, eps = params.pf, params.qf, params.N, params.eps
-    ph = phase(z * N)
+    ph = _phase_factor(z * N)
     s1 = (0.5 * math.log(eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
-          + phi0(z, params).real * N + x * math.log((z - p) / p))
+          + phi0(z, params) * N + x * math.log((z - p) / p))
     terms = [(cospi(x) * ph, s1)]
     sn = sinpi(x)
     dropped = None
@@ -103,9 +125,10 @@ def ref_k5(x, z, params):
 
 def ref_k6(x, u, params):
     """VI with its oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))]
-    formed from u; it has no dropped term."""
+    formed from u; it has no dropped term.  pcf_d takes the integer order
+    that x is on the grid."""
     p, q, N = params.pf, params.qf, params.N
-    D = pcf_d(x, u).real
+    D = pcf_d(int(x), u)
     if D == 0.0:
         return Full((0j, 0.0), 0.0, None)
     root_pqN = math.sqrt(p * q * N)
@@ -113,14 +136,14 @@ def ref_k6(x, u, params):
          + 0.5 * x * math.log(q * params.eps / p) - 0.25 * u * u
          + math.log(abs(D))
          - q * math.log(q) * N - u * math.log(q) * root_pqN)
-    return Full((math.copysign(1.0, D) * phase(p * N - u * root_pqN), s), 0.0, None)
+    return Full((math.copysign(1.0, D) * _phase_factor(p * N - u * root_pqN), s), 0.0, None)
 
 
 def ref_k7(y, params, row):
     """Re{(w + 1)/2 K+ + (w - 1) K-}, w = exp(2*pi*i*y/eps); K- is drawn only
     at a non-zero weight, as it is singular at y = 0."""
     mp, sp = _from_log(k_pm_log("+", ScaledPoint(y, row.z), params, row.terms))
-    w = phase(2.0 * y * params.N)
+    w = _phase_factor(2.0 * y * params.N)
     terms = [(0.5 * (w + 1.0) * mp, sp)]
     cm = w - 1.0
     dropped = None
@@ -136,11 +159,25 @@ def lambda_pm(beta, z, params):
     integer within 1e-9."""
     eps = params.eps
     winding = (y_pm(z, params)[0] - beta * eps ** (2.0 / 3.0)) / eps
-    if abs(winding - round(winding)) < SNAP:
+    if abs(winding - round(winding)) < _SNAP:
         w = complex(1.0, 0.0)
     else:
         w = cmath.exp(complex(0.0, 2.0 * math.pi * winding))
     return w + 1.0, w - 1.0
+
+
+def ref_k8(beta, z, params, row):
+    """VIII with its phase exp(i*pi*t) formed from t = Im(psi0)*N/pi; it has
+    no dropped term."""
+    N, c = params.N, row.strip
+    ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
+    if ai == 0.0:
+        return Full((0j, 0.0), 0.0, None)
+    s = (math.log(params.eps) / 3.0 + c.psi0.real * N
+         + c.slope.real * beta * params.eps ** (-1.0 / 3.0)
+         + math.log(abs(ai)) - math.log(c.theta) / 3.0
+         - 0.5 * math.log(z * c.u0))
+    return Full((math.copysign(1.0, ai) * _phase_factor(c.psi0.imag * N / math.pi), s), 0.0, None)
 
 
 def ref_k9(beta, z, params, row):
@@ -156,9 +193,16 @@ def ref_k9(beta, z, params, row):
     stretch = params.eps ** (-1.0 / 3.0)
     s = (math.log(params.eps) / 3.0 + c.psi0.real * N + c.slope.real * beta * stretch
          + math.log(0.5) - math.log(vt) / 3.0 - 0.5 * math.log(z * c.u0))
-    ph = phase((c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi)
+    ph = _phase_factor((c.psi0.imag * N + c.slope.imag * beta * stretch) / math.pi)
     total = (0j, 0.0) if bracket == 0.0 else (ph * bracket, s)
     return Full(total, lam_m, None if bi_term is None else (ph * bi_term, s))
+
+
+def ref_k10(y, params, row):
+    """X as the sum K+ + K- of the two branches; it has no dropped term."""
+    pt = ScaledPoint(y, row.z)
+    terms = [_from_log(k_pm_log(branch, pt, params, row.terms)) for branch in ("+", "-")]
+    return Full(_sum_scaled(terms), 0.0, None)
 
 
 def ref_k11(j, y, params):
@@ -189,7 +233,7 @@ def ref_k12(j, xi, params):
     terms = []
     cs = cospi(t)
     if cs != 0.0:
-        D = pcf_d(j, math.sqrt(2.0) * xi).real
+        D = pcf_d(j, math.sqrt(2.0) * xi)
         if D != 0.0:
             terms.append((complex(math.copysign(1.0, D) * cs, 0.0),
                           s_common + math.log(abs(D)) - math.lgamma(j + 1)))
@@ -229,15 +273,21 @@ def case(tag, x, n, params, row):
     """The tag's (kernel, reference) at (x, n); x may be a half-integer, and
     then only the reference may be called."""
     z, on_grid = row.z, float(x).is_integer()
+    if tag == "III":
+        return Case(lambda: k3([x], n, row)[0], lambda: ref_k3(x * params.eps, params, row))
     if tag == "V":
         return Case(lambda: k5(x, n, row), lambda: ref_k5(float(x), z, params))
     if tag == "VI":
         return Case(lambda: k6(x, n, row), lambda: ref_k6(float(x), corner_coords(x, n, params).u, params))
     if tag == "VII":
         return Case(lambda: k7([x], n, row)[0], lambda: ref_k7(x * params.eps, params, row))
-    if tag == "IX":
+    if tag in ("VIII", "IX"):
         beta = corner_coords(x, n, params).beta if on_grid else strip_beta(x, z, params)
+        if tag == "VIII":
+            return Case(lambda: k8(x, n, row), lambda: ref_k8(beta, z, params, row))
         return Case(lambda: k9(x, n, row), lambda: ref_k9(beta, z, params, row))
+    if tag == "X":
+        return Case(lambda: k10([x], n, row)[0], lambda: ref_k10(x * params.eps, params, row))
     if tag == "XI":
         return Case(lambda: k11(x, n, row), lambda: ref_k11(params.N - n, x * params.eps, params))
     xi = corner_coords(x, n, params).xi if on_grid else corner_xi(x, params)
@@ -256,7 +306,7 @@ def orientations(N, q):
 
 
 @pytest.mark.parametrize("N, q", GRIDS)
-@pytest.mark.parametrize("tag", ["V", "VI", "VII", "IX", "XI", "XII"])
+@pytest.mark.parametrize("tag", ["III", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII"])
 def test_dropped_term_is_zero_and_kernel_equals_reference_on_grid(tag, N, q):
     rid = RegionId(tag)
     evaluated = 0
@@ -271,7 +321,9 @@ def test_dropped_term_is_zero_and_kernel_equals_reference_on_grid(tag, N, q):
                     continue
                 ref = kr.reference()
                 assert ref.weight == 0.0 and ref.dropped is None, (x, n)
-                assert repr(_finalize(*got, rid)) == repr(_finalize(*ref.total, rid)), (x, n)
+                m, s = ref.total
+                assert type(got[0]) is float and m.imag == 0.0, (x, n)
+                assert repr(_finalize(*got, rid)) == repr(_finalize(m.real, s, rid)), (x, n)
                 evaluated += 1
     assert evaluated > 0
 
