@@ -19,7 +19,7 @@ factor is real: those of V, VI, VIII, IX, XI and XII are the signs
 (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and (-1)^(N-x), taken from
 the indices, and each branch kernel takes the cosine of its accumulated
 phase.  So the integer-x algebraic identities hold exactly instead of to
-rounding, and the complex logarithms of :mod:`.wkb_core` are the only
+rounding, and the branch logarithms of :mod:`.wkb_core` are the only
 complex arithmetic on the evaluation path.
 
 One dispatcher turns kernel values into :class:`ApproxValue` records: a
@@ -68,14 +68,11 @@ class ApproxValue(NamedTuple):
 
     value is the real approximation (may be +-0.0 or +-inf when the true
     magnitude leaves double range; sign and ln_scale stay meaningful).
-    im_residue is 0.0: every formula is real on the grid, and the field
-    stays for the CSV column of that name.
     region records which formula produced the value, and ln_scale is
     ln|value| (-inf for an exact zero), valid even when value overflows.
     """
 
     value: float
-    im_residue: float
     region: RegionId
     ln_scale: float
 
@@ -115,9 +112,9 @@ def _signed_exp(sign_carrier: float, ln_mag: float) -> float:
 
 def _finalize(m: float, s: float, region: RegionId) -> ApproxValue:
     if m == 0.0:
-        return ApproxValue(0.0, 0.0, region, -math.inf)
+        return ApproxValue(0.0, region, -math.inf)
     ln_scale = s + math.log(abs(m))
-    return ApproxValue(_signed_exp(m, ln_scale), 0.0, region, ln_scale)
+    return ApproxValue(_signed_exp(m, ln_scale), region, ln_scale)
 
 
 class _Row:
@@ -238,8 +235,8 @@ def k7(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
 
 
 def k8(x: int, n: int, row: _Row) -> _Scaled:
-    """Lower turning strip: Airy profile across the curve (z < p).  Its phase
-    Im(psi0)*N = pi*z*N is (-1)^n on the grid."""
+    """Lower turning strip: Airy profile across the curve (z < p).  The
+    paper's phase exp(i*pi*z*N) is the sign (-1)^n, taken from the indices."""
     params, z = row.params, row.z
     beta = corner_coords(x, n, params).beta
     p, N = params.pf, params.N
@@ -247,12 +244,12 @@ def k8(x: int, n: int, row: _Row) -> _Scaled:
         raise SingularityError("strip coefficient diverges at z = p")
     if not 0.0 < z < p:
         raise DomainError(f"lower-strip formula requires 0 < z < p, got z={z!r}")
-    c = row.strip  # slope is real for z < p
+    c = row.strip
     ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
         return 0.0, 0.0
-    s = (math.log(params.eps) / 3.0 + c.psi0.real * N
-         + c.slope.real * beta * params.eps ** (-1.0 / 3.0)
+    s = (math.log(params.eps) / 3.0 + c.psi0 * N
+         + c.slope * beta * params.eps ** (-1.0 / 3.0)
          + math.log(abs(ai)) - math.log(c.theta) / 3.0
          - 0.5 * math.log(z * c.u0))
     return math.copysign(1.0, ai) * _sign(n), s
@@ -263,8 +260,8 @@ def k9(x: int, n: int, row: _Row) -> _Scaled:
 
     The paper weights Ai by lambda_+ = w + 1 and i*Bi by lambda_- = w - 1,
     with w = exp(2*pi*i*x); at integer x, w = 1, so the weights are (2, 0).
-    The phase Im(psi0)*N + Im(slope)*beta*eps^(-1/3), in which Y^-(z) cancels,
-    is pi*(z + y)*N: the sign (-1)^(n+x) on the grid.
+    The paper's phase exp(i*pi*(z + y)*N) is the sign (-1)^(n+x), taken from
+    the indices.
     """
     params, z = row.params, row.z
     beta = corner_coords(x, n, params).beta
@@ -280,7 +277,7 @@ def k9(x: int, n: int, row: _Row) -> _Scaled:
     if bracket == 0.0:
         return 0.0, 0.0
     stretch = params.eps ** (-1.0 / 3.0)
-    s = (math.log(params.eps) / 3.0 + c.psi0.real * N + c.slope.real * beta * stretch
+    s = (math.log(params.eps) / 3.0 + c.psi0 * N + c.slope * beta * stretch
          + math.log(0.5) - math.log(vt) / 3.0
          - 0.5 * math.log(z * c.u0))
     return _sign(n + x) * bracket, s

@@ -15,10 +15,10 @@ floats:
   argument is refused even where its value is an integer or real.
 
 mpmath (30-40 decimal digits, returned as machine floats) remains for
-``airy_bi`` and ``lambda_j``, which no region formula calls: their terms
-are exactly 0 at integer x.  It is imported inside those two functions, so
-it loads on first use and a run that stays on the grid never loads it.
-Everything here is pure and reentrant.
+``airy_bi`` and ``lambda_j``, which no command calls: their terms are
+exactly 0 at integer x, and the checks anchor neither.  It is imported
+inside those two functions, so no command ever loads it.  Everything here
+is pure and reentrant.
 """
 
 from __future__ import annotations

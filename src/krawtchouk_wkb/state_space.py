@@ -192,19 +192,14 @@ def row_terms(z: float, params: Params) -> RowTerms:
     return RowTerms(z * (q - p), c, 4.0 * z * c, u0(z, params) ** 2, ym, yp)
 
 
-def u_pm(pt: ScaledPoint, params: Params, row: Optional[RowTerms] = None) -> Tuple[complex, complex]:
+def u_pm(pt: ScaledPoint, params: Params) -> Tuple[complex, complex]:
     """The two branch roots (U^-, U^+) of z*U^2 + [p - y + z(q-p)]*U + pq(1-z) = 0.
 
     Real with U^- <= U^+ outside the ellipse, complex conjugates (U^+ in the
     upper half plane) inside it, and both equal to ±u0(z) on the turning
-    curves y = Y^±(z).  ``row`` is ``row_terms(pt.z, params)`` when the
-    caller already has it.
+    curves y = Y^±(z).  Requires 0 < z <= 1, which :func:`y_pm` checks.
     """
-    if row is None:
-        if not 0.0 < pt.z <= 1.0:
-            raise DomainError(f"u_pm requires 0 < z <= 1, got z={pt.z!r}")
-        row = row_terms(pt.z, params)
-    return branch_roots(pt.y, pt.z, params, row)
+    return branch_roots(pt.y, pt.z, params, row_terms(pt.z, params))
 
 
 def branch_roots(y: float, z: float, params: Params, row: RowTerms) -> Tuple[complex, complex]:

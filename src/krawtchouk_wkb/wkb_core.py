@@ -8,10 +8,10 @@ is only ever formed in log-space (``k_pm_log``, and ``k_pm_logs`` for the
 points of a row) because its real part grows like N.
 
 The remaining operations are the turning-strip ingredients and the
-left-edge phase ``phi0``.  ``strip_coeffs`` solves u0 and Y^-(z) once and
-returns every z-only coefficient of the Airy expansion across the lower
-turning curve: the curvature theta that scales the Airy argument, the
-phase psi0 and the slope.
+left-edge phase ``phi0``, all real.  ``strip_coeffs`` solves u0 and Y^-(z)
+once and returns every z-only coefficient of the Airy expansion across the
+lower turning curve: the curvature theta that scales the Airy argument, and
+the real parts of the phase psi0 and of the slope.
 """
 
 from __future__ import annotations
@@ -112,14 +112,14 @@ def k_pm_logs(branch: str, ys: Iterable[float], z: float, params: Params,
     return (half_log_pref + psi * N + plog(amp) for psi, amp in _branch_terms(branch, ys, z, params, row))
 
 
-def k_pm_log(branch: str, pt: ScaledPoint, params: Params, row: Optional[RowTerms] = None) -> complex:
+def k_pm_log(branch: str, pt: ScaledPoint, params: Params) -> complex:
     """log of the branch contribution K = sqrt(eps/(2*pi)) e^{psi/eps} L.
 
     The real part is ln|K| and the imaginary part the accumulated phase (not
     reduced mod 2*pi).  psi/eps is computed as psi*N, which is exact in the
     scaling.  The one-point case of :func:`k_pm_logs`.
     """
-    return next(k_pm_logs(branch, (pt.y,), pt.z, params, row))
+    return next(k_pm_logs(branch, (pt.y,), pt.z, params))
 
 
 def k_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
@@ -138,18 +138,22 @@ class StripCoeffs(NamedTuple):
 
     u0 is the coalescence root u0(z).  theta = sqrt(u0/z) / ((u0+p)(u0-q)) is
     the curvature coefficient, positive for z < p (region VIII) and negative
-    for z > p (IX, which uses -theta).  psi0 = z*pi*i + (z-1) ln u0
-    + Y^-(z) ln(u0 - q) + (1 - Y^-(z)) ln(u0 + p) is the strip phase; for
-    z > p the factor u0 - q is negative and contributes +i*pi*Y^-.  slope is
-    ln(u0+p) - ln(u0-q) with principal branches taken factor-wise: for z > p
-    it carries -i*pi, and taking plog of the quotient would flip that sign
-    and corrupt the strip phase.
+    for z > p (IX, which uses -theta).  psi0 = (z-1) ln u0 + Y^-(z) ln|u0 - q|
+    + (1 - Y^-(z)) ln(u0 + p) is the strip phase and slope = ln(u0 + p)
+    - ln|u0 - q| its rate across the curve: the real parts of the paper's.
     """
 
     u0: float
     theta: float
-    psi0: complex
-    slope: complex
+    psi0: float
+    slope: float
+
+
+def _ln(a: float) -> float:
+    """ln|a| rounded as the pinned outputs were: by ``cmath.log``, which takes
+    log1p((a-1)(a+1))/2 on [0.71, 1.73], so ``math.log`` differs from it in
+    the last bit for about a fifth of the arguments in [0.5, 2]."""
+    return cmath.log(a).real
 
 
 def strip_coeffs(z: float, params: Params) -> StripCoeffs:
@@ -164,14 +168,10 @@ def strip_coeffs(z: float, params: Params) -> StripCoeffs:
     if r == q:
         raise SingularityError("strip coefficients diverge where u0 = q (z = p)")
     ym = y_pm(z, params)[0]
-    psi = (
-        complex(0.0, z * math.pi)
-        + (z - 1.0) * plog(r)
-        + ym * plog(r - q)
-        + (1.0 - ym) * plog(r + p)
-    )
+    ln_rp, ln_rq = _ln(r + p), _ln(r - q)
+    psi = (z - 1.0) * _ln(r) + ym * ln_rq + (1.0 - ym) * ln_rp
     th = math.sqrt(r / z) / ((r + p) * (r - q))
-    return StripCoeffs(r, th, psi, plog(r + p) - plog(r - q))
+    return StripCoeffs(r, th, psi, ln_rp - ln_rq)
 
 
 def phi0(z: float, params: Params) -> float:

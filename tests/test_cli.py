@@ -310,15 +310,23 @@ class TestCompare:
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
     def test_full_grid_never_loads_mpmath(self):
-        # A fresh interpreter: mpmath is only imported by the special
-        # functions the grid never reaches.
+        # One fresh interpreter runs every subcommand: mpmath is only
+        # imported by the special functions that no command reaches.
         import krawtchouk_wkb
 
+        runs = [
+            ["compare", "--N", "60", "--q", "0.64894783"],
+            ["eval", "--N", "30", "--q", "0.64894783"],
+            ["regions", "--N", "60", "--q", "0.54894783"],
+            *(["figures", str(k)] for k in range(3, 15)),
+            ["check"],
+        ]
         code = (
             "import io, sys, contextlib\n"
             "import krawtchouk_wkb.cli as cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['compare', '--N', '60', '--q', '0.64894783']) == 0\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
             "print('mpmath' in sys.modules)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(krawtchouk_wkb.__file__).parents[1])}

@@ -327,7 +327,7 @@ def test_envelope_matches_per_cell_reference(case):
         out = []
         for x, av in enumerate(avs):
             sign, ln = table.signed_log(n, x)
-            exact = ApproxValue(float(sign), 0.0, av.region, ln)
+            exact = ApproxValue(float(sign), av.region, ln)
             out.append((
                 sign, ln, accuracy.window_env_log(table, n, x),
                 accuracy.norm_err(av, table, n, x), accuracy.formula_gap(av, exact, table, n, x),

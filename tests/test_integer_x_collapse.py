@@ -11,7 +11,8 @@ XI and XII are the signs (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and
 the cosine of their accumulated phase.  The continuous-x forms are kept
 here as complex references, written as the kernels once computed them from
 a float x, a float phase argument snapped to the nearest integer by
-:func:`_phase_factor`, and the stretched coordinates:
+:func:`_phase_factor`, the stretched coordinates, and (for VIII and IX) the
+complex strip phase and slope of :func:`ref_strip_coeffs`:
 
 * at every integer grid point of each formula's domain, in both
   orientations, the dropped term's weight is exactly 0, the reference's
@@ -32,8 +33,8 @@ from krawtchouk_wkb.region_formulas import (
     _Row, _finalize, _sum_scaled, k3, k5, k6, k7, k8, k9, k10, k11, k12,
 )
 from krawtchouk_wkb.special_fns import RangeError, airy_ai, airy_bi, lambda_j, pcf_d
-from krawtchouk_wkb.state_space import RegionId, ScaledPoint, corner_coords, y_pm
-from krawtchouk_wkb.wkb_core import SingularityError, k_pm_log, phi0
+from krawtchouk_wkb.state_space import RegionId, corner_coords, u0, y_pm
+from krawtchouk_wkb.wkb_core import SingularityError, StripCoeffs, k_pm_logs, phi0, plog
 
 GRIDS = [(N, q) for N in (20, 100) for q in ("0.34894783", "0.74894783")]
 REFUSED = (DomainError, SingularityError, RangeError)
@@ -101,9 +102,25 @@ class Full(NamedTuple):
     dropped: Optional[tuple]
 
 
+def branch_log(branch, y, params, row):
+    """The branch log at (y, row.z), drawn from the row's loop."""
+    return next(k_pm_logs(branch, (y,), row.z, params, row.terms))
+
+
+def ref_strip_coeffs(z, params):
+    """The strip coefficients as they stood while psi0 and the slope were
+    complex: psi0 carries the phase z*pi*i, plus i*pi*Y^- for z > p, where
+    u0 - q is negative, and the slope -i*pi there."""
+    p, q = params.pf, params.qf
+    r = u0(z, params)
+    ym = y_pm(z, params)[0]
+    psi = complex(0.0, z * math.pi) + (z - 1.0) * plog(r) + ym * plog(r - q) + (1.0 - ym) * plog(r + p)
+    return StripCoeffs(r, math.sqrt(r / z) / ((r + p) * (r - q)), psi, plog(r + p) - plog(r - q))
+
+
 def ref_k3(y, params, row):
     """III: the minus branch alone; it has no dropped term."""
-    return Full(_from_log(k_pm_log("-", ScaledPoint(y, row.z), params, row.terms)), 0.0, None)
+    return Full(_from_log(branch_log("-", y, params, row)), 0.0, None)
 
 
 def ref_k5(x, z, params):
@@ -142,13 +159,13 @@ def ref_k6(x, u, params):
 def ref_k7(y, params, row):
     """Re{(w + 1)/2 K+ + (w - 1) K-}, w = exp(2*pi*i*y/eps); K- is drawn only
     at a non-zero weight, as it is singular at y = 0."""
-    mp, sp = _from_log(k_pm_log("+", ScaledPoint(y, row.z), params, row.terms))
+    mp, sp = _from_log(branch_log("+", y, params, row))
     w = _phase_factor(2.0 * y * params.N)
     terms = [(0.5 * (w + 1.0) * mp, sp)]
     cm = w - 1.0
     dropped = None
     if cm != 0.0:
-        mm, sm = _from_log(k_pm_log("-", ScaledPoint(y, row.z), params, row.terms))
+        mm, sm = _from_log(branch_log("-", y, params, row))
         dropped = (cm * mm, sm)
         terms.append(dropped)
     return Full(_sum_scaled(terms), cm, dropped)
@@ -166,10 +183,10 @@ def lambda_pm(beta, z, params):
     return w + 1.0, w - 1.0
 
 
-def ref_k8(beta, z, params, row):
+def ref_k8(beta, z, params):
     """VIII with its phase exp(i*pi*t) formed from t = Im(psi0)*N/pi; it has
     no dropped term."""
-    N, c = params.N, row.strip
+    N, c = params.N, ref_strip_coeffs(z, params)
     ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
         return Full((0j, 0.0), 0.0, None)
@@ -180,8 +197,8 @@ def ref_k8(beta, z, params, row):
     return Full((math.copysign(1.0, ai) * _phase_factor(c.psi0.imag * N / math.pi), s), 0.0, None)
 
 
-def ref_k9(beta, z, params, row):
-    N, c = params.N, row.strip
+def ref_k9(beta, z, params):
+    N, c = params.N, ref_strip_coeffs(z, params)
     vt = -c.theta
     arg = vt ** (2.0 / 3.0) * beta
     lam_p, lam_m = lambda_pm(beta, z, params)
@@ -200,8 +217,7 @@ def ref_k9(beta, z, params, row):
 
 def ref_k10(y, params, row):
     """X as the sum K+ + K- of the two branches; it has no dropped term."""
-    pt = ScaledPoint(y, row.z)
-    terms = [_from_log(k_pm_log(branch, pt, params, row.terms)) for branch in ("+", "-")]
+    terms = [_from_log(branch_log(branch, y, params, row)) for branch in ("+", "-")]
     return Full(_sum_scaled(terms), 0.0, None)
 
 
@@ -284,8 +300,8 @@ def case(tag, x, n, params, row):
     if tag in ("VIII", "IX"):
         beta = corner_coords(x, n, params).beta if on_grid else strip_beta(x, z, params)
         if tag == "VIII":
-            return Case(lambda: k8(x, n, row), lambda: ref_k8(beta, z, params, row))
-        return Case(lambda: k9(x, n, row), lambda: ref_k9(beta, z, params, row))
+            return Case(lambda: k8(x, n, row), lambda: ref_k8(beta, z, params))
+        return Case(lambda: k9(x, n, row), lambda: ref_k9(beta, z, params))
     if tag == "X":
         return Case(lambda: k10([x], n, row)[0], lambda: ref_k10(x * params.eps, params, row))
     if tag == "XI":

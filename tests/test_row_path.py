@@ -86,9 +86,9 @@ def ref_classify_row(n, xs, params, cfg):
     return [ref_classify(x, n, params, cfg) for x in xs]
 
 
-def ref_k_pm_log(branch, pt, params, row=None):
+def ref_k_pm_log(branch, pt, params):
     """Per-point branch log: the quadratic's z-only terms, u0(z)^2 and the
-    prefactor solved at the point (``row`` is ignored)."""
+    prefactor solved at the point."""
     y, z = pt.y, pt.z
     if not 0.0 < z < 1.0:
         raise SingularityError(f"branch quantities are singular at z={z!r}")

@@ -356,6 +356,10 @@ def test_lambda_realness_grid():
     for j in range(7):
         for xi in range(-3, 4):
             lambda_j(j, float(xi))  # raises ResidueError if not real
+    # Orders up to the largest accepted, at top-corner arguments.
+    for j in (1, 4, 10, 25, 30):
+        for xi in (-1.1, -0.4, 0.0, 0.5, 1.2):
+            assert math.isfinite(lambda_j(j, xi)), (j, xi)
 
 
 def test_lambda_even_j_vanishes_at_zero():
