@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from krawtchouk_wkb.exact_core import DomainError, Params, build_table
 from krawtchouk_wkb.special_fns import RangeError
-from krawtchouk_wkb.state_space import ScaledPoint, u0, u_pm, y_pm
+from krawtchouk_wkb.state_space import ScaledPoint, corner_coords, u0, u_pm, y_pm
 from krawtchouk_wkb.wkb_core import (
     SingularityError,
     StripCoeffs,
@@ -364,6 +364,27 @@ class TestSingularities:
 
 
 class TestStripPhase:
+    # psi0 is the real part of the paper's complex phase.  Its imaginary part,
+    # kept in the complex reference below, is what the kernels take from the
+    # grid indices as a sign.
+
+    def test_imag_below_crossover(self):
+        # For z < p: Im(psi0) = pi*z.
+        P = params_for(100, "0.74894783")
+        z = P.pf - 0.05
+        ref = _reference_strip_coeffs(z, P).psi0
+        assert ref.imag == pytest.approx(math.pi * z, abs=1e-12)
+        assert strip_coeffs(z, P).psi0 == ref.real
+
+    def test_imag_above_crossover(self):
+        # For z > p the factor u0 - q goes negative: Im(psi0) = pi*(z + Y^-).
+        P = params_for(100, "0.74894783")
+        z = P.pf + 0.05
+        ref = _reference_strip_coeffs(z, P).psi0
+        expected = math.pi * (z + y_pm(z, P)[0])
+        assert ref.imag == pytest.approx(expected, abs=1e-12)
+        assert strip_coeffs(z, P).psi0 == ref.real
+
     def test_singular_at_crossover_and_edges(self):
         P = params_for(100, "0.74894783")
         for z in (P.pf, 0.0, 1.0):
@@ -384,6 +405,26 @@ class TestStripSlope:
         assert type(v) is float
         r = u0(0.1, P)
         assert v == pytest.approx(math.log((r + P.pf) / (r - P.qf)))
+
+    def test_imag_above_crossover(self):
+        # The complex slope's imaginary part is -pi; the float is its real part.
+        P = params_for(100, "0.74894783")
+        ref = _reference_strip_coeffs(0.5, P).slope
+        assert ref.imag == pytest.approx(-math.pi)
+        assert strip_coeffs(0.5, P).slope == ref.real
+
+    @pytest.mark.parametrize("N,x,n", [(100, 17, 20), (100, 60, 70), (101, 52, 61)])
+    def test_dropped_phase_is_the_index_sign(self, N, x, n):
+        # N Im(psi0) + Im(slope) * beta * eps^(-1/3) is pi*n below the
+        # crossover and pi*(n + x) above it: the signs k8 and k9 take from
+        # the indices.
+        P = params_for(N, "0.74894783")
+        z = n * P.eps
+        ref = _reference_strip_coeffs(z, P)
+        beta = corner_coords(x, n, P).beta
+        phase = N * ref.psi0.imag + ref.slope.imag * beta * P.eps ** (-1.0 / 3.0)
+        turns = n if z < P.pf else n + x
+        assert phase == pytest.approx(math.pi * turns, abs=1e-9)
 
     def test_modulus_above_crossover(self):
         # For z > p the factor u0 - q is negative and enters through |u0 - q|.
