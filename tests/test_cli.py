@@ -309,6 +309,21 @@ class TestCompare:
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
+    def test_forced_layers_at_N100_are_pinned(self, capsys):
+        # forced_N100.sha256 holds the digests of stdout (.csv) and stderr
+        # (.err) for II, VI, VIII, IX and XII forced over the whole N=100
+        # grid at three q: the layer and strip kernels that read their
+        # stretched coordinates, pinned above the N=24 goldens.
+        pins = dict(reversed(line.split()) for line in (DATA / "forced_N100.sha256").read_text().splitlines())
+        stems = sorted({name.rsplit(".", 1)[0] for name in pins})
+        assert len(stems) == 15 and len(pins) == 30
+        for stem in stems:
+            _, _, q, region = stem.split("_")
+            code, out, err = run_cli(capsys, "compare", "--N", "100", "--q", q[1:], "--region", region)
+            assert code == 0, stem
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[f"{stem}.csv"], stem
+            assert hashlib.sha256(err.encode("utf-8")).hexdigest() == pins[f"{stem}.err"], stem
+
     def test_full_grid_never_loads_mpmath(self):
         # One fresh interpreter runs every subcommand: mpmath is only
         # imported by the special functions that no command reaches.
