@@ -17,12 +17,10 @@ from .state_space import (
     DEFAULT_CONFIG,
     REGION_TAGS,
     ClassifierConfig,
-    CornerCoords,
     RegionId,
     ScaledPoint,
     classify,
     classify_row,
-    corner_coords,
     ellipse_residual,
     region_runs,
     u0,
@@ -55,12 +53,10 @@ __all__ = [
     "DEFAULT_CONFIG",
     "REGION_TAGS",
     "ClassifierConfig",
-    "CornerCoords",
     "RegionId",
     "ScaledPoint",
     "classify",
     "classify_row",
-    "corner_coords",
     "ellipse_residual",
     "region_runs",
     "u0",

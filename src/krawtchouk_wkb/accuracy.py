@@ -23,7 +23,7 @@ from .exact_core import (
     scaled_sum,
     scaled_symmetry_image,
 )
-from .region_formulas import ApproxValue, approx_row, evaluate_region
+from .region_formulas import ApproxValue, _Row, approx_row, evaluate_region
 from .special_fns import airy_ai, hermite, pcf_d
 from .state_space import (
     DEFAULT_CONFIG,
@@ -31,7 +31,6 @@ from .state_space import (
     ScaledPoint,
     branch_roots,
     classify_row,
-    corner_coords,
     region_runs,
     row_terms,
     u_pm,
@@ -255,7 +254,8 @@ def criterion_2(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
             failures.append(f"fig{fig_id}: no in-region points under config")
         elif not worst <= bar:
             failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {bar*100:g}% at x={worst_x}")
-    u = corner_coords(0, FIGURES[8].n, Params.from_q(FIGURES[8].N, FIGURES[8].q)).u
+    params = Params.from_q(FIGURES[8].N, FIGURES[8].q)
+    u = _Row(FIGURES[8].n * params.eps, params).u
     if abs(u - 0.024265) > 5e-6:
         failures.append(f"fig8 corner variable {u:.6f} != 0.024265 to 5 decimals")
     return failures, " ".join(details)

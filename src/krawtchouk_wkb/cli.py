@@ -26,8 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hin
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
 from .exact_core import DomainError, ExactTable, Params
-from .region_formulas import ApproxValue, approx_row, evaluate_region
-from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, corner_coords, region_runs
+from .region_formulas import ApproxValue, _Row, approx_row, evaluate_region
+from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, region_runs
 from .wkb_core import SingularityError
 
 __all__ = ["load_config", "main"]
@@ -280,8 +280,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     meta.append(("region", spec.tag))
     meta.append(("config", _config_meta(cfg)))
     if spec.fig_id == 8:
-        u = corner_coords(0, spec.n, params).u
-        meta.append(("u", f"{u:.6f}"))
+        meta.append(("u", f"{_Row(spec.n * params.eps, params).u:.6f}"))
     _write_csv(args.out, meta, _COMPARE_HEADER, lines)
     return 0
 

@@ -76,7 +76,7 @@ class Params:
     q: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 1:
+        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
             raise DomainError(f"N must be a positive integer, got {self.N!r}")
         if not isinstance(self.p, Fraction) or not isinstance(self.q, Fraction):
             raise DomainError("p and q must be Fractions; use Params.from_p/from_q")
@@ -303,7 +303,7 @@ def lemma3_value(m: int, n: int, params: Params) -> float:
     is negative for n > pN, which is fine: its sign is tracked separately.
     A magnitude beyond double range saturates to +-inf with that sign.
     """
-    if not isinstance(m, int) or m < 0:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m!r}")
     check_index("n", n, params.N)
     N = params.N

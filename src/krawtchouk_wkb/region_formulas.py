@@ -10,17 +10,17 @@ reflected grid.
 Each kernel takes the grid point it serves: the integers (x, n) and the row
 at height z = n*eps in the orientation being evaluated.  The branch kernels
 (III and IV, VII, X) take a run of a row's x values and draw them from one
-branch-log loop; the others take one x.  The stretched corner and strip
-coordinates come from :func:`corner_coords`.  The paper writes its formulas
-for continuous x, and the package keeps only what survives at integer x:
-V, VII, IX and XII lose a second term (a sin(pi*x) factor, a winding factor
-w - 1 or a weight lambda_-) that is exactly 0 there, and every phase
-factor is real: those of V, VI, VIII, IX, XI and XII are the signs
-(-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and (-1)^(N-x), taken from
-the indices, and each branch kernel takes the cosine of its accumulated
-phase.  So the integer-x algebraic identities hold exactly instead of to
-rounding, and the branch logarithms of :mod:`.wkb_core` are the only
-complex arithmetic on the evaluation path.
+branch-log loop; the others take one x.  The layer and strip kernels read
+their stretched coordinates (eta, u, beta, xi) from the row.  The paper
+writes its formulas for continuous x, and the package keeps only what
+survives at integer x: V, VII, IX and XII lose a second term (a sin(pi*x)
+factor, a winding factor w - 1 or a weight lambda_-) that is exactly 0
+there, and every phase factor is real: those of V, VI, VIII, IX, XI and
+XII are the signs (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and
+(-1)^(N-x), taken from the indices, and each branch kernel takes the
+cosine of its accumulated phase.  So the integer-x algebraic identities
+hold exactly instead of to rounding, and the branch logarithms of
+:mod:`.wkb_core` are the only complex arithmetic on the evaluation path.
 
 One dispatcher turns kernel values into :class:`ApproxValue` records: a
 real approximation to the polynomial value at one grid point, together with
@@ -49,7 +49,6 @@ from .state_space import (
     ClassifierConfig,
     RegionId,
     classify_row,
-    corner_coords,
     row_terms,
 )
 from .wkb_core import SingularityError, k_pm_logs, phi0, strip_coeffs
@@ -118,15 +117,42 @@ def _finalize(m: float, s: float, region: RegionId) -> ApproxValue:
 
 
 class _Row:
-    """The row at height z = n*eps in one orientation: its parameters and its
+    """The row at height z = n*eps in one orientation: its parameters, its
     z-only terms, each solved on first use (after the kernel's own domain
-    checks, so theirs come first)."""
+    checks, so theirs come first), and the stretched layer coordinates of
+    its points, with y = x*eps:
+
+    eta:  (y - p)/sqrt(2pq*eps)   -- corner layer at (p, 0)
+    u:    (p - z)/sqrt(pq*eps)    -- corner layer at (0, p)
+    beta: (Y^-(z) - y)/eps^{2/3}  -- turning strip (positive outside E)
+    xi:   (y - q)/sqrt(2pq*eps)   -- corner layer at (q, 1)
+    """
 
     def __init__(self, z: float, params: Params) -> None:
         self.z, self.params = z, params
 
     terms = cached_property(lambda self: row_terms(self.z, self.params))
     strip = cached_property(lambda self: strip_coeffs(self.z, self.params))
+
+    @cached_property
+    def _sqrt_2pq_eps(self) -> float:
+        params = self.params
+        return math.sqrt(2.0 * params.pf * params.qf * params.eps)
+
+    @cached_property
+    def u(self) -> float:
+        p = self.params.pf
+        return (p - self.z) / math.sqrt(p * self.params.qf * self.params.eps)
+
+    def eta(self, x: int) -> float:
+        return (x * self.params.eps - self.params.pf) / self._sqrt_2pq_eps
+
+    def beta(self, x: int) -> float:
+        eps = self.params.eps
+        return (self.terms.ym - x * eps) / eps ** (2.0 / 3.0)
+
+    def xi(self, x: int) -> float:
+        return (x * self.params.eps - self.params.qf) / self._sqrt_2pq_eps
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +175,7 @@ def k1(x: int, n: int, row: _Row) -> _Scaled:
 def k2(x: int, n: int, row: _Row) -> _Scaled:
     """Bottom-center corner: scaled Hermite polynomial in the corner variable."""
     params = row.params
-    H = hermite(n, corner_coords(x, n, params).eta)
+    H = hermite(n, row.eta(x))
     if H == 0.0:
         return 0.0, 0.0
     p, q = params.pf, params.qf
@@ -207,8 +233,7 @@ def k5(x: int, n: int, row: _Row) -> _Scaled:
 
 def k6(x: int, n: int, row: _Row) -> _Scaled:
     """Left-edge corner at the crossover: parabolic-cylinder profile in u."""
-    params = row.params
-    u = corner_coords(x, n, params).u
+    params, u = row.params, row.u
     p, q, N = params.pf, params.qf, params.N
     D = pcf_d(x, u)
     if D == 0.0:
@@ -238,13 +263,12 @@ def k8(x: int, n: int, row: _Row) -> _Scaled:
     """Lower turning strip: Airy profile across the curve (z < p).  The
     paper's phase exp(i*pi*z*N) is the sign (-1)^n, taken from the indices."""
     params, z = row.params, row.z
-    beta = corner_coords(x, n, params).beta
     p, N = params.pf, params.N
     if z == p:
         raise SingularityError("strip coefficient diverges at z = p")
     if not 0.0 < z < p:
         raise DomainError(f"lower-strip formula requires 0 < z < p, got z={z!r}")
-    c = row.strip
+    beta, c = row.beta(x), row.strip
     ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
     if ai == 0.0:
         return 0.0, 0.0
@@ -264,13 +288,12 @@ def k9(x: int, n: int, row: _Row) -> _Scaled:
     the indices.
     """
     params, z = row.params, row.z
-    beta = corner_coords(x, n, params).beta
     p, N = params.pf, params.N
     if z == p:
         raise SingularityError("strip coefficient diverges at z = p")
     if not p < z < 1.0:
         raise DomainError(f"upper-strip formula requires p < z < 1, got z={z!r}")
-    c = row.strip
+    beta, c = row.beta(x), row.strip
     vt = -c.theta
     arg = vt ** (2.0 / 3.0) * beta
     bracket = 2.0 * airy_ai(arg)
@@ -330,10 +353,9 @@ def k12(x: int, n: int, row: _Row) -> _Scaled:
     The paper's other term is Lambda_j times a sin factor whose argument
     reduces to pi*(N - x) at integer x, so it is exactly 0 on the grid.
     """
-    params = row.params
-    cc = corner_coords(x, n, params)
-    j, xi = cc.j, cc.xi
+    params, xi = row.params, row.xi(x)
     p, q, N = params.pf, params.qf, params.N
+    j = N - n
     D = pcf_d(j, math.sqrt(2.0) * xi)
     if D == 0.0:
         return 0.0, 0.0

@@ -32,7 +32,6 @@ __all__ = [
     "ScaledPoint",
     "RegionId",
     "ClassifierConfig",
-    "CornerCoords",
     "DEFAULT_CONFIG",
     "REGION_TAGS",
     "u0",
@@ -45,7 +44,6 @@ __all__ = [
     "classify",
     "classify_row",
     "region_runs",
-    "corner_coords",
 ]
 
 #: The twelve region tags in canonical order.
@@ -73,7 +71,7 @@ class ScaledPoint:
     def from_indices(cls, x: int, n: int, params: Params) -> "ScaledPoint":
         """Scaled point (x*eps, n*eps) for an integer grid point.
 
-        The classifier and :func:`corner_coords` form the same products
+        The classifier and the region formulas' rows form the same products
         ``x * eps`` and ``n * eps`` inline, so a point built here agrees with
         them bit-for-bit.
         """
@@ -126,7 +124,7 @@ class ClassifierConfig:
             if kind is int:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
-            elif not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            elif isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
                 raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
 
 
@@ -348,34 +346,3 @@ def region_runs(n: int, params: Params,
 def classify(x: int, n: int, params: Params, cfg: ClassifierConfig = DEFAULT_CONFIG) -> RegionId:
     """Assign the grid point (x, n) to a region: the one-point :func:`classify_row`."""
     return classify_row(n, [x], params, cfg)[0]
-
-
-class CornerCoords(NamedTuple):
-    """Stretched layer coordinates attached to a grid point.
-
-    eta:  (y - p)/sqrt(2pq*eps)   -- corner layer at (p, 0)
-    u:    (p - z)/sqrt(pq*eps)    -- corner layer at (0, p)
-    beta: (Y^-(z) - y)/eps^{2/3}  -- turning strip (positive outside E; Y^-(0) = p)
-    xi:   (y - q)/sqrt(2pq*eps)   -- corner layer at (q, 1)
-    j:    N - n                   -- distance from the top row
-    """
-
-    eta: float
-    u: float
-    beta: float
-    xi: float
-    j: int
-
-
-def corner_coords(x: int, n: int, params: Params) -> CornerCoords:
-    """All five stretched coordinates for the grid point (x, n)."""
-    check_index("x", x, params.N)
-    check_index("n", n, params.N)
-    eps, p, q = params.eps, params.pf, params.qf
-    y, z = x * eps, n * eps
-    s2 = math.sqrt(2.0 * p * q * eps)
-    eta = (y - p) / s2
-    u = (p - z) / math.sqrt(p * q * eps)
-    beta = ((y_pm(z, params)[0] if n else p) - y) / eps ** (2.0 / 3.0)
-    xi = (y - q) / s2
-    return CornerCoords(eta, u, beta, xi, params.N - n)

@@ -527,12 +527,23 @@ def test_lemma3_saturates_beyond_double_range(m, n, expected):
     assert lemma3_value(m, n, Params.from_q(2000, "0.1")) == expected
 
 
+def test_lemma3_rejects_bool_m():
+    with pytest.raises(DomainError, match="m must be a nonnegative integer"):
+        lemma3_value(True, 1, Params.from_q(10, "0.5"))
+
+
 # --- params / misc -----------------------------------------------------------
 
 
 def test_params_rejects_float_p():
     with pytest.raises(DomainError):
         Params.from_q(10, 0.64894783)
+
+
+def test_params_rejects_bool_N():
+    # bool subclasses int: True would build a one-point grid whose N prints as True
+    with pytest.raises(DomainError, match="N must be a positive integer"):
+        Params.from_q(True, "0.5")
 
 
 def test_params_decimal_string_is_exact():

@@ -33,7 +33,7 @@ from krawtchouk_wkb.region_formulas import (
     _Row, _finalize, _sum_scaled, k3, k5, k6, k7, k8, k9, k10, k11, k12,
 )
 from krawtchouk_wkb.special_fns import RangeError, airy_ai, airy_bi, lambda_j, pcf_d
-from krawtchouk_wkb.state_space import RegionId, corner_coords, u0, y_pm
+from krawtchouk_wkb.state_space import RegionId, u0, y_pm
 from krawtchouk_wkb.wkb_core import SingularityError, StripCoeffs, k_pm_logs, phi0, plog
 
 GRIDS = [(N, q) for N in (20, 100) for q in ("0.34894783", "0.74894783")]
@@ -276,39 +276,38 @@ class Case(NamedTuple):
 
 
 def strip_beta(x, z, params):
-    """beta = (Y^-(z) - y) / eps^(2/3) at a real x; corner_coords' beta at integer x."""
+    """beta = (Y^-(z) - y) / eps^(2/3) at a real x; the kernel's beta at integer x."""
     return (y_pm(z, params)[0] - x * params.eps) / params.eps ** (2.0 / 3.0)
 
 
 def corner_xi(x, params):
-    """xi = (y - q) / sqrt(2 p q eps) at a real x; corner_coords' xi at integer x."""
+    """xi = (y - q) / sqrt(2 p q eps) at a real x; the kernel's xi at integer x."""
     return (x * params.eps - params.qf) / math.sqrt(2.0 * params.pf * params.qf * params.eps)
 
 
 def case(tag, x, n, params, row):
     """The tag's (kernel, reference) at (x, n); x may be a half-integer, and
     then only the reference may be called."""
-    z, on_grid = row.z, float(x).is_integer()
+    z = row.z
     if tag == "III":
         return Case(lambda: k3([x], n, row)[0], lambda: ref_k3(x * params.eps, params, row))
     if tag == "V":
         return Case(lambda: k5(x, n, row), lambda: ref_k5(float(x), z, params))
     if tag == "VI":
-        return Case(lambda: k6(x, n, row), lambda: ref_k6(float(x), corner_coords(x, n, params).u, params))
+        u = (params.pf - z) / math.sqrt(params.pf * params.qf * params.eps)
+        return Case(lambda: k6(x, n, row), lambda: ref_k6(float(x), u, params))
     if tag == "VII":
         return Case(lambda: k7([x], n, row)[0], lambda: ref_k7(x * params.eps, params, row))
     if tag in ("VIII", "IX"):
-        beta = corner_coords(x, n, params).beta if on_grid else strip_beta(x, z, params)
+        # Y^-(z) needs z > 0: on row 0 the kernel refuses the point first.
         if tag == "VIII":
-            return Case(lambda: k8(x, n, row), lambda: ref_k8(beta, z, params))
-        return Case(lambda: k9(x, n, row), lambda: ref_k9(beta, z, params))
+            return Case(lambda: k8(x, n, row), lambda: ref_k8(strip_beta(x, z, params), z, params))
+        return Case(lambda: k9(x, n, row), lambda: ref_k9(strip_beta(x, z, params), z, params))
     if tag == "X":
         return Case(lambda: k10([x], n, row)[0], lambda: ref_k10(x * params.eps, params, row))
     if tag == "XI":
         return Case(lambda: k11(x, n, row), lambda: ref_k11(params.N - n, x * params.eps, params))
-    xi = corner_coords(x, n, params).xi if on_grid else corner_xi(x, params)
-    j = params.N - n
-    return Case(lambda: k12(x, n, row), lambda: ref_k12(j, xi, params))
+    return Case(lambda: k12(x, n, row), lambda: ref_k12(params.N - n, corner_xi(x, params), params))
 
 
 def orientations(N, q):

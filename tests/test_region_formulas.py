@@ -43,7 +43,6 @@ from krawtchouk_wkb.state_space import (
     RegionId,
     ScaledPoint,
     classify,
-    corner_coords,
     y_pm,
 )
 from krawtchouk_wkb.wkb_core import SingularityError, k_pm, k_pm_log
@@ -88,6 +87,43 @@ def point_err(tag: str, x: int, n: int, params: Params) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Stretched layer coordinates on the row
+# ---------------------------------------------------------------------------
+
+
+class TestRowCoords:
+    # p = 1/4 on a grid of steps 1/100: y = p at x = 25, z = p at n = 25, y = q at x = 75
+    P_QUARTER = Params.from_q(100, Fraction(3, 4))
+
+    def test_u_matches_six_decimals(self):
+        assert round(row_of(25, P100_74).u, 6) == pytest.approx(0.024265, abs=5e-7)
+
+    def test_eta_zero_at_exact_mean(self):
+        assert row_of(10, self.P_QUARTER).eta(25) == 0.0
+
+    def test_beta_zero_on_turning_curve_start(self):
+        # At z = p the lower turning curve passes through y = 0.
+        assert abs(row_of(25, self.P_QUARTER).beta(0)) < 1e-12
+
+    def test_xi_zero_at_q(self):
+        assert row_of(98, self.P_QUARTER).xi(75) == 0.0
+
+    def test_total_on_boundary_rows(self):
+        # beta needs Y^-(z), which starts at z > 0; no kernel reads it on row 0.
+        P = Params.from_q(30, "0.64894783")
+        for n in (0, 30):
+            row = row_of(n, P)
+            assert all(math.isfinite(v) for v in (row.eta(5), row.u, row.xi(5)))
+        assert math.isfinite(row_of(30, P).beta(5))
+
+    def test_beta_sign_outside_below(self):
+        # y below the lower turning curve means beta > 0.
+        row = row_of(10, P100_34)
+        assert row.beta(10) > 0
+        assert row.beta(40) < 0
+
+
+# ---------------------------------------------------------------------------
 # Whole-row sweeps: every in-region point of each reference row stays under
 # the per-formula budget (5% rows 3-8, 8% rows 9-12, 10% rows 13-14).
 # ---------------------------------------------------------------------------
@@ -127,7 +163,7 @@ class TestBottomRows:
         assert av.ln_scale == -math.inf
 
     def test_corner_profile_zero_at_odd_node(self):
-        assert corner_coords(4, 1, P16_25).eta == 0.0
+        assert row_of(1, P16_25).eta(4) == 0.0
         av = finalized(k2(4, 1, row_of(1, P16_25)), "II")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
@@ -283,6 +319,8 @@ class TestLowerStrip:
             k8(2, 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="lower-strip formula requires"):
             k8(90, 99, row_of(99, P100_34))
+        with pytest.raises(DomainError, match="lower-strip formula requires"):
+            k8(5, 0, row_of(0, P100_34))  # the kernel's check comes before Y^-(0)
 
     def test_matches_branch_form_inside_strip(self):
         # |beta| ~ 1.2: the stated 10% agreement holds (measured 9.7%)
@@ -303,6 +341,8 @@ class TestUpperStrip:
             k9(2, 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="upper-strip formula requires"):
             k9(5, 10, row_of(10, P100_74))
+        with pytest.raises(DomainError, match="upper-strip formula requires"):
+            k9(5, 0, row_of(0, P100_74))
 
     def test_matches_interference_form_outward(self):
         worst = max(
@@ -394,9 +434,10 @@ class TestOscillatoryInterior:
                                            - math.lgamma(n + 1)))
 
     def test_corner_form_is_the_corner_kernel_on_the_grid(self):
+        p, q, eps = P100_74.pf, P100_74.qf, P100_74.eps
         for n in (2, 4, 10, 20):
             for x in range(20, 31):
-                eta = corner_coords(x, n, P100_74).eta
+                eta = (x * eps - p) / math.sqrt(2.0 * p * q * eps)
                 av = finalized(k2(x, n, row_of(n, P100_74)), "II")
                 assert av.value == pytest.approx(self._corner_form(n, eta, P100_74), rel=1e-12)
 

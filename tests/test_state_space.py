@@ -12,12 +12,10 @@ from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
     REGION_TAGS,
     ClassifierConfig,
-    CornerCoords,
     RegionId,
     ScaledPoint,
     classify,
     classify_row,
-    corner_coords,
     ellipse_residual,
     region_runs,
     u0,
@@ -402,6 +400,7 @@ class TestConfigTypes:
             {"x_small": -2},
             {"j_small": -1},
             {"corner_width": -0.5},
+            {"corner_width": True},
             {"beta_max": float("nan")},
             {"n_small": 2.5},
         ],
@@ -428,47 +427,3 @@ class TestConfigTypes:
         pt = ScaledPoint.from_indices(56, 2, P)
         assert pt.y == 56 * P.eps
         assert pt.z == 2 * P.eps
-
-
-# ---------------------------------------------------------------------------
-# Stretched corner coordinates
-# ---------------------------------------------------------------------------
-
-
-class TestCornerCoords:
-    def test_u_matches_five_decimals(self):
-        P = params_for(100, "0.74894783")
-        cc = corner_coords(0, 25, P)
-        assert round(cc.u, 6) == pytest.approx(0.024265, abs=5e-7)
-
-    def test_eta_zero_at_exact_mean(self):
-        P = Params.from_q(100, Fraction(3, 4))  # p = 1/4, Np = 25
-        assert corner_coords(25, 10, P).eta == 0.0
-
-    def test_beta_zero_on_turning_curve_start(self):
-        # At z = p the lower turning curve passes through y = 0.
-        P = Params.from_q(100, Fraction(3, 4))
-        cc = corner_coords(0, 25, P)
-        assert abs(cc.beta) < 1e-12
-
-    def test_xi_zero_at_q(self):
-        P = Params.from_q(100, Fraction(3, 4))
-        assert corner_coords(75, 98, P).xi == 0.0
-
-    def test_j_counts_from_top(self):
-        P = params_for(20, "0.74894783")
-        cc = corner_coords(3, 19, P)
-        assert cc.j == 1
-        assert isinstance(cc, CornerCoords)
-
-    def test_total_on_boundary_rows(self):
-        P = params_for(30, "0.64894783")
-        for n in (0, 30):
-            cc = corner_coords(5, n, P)
-            assert all(math.isfinite(v) for v in cc[:4])
-
-    def test_beta_sign_outside_below(self):
-        # y below the lower turning curve means beta > 0.
-        P = params_for(100, "0.34894783")
-        assert corner_coords(10, 10, P).beta > 0
-        assert corner_coords(40, 10, P).beta < 0
