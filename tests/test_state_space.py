@@ -1,6 +1,5 @@
 """Tests for scaled coordinates, branch roots, the ellipse, and the classifier."""
 
-import math
 from fractions import Fraction
 
 import pytest
