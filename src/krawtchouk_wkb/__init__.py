@@ -7,6 +7,7 @@ from .exact_core import (
     DomainError,
     ExactTable,
     Params,
+    SingularityError,
     build_table,
     gram_matrix,
     krawtchouk_sum,
@@ -18,7 +19,9 @@ from .state_space import (
     REGION_TAGS,
     ClassifierConfig,
     RegionId,
+    Row,
     ScaledPoint,
+    StripCoeffs,
     classify,
     classify_row,
     ellipse_residual,
@@ -28,16 +31,7 @@ from .state_space import (
     y_pm,
 )
 from .region_formulas import ApproxValue, approx, approx_row, evaluate_region
-from .wkb_core import (
-    SingularityError,
-    StripCoeffs,
-    k_pm,
-    k_pm_log,
-    l_pm,
-    phi0,
-    psi_pm,
-    strip_coeffs,
-)
+from .wkb_core import k_pm, k_pm_log, l_pm, phi0, psi_pm
 
 __version__ = "0.1.0"
 
@@ -54,6 +48,7 @@ __all__ = [
     "REGION_TAGS",
     "ClassifierConfig",
     "RegionId",
+    "Row",
     "ScaledPoint",
     "classify",
     "classify_row",
@@ -73,6 +68,5 @@ __all__ = [
     "l_pm",
     "phi0",
     "psi_pm",
-    "strip_coeffs",
     "__version__",
 ]

@@ -23,18 +23,17 @@ from .exact_core import (
     scaled_sum,
     scaled_symmetry_image,
 )
-from .region_formulas import ApproxValue, _Row, approx_row, evaluate_region
+from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .special_fns import airy_ai, hermite, pcf_d
 from .state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
+    Row,
     ScaledPoint,
     branch_roots,
     classify_row,
     region_runs,
-    row_terms,
     u_pm,
-    y_pm,
 )
 from .wkb_core import k_pm, l_pm, plog, psi_pm
 
@@ -255,7 +254,7 @@ def criterion_2(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         elif not worst <= bar:
             failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {bar*100:g}% at x={worst_x}")
     params = Params.from_q(FIGURES[8].N, FIGURES[8].q)
-    u = _Row(FIGURES[8].n * params.eps, params).u
+    u = Row(FIGURES[8].n * params.eps, params).u
     if abs(u - 0.024265) > 5e-6:
         failures.append(f"fig8 corner variable {u:.6f} != 0.024265 to 5 decimals")
     return failures, " ".join(details)
@@ -312,8 +311,8 @@ _OVERLAPS = (
 def _beta_window(params: Params, n: int) -> range:
     """The x on row n with beta in [-1.35, -0.70], sampling the IX/X oscillation."""
     N = params.N
-    ym_scaled = y_pm(n / N, params)[0] * N
-    width = (1.0 / N) ** (2.0 / 3.0) * N
+    row = Row(n / N, params)
+    ym_scaled, width = row.curves[0] * N, row.eps23 * N
     return range(math.ceil(ym_scaled + 0.70 * width), math.floor(ym_scaled + 1.35 * width) + 1)
 
 
@@ -385,11 +384,11 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     mids = [(i + 0.5) / grid for i in range(grid)]
     worst_res = 0.0
     for z in mids:
-        row = row_terms(z, params)
+        row = Row(z, params)
         zqp, c = row.zqp, row.c  # z(q-p) and pq(1-z) > 0
         for y in mids:
             b = p - y + zqp
-            for root in branch_roots(y, z, params, row):  # u_pm's solver, given the row
+            for root in branch_roots(y, row):  # u_pm's solver, given the row
                 quad, lin = z * root * root, b * root
                 worst_res = max(worst_res, abs(quad + lin + c) / max(abs(quad), abs(lin), c))
     if worst_res > 1e-10:

@@ -25,10 +25,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hin
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
-from .exact_core import DomainError, ExactTable, Params
-from .region_formulas import ApproxValue, _Row, approx_row, evaluate_region
-from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, region_runs
-from .wkb_core import SingularityError
+from .exact_core import DomainError, ExactTable, Params, SingularityError
+from .region_formulas import ApproxValue, approx_row, evaluate_region
+from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, Row, region_runs
 
 __all__ = ["load_config", "main"]
 
@@ -120,9 +119,11 @@ def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
         else:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            into[key] = kind(text)
+            into[key] = value = kind(text)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
+        if into is tolerances and not (math.isfinite(value) and value >= 0.0):
+            raise CliError(f"{path}:{lineno}: {key} must be finite and >= 0, got {text!r}")
     try:
         cfg = replace(DEFAULT_CONFIG, **overrides)
     except (TypeError, ValueError) as exc:
@@ -280,7 +281,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     meta.append(("region", spec.tag))
     meta.append(("config", _config_meta(cfg)))
     if spec.fig_id == 8:
-        meta.append(("u", f"{_Row(spec.n * params.eps, params).u:.6f}"))
+        meta.append(("u", f"{Row(spec.n * params.eps, params).u:.6f}"))
     _write_csv(args.out, meta, _COMPARE_HEADER, lines)
     return 0
 

@@ -19,6 +19,7 @@ RationalLike = Union[int, str, Fraction]
 
 __all__ = [
     "DomainError",
+    "SingularityError",
     "check_index",
     "check_indices",
     "Params",
@@ -36,6 +37,10 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument lies outside the domain an operation supports."""
+
+
+class SingularityError(ArithmeticError):
+    """A branch quantity was requested on or too close to one of its poles."""
 
 
 def _as_fraction(value: RationalLike, what: str) -> Fraction:

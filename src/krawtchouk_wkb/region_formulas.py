@@ -7,16 +7,16 @@ sums of exponentially mismatched terms and values beyond double range are
 handled uniformly.  Region IV has no kernel of its own: it is III on the
 reflected grid.
 
-Each kernel takes the grid point it serves: the integers (x, n) and the row
-at height z = n*eps in the orientation being evaluated.  The branch kernels
-(III and IV, VII, X) take a run of a row's x values and draw them from one
-branch-log loop; the others take one x.  The layer and strip kernels read
-their stretched coordinates (eta, u, beta, xi) from the row.  The paper
-writes its formulas for continuous x, and the package keeps only what
-survives at integer x: V, VII, IX and XII lose a second term (a sin(pi*x)
-factor, a winding factor w - 1 or a weight lambda_-) that is exactly 0
-there, and every phase factor is real: those of V, VI, VIII, IX, XI and
-XII are the signs (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and
+Each kernel takes the grid point it serves: the integers (x, n) and the
+:class:`.state_space.Row` at height z = n*eps in the orientation being
+evaluated, from which it reads every z-only term and the stretched
+coordinates (eta, u, beta, xi).  The branch kernels (III and IV, VII, X) take
+a run of a row's x values and draw them from one branch-log loop; the others
+take one x.  The paper writes its formulas for continuous x, and the package
+keeps only what survives at integer x: V, VII, IX and XII lose a second term
+(a sin(pi*x) factor, a winding factor w - 1 or a weight lambda_-) that is
+exactly 0 there, and every phase factor is real: those of V, VI, VIII, IX,
+XI and XII are the signs (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and
 (-1)^(N-x), taken from the indices, and each branch kernel takes the
 cosine of its accumulated phase.  So the integer-x algebraic identities
 hold exactly instead of to rounding, and the branch logarithms of
@@ -28,30 +28,23 @@ the region it came from and the log-magnitude for overflow-free reporting.
 It applies the mirror symmetry (evaluate at (N-x, n) with p and q swapped,
 multiply by (-1)^n) to mirrored regions, so the classifier's mirrored points
 and a forced IV take one path.
-:func:`approx_row` evaluates a row a run of one label at a time, with the
-row's z-only terms solved once; it is total on the grid, z = p included, and
-:func:`approx` is its one-point case.  :func:`evaluate_region` forces one
-region's formula.
+:func:`approx_row` classifies a row and evaluates it a run of one label at
+a time, from one record per orientation; it is total on the grid, z = p
+included, and :func:`approx` is its one-point case.  :func:`evaluate_region`
+forces one region's formula.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .exact_core import DomainError, Params, check_index
+from .exact_core import DomainError, Params, SingularityError, check_index, check_indices
 from .special_fns import airy_ai, hermite, pcf_d
-from .state_space import (
-    DEFAULT_CONFIG,
-    ClassifierConfig,
-    RegionId,
-    classify_row,
-    row_terms,
-)
-from .wkb_core import SingularityError, k_pm_logs, phi0, strip_coeffs
+from .state_space import DEFAULT_CONFIG, ClassifierConfig, RegionId, Row
+from .wkb_core import k_pm_logs, phi0
 
 __all__ = ["ApproxValue", "approx", "approx_row", "evaluate_region"]
 
@@ -116,51 +109,12 @@ def _finalize(m: float, s: float, region: RegionId) -> ApproxValue:
     return ApproxValue(_signed_exp(m, ln_scale), region, ln_scale)
 
 
-class _Row:
-    """The row at height z = n*eps in one orientation: its parameters, its
-    z-only terms, each solved on first use (after the kernel's own domain
-    checks, so theirs come first), and the stretched layer coordinates of
-    its points, with y = x*eps:
-
-    eta:  (y - p)/sqrt(2pq*eps)   -- corner layer at (p, 0)
-    u:    (p - z)/sqrt(pq*eps)    -- corner layer at (0, p)
-    beta: (Y^-(z) - y)/eps^{2/3}  -- turning strip (positive outside E)
-    xi:   (y - q)/sqrt(2pq*eps)   -- corner layer at (q, 1)
-    """
-
-    def __init__(self, z: float, params: Params) -> None:
-        self.z, self.params = z, params
-
-    terms = cached_property(lambda self: row_terms(self.z, self.params))
-    strip = cached_property(lambda self: strip_coeffs(self.z, self.params))
-
-    @cached_property
-    def _sqrt_2pq_eps(self) -> float:
-        params = self.params
-        return math.sqrt(2.0 * params.pf * params.qf * params.eps)
-
-    @cached_property
-    def u(self) -> float:
-        p = self.params.pf
-        return (p - self.z) / math.sqrt(p * self.params.qf * self.params.eps)
-
-    def eta(self, x: int) -> float:
-        return (x * self.params.eps - self.params.pf) / self._sqrt_2pq_eps
-
-    def beta(self, x: int) -> float:
-        eps = self.params.eps
-        return (self.terms.ym - x * eps) / eps ** (2.0 / 3.0)
-
-    def xi(self, x: int) -> float:
-        return (x * self.params.eps - self.params.qf) / self._sqrt_2pq_eps
-
-
 # ---------------------------------------------------------------------------
 # The twelve formulas
 # ---------------------------------------------------------------------------
 
 
-def k1(x: int, n: int, row: _Row) -> _Scaled:
+def k1(x: int, n: int, row: Row) -> _Scaled:
     """Bottom rows away from the center: (y - p)^n / (n! eps^n)."""
     if n == 0:
         return 1.0, 0.0
@@ -172,7 +126,7 @@ def k1(x: int, n: int, row: _Row) -> _Scaled:
     return _sign(n) if d < 0.0 else 1.0, s
 
 
-def k2(x: int, n: int, row: _Row) -> _Scaled:
+def k2(x: int, n: int, row: Row) -> _Scaled:
     """Bottom-center corner: scaled Hermite polynomial in the corner variable."""
     params = row.params
     H = hermite(n, row.eta(x))
@@ -184,20 +138,20 @@ def k2(x: int, n: int, row: _Row) -> _Scaled:
     return math.copysign(1.0, H), s
 
 
-def _branch_logs(branch: str, xs: Sequence[int], row: _Row,
+def _branch_logs(branch: str, xs: Sequence[int], row: Row,
                  lo: float, hi: float, where: str) -> Iterator[_Scaled]:
     """The scale-split branch contribution at each x of xs on ``row``; each
     y = x*eps is refused, before its contribution is solved, unless lo < y < hi."""
     params = row.params
     ys = [x * params.eps for x in xs]
-    logs = k_pm_logs(branch, ys, row.z, params, row.terms)
+    logs = k_pm_logs(branch, ys, row)
     for y in ys:
         if not lo < y < hi:
             raise DomainError(f"point (y={y!r}, z={row.z!r}) is not {where}")
         yield _from_log(next(logs))
 
 
-def k3(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
+def k3(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Lower-left exterior (III): the minus branch alone, alternating like (-1)^n.
 
     Its reflection is IV, right of the upper curve up to z = q.  Above those
@@ -210,10 +164,10 @@ def k3(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
             f"its reflection), got z={row.z!r}"
         )
     where = "left of the lower turning curve (for IV: right of the upper one, on the reflected grid)"
-    return list(_branch_logs("-", xs, row, -math.inf, row.terms.ym, where))
+    return list(_branch_logs("-", xs, row, -math.inf, row.curves[0], where))
 
 
-def k5(x: int, n: int, row: _Row) -> _Scaled:
+def k5(x: int, n: int, row: Row) -> _Scaled:
     """Left edge above the crossover, small x: the cos(pi*x) term of the
     paper's explicit two-term form, whose phase cos(pi*x) exp(i*pi*z/eps) is
     (-1)^(x+n) on the grid.
@@ -231,7 +185,7 @@ def k5(x: int, n: int, row: _Row) -> _Scaled:
     return _sign(x + n), s
 
 
-def k6(x: int, n: int, row: _Row) -> _Scaled:
+def k6(x: int, n: int, row: Row) -> _Scaled:
     """Left-edge corner at the crossover: parabolic-cylinder profile in u."""
     params, u = row.params, row.u
     p, q, N = params.pf, params.qf, params.N
@@ -247,7 +201,7 @@ def k6(x: int, n: int, row: _Row) -> _Scaled:
     return math.copysign(1.0, D) * _sign(n), s
 
 
-def k7(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
+def k7(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Upper-left exterior: the plus branch K+ of the paper's interference form.
 
     The paper's value is Re{ (w + 1)/2 * K+ + (w - 1) * K- } with
@@ -256,10 +210,10 @@ def k7(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
     """
     if row.z <= row.params.pf:
         raise DomainError(f"interference formula requires z > p, got z={row.z!r}")
-    return list(_branch_logs("+", xs, row, -math.inf, row.terms.ym, "left of the lower turning curve"))
+    return list(_branch_logs("+", xs, row, -math.inf, row.curves[0], "left of the lower turning curve"))
 
 
-def k8(x: int, n: int, row: _Row) -> _Scaled:
+def k8(x: int, n: int, row: Row) -> _Scaled:
     """Lower turning strip: Airy profile across the curve (z < p).  The
     paper's phase exp(i*pi*z*N) is the sign (-1)^n, taken from the indices."""
     params, z = row.params, row.z
@@ -279,7 +233,7 @@ def k8(x: int, n: int, row: _Row) -> _Scaled:
     return math.copysign(1.0, ai) * _sign(n), s
 
 
-def k9(x: int, n: int, row: _Row) -> _Scaled:
+def k9(x: int, n: int, row: Row) -> _Scaled:
     """Upper turning strip (z > p): the 2*Ai term of the paper's Airy pair.
 
     The paper weights Ai by lambda_+ = w + 1 and i*Bi by lambda_- = w - 1,
@@ -306,19 +260,17 @@ def k9(x: int, n: int, row: _Row) -> _Scaled:
     return _sign(n + x) * bracket, s
 
 
-def k10(xs: Sequence[int], n: int, row: _Row) -> List[_Scaled]:
+def k10(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Oscillatory interior: sum of the two conjugate branches, 2 Re K+.
 
     Inside the ellipse the branch roots are exact complex conjugates, so
     k_pm_log("-") is the conjugate of k_pm_log("+") to the last bit and the
     sum is formed from the plus branch alone.
     """
-    terms = row.terms
-    return [(2.0 * m, s)
-            for m, s in _branch_logs("+", xs, row, terms.ym, terms.yp, "between the turning curves")]
+    return [(2.0 * m, s) for m, s in _branch_logs("+", xs, row, *row.curves, "between the turning curves")]
 
 
-def k11(x: int, n: int, row: _Row) -> _Scaled:
+def k11(x: int, n: int, row: Row) -> _Scaled:
     """Top rows (n = N - j for small j): two combinatorial terms.  The first
     term's phase cos(pi*y*N) is (-1)^x on the grid.
 
@@ -346,7 +298,7 @@ def k11(x: int, n: int, row: _Row) -> _Scaled:
     return _sum_scaled(terms)
 
 
-def k12(x: int, n: int, row: _Row) -> _Scaled:
+def k12(x: int, n: int, row: Row) -> _Scaled:
     """Top corner: the D_j term of the paper's parabolic-cylinder profile in
     the corner variable xi, whose cos factor is (-1)^(N - x) on the grid.
 
@@ -379,19 +331,19 @@ _KERNELS = {"I": k1, "II": k2, "III": k3, "IV": k3, "V": k5, "VI": k6, "VII": k7
 _RUN_KERNELS = (k3, k7, k10)
 
 
-def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: _Row) -> List[ApproxValue]:
-    """The value of region ``rid``'s formula at each (x, n), x in xs, labelled
-    ``rid``; the indices are already checked, and a failing point raises
-    before any later one is evaluated.
+def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: Row) -> List[ApproxValue]:
+    """The value of region ``rid``'s formula at each (x, n), x in xs, of
+    ``row``, labelled ``rid``; the indices are already checked, and a failing
+    point raises before any later one is evaluated.
 
-    A mirrored region is evaluated at (N - x, n) on ``row``, which then
+    A mirrored region is evaluated at (N - x, n) on the row's mirror, which
     carries p and q exchanged, and its sign multiplied by (-1)^n; IV is
     always mirrored and is III there.
     """
-    params, tag = row.params, rid.tag
     if rid.mirrored:
-        xs = [params.N - x for x in xs]
-    kernel = _KERNELS[tag]
+        xs = [row.params.N - x for x in xs]
+        row = row.mirror
+    kernel = _KERNELS[rid.tag]
     pairs = kernel(xs, n, row) if kernel in _RUN_KERNELS else [kernel(x, n, row) for x in xs]
     flip = rid.mirrored and n % 2
     return [_finalize(-m if flip else m, s, rid) for m, s in pairs]
@@ -408,20 +360,21 @@ def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
     rid = RegionId(tag, mirrored=tag == "IV")
     check_index("x", x, params.N)
     check_index("n", n, params.N)
-    return _evaluate(rid, [x], n, _Row(n * params.eps, params.swapped() if rid.mirrored else params))[0]
+    return _evaluate(rid, [x], n, Row(n * params.eps, params))[0]
 
 
 def approx_row(n: int, xs: Sequence[int], params: Params,
                cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[ApproxValue]:
     """Classify each point (x, n), x in xs, and evaluate the matching formula,
     labelled with the classifier's region.  Each run of points with one label
-    is evaluated at once, and the row's z-only terms are solved once per
-    orientation, on first need; the first failing point in xs order raises."""
-    z = n * params.eps
-    rows = (_Row(z, params), _Row(z, params.swapped()))
+    is evaluated at once, and the classifier and the formulas read one record
+    per orientation.  The first failing point in xs order raises."""
+    check_index("n", n, params.N)
+    check_indices("x", xs, params.N)
+    row = Row(n * params.eps, params)
     out: List[ApproxValue] = []
-    for rid, run in groupby(zip(xs, classify_row(n, xs, params, cfg)), itemgetter(1)):
-        out += _evaluate(rid, [x for x, _ in run], n, rows[rid.mirrored])
+    for rid, run in groupby(zip(xs, row.regions(n, xs, cfg)), itemgetter(1)):
+        out += _evaluate(rid, [x for x, _ in run], n, row)
     return out
 
 

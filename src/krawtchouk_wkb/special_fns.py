@@ -106,7 +106,7 @@ def hermite(n: int, eta):
     follows the type of ``eta``: pass a Fraction and the result is exact,
     pass a float and it is ordinary floating point.
     """
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"hermite degree must be a nonnegative integer, got {n!r}")
     if n == 0:
         return eta - eta + 1  # a 1 of eta's type
@@ -214,8 +214,8 @@ def pcf_d(n: int, z: float) -> float:
 
     It is e^{-z^2/4} He_n(z) in floats, He_n from the recurrence
     He_{k+1} = z He_k - k He_{k-1} in z itself, so exact zeros such as
-    D_2(1) = 0 come out as 0.0.  Any other order or argument, a float order
-    or a complex argument included, raises RangeError.
+    D_2(1) = 0 come out as 0.0.  Any other order or argument, a float or bool
+    order or a complex argument included, raises RangeError.
     """
     # The two bound checks come first, so a forced VI or XII far outside its
     # layer reports the bound it crossed.
@@ -223,7 +223,7 @@ def pcf_d(n: int, z: float) -> float:
         raise RangeError(f"pcf_d order {n} outside the integers 0..{_PCF_NU_MAX}")
     if abs(z) > _PCF_Z_MAX:
         raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
-    if not isinstance(n, int) or not isinstance(z, (int, float)):
+    if not isinstance(n, int) or isinstance(n, bool) or not isinstance(z, (int, float)):
         raise RangeError(f"pcf_d needs an integer order and a real argument, got D_{n}({z})")
     he_prev, he = 0.0, 1.0  # He_{-1}, He_0
     for k in range(n):
@@ -239,7 +239,7 @@ def lambda_j(j: int, xi: float) -> float:
     The two terms are complex conjugates, so the result is real; we verify
     that numerically and raise if the imaginary residue survives.
     """
-    if not isinstance(j, int) or j < 0 or j > _LAMBDA_J_MAX:
+    if not isinstance(j, int) or isinstance(j, bool) or j < 0 or j > _LAMBDA_J_MAX:
         raise RangeError(f"lambda_j degree must be an integer in [0, {_LAMBDA_J_MAX}], got {j!r}")
     if abs(xi) > _LAMBDA_XI_MAX:
         raise RangeError(f"lambda_j argument |{xi}| > {_LAMBDA_XI_MAX}")

@@ -18,15 +18,20 @@ Points to the right of the upper turning curve, and top-row points right of
 the XII corner, are classified by reflecting (x, n) -> (N - x, n) with p and
 q exchanged (the symmetry of the polynomial family); such results carry
 ``mirrored=True``, and a reflected lower-zone tag III is reported as IV.
+
+Every term of a row that depends on z alone is a field of one record,
+:class:`Row`, which the classifier and the region formulas both read, so
+each is solved once per row and orientation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
-from .exact_core import DomainError, Params, check_index, check_indices
+from .exact_core import DomainError, Params, SingularityError, check_index, check_indices
 
 __all__ = [
     "ScaledPoint",
@@ -37,10 +42,10 @@ __all__ = [
     "u0",
     "y_pm",
     "ellipse_residual",
+    "Row",
+    "StripCoeffs",
     "u_pm",
     "branch_roots",
-    "RowTerms",
-    "row_terms",
     "classify",
     "classify_row",
     "region_runs",
@@ -170,24 +175,105 @@ def ellipse_residual(pt: ScaledPoint, params: Params) -> float:
     return w * w + v * v + 2.0 * (p - q) * w * v - p * q
 
 
-class RowTerms(NamedTuple):
-    """The z-only terms of one row: zqp = z(q-p) and c = pq(1-z) of the branch
-    quadratic, disc_c = 4z*c of its discriminant, r2 = u0(z)^2, and Y^±(z)."""
+class StripCoeffs(NamedTuple):
+    """The z-only coefficients of the Airy expansion across the lower curve Y^-(z).
 
-    zqp: float
-    c: float
-    disc_c: float
-    r2: float
-    ym: float
-    yp: float
+    u0 is the coalescence root u0(z).  theta = sqrt(u0/z) / ((u0+p)(u0-q)) is
+    the curvature coefficient, positive for z < p (region VIII) and negative
+    for z > p (IX, which uses -theta).  psi0 = (z-1) ln u0 + Y^-(z) ln|u0 - q|
+    + (1 - Y^-(z)) ln(u0 + p) is the strip phase and slope = ln(u0 + p)
+    - ln|u0 - q| its rate across the curve: the real parts of the paper's.
+    """
+
+    u0: float
+    theta: float
+    psi0: float
+    slope: float
 
 
-def row_terms(z: float, params: Params) -> RowTerms:
-    """Solve the z-only terms of row z once; requires 0 < z <= 1."""
-    ym, yp = y_pm(z, params)
-    p, q = params.pf, params.qf
-    c = p * q * (1.0 - z)
-    return RowTerms(z * (q - p), c, 4.0 * z * c, u0(z, params) ** 2, ym, yp)
+def _ln(a: float) -> float:
+    """ln|a| rounded as the pinned outputs were: by ``cmath.log``, which takes
+    log1p((a-1)(a+1))/2 on [0.71, 1.73], so ``math.log`` differs from it in
+    the last bit for about a fifth of the arguments in [0.5, 2]."""
+    return cmath.log(a).real
+
+
+class _lazy:
+    """A field solved on its first read and kept on the instance, where later
+    reads find it: ``cached_property`` without the lock it takes before 3.12."""
+
+    def __init__(self, solve: Callable) -> None:
+        self.solve = solve
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, row: "Row", owner: type = None) -> object:
+        return row.__dict__.setdefault(self.name, self.solve(row))
+
+
+class Row:
+    """Row z of the grid in one orientation (p and q as ``params`` has them).
+    A term that can fail, or builds an object, is solved on first read and
+    kept, so a formula's own domain checks come first: curves (Y^-(z),
+    Y^+(z)); u0 and r2 = u0^2; strip, the turning-strip coefficients; mirror,
+    the row with p and q exchanged.  Plain arithmetic is set on construction:
+    zqp = z(q-p), c = pq(1-z) and disc_c = 4z*c of the branch quadratic, the
+    layer scales sqrt_2pq_eps, sqrt_pq_eps and eps23, and u.  The stretched
+    coordinates, with y = x*eps:
+
+    eta:  (y - p)/sqrt(2pq*eps)   -- corner layer at (p, 0)
+    u:    (p - z)/sqrt(pq*eps)    -- corner layer at (0, p)
+    beta: (Y^-(z) - y)/eps^{2/3}  -- turning strip (positive outside E)
+    xi:   (y - q)/sqrt(2pq*eps)   -- corner layer at (q, 1)
+    """
+
+    def __init__(self, z: float, params: Params) -> None:
+        self.z, self.params = z, params
+        p, q, eps = params.pf, params.qf, params.eps
+        self.zqp = z * (q - p)
+        self.c = p * q * (1.0 - z)
+        self.disc_c = 4.0 * z * self.c
+        self.sqrt_2pq_eps = math.sqrt(2.0 * p * q * eps)
+        self.sqrt_pq_eps = math.sqrt(p * q * eps)
+        self.eps23 = eps ** (2.0 / 3.0)
+        self.u = (p - z) / self.sqrt_pq_eps
+
+    mirror = _lazy(lambda self: Row(self.z, self.params.swapped()))
+    curves = _lazy(lambda self: y_pm(self.z, self.params))
+    u0 = _lazy(lambda self: u0(self.z, self.params))  # the module's u0, not this field
+    r2 = _lazy(lambda self: self.u0 ** 2)
+
+    def eta(self, x: int) -> float:
+        return (x * self.params.eps - self.params.pf) / self.sqrt_2pq_eps
+
+    def beta(self, x: int) -> float:
+        return (self.curves[0] - x * self.params.eps) / self.eps23
+
+    def xi(self, x: int) -> float:
+        return (x * self.params.eps - self.params.qf) / self.sqrt_2pq_eps
+
+    @_lazy
+    def strip(self) -> StripCoeffs:
+        """Singular at the ends of (0, 1) and at z = p, where u0 = q."""
+        z = self.z
+        if not 0.0 < z < 1.0:
+            raise SingularityError(f"strip coefficients are singular at z={z!r}")
+        p, q = self.params.pf, self.params.qf
+        r = self.u0
+        if r == q:
+            raise SingularityError("strip coefficients diverge where u0 = q (z = p)")
+        ym = self.curves[0]
+        ln_rp, ln_rq = _ln(r + p), _ln(r - q)
+        psi = (z - 1.0) * _ln(r) + ym * ln_rq + (1.0 - ym) * ln_rp
+        th = math.sqrt(r / z) / ((r + p) * (r - q))
+        return StripCoeffs(r, th, psi, ln_rp - ln_rq)
+
+    def regions(self, n: int, xs: Sequence[int], cfg: ClassifierConfig) -> List[RegionId]:
+        """The region of each point (x, n), x in xs, of this row, n*eps = z, for
+        :func:`classify_row` and ``approx_row``, which check the indices."""
+        return _classify(xs, self.params.N, _row_tests(n, self, cfg)[0],
+                         lambda: _row_tests(n, self.mirror, cfg)[0])
 
 
 def u_pm(pt: ScaledPoint, params: Params) -> Tuple[complex, complex]:
@@ -197,13 +283,16 @@ def u_pm(pt: ScaledPoint, params: Params) -> Tuple[complex, complex]:
     upper half plane) inside it, and both equal to ±u0(z) on the turning
     curves y = Y^±(z).  Requires 0 < z <= 1, which :func:`y_pm` checks.
     """
-    return branch_roots(pt.y, pt.z, params, row_terms(pt.z, params))
+    row = Row(pt.z, params)
+    row.curves  # y_pm's check, before branch_roots divides by z
+    return branch_roots(pt.y, row)
 
 
-def branch_roots(y: float, z: float, params: Params, row: RowTerms) -> Tuple[complex, complex]:
-    """:func:`u_pm` at (y, z) from row z's terms, unchecked (the row path); the
+def branch_roots(y: float, row: Row) -> Tuple[complex, complex]:
+    """:func:`u_pm` at (y, z) on row z, unchecked (the row path); the
     smaller-magnitude root comes from the root product pq(1-z)/z."""
-    b, c = params.pf - y + row.zqp, row.c
+    z = row.z
+    b, c = row.params.pf - y + row.zqp, row.c
     disc = b * b - row.disc_c
     # A discriminant at rounding level means the point sits on a turning
     # curve to within double precision; split roots there would carry a
@@ -241,34 +330,36 @@ def _band_flips(c: float, w: float, eps: float, N: int) -> Tuple[int, int]:
             _first(lambda x: x * eps - c > w, (c + w) * N, N))
 
 
-def _row_tests(n: int, params: Params, cfg: ClassifierConfig,
-               flips: bool = False) -> Union[Callable, Tuple[Callable, Tuple[int, ...]]]:
-    """The region tests of row n, their x-independent terms solved once: a map
-    from x to the tag in this orientation, or None when the point belongs to the
-    reflected half (on or beyond the upper turning strip); with flips, also the x
+#: A row's classifier test: x to the tag in one orientation, or None.
+_Tag = Callable[[int], Optional[str]]
+
+
+def _row_tests(n: int, row: Row, cfg: ClassifierConfig) -> Tuple[_Tag, Callable[[], Tuple[int, ...]]]:
+    """The region tests of row n, read from its record: a map from x to the
+    tag in this orientation, or None when the point belongs to the reflected
+    half (on or beyond the upper turning strip); and a function giving the x
     at which each test first flips (y = x*eps and y - c never decrease with x)."""
-    N = params.N
-    eps, p, q = params.eps, params.pf, params.qf
-    z = n * eps
-    corner_y = cfg.corner_width * math.sqrt(2.0 * p * q * eps)
+    params, z = row.params, row.z
+    N, eps, p, q = params.N, params.eps, params.pf, params.qf
+    corner_y = cfg.corner_width * row.sqrt_2pq_eps
     if n <= cfg.n_small:
         tag = lambda x: "II" if abs(x * eps - p) <= corner_y else "I"
-        return (tag, _band_flips(p, corner_y, eps, N)) if flips else tag
+        return tag, lambda: _band_flips(p, corner_y, eps, N)
     if N - n <= cfg.j_small:
         # Right of the corner the top rows are XI of the mirror.  The cut
         # x <= qN is exact, so a point and its reflection never both defer.
         xi_cut = math.floor(N * params.q)
         tag = lambda x: "XII" if abs(x * eps - q) <= corner_y else "XI" if x <= xi_cut else None
-        return (tag, (xi_cut + 1, *_band_flips(q, corner_y, eps, N))) if flips else tag
+        return tag, lambda: (xi_cut + 1, *_band_flips(q, corner_y, eps, N))
     # Small x with z below the corner falls through to the bulk tests: the
     # left edge there belongs to the exponential zone III (or its turning
     # strip VIII), not to a separate layer.
-    if abs(z - p) <= cfg.corner_width * math.sqrt(p * q * eps):
+    if abs(z - p) <= cfg.corner_width * row.sqrt_pq_eps:
         x_small, left = cfg.x_small, "VI"
     else:
         x_small, left = (cfg.x_small, "V") if z > p else (-1, None)
-    ym, yp = y_pm(z, params)
-    strip = cfg.beta_max * eps ** (2.0 / 3.0)
+    ym, yp = row.curves
+    strip = cfg.beta_max * row.eps23
     # The strip coefficients diverge at z = p, where Y^-(z) meets the left
     # edge; a row there with pN an integer is served by VI, whose u is 0.
     strip_tag = "VI" if z == p else "VIII" if z < p else "IX"
@@ -286,10 +377,27 @@ def _row_tests(n: int, params: Params, cfg: ClassifierConfig,
             return below
         return "X" if y < yp else None
 
-    if not flips:
-        return tag
     # y < ym and y < yp flip only inside their curves' strips, where an earlier test decides.
-    return tag, (x_small + 1, *_band_flips(ym, strip, eps, N), *_band_flips(yp, strip, eps, N))
+    return tag, lambda: (x_small + 1, *_band_flips(ym, strip, eps, N), *_band_flips(yp, strip, eps, N))
+
+
+def _classify(xs: Sequence[int], N: int, tag_of: _Tag, mirror_of: Callable[[], _Tag]) -> List[RegionId]:
+    """The classify loop: each x of xs to ``tag_of(x)``, or where that defers,
+    to the mirror's tag at N - x, from the map ``mirror_of()`` built on first
+    need; a reflected III is reported as IV."""
+    out, mirror_tag = [], None
+    for x in xs:
+        tag = tag_of(x)
+        if tag is not None:
+            out.append(_RIDS[tag, False])
+            continue
+        if mirror_tag is None:
+            mirror_tag = mirror_of()
+        tag = mirror_tag(N - x)
+        if tag is None:  # pragma: no cover - excluded by the strip geometry
+            raise AssertionError("classifier fell through both orientations")
+        out.append(_RIDS["IV" if tag == "III" else tag, True])
+    return out
 
 
 def classify_row(n: int, xs: Sequence[int], params: Params,
@@ -302,24 +410,11 @@ def classify_row(n: int, xs: Sequence[int], params: Params,
     corner, are reflected to (N - x, n) with p and q exchanged and
     re-classified; a reflected III is reported as IV, any other
     reflected tag keeps its name, and both carry ``mirrored=True``.  The
-    row's x-independent terms are solved once, the mirror's on first need.
+    tests read the row's :class:`Row`, the mirror's on first need.
     """
     check_index("n", n, params.N)
     check_indices("x", xs, params.N)
-    tag_of, mirror_of = _row_tests(n, params, cfg), None
-    out = []
-    for x in xs:
-        tag = tag_of(x)
-        if tag is not None:
-            out.append(_RIDS[tag, False])
-            continue
-        if mirror_of is None:
-            mirror_of = _row_tests(n, params.swapped(), cfg)
-        tag = mirror_of(params.N - x)
-        if tag is None:  # pragma: no cover - excluded by the strip geometry
-            raise AssertionError("classifier fell through both orientations")
-        out.append(_RIDS["IV" if tag == "III" else tag, True])
-    return out
+    return Row(n * params.eps, params).regions(n, xs, cfg)
 
 
 def region_runs(n: int, params: Params,
@@ -329,14 +424,16 @@ def region_runs(n: int, params: Params,
     cut at those flips (and the mirror's where it defers), every test is constant
     on each stretch, so its first point's region is that of all its points."""
     check_index("n", n, params.N)
-    N = params.N
-    tag_of, flips = _row_tests(n, params, cfg, flips=True)
-    cuts = {0, *flips}
+    N, row = params.N, Row(n * params.eps, params)
+    tag_of, flips = _row_tests(n, row, cfg)
+    mirror_of, mirror_flips = _row_tests(n, row.mirror, cfg)
+    cuts = {0, *flips()}
     if any(tag_of(x) is None for x in cuts if x <= N):
-        cuts.update(N + 1 - x for x in _row_tests(n, params.swapped(), cfg, flips=True)[1])
+        cuts.update(N + 1 - x for x in mirror_flips())
     starts = sorted(x for x in cuts if 0 <= x <= N)
+    rids = _classify(starts, N, tag_of, lambda: mirror_of)
     runs: List[Tuple[int, int, RegionId]] = []
-    for start, stop, rid in zip(starts, [*starts[1:], N + 1], classify_row(n, starts, params, cfg)):
+    for start, stop, rid in zip(starts, [*starts[1:], N + 1], rids):
         if runs and runs[-1][2] is rid:
             start = runs.pop()[0]
         runs.append((start, stop, rid))

@@ -7,22 +7,21 @@ mapped to +i*pi, which fixes every sign convention downstream; exp(psi/eps)
 is only ever formed in log-space (``k_pm_log``, and ``k_pm_logs`` for the
 points of a row) because its real part grows like N.
 
-The remaining operations are the turning-strip ingredients and the
-left-edge phase ``phi0``, all real.  ``strip_coeffs`` solves u0 and Y^-(z)
-once and returns every z-only coefficient of the Airy expansion across the
-lower turning curve: the curvature theta that scales the Airy argument, and
-the real parts of the phase psi0 and of the slope.
+The z-only terms a branch needs, the quadratic's coefficients and u0(z)^2,
+are read from the row's record :class:`.state_space.Row`, which also holds
+the turning-strip coefficients; the one-point functions build the record of
+their point's row.  The remaining operation is the left-edge phase ``phi0``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, Tuple
 
-from .exact_core import DomainError, Params
+from .exact_core import DomainError, Params, SingularityError
 from .special_fns import RangeError
-from .state_space import RowTerms, ScaledPoint, branch_roots, row_terms, u0, y_pm
+from .state_space import Row, ScaledPoint, branch_roots
 
 __all__ = [
     "SingularityError",
@@ -33,17 +32,11 @@ __all__ = [
     "k_pm",
     "k_pm_log",
     "k_pm_logs",
-    "StripCoeffs",
-    "strip_coeffs",
     "phi0",
 ]
 
 #: Relative half-width of the coalescence guard around the turning curves.
 _COALESCENCE_RTOL = 1e-10
-
-
-class SingularityError(ArithmeticError):
-    """A branch quantity was requested on or too close to one of its poles."""
 
 
 def plog(w: complex) -> complex:
@@ -68,18 +61,17 @@ def psqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def _branch_terms(branch: str, ys: Iterable[float], z: float, params: Params,
-                  row: Optional[RowTerms] = None) -> Iterator[Tuple[complex, complex]]:
-    """(psi, L) of one branch at each y of ys on row z, lazily: the loop of
+def _branch_terms(branch: str, ys: Iterable[float], row: Row) -> Iterator[Tuple[complex, complex]]:
+    """(psi, L) of one branch at each y of ys on ``row``, lazily: the loop of
     :func:`k_pm_logs`, whose contract it keeps."""
+    z = row.z
     if not 0.0 < z < 1.0:
         raise SingularityError(f"branch quantities are singular at z={z!r}")
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    row = row or row_terms(z, params)
-    plus, p, q, r2 = branch == "+", params.pf, params.qf, row.r2
+    plus, p, q, r2 = branch == "+", row.params.pf, row.params.qf, row.r2
     for y in ys:
-        U = branch_roots(y, z, params, row)[plus]
+        U = branch_roots(y, row)[plus]
         gap = U * U - r2
         if abs(gap) < _COALESCENCE_RTOL * r2:
             raise SingularityError(f"branches coalesce near (y={y!r}, z={z!r}); "
@@ -90,26 +82,24 @@ def _branch_terms(branch: str, ys: Iterable[float], z: float, params: Params,
 
 def psi_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
     """Branch phase psi = ln[U^{z-1} (U-p)^{1-y} (U+q)^y], principal branches."""
-    return next(_branch_terms(branch, (pt.y,), pt.z, params))[0]
+    return next(_branch_terms(branch, (pt.y,), Row(pt.z, params)))[0]
 
 
 def l_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
     """Branch amplitude L = sqrt[(U-p)(U+q) / (z * (U^2 - u0^2))]."""
-    return next(_branch_terms(branch, (pt.y,), pt.z, params))[1]
+    return next(_branch_terms(branch, (pt.y,), Row(pt.z, params)))[1]
 
 
-def k_pm_logs(branch: str, ys: Iterable[float], z: float, params: Params,
-              row: Optional[RowTerms] = None) -> Iterator[complex]:
-    """:func:`k_pm_log` at each y of ys on row z, lazily and in order.
+def k_pm_logs(branch: str, ys: Iterable[float], row: Row) -> Iterator[complex]:
+    """:func:`k_pm_log` at each y of ys on ``row``, lazily and in order.
 
     The row is checked when the first value is drawn, and each point's root
     is solved and guarded when its value is, so a caller that tests each
-    point before drawing its value sees the errors in point order.  ``row``
-    is ``row_terms(z, params)``, solved once if None; so is the prefactor.
+    point before drawing its value sees the errors in point order.
     """
-    half_log_pref = 0.5 * (math.log(params.eps) - math.log(2.0 * math.pi))
-    N = params.N
-    return (half_log_pref + psi * N + plog(amp) for psi, amp in _branch_terms(branch, ys, z, params, row))
+    half_log_pref = 0.5 * (math.log(row.params.eps) - math.log(2.0 * math.pi))
+    N = row.params.N
+    return (half_log_pref + psi * N + plog(amp) for psi, amp in _branch_terms(branch, ys, row))
 
 
 def k_pm_log(branch: str, pt: ScaledPoint, params: Params) -> complex:
@@ -119,7 +109,7 @@ def k_pm_log(branch: str, pt: ScaledPoint, params: Params) -> complex:
     reduced mod 2*pi).  psi/eps is computed as psi*N, which is exact in the
     scaling.  The one-point case of :func:`k_pm_logs`.
     """
-    return next(k_pm_logs(branch, (pt.y,), pt.z, params))
+    return next(k_pm_logs(branch, (pt.y,), Row(pt.z, params)))
 
 
 def k_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
@@ -131,47 +121,6 @@ def k_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
         raise RangeError(
             f"|K| = exp({lk.real:.6g}) exceeds double range; use k_pm_log"
         ) from exc
-
-
-class StripCoeffs(NamedTuple):
-    """The z-only coefficients of the Airy expansion across the lower curve Y^-(z).
-
-    u0 is the coalescence root u0(z).  theta = sqrt(u0/z) / ((u0+p)(u0-q)) is
-    the curvature coefficient, positive for z < p (region VIII) and negative
-    for z > p (IX, which uses -theta).  psi0 = (z-1) ln u0 + Y^-(z) ln|u0 - q|
-    + (1 - Y^-(z)) ln(u0 + p) is the strip phase and slope = ln(u0 + p)
-    - ln|u0 - q| its rate across the curve: the real parts of the paper's.
-    """
-
-    u0: float
-    theta: float
-    psi0: float
-    slope: float
-
-
-def _ln(a: float) -> float:
-    """ln|a| rounded as the pinned outputs were: by ``cmath.log``, which takes
-    log1p((a-1)(a+1))/2 on [0.71, 1.73], so ``math.log`` differs from it in
-    the last bit for about a fifth of the arguments in [0.5, 2]."""
-    return cmath.log(a).real
-
-
-def strip_coeffs(z: float, params: Params) -> StripCoeffs:
-    """Solve u0 and Y^-(z) once for all the turning-strip coefficients at z.
-
-    Singular at the ends of (0, 1) and at z = p, where u0 = q.
-    """
-    if not 0.0 < z < 1.0:
-        raise SingularityError(f"strip coefficients are singular at z={z!r}")
-    p, q = params.pf, params.qf
-    r = u0(z, params)
-    if r == q:
-        raise SingularityError("strip coefficients diverge where u0 = q (z = p)")
-    ym = y_pm(z, params)[0]
-    ln_rp, ln_rq = _ln(r + p), _ln(r - q)
-    psi = (z - 1.0) * _ln(r) + ym * ln_rq + (1.0 - ym) * ln_rp
-    th = math.sqrt(r / z) / ((r + p) * (r - q))
-    return StripCoeffs(r, th, psi, ln_rp - ln_rq)
 
 
 def phi0(z: float, params: Params) -> float:

@@ -9,8 +9,10 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from krawtchouk_wkb.cli import load_config, main, render_ratio
 from krawtchouk_wkb.exact_core import Params, scaled_sum
 from krawtchouk_wkb.region_formulas import evaluate_region
+from krawtchouk_wkb.state_space import Row
 from fractions import Fraction
 
 DATA = Path(__file__).parent / "data"
@@ -324,6 +327,30 @@ class TestCompare:
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[f"{stem}.csv"], stem
             assert hashlib.sha256(err.encode("utf-8")).hexdigest() == pins[f"{stem}.err"], stem
 
+    def test_row_terms_solved_once_per_row(self, capsys):
+        # The classifier and the kernels read one record per row and
+        # orientation: over a full grid, y_pm and u0 run at most once per
+        # Row built, wherever the package imports them, and compare builds
+        # at most one Row per row and orientation.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with contextlib.ExitStack() as stack:
+            for module in [m for name, m in sys.modules.items() if name.startswith("krawtchouk_wkb")]:
+                for name in ("y_pm", "u0"):
+                    if hasattr(module, name):
+                        stack.enter_context(mock.patch.object(module, name, counted(name, getattr(module, name))))
+            stack.enter_context(mock.patch.object(Row, "__init__", counted("Row", Row.__init__)))
+            code, _, _ = run_cli(capsys, "compare", "--N", "100", "--q", "0.64894783")
+        assert code == 0
+        assert 0 < calls["Row"] <= 2 * 101
+        assert calls["y_pm"] <= calls["Row"] and calls["u0"] <= calls["Row"]
+
     def test_full_grid_never_loads_mpmath(self):
         # One fresh interpreter runs every subcommand: mpmath is only
         # imported by the special functions that no command reaches.
@@ -500,6 +527,12 @@ class TestErrors:
             capsys, "regions", "--N", "10", "--q", "0.5", "--config", str(bad_value)
         )
         assert code == 1 and "bad value" in err
+        # A tolerance must be a finite number >= 0: nan would pass every gate.
+        for text in ("nan", "inf", "-0.1"):
+            bad_tol_value = tmp_path / "tv.cfg"
+            bad_tol_value.write_text(f"tol_overlap={text}\n")
+            code, out, err = run_cli(capsys, "check", "--criteria", "4", "--config", str(bad_tol_value))
+            assert code == 1 and "tol_overlap must be finite and >= 0" in err and out == "", text
         missing = tmp_path / "missing.cfg"
         code, _, err = run_cli(
             capsys, "regions", "--N", "10", "--q", "0.5", "--config", str(missing)

@@ -30,11 +30,11 @@ import pytest
 
 from krawtchouk_wkb.exact_core import DomainError, Params
 from krawtchouk_wkb.region_formulas import (
-    _Row, _finalize, _sum_scaled, k3, k5, k6, k7, k8, k9, k10, k11, k12,
+    _finalize, _sum_scaled, k3, k5, k6, k7, k8, k9, k10, k11, k12,
 )
 from krawtchouk_wkb.special_fns import RangeError, airy_ai, airy_bi, lambda_j, pcf_d
-from krawtchouk_wkb.state_space import RegionId, u0, y_pm
-from krawtchouk_wkb.wkb_core import SingularityError, StripCoeffs, k_pm_logs, phi0, plog
+from krawtchouk_wkb.state_space import RegionId, Row, StripCoeffs, u0, y_pm
+from krawtchouk_wkb.wkb_core import SingularityError, k_pm_logs, phi0, plog
 
 GRIDS = [(N, q) for N in (20, 100) for q in ("0.34894783", "0.74894783")]
 REFUSED = (DomainError, SingularityError, RangeError)
@@ -104,7 +104,7 @@ class Full(NamedTuple):
 
 def branch_log(branch, y, params, row):
     """The branch log at (y, row.z), drawn from the row's loop."""
-    return next(k_pm_logs(branch, (y,), row.z, params, row.terms))
+    return next(k_pm_logs(branch, (y,), row))
 
 
 def ref_strip_coeffs(z, params):
@@ -327,7 +327,7 @@ def test_dropped_term_is_zero_and_kernel_equals_reference_on_grid(tag, N, q):
     evaluated = 0
     for params in orientations(N, q):
         for n in range(N + 1):
-            row = _Row(n * params.eps, params)
+            row = Row(n * params.eps, params)
             for x in range(N + 1):
                 kr = case(tag, x, n, params, row)
                 try:
@@ -352,7 +352,7 @@ def test_dropped_term_is_nonzero_at_half_integer_x(tag, N, q):
     for params in orientations(N, q):
         checked = 0
         for n in range(N + 1):
-            row = _Row(n * params.eps, params)
+            row = Row(n * params.eps, params)
             for x in range(N):
                 if checked == HALF_POINTS:
                     break

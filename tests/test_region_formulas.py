@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from krawtchouk_wkb.accuracy import FIGURES, figure_sweep, formula_gap, norm_err
 from krawtchouk_wkb.exact_core import DomainError, ExactTable, Params, krawtchouk_sum
 from krawtchouk_wkb.region_formulas import (
-    _Row,
     _finalize,
     _from_log,
     _sum_scaled,
@@ -41,6 +40,7 @@ from krawtchouk_wkb.special_fns import hermite
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
     RegionId,
+    Row,
     ScaledPoint,
     classify,
     y_pm,
@@ -76,9 +76,9 @@ def finalized(pair, tag: str):
     return _finalize(*pair, RegionId(tag))
 
 
-def row_of(n: int, params: Params) -> _Row:
+def row_of(n: int, params: Params) -> Row:
     """Row n in the unreflected orientation, as the dispatcher builds it."""
-    return _Row(n * params.eps, params)
+    return Row(n * params.eps, params)
 
 
 def point_err(tag: str, x: int, n: int, params: Params) -> float:

@@ -28,6 +28,7 @@ from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     RegionId,
+    Row,
     ScaledPoint,
     classify_row,
     u0,
@@ -119,9 +120,14 @@ def ref_k_pm_log(branch, pt, params):
     return half_log_pref + psi * params.N + plog(amp)
 
 
-def ref_k_pm_logs(branch, ys, z, params, row=None):
+def ref_k_pm_logs(branch, ys, row):
     """The row form driven by the per-point reference, one point per draw."""
-    return (ref_k_pm_log(branch, ScaledPoint(y, z), params) for y in ys)
+    return (ref_k_pm_log(branch, ScaledPoint(y, row.z), row.params) for y in ys)
+
+
+def ref_regions(row, n, xs, cfg):
+    """The record's classify loop driven by the per-point reference."""
+    return ref_classify_row(n, xs, row.params, cfg)
 
 
 def ref_window_env_log(table, n, x):
@@ -215,7 +221,7 @@ def test_row_path_matches_per_point_references(case):
         got = list(zip(got, norm_err_row(got, table, n, xs)))
 
     ref_table = ExactTable(params)
-    with mock.patch.object(region_formulas, "classify_row", ref_classify_row), \
+    with mock.patch.object(Row, "regions", ref_regions), \
             mock.patch.object(region_formulas, "k_pm_logs", ref_k_pm_logs):
         want = [outcome(lambda: approx(x, n, params, cfg)) for x in xs]
     failures = [w for w in want if isinstance(w, str)]

@@ -392,3 +392,24 @@ def test_lambda_range_errors():
         lambda_j(2, 9.0)
     with pytest.raises(RangeError):
         lambda_j(-1, 0.0)
+
+
+# Bools are ints in Python; an order or degree of True would silently read as 1.
+
+
+def test_hermite_refuses_bool_degree():
+    with pytest.raises(DomainError, match="hermite degree"):
+        hermite(True, 0.5)
+
+
+def test_pcf_refuses_bool_order():
+    with pytest.raises(RangeError, match="integer order"):
+        pcf_d(True, 0.5)
+    # The bound checks still come first.
+    with pytest.raises(RangeError, match=r"argument \|16.0\| > 15"):
+        pcf_d(True, 16.0)
+
+
+def test_lambda_refuses_bool_degree():
+    with pytest.raises(RangeError, match="lambda_j degree"):
+        lambda_j(False, 0.5)

@@ -213,8 +213,10 @@ class TestUpm:
         assert abs(up) <= 1e-15
 
     def test_domain(self):
+        # The record solves the turning curves before the quadratic's terms,
+        # so z = 0 fails in y_pm, not by a division in branch_roots.
         P = Params.from_q(10, Fraction(1, 2))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"y_pm requires 0 < z <= 1"):
             u_pm(ScaledPoint(0.5, 0.0), P)
 
 

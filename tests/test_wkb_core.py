@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from krawtchouk_wkb.exact_core import DomainError, Params, build_table
 from krawtchouk_wkb.special_fns import RangeError
-from krawtchouk_wkb.state_space import ScaledPoint, u0, u_pm, y_pm
+from krawtchouk_wkb.state_space import Row, ScaledPoint, StripCoeffs, u0, u_pm, y_pm
 from krawtchouk_wkb.wkb_core import (
     SingularityError,
-    StripCoeffs,
     k_pm,
     k_pm_log,
     l_pm,
@@ -28,7 +27,6 @@ from krawtchouk_wkb.wkb_core import (
     plog,
     psi_pm,
     psqrt,
-    strip_coeffs,
 )
 
 Q_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction("0.64894783"), Fraction("0.74894783")]
@@ -374,7 +372,7 @@ class TestStripPhase:
         z = P.pf - 0.05
         ref = _reference_strip_coeffs(z, P).psi0
         assert ref.imag == pytest.approx(math.pi * z, abs=1e-12)
-        assert strip_coeffs(z, P).psi0 == ref.real
+        assert Row(z, P).strip.psi0 == ref.real
 
     def test_imag_above_crossover(self):
         # For z > p the factor u0 - q goes negative: Im(psi0) = pi*(z + Y^-).
@@ -383,25 +381,27 @@ class TestStripPhase:
         ref = _reference_strip_coeffs(z, P).psi0
         expected = math.pi * (z + y_pm(z, P)[0])
         assert ref.imag == pytest.approx(expected, abs=1e-12)
-        assert strip_coeffs(z, P).psi0 == ref.real
+        assert Row(z, P).strip.psi0 == ref.real
 
     def test_singular_at_crossover_and_edges(self):
         P = params_for(100, "0.74894783")
-        for z in (P.pf, 0.0, 1.0):
-            with pytest.raises(SingularityError):
-                strip_coeffs(z, P)
+        with pytest.raises(SingularityError, match=r"diverge where u0 = q \(z = p\)"):
+            Row(P.pf, P).strip
+        for z in (0.0, 1.0):
+            with pytest.raises(SingularityError, match="strip coefficients are singular at z="):
+                Row(z, P).strip
 
     def test_finite_on_both_sides(self):
         P = params_for(100, "0.74894783")
         for dz in (0.01, -0.01):
-            v = strip_coeffs(P.pf + dz, P).psi0
+            v = Row(P.pf + dz, P).strip.psi0
             assert type(v) is float and math.isfinite(v)
 
 
 class TestStripSlope:
     def test_real_below_crossover(self):
         P = params_for(100, "0.74894783")
-        v = strip_coeffs(0.1, P).slope
+        v = Row(0.1, P).strip.slope
         assert type(v) is float
         r = u0(0.1, P)
         assert v == pytest.approx(math.log((r + P.pf) / (r - P.qf)))
@@ -411,7 +411,7 @@ class TestStripSlope:
         P = params_for(100, "0.74894783")
         ref = _reference_strip_coeffs(0.5, P).slope
         assert ref.imag == pytest.approx(-math.pi)
-        assert strip_coeffs(0.5, P).slope == ref.real
+        assert Row(0.5, P).strip.slope == ref.real
 
     @pytest.mark.parametrize("N,x,n", [(100, 17, 20), (100, 60, 70), (101, 52, 61)])
     def test_dropped_phase_is_the_index_sign(self, N, x, n):
@@ -429,14 +429,14 @@ class TestStripSlope:
     def test_modulus_above_crossover(self):
         # For z > p the factor u0 - q is negative and enters through |u0 - q|.
         P = params_for(100, "0.74894783")
-        v = strip_coeffs(0.5, P).slope
+        v = Row(0.5, P).strip.slope
         r = u0(0.5, P)
         assert v == pytest.approx(math.log((r + P.pf) / (P.qf - r)))
 
     def test_singular_at_crossover(self):
         P = params_for(100, "0.74894783")
         with pytest.raises(SingularityError):
-            strip_coeffs(P.pf, P)
+            Row(P.pf, P).strip
 
 
 class TestCurvatureCoefficient:
@@ -444,7 +444,7 @@ class TestCurvatureCoefficient:
         # For p = q = 1/2 at z = 1/4: u0 = sqrt(3)/2, (u0+p)(u0-q) = 1/2,
         # so theta = 2*sqrt(2*sqrt(3)).
         P = params_for(16, "1/2")
-        theta = strip_coeffs(0.25, P).theta
+        theta = Row(0.25, P).strip.theta
         assert theta == pytest.approx(2.0 * math.sqrt(2.0 * math.sqrt(3.0)), rel=1e-14)
 
     @pytest.mark.parametrize("qs,z", [("1/2", 0.25), ("0.74894783", 0.1), ("0.74894783", 0.6)])
@@ -456,26 +456,26 @@ class TestCurvatureCoefficient:
         dym = (y_pm(z + h, P)[0] - y_pm(z - h, P)[0]) / (2.0 * h)
         ym = y_pm(z, P)[0]
         rhs = -2.0 / (dym ** 2 * ((P.pf - P.qf) * z + ym - P.pf))
-        assert strip_coeffs(z, P).theta ** 2 == pytest.approx(rhs, rel=1e-8)
+        assert Row(z, P).strip.theta ** 2 == pytest.approx(rhs, rel=1e-8)
 
     def test_signs_either_side(self):
         # IX scales its Airy argument by -theta, positive for z > p.
         P = params_for(100, "0.74894783")
-        assert strip_coeffs(0.1, P).theta > 0.0
-        assert strip_coeffs(0.5, P).theta < 0.0
-        assert -strip_coeffs(0.5, P).theta > 0.0
+        assert Row(0.1, P).strip.theta > 0.0
+        assert Row(0.5, P).strip.theta < 0.0
+        assert -Row(0.5, P).strip.theta > 0.0
 
     def test_divergence_at_crossover(self):
         P = params_for(100, "0.74894783")
-        with pytest.raises(SingularityError):
-            strip_coeffs(P.pf, P)
+        with pytest.raises(SingularityError, match="strip coefficients diverge where u0 = q"):
+            Row(P.pf, P).strip
         # Detectable divergence when approaching the crossover.
-        near = strip_coeffs(P.pf - 1e-6, P).theta
-        assert abs(near) > 1e4 * abs(strip_coeffs(P.pf - 0.1, P).theta)
+        near = Row(P.pf - 1e-6, P).strip.theta
+        assert abs(near) > 1e4 * abs(Row(P.pf - 0.1, P).strip.theta)
 
 
 def _reference_strip_coeffs(z, P):
-    """The separate coefficient formulas that strip_coeffs replaced, each
+    """The separate coefficient formulas that the record's strip replaced, each
     solving u0 for itself, in their original operation order (the fourth,
     vartheta, was -theta), with psi0 and the slope complex as they were."""
     p, q = P.pf, P.qf
@@ -516,7 +516,7 @@ class TestStripCoeffsReference:
         z = P.pf - frac * P.pf if side < 0 else P.pf + frac * (1.0 - P.pf)
         if z == P.pf:
             return
-        got = strip_coeffs(z, P)
+        got = Row(z, P).strip
         ref = _reference_strip_coeffs(z, P)
         for field in StripCoeffs._fields:
             assert type(getattr(got, field)) is float, field
