@@ -17,11 +17,13 @@ Exit codes: 0 success, 1 parse/domain error, 2 acceptance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import fields, replace
-from decimal import Decimal, localcontext
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
+from decimal import Decimal
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
@@ -70,6 +72,9 @@ def _int_range(text: str) -> Tuple[int, int]:
     return lo, hi
 
 
+_LOG10_2 = math.log10(2.0)
+
+
 def render_ratio(num: int, den: int, digits: int) -> str:
     """Decimal string of the exact rational num/den (den > 0) at `digits`
     significant digits.
@@ -80,10 +85,32 @@ def render_ratio(num: int, den: int, digits: int) -> str:
     """
     if num % den == 0 and len(str(abs(num // den))) <= digits:
         return str(num // den)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        dec = Decimal(num) / Decimal(den)
-    text = str(dec)
+    # The Decimal that Decimal(num) / Decimal(den) gives at precision
+    # `digits`, built from a short coefficient: converting eval's operands,
+    # thousands of digits long, to Decimal is quadratic in their length.
+    # 10**shift * |num| / den is at least 10**digits, from the bit lengths.
+    mag = abs(num)
+    shift = digits + 1 - math.floor((mag.bit_length() - den.bit_length() - 1) * _LOG10_2)
+    if shift >= 0:
+        coeff, rem = divmod(mag * 10**shift, den)
+    else:
+        coeff, rem = divmod(mag, den * 10**-shift)
+    exp = -shift
+    if not rem:  # an exact quotient keeps no trailing zero below the units
+        while exp < 0 and coeff % 10 == 0:
+            coeff //= 10
+            exp += 1
+    drop = len(str(coeff)) - digits
+    if drop > 0:  # round half-even; a nonzero remainder lies past the tie
+        coeff, tail = divmod(coeff, 10**drop)
+        half = 5 * 10 ** (drop - 1)
+        if tail > half or (tail == half and (rem or coeff % 2)):
+            coeff += 1
+            if coeff == 10**digits:
+                coeff //= 10
+                exp += 1
+        exp += drop
+    text = str(Decimal(f"{'-' if num < 0 else ''}{coeff}E{exp}"))
     if "E" not in text and "." in text:
         text = text.rstrip("0").rstrip(".")
     return text or "0"
@@ -286,13 +313,156 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+_Outcome = Union[Tuple[bool, str], Exception]
+
+
+def _outcome(crit_id: int, cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
+    """A criterion's (passed, line), or the exception it raised."""
+    try:
+        result = run_criterion(crit_id, cfg, tol)
+    except Exception as exc:
+        return exc
+    return result.passed, result.line()
+
+
+class _InProcess:
+    """The single worker: runs each criterion in this process when asked for its result."""
+
+    def __init__(self, cfg: ClassifierConfig, tol: Dict[str, float]) -> None:
+        self._setting = cfg, tol
+
+    def submit(self, crit_id: int) -> None:
+        self._crit_id = crit_id
+
+    def result(self) -> _Outcome:
+        return _outcome(self._crit_id, *self._setting)
+
+    def close(self) -> None:
+        pass
+
+
+def _start_on_own_cpu(index: int) -> None:
+    """Move this process to the index-th usable CPU, then let it run on any.
+
+    Left alone, the scheduler can keep a forked worker on its parent's CPU
+    for the whole of a short run, beside the other workers.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+            os.sched_setaffinity(0, cpus)
+
+
+class _Forked:
+    """A worker forked from this process: criterion ids go in over one pipe,
+    one byte each, and pickled outcomes come back over another."""
+
+    def __init__(self, index: int, cfg: ClassifierConfig, tol: Dict[str, float]) -> None:
+        import pickle
+
+        task_r, self._tasks = os.pipe()
+        result_r, result_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            # The worker ends with os._exit, so it never flushes the stdio
+            # buffers it inherited and never runs this process's exit hooks.
+            try:
+                os.close(self._tasks)
+                os.close(result_r)
+                _start_on_own_cpu(index)
+                with open(result_w, "wb") as out:
+                    while task := os.read(task_r, 1):
+                        out.write(pickle.dumps(_outcome(task[0], cfg, tol)))
+                        out.flush()
+            finally:
+                os._exit(0)
+        os.close(task_r)
+        os.close(result_w)
+        self._results = open(result_r, "rb")
+
+    def fileno(self) -> int:
+        return self._results.fileno()
+
+    def submit(self, crit_id: int) -> None:
+        self._crit_id = crit_id
+        with contextlib.suppress(BrokenPipeError):  # a dead worker: result() says so
+            os.write(self._tasks, bytes([crit_id]))
+
+    def result(self) -> _Outcome:
+        import pickle
+
+        try:
+            return pickle.load(self._results)
+        except (EOFError, pickle.UnpicklingError):
+            raise CliError(f"criterion {self._crit_id}: its worker ended without a result")
+
+    def close(self) -> None:
+        os.close(self._tasks)  # an idle worker reads end-of-file and exits
+        self._results.close()
+        os.waitpid(self.pid, 0)
+
+
+def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig,
+                 tol: Dict[str, float]) -> Iterator[Tuple[bool, str]]:
+    """Each wanted criterion's (passed, line), in the order wanted.
+
+    The criteria run on min(len(wanted), usable CPUs) workers forked from
+    this process, or in it where that is one or os.fork is missing.  Each
+    worker takes the next criterion as soon as it is free.  An exception a
+    criterion raised is raised here in its turn, after the lines before it.
+    """
+    count = min(len(wanted), _usable_cpus()) if hasattr(os, "fork") else 1
+    if count > 1:
+        import select
+
+        sys.stdout.flush()  # so no worker inherits pending output
+        sys.stderr.flush()
+    todo = iter(enumerate(wanted))
+    busy: Dict[object, int] = {}  # worker -> position of its criterion in wanted
+    arrived: Dict[int, _Outcome] = {}
+    workers: list = []
+
+    def feed(worker) -> None:
+        for pos, crit_id in todo:  # the next criterion, if any is left
+            worker.submit(crit_id)
+            busy[worker] = pos
+            break
+
+    try:
+        for index in range(count):
+            workers.append(_Forked(index, cfg, tol) if count > 1 else _InProcess(cfg, tol))
+            feed(workers[-1])
+        for pos in range(len(wanted)):
+            while pos not in arrived:
+                ready = list(busy) if len(busy) == 1 else select.select(list(busy), [], [])[0]
+                for worker in ready:
+                    arrived[busy.pop(worker)] = worker.result()
+                    feed(worker)
+            outcome = arrived.pop(pos)
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
+    finally:
+        # Each worker holds copies of the pipes of the workers forked before
+        # it, so the last one forked is the first that can see its own close.
+        for worker in reversed(workers):
+            worker.close()
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     wanted = args.criteria if args.criteria else sorted(CRITERIA)
     all_passed = True
-    for crit_id in wanted:
-        result = run_criterion(crit_id, args.cfg, args.tolerances)
-        all_passed &= result.passed
-        print(result.line())
+    for passed, line in _check_lines(wanted, args.cfg, args.tolerances):
+        all_passed &= passed
+        print(line)
     if not all_passed:
         print("acceptance: FAIL")
         return 2

@@ -214,8 +214,8 @@ def pcf_d(n: int, z: float) -> float:
 
     It is e^{-z^2/4} He_n(z) in floats, He_n from the recurrence
     He_{k+1} = z He_k - k He_{k-1} in z itself, so exact zeros such as
-    D_2(1) = 0 come out as 0.0.  Any other order or argument, a float or bool
-    order or a complex argument included, raises RangeError.
+    D_2(1) = 0 come out as 0.0.  Any other order or argument, a float
+    order, a complex argument or a bool for either included, raises RangeError.
     """
     # The two bound checks come first, so a forced VI or XII far outside its
     # layer reports the bound it crossed.
@@ -223,7 +223,7 @@ def pcf_d(n: int, z: float) -> float:
         raise RangeError(f"pcf_d order {n} outside the integers 0..{_PCF_NU_MAX}")
     if abs(z) > _PCF_Z_MAX:
         raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
-    if not isinstance(n, int) or isinstance(n, bool) or not isinstance(z, (int, float)):
+    if not (isinstance(n, int) and isinstance(z, (int, float))) or bool in (type(n), type(z)):
         raise RangeError(f"pcf_d needs an integer order and a real argument, got D_{n}({z})")
     he_prev, he = 0.0, 1.0  # He_{-1}, He_0
     for k in range(n):

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -18,8 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krawtchouk_wkb.accuracy import CRITERIA
 from krawtchouk_wkb.cli import load_config, main, render_ratio
-from krawtchouk_wkb.exact_core import Params, scaled_sum
+from krawtchouk_wkb.exact_core import DomainError, Params, scaled_sum
 from krawtchouk_wkb.region_formulas import evaluate_region
 from krawtchouk_wkb.state_space import Row
 from fractions import Fraction
@@ -114,6 +116,24 @@ class TestEval:
         assert len(rows) == 3 * 2
         assert {int(r[1]) for r in rows} == {2, 3, 4}
         assert {int(r[0]) for r in rows} == {0, 1}
+
+    def test_n600_rows_and_meta_lines_are_pinned(self, capsys):
+        # eval_N600.sha256 holds, in sha256sum's format, the digests of five
+        # N=600 eval rows (n = 0, 1, 300, 599, 600), whose cells are ratios
+        # of integers thousands of digits long, and of the '#' lines of a
+        # default-digits compare, whose p and eps are rendered the same way.
+        # The meta lines do not depend on the grid range, so one point does.
+        pins = dict(reversed(line.split()) for line in (DATA / "eval_N600.sha256").read_text().splitlines())
+        assert len(pins) == 6
+        for n in (0, 1, 300, 599, 600):
+            name = f"eval_N600_q0.54894787_n{n}.csv"
+            code, out, err = run_cli(capsys, "eval", "--N", "600", "--q", "0.54894787", "--n", str(n))
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[name], name
+        code, out, _ = run_cli(capsys, "compare", "--N", "200", "--q", "0.64894783", "--n", "0", "--x", "0")
+        meta = "".join(line + "\n" for line in out.splitlines() if line.startswith("#"))
+        assert code == 0
+        assert hashlib.sha256(meta.encode("utf-8")).hexdigest() == pins["compare_N200_q0.64894783.meta"]
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +574,61 @@ class TestCheck:
         assert all(l.startswith("PASS") for l in lines)
         assert out.splitlines()[-1] == "acceptance: PASS"
 
-    def test_output_matches_golden(self, capsys):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_output_matches_golden(self, capsys, cpus):
         # Every PASS line, detail and all, is pinned; only the seconds vary.
         # The file is this command's output with "(N.Ns)" for the seconds.
+        # One usable CPU runs the criteria in process, two on two workers.
         golden = Path(__file__).parent / "data" / "check_stdout.txt"
-        code, out, _ = run_cli(capsys, "check")
+        with mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=cpus):
+            code, out, _ = run_cli(capsys, "check")
         assert code == 0
         assert re.sub(r"\(\d+\.\ds\)", "(N.Ns)", out) == golden.read_text(encoding="utf-8")
+
+    def test_lines_keep_the_requested_order(self, capsys):
+        # Criterion 5 finishes long before 1 on the other worker.
+        with mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=2):
+            code, out, _ = run_cli(capsys, "check", "--criteria", "1,5,7")
+        assert code == 0
+        assert [line[:17] for line in out.splitlines()] == [
+            "PASS  criterion-1", "PASS  criterion-5", "PASS  criterion-7", "acceptance: PASS"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fail_on_a_worker_prints_its_line(self, capsys, tmp_path, cpus):
+        cfg = tmp_path / "no_strips.cfg"
+        cfg.write_text("beta_max=0\n")
+        with mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=cpus):
+            code, out, _ = run_cli(capsys, "check", "--criteria", "4,5", "--config", str(cfg))
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL  criterion-4 matching overlaps")
+        assert lines[1].startswith("PASS  criterion-5")
+        assert lines[2:] == ["acceptance: FAIL"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_exception_in_a_criterion_is_an_error_after_the_lines_before_it(self, capsys, cpus):
+        def raises(cfg, tol):
+            raise DomainError("criterion six could not run")
+
+        with mock.patch.dict(CRITERIA, {6: ("expansion residuals", raises)}), \
+                mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=cpus):
+            code, out, err = run_cli(capsys, "check", "--criteria", "5,6,7")
+        assert code == 1
+        assert [line[:17] for line in out.splitlines()] == ["PASS  criterion-5"]
+        assert err == "error: criterion six could not run\n"
+
+    def test_worker_killed_before_it_answers(self, capsys):
+        parent = os.getpid()
+
+        def dies(cfg, tol):
+            assert os.getpid() != parent, "criterion 7 ran in process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with mock.patch.dict(CRITERIA, {7: ("special-function anchors", dies)}), \
+                mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=2):
+            code, out, err = run_cli(capsys, "check", "--criteria", "5,7")
+        assert code == 1
+        assert err == "error: criterion 7: its worker ended without a result\n"
 
     def test_small_tolerance_prints_its_digits(self, capsys, tmp_path):
         cfg = tmp_path / "tight.cfg"
@@ -607,9 +675,10 @@ def rendered(value: Fraction, digits: int) -> str:
 
 @st.composite
 def ratios(draw):
-    """(num, den, digits): integers, short exact decimals, repeating decimals
-    and values past the digit budget, with den not in lowest terms."""
-    kind = draw(st.sampled_from(["integer", "decimal", "any", "huge"]))
+    """(num, den, digits): integers, short exact decimals, repeating decimals,
+    values past the digit budget and eval-sized cells, with den not in lowest
+    terms, and exact ties at the digit budget."""
+    kind = draw(st.sampled_from(["integer", "decimal", "any", "huge", "eval", "tie"]))
     if kind == "integer":
         num, den = draw(st.integers(-10**40, 10**40)), 1
     elif kind == "decimal":
@@ -617,9 +686,17 @@ def ratios(draw):
         den = 2 ** draw(st.integers(0, 20)) * 5 ** draw(st.integers(0, 20))
     elif kind == "any":
         num, den = draw(st.integers(-10**30, 10**30)), draw(st.integers(1, 10**15))
-    else:
+    elif kind == "huge":
         num = draw(st.integers(-10**80, 10**80)) * 10 ** draw(st.integers(0, 40))
         den = draw(st.integers(1, 10**6))
+    elif kind == "eval":  # an N=600 eval cell: up to ~16,000 bits over denom**n
+        n = draw(st.integers(0, 600))
+        bits = draw(st.integers(1, 16_000))
+        num, den = draw(st.integers(-2**bits, 2**bits)), 10 ** (8 * n)
+    else:  # exactly half-way between two values of `digits` digits
+        digits = draw(st.integers(1, 40))
+        num = (10 * draw(st.integers(10 ** (digits - 1), 10**digits - 1)) + 5) * draw(st.sampled_from([1, -1]))
+        return num, 10 ** draw(st.integers(0, 60)), digits
     k = draw(st.integers(1, 10**6))
     return num * k, den * k, draw(st.integers(1, 40))
 

@@ -410,6 +410,16 @@ def test_pcf_refuses_bool_order():
         pcf_d(True, 16.0)
 
 
+def test_pcf_refuses_bool_argument():
+    # pcf_d(2, True) returned D_2(1) = 0.0.
+    for z in (True, False):
+        with pytest.raises(RangeError, match="integer order and a real argument"):
+            pcf_d(2, z)
+    # The bound checks still come first.
+    with pytest.raises(RangeError, match="order 33 outside"):
+        pcf_d(33, True)
+
+
 def test_lambda_refuses_bool_degree():
     with pytest.raises(RangeError, match="lambda_j degree"):
         lambda_j(False, 0.5)
