@@ -20,18 +20,16 @@ from .state_space import (
     ClassifierConfig,
     RegionId,
     Row,
-    ScaledPoint,
     StripCoeffs,
     classify,
     classify_row,
-    ellipse_residual,
     region_runs,
     u0,
     u_pm,
     y_pm,
 )
 from .region_formulas import ApproxValue, approx, approx_row, evaluate_region
-from .wkb_core import k_pm, k_pm_log, l_pm, phi0, psi_pm
+from .wkb_core import k_pm_log, phi0
 
 __version__ = "0.1.0"
 
@@ -49,10 +47,8 @@ __all__ = [
     "ClassifierConfig",
     "RegionId",
     "Row",
-    "ScaledPoint",
     "classify",
     "classify_row",
-    "ellipse_residual",
     "region_runs",
     "u0",
     "u_pm",
@@ -63,10 +59,7 @@ __all__ = [
     "evaluate_region",
     "SingularityError",
     "StripCoeffs",
-    "k_pm",
     "k_pm_log",
-    "l_pm",
     "phi0",
-    "psi_pm",
     "__version__",
 ]

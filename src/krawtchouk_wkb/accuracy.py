@@ -8,6 +8,7 @@ reports.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -29,13 +30,12 @@ from .state_space import (
     DEFAULT_CONFIG,
     ClassifierConfig,
     Row,
-    ScaledPoint,
     branch_roots,
     classify_row,
     region_runs,
     u_pm,
 )
-from .wkb_core import k_pm, l_pm, plog, psi_pm
+from .wkb_core import branch_terms, k_pm_log, plog
 
 __all__ = [
     "window_env_log",
@@ -360,15 +360,15 @@ def criterion_4(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
 
 
 def criterion_5(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
-    """At integer x VII is Re(K+), and ``evaluate_region("VII")`` and ``k_pm("+")``
+    """At integer x VII is Re(K+), and ``evaluate_region("VII")`` and ``k_pm_log("+")``
     read the same log K+: the kernel's real finishing of it (``_from_log``, then
     ``_finalize``) must match Re(exp(log K+)) to 1e-12 relative."""
     failures: List[str] = []
     params = Params.from_q(100, _Q74)
+    eps = params.eps
     for x in (10, 14, 19, 23, 26):
-        pt = ScaledPoint.from_indices(x, 80, params)
         k7_val = evaluate_region("VII", x, 80, params)
-        plus = k_pm("+", pt, params)
+        plus = cmath.exp(k_pm_log("+", x * eps, 80 * eps, params))
         rel = abs(k7_val.value - plus.real) / abs(plus.real)
         if rel > 1e-12:
             failures.append(f"VII != Re(K+) at x={x}: rel={rel:.2e}")
@@ -395,15 +395,16 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         failures.append(f"branch-root residual {worst_res:.2e} > 1e-10")
     # u_pm returns (minus, plus): the branch sign picks the index.
     side = {"-": 0, "+": 1}
+
+    def terms(branch: str, y: float, z: float, params: Params) -> Tuple[complex, complex]:
+        return next(branch_terms(branch, (y,), Row(z, params)))
+
     worst_order = float("inf")
     for branch, y, z in (("-", 0.2, 0.3), ("+", 0.2, 0.75), ("+", 0.45, 0.5)):
-        target = plog(u_pm(ScaledPoint(y, z), params)[side[branch]])
+        target = plog(u_pm(y, z, params)[side[branch]])
         errs = []
         for h in (1e-3, 1e-4):
-            dpsi = (
-                psi_pm(branch, ScaledPoint(y, z + h), params)
-                - psi_pm(branch, ScaledPoint(y, z - h), params)
-            ) / (2.0 * h)
+            dpsi = (terms(branch, y, z + h, params)[0] - terms(branch, y, z - h, params)[0]) / (2.0 * h)
             errs.append(abs(dpsi - target))
         order = math.log(errs[0] / errs[1]) / math.log(10.0)
         worst_order = min(worst_order, order)
@@ -423,14 +424,10 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         tp = Params.from_q(100, qs)
         tpf, tqf = tp.pf, tp.qf
         k = side[branch]
-        root = u_pm(ScaledPoint(y, z), tp)[k]
-        amp_z = (
-            l_pm(branch, ScaledPoint(y, z + h), tp) - l_pm(branch, ScaledPoint(y, z - h), tp)
-        ) / (2.0 * h)
-        root_z = (
-            u_pm(ScaledPoint(y, z + h), tp)[k] - u_pm(ScaledPoint(y, z - h), tp)[k]
-        ) / (2.0 * h)
-        amp = l_pm(branch, ScaledPoint(y, z), tp)
+        root = u_pm(y, z, tp)[k]
+        amp_z = (terms(branch, y, z + h, tp)[1] - terms(branch, y, z - h, tp)[1]) / (2.0 * h)
+        root_z = (u_pm(y, z + h, tp)[k] - u_pm(y, z - h, tp)[k]) / (2.0 * h)
+        amp = terms(branch, y, z, tp)[1]
         t1 = (z * root * root - tpf * tqf * (1.0 - z)) * amp_z
         t2 = (0.5 * (z * root * root + tpf * tqf * (1.0 - z)) * (root_z / root) + root * root + tpf * tqf) * amp
         worst_transport = max(worst_transport, abs(t1 + t2) / max(abs(t1), abs(t2)))

@@ -104,16 +104,19 @@ def hermite(n: int, eta):
 
     H_0 = 1, H_1 = 2*eta, H_{n+1} = 2*eta*H_n - 2*n*H_{n-1}.  The arithmetic
     follows the type of ``eta``: pass a Fraction and the result is exact,
-    pass a float and it is ordinary floating point.
+    pass a float and it is ordinary floating point, which raises RangeError
+    where the recurrence leaves the doubles (inf, and then inf - inf = nan).
+    A bool for either argument raises DomainError.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"hermite degree must be a nonnegative integer, got {n!r}")
-    if n == 0:
-        return eta - eta + 1  # a 1 of eta's type
-    h_prev = 1
-    h = 2 * eta
-    for k in range(1, n):
+    if isinstance(eta, bool):
+        raise DomainError(f"hermite argument must be a number, not a bool, got {eta!r}")
+    h_prev, h = 0, eta - eta + 1  # H_{-1} (times 0 below) and H_0, a 1 of eta's type
+    for k in range(n):
         h_prev, h = h, 2 * eta * h - 2 * k * h_prev
+    if isinstance(h, float) and not math.isfinite(h):
+        raise RangeError(f"H_{n}({eta!r}) overflows a double")
     return h
 
 

@@ -34,16 +34,15 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, get_ty
 from .exact_core import DomainError, Params, SingularityError, check_index, check_indices
 
 __all__ = [
-    "ScaledPoint",
     "RegionId",
     "ClassifierConfig",
     "DEFAULT_CONFIG",
     "REGION_TAGS",
     "u0",
     "y_pm",
-    "ellipse_residual",
     "Row",
     "StripCoeffs",
+    "check_scaled",
     "u_pm",
     "branch_roots",
     "classify",
@@ -55,33 +54,6 @@ __all__ = [
 REGION_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "XII")
 
 _TAG_SET = frozenset(REGION_TAGS)
-
-
-@dataclass(frozen=True)
-class ScaledPoint:
-    """A point (y, z) in the unit square of scaled coordinates."""
-
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.y) and math.isfinite(self.z)):
-            raise DomainError("scaled coordinates must be finite")
-        if not (-1e-12 <= self.y <= 1.0 + 1e-12):
-            raise DomainError(f"y={self.y!r} outside the unit interval")
-        if not (-1e-12 <= self.z <= 1.0 + 1e-12):
-            raise DomainError(f"z={self.z!r} outside the unit interval")
-
-    @classmethod
-    def from_indices(cls, x: int, n: int, params: Params) -> "ScaledPoint":
-        """Scaled point (x*eps, n*eps) for an integer grid point.
-
-        The classifier and the region formulas' rows form the same products
-        ``x * eps`` and ``n * eps`` inline, so a point built here agrees with
-        them bit-for-bit.
-        """
-        eps = params.eps
-        return cls(x * eps, n * eps)
 
 
 @dataclass(frozen=True)
@@ -161,18 +133,6 @@ def y_pm(z: float, params: Params) -> Tuple[float, float]:
     mid = p + (q - p) * z
     half = 2.0 * math.sqrt(p * q * z * (1.0 - z))
     return mid - half, mid + half
-
-
-def ellipse_residual(pt: ScaledPoint, params: Params) -> float:
-    """Signed residual of the oscillation ellipse E: negative inside, positive outside.
-
-    Algebraically identical to the discriminant of the branch quadratic, so
-    its sign also decides whether the roots are real or complex conjugates.
-    """
-    p, q = params.pf, params.qf
-    w = pt.y - 0.5
-    v = pt.z - 0.5
-    return w * w + v * v + 2.0 * (p - q) * w * v - p * q
 
 
 class StripCoeffs(NamedTuple):
@@ -276,16 +236,28 @@ class Row:
                          lambda: _row_tests(n, self.mirror, cfg)[0])
 
 
-def u_pm(pt: ScaledPoint, params: Params) -> Tuple[complex, complex]:
+def check_scaled(y: float, z: float) -> None:
+    """Refuse a scaled point (y, z) that is not finite or lies outside the unit
+    square (to 1e-12); the one-point :func:`u_pm` and ``k_pm_log`` run it first."""
+    if not (math.isfinite(y) and math.isfinite(z)):
+        raise DomainError("scaled coordinates must be finite")
+    if not (-1e-12 <= y <= 1.0 + 1e-12):
+        raise DomainError(f"y={y!r} outside the unit interval")
+    if not (-1e-12 <= z <= 1.0 + 1e-12):
+        raise DomainError(f"z={z!r} outside the unit interval")
+
+
+def u_pm(y: float, z: float, params: Params) -> Tuple[complex, complex]:
     """The two branch roots (U^-, U^+) of z*U^2 + [p - y + z(q-p)]*U + pq(1-z) = 0.
 
     Real with U^- <= U^+ outside the ellipse, complex conjugates (U^+ in the
     upper half plane) inside it, and both equal to ±u0(z) on the turning
     curves y = Y^±(z).  Requires 0 < z <= 1, which :func:`y_pm` checks.
     """
-    row = Row(pt.z, params)
+    check_scaled(y, z)
+    row = Row(z, params)
     row.curves  # y_pm's check, before branch_roots divides by z
-    return branch_roots(pt.y, row)
+    return branch_roots(y, row)
 
 
 def branch_roots(y: float, row: Row) -> Tuple[complex, complex]:

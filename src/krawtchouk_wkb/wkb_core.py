@@ -9,8 +9,8 @@ points of a row) because its real part grows like N.
 
 The z-only terms a branch needs, the quadratic's coefficients and u0(z)^2,
 are read from the row's record :class:`.state_space.Row`, which also holds
-the turning-strip coefficients; the one-point functions build the record of
-their point's row.  The remaining operation is the left-edge phase ``phi0``.
+the turning-strip coefficients; the one-point ``k_pm_log`` builds the record
+of its point's row.  The remaining operation is the left-edge phase ``phi0``.
 """
 
 from __future__ import annotations
@@ -20,16 +20,13 @@ import math
 from typing import Iterable, Iterator, Tuple
 
 from .exact_core import DomainError, Params, SingularityError
-from .special_fns import RangeError
-from .state_space import Row, ScaledPoint, branch_roots
+from .state_space import Row, branch_roots, check_scaled
 
 __all__ = [
     "SingularityError",
     "plog",
     "psqrt",
-    "psi_pm",
-    "l_pm",
-    "k_pm",
+    "branch_terms",
     "k_pm_log",
     "k_pm_logs",
     "phi0",
@@ -61,8 +58,10 @@ def psqrt(w: complex) -> complex:
     return cmath.sqrt(w)
 
 
-def _branch_terms(branch: str, ys: Iterable[float], row: Row) -> Iterator[Tuple[complex, complex]]:
-    """(psi, L) of one branch at each y of ys on ``row``, lazily: the loop of
+def branch_terms(branch: str, ys: Iterable[float], row: Row) -> Iterator[Tuple[complex, complex]]:
+    """The phase psi = ln[U^{z-1} (U-p)^{1-y} (U+q)^y] and the amplitude
+    L = sqrt[(U-p)(U+q) / (z * (U^2 - u0^2))] of one branch, principal
+    branches, at each y of ys on ``row``, lazily: the loop of
     :func:`k_pm_logs`, whose contract it keeps."""
     z = row.z
     if not 0.0 < z < 1.0:
@@ -80,16 +79,6 @@ def _branch_terms(branch: str, ys: Iterable[float], row: Row) -> Iterator[Tuple[
         yield (z - 1.0) * plog(U) + (1.0 - y) * plog(Ump) + y * plog(Upq), psqrt(Ump * Upq / (z * gap))
 
 
-def psi_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
-    """Branch phase psi = ln[U^{z-1} (U-p)^{1-y} (U+q)^y], principal branches."""
-    return next(_branch_terms(branch, (pt.y,), Row(pt.z, params)))[0]
-
-
-def l_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
-    """Branch amplitude L = sqrt[(U-p)(U+q) / (z * (U^2 - u0^2))]."""
-    return next(_branch_terms(branch, (pt.y,), Row(pt.z, params)))[1]
-
-
 def k_pm_logs(branch: str, ys: Iterable[float], row: Row) -> Iterator[complex]:
     """:func:`k_pm_log` at each y of ys on ``row``, lazily and in order.
 
@@ -99,28 +88,19 @@ def k_pm_logs(branch: str, ys: Iterable[float], row: Row) -> Iterator[complex]:
     """
     half_log_pref = 0.5 * (math.log(row.params.eps) - math.log(2.0 * math.pi))
     N = row.params.N
-    return (half_log_pref + psi * N + plog(amp) for psi, amp in _branch_terms(branch, ys, row))
+    return (half_log_pref + psi * N + plog(amp) for psi, amp in branch_terms(branch, ys, row))
 
 
-def k_pm_log(branch: str, pt: ScaledPoint, params: Params) -> complex:
+def k_pm_log(branch: str, y: float, z: float, params: Params) -> complex:
     """log of the branch contribution K = sqrt(eps/(2*pi)) e^{psi/eps} L.
 
     The real part is ln|K| and the imaginary part the accumulated phase (not
     reduced mod 2*pi).  psi/eps is computed as psi*N, which is exact in the
-    scaling.  The one-point case of :func:`k_pm_logs`.
+    scaling.  The one-point case of :func:`k_pm_logs`, after
+    :func:`.state_space.check_scaled`.
     """
-    return next(k_pm_logs(branch, (pt.y,), Row(pt.z, params)))
-
-
-def k_pm(branch: str, pt: ScaledPoint, params: Params) -> complex:
-    """The branch contribution itself; raises RangeError if it overflows doubles."""
-    lk = k_pm_log(branch, pt, params)
-    try:
-        return cmath.exp(lk)
-    except OverflowError as exc:
-        raise RangeError(
-            f"|K| = exp({lk.real:.6g}) exceeds double range; use k_pm_log"
-        ) from exc
+    check_scaled(y, z)
+    return next(k_pm_logs(branch, (y,), Row(z, params)))
 
 
 def phi0(z: float, params: Params) -> float:

@@ -204,6 +204,20 @@ class TestCompare:
             assert row["mirrored"] == str(int(av.region.mirrored)) == "1"
         assert {r[4] for r in rows if not dict(zip(header, r))["approx_ln_mag"]} == {"0"}
 
+    def test_forced_corner_skips_where_hermite_overflows(self, capsys):
+        # Forced II far above its layer: H_999 leaves the doubles, so the
+        # point is skipped with one stderr line, not printed as nan.
+        code, out, err = run_cli(capsys, "compare", "--N", "1000", "--q", "0.5",
+                                 "--region", "II", "--n", "999", "--x", "0")
+        assert code == 0
+        assert "nan" not in out
+        assert err.splitlines() == [
+            "compare --region II: skipped 1 of 1 points on RangeError, first at (x, n) = (0, 999): "
+            "H_999(-22.360679774997898) overflows a double"
+        ]
+        _, header, rows = parse_csv(out)
+        assert [dict(zip(header, r))["approx_ln_mag"] for r in rows] == [""]
+
     @pytest.mark.parametrize("region, limit", [("III", "z < p"), ("IV", "z < q")])
     def test_forced_exterior_skips_name_the_z_limit(self, capsys, region, limit):
         code, _, err = run_cli(
@@ -395,6 +409,24 @@ class TestCompare:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == "False\n"
+
+    def test_compare_start_up_loads_no_pool_or_mpmath(self):
+        # The worker pool imports pickle and select on first use, and only the
+        # special functions no command reaches import mpmath: a plain compare
+        # in a fresh interpreter pays for none of them, nor for multiprocessing.
+        import krawtchouk_wkb
+
+        code = (
+            "import io, sys, contextlib\n"
+            "import krawtchouk_wkb.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['compare', '--N', '20', '--q', '0.64894783']) == 0\n"
+            "print(sorted(m for m in ('pickle', 'select', 'multiprocessing', 'mpmath') if m in sys.modules))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(krawtchouk_wkb.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """The package's module boundaries: no module of ``src/krawtchouk_wkb``
 imports an underscore name from a sibling, so each name that crosses a
-module boundary is public there (dunders such as ``__version__`` aside)."""
+module boundary is public there (dunders such as ``__version__`` aside); and
+each name the package exports has a user outside the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import krawtchouk_wkb
 
 SRC = Path(krawtchouk_wkb.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def private_imports(source: str, name: str = "<source>"):
@@ -42,3 +45,58 @@ def test_singularity_error_is_one_class():
 
     assert krawtchouk_wkb.SingularityError is wkb_core.SingularityError is exact_core.SingularityError
     assert issubclass(exact_core.SingularityError, ArithmeticError)
+
+
+def read_names(tree, skip=()):
+    """Each name the tree reads, as a bare name or an attribute, outside the
+    nodes in skip."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if any(node is s for s in skip):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def top_level_bindings(tree):
+    """The module statement that binds each top-level name, ``__all__`` included."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    bound[target.id] = node
+    return bound
+
+
+def package_users(name, trees):
+    """The package modules that read name outside its own definition and ``__all__``."""
+    return [path for path, tree in trees.items()
+            if name in read_names(tree, [top_level_bindings(tree).get(k) for k in (name, "__all__")])]
+
+
+def test_the_user_walk_skips_the_definition_and_all():
+    tree = ast.parse("__all__ = ['f', 'g']\ndef f():\n    return f()\ndef g():\n    return f()\n")
+    assert package_users("f", {"m.py": tree}) == ["m.py"]
+    assert package_users("g", {"m.py": tree}) == []
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    # Package code other than __init__.py counts, and so do the demos, the
+    # benchmark harness (which resolves functions by name) and the README.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), path.name)
+             for path in SRC.glob("*.py") if path.name != "__init__.py"}
+    texts = [path.read_text(encoding="utf-8")
+             for path in [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"), ROOT / "README.md"]]
+    assert len(texts) >= 5
+    unused = [name for name in krawtchouk_wkb.__all__
+              if not package_users(name, trees)
+              and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
+    assert unused == []

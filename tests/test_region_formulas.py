@@ -41,11 +41,10 @@ from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
     RegionId,
     Row,
-    ScaledPoint,
     classify,
     y_pm,
 )
-from krawtchouk_wkb.wkb_core import SingularityError, k_pm, k_pm_log
+from krawtchouk_wkb.wkb_core import SingularityError, k_pm_log
 
 P100_74 = Params.from_q(100, "0.74894783")
 P200_74 = Params.from_q(200, "0.74894783")
@@ -290,9 +289,8 @@ class TestLeftEdge:
 class TestInterferenceExterior:
     def test_reduces_to_plus_branch_on_grid(self):
         for x in (10, 14, 19, 23, 26):
-            pt = ScaledPoint.from_indices(x, 80, P100_74)
             av = evaluate_region("VII", x, 80, P100_74)
-            plus = k_pm("+", pt, P100_74)
+            plus = cmath.exp(k_pm_log("+", x * P100_74.eps, 80 * P100_74.eps, P100_74))
             assert av.value == pytest.approx(plus.real, rel=1e-12)
 
     def test_domain_errors(self):
@@ -374,17 +372,17 @@ class TestOscillatoryInterior:
             k10([1], 10, row_of(10, P100_74))
 
     @staticmethod
-    def _two_branch_sum(pt: ScaledPoint, params: Params):
+    def _two_branch_sum(y: float, z: float, params: Params):
         """The interior form as the explicit complex sum of both branches, each
         phase formed as exp(i*pi*t) from t = Im(log K)/pi."""
         terms = [(cmath.exp(complex(0.0, math.pi * (lk.imag / math.pi))), lk.real)
-                 for lk in (k_pm_log(branch, pt, params) for branch in ("+", "-"))]
+                 for lk in (k_pm_log(branch, y, z, params) for branch in ("+", "-"))]
         return _sum_scaled(terms)
 
     @classmethod
-    def _two_branch_k10(cls, pt: ScaledPoint, params: Params):
+    def _two_branch_k10(cls, y: float, z: float, params: Params):
         """The real part of :meth:`_two_branch_sum`, as the dispatcher reports it."""
-        m, s = cls._two_branch_sum(pt, params)
+        m, s = cls._two_branch_sum(y, z, params)
         return finalized((m.real, s), "X")
 
     @settings(max_examples=150, deadline=None)
@@ -404,25 +402,25 @@ class TestOscillatoryInterior:
         if rid.mirrored:
             x, params = N - x, params.swapped()
         got = finalized(k10([x], n, row_of(n, params))[0], "X")
-        old = self._two_branch_k10(ScaledPoint.from_indices(x, n, params), params)
+        old = self._two_branch_k10(x * params.eps, n * params.eps, params)
         assert (repr(got.value), repr(got.ln_scale)) == (repr(old.value), repr(old.ln_scale))
 
     def test_plus_branch_alone_off_the_grid(self):
         # The conjugate symmetry that k10 rests on also holds off the grid,
         # where the branch logs still take a continuous y.
         for y, z in ((0.347, 0.503), (0.61, 0.42), (0.2, 0.35)):
-            m, s = _from_log(k_pm_log("+", ScaledPoint(y, z), P100_64))
+            m, s = _from_log(k_pm_log("+", y, z, P100_64))
             got = finalized((2.0 * m, s), "X")
-            old = self._two_branch_k10(ScaledPoint(y, z), P100_64)
+            old = self._two_branch_k10(y, z, P100_64)
             assert got == old
 
     def test_conjugate_branches_cancel_imaginary_part(self):
         # The imaginary parts that 2 Re K+ leaves out cancel in the two-branch
         # sum: exactly on the grid, to rounding off it.
         for x, n in ((35, 50), (40, 60), (30, 40), (45, 30)):
-            m, _ = self._two_branch_sum(ScaledPoint.from_indices(x, n, P100_64), P100_64)
+            m, _ = self._two_branch_sum(x * P100_64.eps, n * P100_64.eps, P100_64)
             assert m.imag == 0.0 and m.real != 0.0
-        m, _ = self._two_branch_sum(ScaledPoint(0.347, 0.503), P100_64)
+        m, _ = self._two_branch_sum(0.347, 0.503, P100_64)
         assert abs(m.imag) <= 1e-8 * abs(m.real)
 
     @staticmethod

@@ -29,7 +29,6 @@ from krawtchouk_wkb.state_space import (
     ClassifierConfig,
     RegionId,
     Row,
-    ScaledPoint,
     classify_row,
     u0,
     y_pm,
@@ -87,10 +86,9 @@ def ref_classify_row(n, xs, params, cfg):
     return [ref_classify(x, n, params, cfg) for x in xs]
 
 
-def ref_k_pm_log(branch, pt, params):
+def ref_k_pm_log(branch, y, z, params):
     """Per-point branch log: the quadratic's z-only terms, u0(z)^2 and the
     prefactor solved at the point."""
-    y, z = pt.y, pt.z
     if not 0.0 < z < 1.0:
         raise SingularityError(f"branch quantities are singular at z={z!r}")
     p, q = params.pf, params.qf
@@ -122,7 +120,7 @@ def ref_k_pm_log(branch, pt, params):
 
 def ref_k_pm_logs(branch, ys, row):
     """The row form driven by the per-point reference, one point per draw."""
-    return (ref_k_pm_log(branch, ScaledPoint(y, row.z), row.params) for y in ys)
+    return (ref_k_pm_log(branch, y, row.z, row.params) for y in ys)
 
 
 def ref_regions(row, n, xs, cfg):

@@ -97,6 +97,22 @@ def test_hermite_rejects_negative_degree():
         hermite(-1, 0.0)
 
 
+def test_hermite_refuses_a_float_result_outside_the_doubles():
+    # H_999(-22.36) overflows to -inf partway, and then inf - inf is nan;
+    # the largest finite cases still return.
+    with pytest.raises(RangeError, match=r"H_999\(-22\.36"):
+        hermite(999, -22.360679774997898)
+    with pytest.raises(RangeError):
+        hermite(200, 1e200)
+    with pytest.raises(RangeError):
+        hermite(0, math.inf)
+    with pytest.raises(RangeError):
+        hermite(3, math.nan)
+    assert math.isfinite(hermite(150, 20.0))
+    # Exact arithmetic has no range to leave.
+    assert hermite(999, Fraction(-2236, 100)) != 0
+
+
 # --- Airy --------------------------------------------------------------------
 
 
@@ -400,6 +416,13 @@ def test_lambda_range_errors():
 def test_hermite_refuses_bool_degree():
     with pytest.raises(DomainError, match="hermite degree"):
         hermite(True, 0.5)
+
+
+def test_hermite_refuses_bool_argument():
+    with pytest.raises(DomainError, match="not a bool"):
+        hermite(2, True)
+    with pytest.raises(DomainError, match="not a bool"):
+        hermite(0, False)
 
 
 def test_pcf_refuses_bool_order():

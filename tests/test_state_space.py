@@ -12,10 +12,9 @@ from krawtchouk_wkb.state_space import (
     REGION_TAGS,
     ClassifierConfig,
     RegionId,
-    ScaledPoint,
+    check_scaled,
     classify,
     classify_row,
-    ellipse_residual,
     region_runs,
     u0,
     u_pm,
@@ -25,6 +24,15 @@ from krawtchouk_wkb.state_space import (
 Q_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction("0.64894783"), Fraction("0.74894783")]
 
 q_strategy = st.sampled_from(Q_POOL)
+
+
+def ellipse_residual(y, z, params):
+    """Signed residual of the oscillation ellipse E at (y, z): negative inside,
+    positive outside.  Algebraically the discriminant of the branch quadratic,
+    so its sign also decides whether the roots are real or complex conjugates."""
+    p, q = params.pf, params.qf
+    w, v = y - 0.5, z - 0.5
+    return w * w + v * v + 2.0 * (p - q) * w * v - p * q
 
 
 def expand_runs(runs):
@@ -108,8 +116,8 @@ class TestYpm:
         for i in range(1, 99):
             z = i / 100.0
             ym, yp = y_pm(z, P)
-            assert abs(ellipse_residual(ScaledPoint(ym, z), P)) < 1e-10
-            assert abs(ellipse_residual(ScaledPoint(yp, z), P)) < 1e-10
+            assert abs(ellipse_residual(ym, z, P)) < 1e-10
+            assert abs(ellipse_residual(yp, z, P)) < 1e-10
 
     @given(q=q_strategy, z=st.floats(1e-6, 1.0))
     def test_ordering(self, q, z):
@@ -126,22 +134,22 @@ class TestYpm:
 class TestEllipseResidual:
     def test_boundary_point_p_zero(self):
         P = params_for(50, "0.64894783")
-        assert abs(ellipse_residual(ScaledPoint(P.pf, 0.0), P)) < 1e-12
+        assert abs(ellipse_residual(P.pf, 0.0, P)) < 1e-12
 
     def test_other_known_boundary_points(self):
         P = params_for(50, "0.64894783")
         for y, z in [(0.0, P.pf), (P.qf, 1.0), (1.0, P.qf)]:
-            assert abs(ellipse_residual(ScaledPoint(y, z), P)) < 1e-12
+            assert abs(ellipse_residual(y, z, P)) < 1e-12
 
     def test_center_value(self):
         P = params_for(50, "0.64894783")
-        assert ellipse_residual(ScaledPoint(0.5, 0.5), P) == pytest.approx(
+        assert ellipse_residual(0.5, 0.5, P) == pytest.approx(
             -P.pf * P.qf, rel=1e-14
         )
 
     def test_origin_positive_for_third(self):
         P = Params.from_q(30, Fraction(2, 3))  # p = 1/3
-        val = ellipse_residual(ScaledPoint(0.0, 0.0), P)
+        val = ellipse_residual(0.0, 0.0, P)
         assert val == pytest.approx(1.0 / 9.0, rel=1e-12)
         assert val > 0
 
@@ -157,16 +165,16 @@ class TestUpm:
         for z in (0.1, 0.3, 0.6, 0.9):
             ym, yp = y_pm(z, P)
             r = u0(z, P)
-            um, up = u_pm(ScaledPoint(ym, z), P)
+            um, up = u_pm(ym, z, P)
             assert abs(um - (-r)) < 1e-10 and abs(up - (-r)) < 1e-10
-            um, up = u_pm(ScaledPoint(yp, z), P)
+            um, up = u_pm(yp, z, P)
             assert abs(um - r) < 1e-10 and abs(up - r) < 1e-10
 
     def test_region_iii_roots_frozen(self):
         # Exponential-zone point y=0.2, z=0.1 for q=0.34894783: both roots
         # real and negative, the larger one between -u0 and 0.
         P = params_for(100, "0.34894783")
-        um, up = u_pm(ScaledPoint(0.2, 0.1), P)
+        um, up = u_pm(0.2, 0.1, P)
         assert um.imag == 0.0 and up.imag == 0.0
         assert um.real == pytest.approx(-3.6479, abs=2e-4)
         assert up.real == pytest.approx(-0.5605, abs=2e-4)
@@ -175,17 +183,15 @@ class TestUpm:
 
     def test_conjugate_pair_inside(self):
         P = params_for(50, "0.64894783")
-        pt = ScaledPoint(0.5, 0.5)
-        assert ellipse_residual(pt, P) < 0
-        um, up = u_pm(pt, P)
+        assert ellipse_residual(0.5, 0.5, P) < 0
+        um, up = u_pm(0.5, 0.5, P)
         assert up.imag > 0
         assert um == up.conjugate()
 
     @given(q=q_strategy, y=st.floats(0.0, 1.0), z=st.floats(1e-6, 1.0))
     def test_root_product_and_residual(self, q, y, z):
         P = Params.from_q(30, q)
-        pt = ScaledPoint(y, z)
-        um, up = u_pm(pt, P)
+        um, up = u_pm(y, z, P)
         target = u0(z, P) ** 2
         assert abs(um * up - target) <= 1e-12 * (abs(target) + 1.0)
         b = P.pf - y + z * (P.qf - P.pf)
@@ -198,17 +204,17 @@ class TestUpm:
         P = params_for(50, "0.64894783")
         for i in range(60):
             for k in range(1, 60):
-                pt = ScaledPoint(i / 59.0, k / 59.0)
-                res = ellipse_residual(pt, P)
+                y, z = i / 59.0, k / 59.0
+                res = ellipse_residual(y, z, P)
                 if abs(res) < 1e-12:
                     continue
-                um, up = u_pm(pt, P)
+                um, up = u_pm(y, z, P)
                 inside = up.imag != 0.0
                 assert inside == (res < 0)
 
     def test_degenerate_top_edge(self):
         P = params_for(50, "0.64894783")
-        um, up = u_pm(ScaledPoint(0.2, 1.0), P)
+        um, up = u_pm(0.2, 1.0, P)
         assert um.real == pytest.approx(0.2 - P.qf, rel=1e-14)
         assert abs(up) <= 1e-15
 
@@ -217,7 +223,7 @@ class TestUpm:
         # so z = 0 fails in y_pm, not by a division in branch_roots.
         P = Params.from_q(10, Fraction(1, 2))
         with pytest.raises(DomainError, match=r"y_pm requires 0 < z <= 1"):
-            u_pm(ScaledPoint(0.5, 0.0), P)
+            u_pm(0.5, 0.0, P)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +423,11 @@ class TestConfigTypes:
         assert RegionId("X").label == "X"
         assert len(REGION_TAGS) == 12
 
-    def test_scaled_point_validation(self):
+    def test_check_scaled(self):
         with pytest.raises(DomainError):
-            ScaledPoint(1.5, 0.5)
+            check_scaled(1.5, 0.5)
         with pytest.raises(DomainError):
-            ScaledPoint(0.5, float("nan"))
-
-    def test_scaled_point_from_indices(self):
-        P = params_for(100, "0.64894783")
-        pt = ScaledPoint.from_indices(56, 2, P)
-        assert pt.y == 56 * P.eps
-        assert pt.z == 2 * P.eps
+            check_scaled(0.5, float("nan"))
+        # u_pm checks its point before the row's turning curves.
+        with pytest.raises(DomainError, match=r"y=1\.5 outside the unit interval"):
+            u_pm(1.5, 0.0, Params.from_q(10, Fraction(1, 2)))

@@ -16,16 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krawtchouk_wkb.exact_core import DomainError, Params, build_table
-from krawtchouk_wkb.special_fns import RangeError
-from krawtchouk_wkb.state_space import Row, ScaledPoint, StripCoeffs, u0, u_pm, y_pm
+from krawtchouk_wkb.state_space import Row, StripCoeffs, u0, u_pm, y_pm
 from krawtchouk_wkb.wkb_core import (
     SingularityError,
-    k_pm,
+    branch_terms,
     k_pm_log,
-    l_pm,
+    k_pm_logs,
     phi0,
     plog,
-    psi_pm,
     psqrt,
 )
 
@@ -39,8 +37,23 @@ def params_for(N, qs):
 
 
 def branch_root(branch, y, z, params):
-    um, up = u_pm(ScaledPoint(y, z), params)
+    um, up = u_pm(y, z, params)
     return up if branch == "+" else um
+
+
+def psi(branch, y, z, params):
+    """Branch phase psi = ln[U^{z-1} (U-p)^{1-y} (U+q)^y] at (y, z), from row z."""
+    return next(branch_terms(branch, (y,), Row(z, params)))[0]
+
+
+def amp(branch, y, z, params):
+    """Branch amplitude L = sqrt[(U-p)(U+q) / (z * (U^2 - u0^2))] at (y, z), from row z."""
+    return next(branch_terms(branch, (y,), Row(z, params)))[1]
+
+
+def k_exp(branch, y, z, params):
+    """The branch contribution K itself, exp of its log."""
+    return cmath.exp(k_pm_log(branch, y, z, params))
 
 
 # Interior sample points (label, branch, y, z, q-string), chosen away from the
@@ -104,8 +117,8 @@ class TestPhaseGradient:
         target = plog(branch_root(branch, y, z, P))
         errs = []
         for h in (1e-3, 1e-4):
-            dpsi = (psi_pm(branch, ScaledPoint(y, z + h), P)
-                    - psi_pm(branch, ScaledPoint(y, z - h), P)) / (2.0 * h)
+            dpsi = (psi(branch, y, z + h, P)
+                    - psi(branch, y, z - h, P)) / (2.0 * h)
             errs.append(abs(dpsi - target))
         order = math.log(errs[0] / errs[1]) / math.log(10.0)
         assert order > 1.9
@@ -114,8 +127,8 @@ class TestPhaseGradient:
     def test_exp_gradient_equals_root_directly(self):
         P = params_for(100, "0.34894783")
         y, z, h = 0.15, 0.2, 1e-5
-        dpsi = (psi_pm("-", ScaledPoint(y, z + h), P)
-                - psi_pm("-", ScaledPoint(y, z - h), P)) / (2.0 * h)
+        dpsi = (psi("-", y, z + h, P)
+                - psi("-", y, z - h, P)) / (2.0 * h)
         U = branch_root("-", y, z, P)
         assert cmath.exp(dpsi) == pytest.approx(U, rel=1e-8)
 
@@ -128,7 +141,7 @@ class TestPhaseDisposition:
         for z in (0.05, 0.15, 0.25, 0.35):
             for y in (0.01, 0.05, min(0.1, 0.8 * y_pm(z, P)[0])):
                 for branch in ("+", "-"):
-                    im = psi_pm(branch, ScaledPoint(y, z), P).imag
+                    im = psi(branch, y, z, P).imag
                     assert im == pytest.approx(math.pi * z, abs=1e-12)
 
     def test_left_of_curve_above_imag_is_pi_z_minus_y(self):
@@ -138,7 +151,7 @@ class TestPhaseDisposition:
             ym = y_pm(z, P)[0]
             for y in (0.05, 0.5 * ym, 0.8 * ym):
                 for branch in ("+", "-"):
-                    im = psi_pm(branch, ScaledPoint(y, z), P).imag
+                    im = psi(branch, y, z, P).imag
                     assert im == pytest.approx(math.pi * (z - y), abs=1e-12)
 
     def test_right_of_curve_phases_are_real(self):
@@ -148,13 +161,13 @@ class TestPhaseDisposition:
             yp = y_pm(z, P)[1]
             y = 0.5 * (yp + 1.0)
             for branch in ("+", "-"):
-                assert psi_pm(branch, ScaledPoint(y, z), P).imag == 0.0
+                assert psi(branch, y, z, P).imag == 0.0
 
     def test_oscillatory_phases_are_conjugate(self):
         P = params_for(100, "0.64894783")
-        pt = ScaledPoint(0.5, 0.45)
-        a = psi_pm("+", pt, P)
-        b = psi_pm("-", pt, P)
+        y, z = 0.5, 0.45
+        a = psi("+", y, z, P)
+        b = psi("-", y, z, P)
         assert a == pytest.approx(b.conjugate(), rel=1e-14)
 
     def test_imag_continuous_in_z(self):
@@ -162,12 +175,12 @@ class TestPhaseDisposition:
         P = params_for(100, "0.74894783")
         zs = [0.55 + 0.01 * i for i in range(41)]  # left exterior throughout
         assert all(y_pm(z, P)[0] > 0.02 for z in zs)
-        vals = [psi_pm("-", ScaledPoint(0.02, z), P).imag for z in zs]
+        vals = [psi("-", 0.02, z, P).imag for z in zs]
         for a, b in zip(vals, vals[1:]):
             assert abs(b - a) < 0.1
         P2 = params_for(100, "0.64894783")
         zs = [0.30 + 0.01 * i for i in range(41)]  # oscillatory throughout
-        vals = [psi_pm("-", ScaledPoint(0.45, z), P2).imag for z in zs]
+        vals = [psi("-", 0.45, z, P2).imag for z in zs]
         for a, b in zip(vals, vals[1:]):
             assert abs(b - a) < 0.2
 
@@ -186,11 +199,11 @@ class TestTransport:
         p, q = P.pf, P.qf
         h = 1e-5
         U = branch_root(branch, y, z, P)
-        Lz = (l_pm(branch, ScaledPoint(y, z + h), P)
-              - l_pm(branch, ScaledPoint(y, z - h), P)) / (2.0 * h)
+        Lz = (amp(branch, y, z + h, P)
+              - amp(branch, y, z - h, P)) / (2.0 * h)
         Uz = (branch_root(branch, y, z + h, P)
               - branch_root(branch, y, z - h, P)) / (2.0 * h)
-        L = l_pm(branch, ScaledPoint(y, z), P)
+        L = amp(branch, y, z, P)
         t1 = (z * U * U - p * q * (1.0 - z)) * Lz
         t2 = (0.5 * (z * U * U + p * q * (1.0 - z)) * (Uz / U) + U * U + p * q) * L
         assert abs(t1 + t2) / max(abs(t1), abs(t2)) < 1e-4
@@ -199,24 +212,24 @@ class TestTransport:
 class TestAmplitudeSigns:
     def test_left_below_minus_real_plus_imaginary(self):
         P = params_for(100, "0.34894783")
-        pt = ScaledPoint(0.1, 0.2)
-        Lm = l_pm("-", pt, P)
-        Lp = l_pm("+", pt, P)
+        y, z = 0.1, 0.2
+        Lm = amp("-", y, z, P)
+        Lp = amp("+", y, z, P)
         assert Lm.imag == 0.0 and Lm.real > 0.0
         assert Lp.real == 0.0 and Lp.imag > 0.0
 
     def test_left_above_minus_imaginary_plus_real(self):
         P = params_for(100, "0.74894783")
-        pt = ScaledPoint(0.1, 0.8)
-        Lm = l_pm("-", pt, P)
-        Lp = l_pm("+", pt, P)
+        y, z = 0.1, 0.8
+        Lm = amp("-", y, z, P)
+        Lp = amp("+", y, z, P)
         assert Lm.real == 0.0 and Lm.imag > 0.0
         assert Lp.imag == 0.0 and Lp.real > 0.0
 
     def test_oscillatory_amplitudes_conjugate(self):
         P = params_for(100, "0.64894783")
-        pt = ScaledPoint(0.5, 0.45)
-        assert l_pm("+", pt, P) == pytest.approx(l_pm("-", pt, P).conjugate(), rel=1e-14)
+        y, z = 0.5, 0.45
+        assert amp("+", y, z, P) == pytest.approx(amp("-", y, z, P).conjugate(), rel=1e-14)
 
     def test_growth_rate_toward_turning_curve(self):
         # |L| grows like (distance)^(-1/4); quartic-root law checked by a
@@ -225,8 +238,8 @@ class TestAmplitudeSigns:
         z = 0.3
         ym = y_pm(z, P)[0]
         s = P.eps ** (2.0 / 3.0)
-        r1 = abs(l_pm("-", ScaledPoint(ym - 1.0 * s, z), P))
-        r4 = abs(l_pm("-", ScaledPoint(ym - 4.0 * s, z), P))
+        r1 = abs(amp("-", ym - 1.0 * s, z, P))
+        r4 = abs(amp("-", ym - 4.0 * s, z, P))
         assert r1 / r4 == pytest.approx(4.0 ** 0.25, rel=0.02)
 
 
@@ -236,20 +249,20 @@ class TestSmallZLimits:
         # log of the negative argument contributes +i*pi.
         P = params_for(100, "0.34894783")
         y, z = 0.2, 1e-4
-        val = psi_pm("-", ScaledPoint(y, z), P)
+        val = psi("-", y, z, P)
         lim = z * (1.0 - math.log(z)) + z * complex(math.log(P.pf - y), math.pi)
         assert abs(val - lim) < 5e-7
 
     def test_amplitude_limit_below(self):
         P = params_for(100, "0.34894783")
-        val = l_pm("-", ScaledPoint(0.2, 1e-4), P)
+        val = amp("-", 0.2, 1e-4, P)
         assert val * math.sqrt(1e-4) == pytest.approx(1.0 + 0j, rel=1e-3)
 
     def test_amplitude_limit_above(self):
         # For y > p the limit is i*sqrt(y(1-y))/(y - p).
         P = params_for(100, "0.34894783")
         y = 0.8
-        val = l_pm("-", ScaledPoint(y, 1e-5), P)
+        val = amp("-", y, 1e-5, P)
         lim = complex(0.0, math.sqrt(y * (1.0 - y)) / (y - P.pf))
         assert val == pytest.approx(lim, rel=1e-3)
 
@@ -267,8 +280,7 @@ class TestBranchContribution:
         table = build_table(P)
         n = 10
         for x in (0, 5, 10, 15, 20):
-            pt = ScaledPoint.from_indices(x, n, P)
-            K = k_pm("-", pt, P)
+            K = k_exp("-", x * P.eps, n * P.eps, P)
             exact = float(table.value(n, x))
             assert abs(K.real - exact) / abs(exact) < 0.05
             assert abs(K.imag) < 1e-12 * abs(K.real)
@@ -278,7 +290,7 @@ class TestBranchContribution:
         P = params_for(100, "0.34894783")
         n = 10
         exact = float(Fraction(math.comb(100, n)) * (-P.p) ** n)
-        K = k_pm("-", ScaledPoint.from_indices(0, n, P), P)
+        K = k_exp("-", 0.0, n * P.eps, P)
         assert K.real == pytest.approx(exact, rel=0.05)
 
     def test_mirror_transformation(self):
@@ -286,39 +298,75 @@ class TestBranchContribution:
         # branch of the mirrored problem times (-1)^n, exactly in floats.
         P = params_for(100, "0.34894783")
         n = 10
-        direct = k_pm("+", ScaledPoint.from_indices(95, n, P), P)
-        mirrored = k_pm("-", ScaledPoint.from_indices(5, n, P.swapped()), P.swapped())
+        direct = k_exp("+", 95 * P.eps, n * P.eps, P)
+        mirrored = k_exp("-", 5 * P.eps, n * P.eps, P.swapped())
         assert (-1) ** n * mirrored == pytest.approx(direct, rel=1e-10)
 
     def test_mirror_phase_shift(self):
         # The underlying phase identity: psi^-(1-y, z; q, p) = psi^+(y, z) + i*pi*z.
         P = params_for(100, "0.34894783")
         y, z = 0.95, 0.1
-        lhs = psi_pm("-", ScaledPoint(1.0 - y, z), P.swapped())
-        rhs = psi_pm("+", ScaledPoint(y, z), P) + complex(0.0, math.pi * z)
+        lhs = psi("-", 1.0 - y, z, P.swapped())
+        rhs = psi("+", y, z, P) + complex(0.0, math.pi * z)
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert l_pm("-", ScaledPoint(1.0 - y, z), P.swapped()) == pytest.approx(
-            l_pm("+", ScaledPoint(y, z), P), rel=1e-12)
+        assert amp("-", 1.0 - y, z, P.swapped()) == pytest.approx(
+            amp("+", y, z, P), rel=1e-12)
 
     def test_log_form_matches_exp_form(self):
+        # K = sqrt(eps/(2*pi)) e^{psi/eps} L, formed from the branch terms.
         P = params_for(100, "0.74894783")
-        pt = ScaledPoint.from_indices(3, 80, P)
-        lk = k_pm_log("-", pt, P)
-        assert cmath.exp(lk) == pytest.approx(k_pm("-", pt, P), rel=1e-12)
+        y, z = 3 * P.eps, 80 * P.eps
+        lk = k_pm_log("-", y, z, P)
+        K = math.sqrt(P.eps / (2.0 * math.pi)) * cmath.exp(psi("-", y, z, P) * P.N) * amp("-", y, z, P)
+        assert cmath.exp(lk) == pytest.approx(K, rel=1e-12)
 
-    def test_overflow_raises_range_error(self):
-        # ln|K| ~ 1600 at this point; the log form stays finite.
+    def test_log_form_finite_beyond_double_range(self):
+        # ln|K| ~ 1600 at this point, past exp's range; the log form stays finite.
         P = params_for(3000, "0.74894783")
-        pt = ScaledPoint.from_indices(2970, 1500, P)
-        lk = k_pm_log("+", pt, P)
+        y, z = 2970 * P.eps, 1500 * P.eps
+        lk = k_pm_log("+", y, z, P)
         assert math.isfinite(lk.real) and lk.real > 700.0
-        with pytest.raises(RangeError):
-            k_pm("+", pt, P)
+
+    def test_one_point_log_is_the_row_log(self):
+        # k_pm_log is k_pm_logs on its point's row, to the bit, and the row
+        # form is branch_terms' loop: one (psi, L) per y, in order.
+        P = params_for(100, "0.64894783")
+        row = Row(0.45, P)
+        ys = (0.02, 0.3, 0.5, 0.97)
+        for branch in ("+", "-"):
+            logs = list(k_pm_logs(branch, ys, row))
+            assert logs == [k_pm_log(branch, y, 0.45, P) for y in ys]
+            terms = list(branch_terms(branch, ys, row))
+            assert terms == [(psi(branch, y, 0.45, P), amp(branch, y, 0.45, P)) for y in ys]
+
+    def test_one_point_log_checks_its_point_first(self):
+        # The scaled-point checks, then the row's z, then the branch label.
+        P = params_for(100, "0.34894783")
+        with pytest.raises(DomainError, match="scaled coordinates must be finite"):
+            k_pm_log("x", 0.1, float("nan"), P)
+        with pytest.raises(DomainError, match=r"y=1\.5 outside the unit interval"):
+            k_pm_log("x", 1.5, 0.0, P)
+        with pytest.raises(DomainError, match=r"z=-0\.5 outside the unit interval"):
+            k_pm_log("x", 0.1, -0.5, P)
+        with pytest.raises(SingularityError, match="singular at z=0.0"):
+            k_pm_log("x", 0.1, 0.0, P)
+        with pytest.raises(DomainError, match="branch must be"):
+            k_pm_log("x", 0.1, 0.2, P)
+
+    def test_branch_terms_checks_on_first_draw(self):
+        # The generator checks its row when the first value is drawn.
+        P = params_for(100, "0.34894783")
+        terms = branch_terms("x", (0.1,), Row(0.2, P))
+        with pytest.raises(DomainError):
+            next(terms)
+        empty = branch_terms("+", (), Row(0.0, P))
+        with pytest.raises(SingularityError):
+            next(empty)
 
     def test_bad_branch_label(self):
         P = params_for(100, "0.34894783")
         with pytest.raises(DomainError):
-            psi_pm("x", ScaledPoint(0.1, 0.2), P)
+            psi("x", 0.1, 0.2, P)
 
 
 class TestSingularities:
@@ -327,33 +375,33 @@ class TestSingularities:
         ym, yp = y_pm(0.1, P)
         for y in (ym, yp):
             with pytest.raises(SingularityError):
-                psi_pm("-", ScaledPoint(y, 0.1), P)
+                psi("-", y, 0.1, P)
             with pytest.raises(SingularityError):
-                l_pm("+", ScaledPoint(y, 0.1), P)
+                amp("+", y, 0.1, P)
 
     def test_z_edges(self):
         P = params_for(100, "0.74894783")
         for z in (0.0, 1.0):
             with pytest.raises(SingularityError):
-                psi_pm("-", ScaledPoint(0.3, z), P)
+                psi("-", 0.3, z, P)
             with pytest.raises(SingularityError):
-                l_pm("-", ScaledPoint(0.3, z), P)
+                amp("-", 0.3, z, P)
 
     def test_root_at_p_is_singular_in_the_branch_phase(self):
         # At these points a branch root is exactly p, so ln(U - p) diverges:
         # the branch terms take plog, which refuses the vanishing factor with
         # SingularityError where cmath.log raises a bare ValueError.
         P = params_for(100, "0.64894783")
-        for branch, pt in (("-", ScaledPoint(1.0, 0.5)), ("+", ScaledPoint(1.0, 0.8))):
-            assert branch_root(branch, pt.y, pt.z, P) == P.pf
-            for fn in (psi_pm, l_pm):
+        for branch, y, z in (("-", 1.0, 0.5), ("+", 1.0, 0.8)):
+            assert branch_root(branch, y, z, P) == P.pf
+            for fn in (psi, amp):
                 with pytest.raises(SingularityError):
-                    fn(branch, pt, P)
+                    fn(branch, y, z, P)
 
     def test_interior_is_clean_between_curves_and_edges(self):
         P = params_for(100, "0.64894783")
         for z in (0.01, 0.5, 0.99):
-            psi_pm("-", ScaledPoint(0.001, z), P)  # must not raise
+            psi("-", 0.001, z, P)  # must not raise
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +614,7 @@ class TestEikonal:
         for i in range(1, 41):
             for j in range(1, 41):
                 y, z = i / 41.0, j / 41.0
-                um, up = u_pm(ScaledPoint(y, z), P)
+                um, up = u_pm(y, z, P)
                 b = p - y + z * (q - p)
                 c = p * q * (1.0 - z)
                 for U in (um, up):
@@ -579,7 +627,7 @@ class TestEikonal:
     def test_residual_property(self, q, y, z):
         P = Params.from_q(100, q)
         p, qf = P.pf, P.qf
-        um, up = u_pm(ScaledPoint(y, z), P)
+        um, up = u_pm(y, z, P)
         b = p - y + z * (qf - p)
         c = p * qf * (1.0 - z)
         for U in (um, up):
