@@ -254,7 +254,7 @@ def criterion_2(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         elif not worst <= bar:
             failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {bar*100:g}% at x={worst_x}")
     params = Params.from_q(FIGURES[8].N, FIGURES[8].q)
-    u = Row(FIGURES[8].n * params.eps, params).u
+    u = Row.at(FIGURES[8].n, params).u
     if abs(u - 0.024265) > 5e-6:
         failures.append(f"fig8 corner variable {u:.6f} != 0.024265 to 5 decimals")
     return failures, " ".join(details)

@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from decimal import Decimal
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
@@ -83,7 +83,7 @@ def render_ratio(num: int, den: int, digits: int) -> str:
     strings round-trip unchanged); everything else is correctly rounded.
     The fraction need not be in lowest terms: the quotient is the same.
     """
-    if num % den == 0 and len(str(abs(num // den))) <= digits:
+    if num % den == 0 and abs(num // den) < 10**digits:  # str() of it may pass int's digit limit
         return str(num // den)
     # The Decimal that Decimal(num) / Decimal(den) gives at precision
     # `digits`, built from a short coefficient: converting eval's operands,
@@ -308,7 +308,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     meta.append(("region", spec.tag))
     meta.append(("config", _config_meta(cfg)))
     if spec.fig_id == 8:
-        meta.append(("u", f"{Row(spec.n * params.eps, params).u:.6f}"))
+        meta.append(("u", f"{Row.at(spec.n, params).u:.6f}"))
     _write_csv(args.out, meta, _COMPARE_HEADER, lines)
     return 0
 
@@ -320,39 +320,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_Outcome = Union[Tuple[bool, str], Exception]
-
-
-def _outcome(crit_id: int, cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
-    """A criterion's (passed, line), or the exception it raised."""
-    try:
-        result = run_criterion(crit_id, cfg, tol)
-    except Exception as exc:
-        return exc
+def _outcome(crit_id: int, cfg: ClassifierConfig, tol: Dict[str, float]) -> Tuple[bool, str]:
+    """A criterion's (passed, line)."""
+    result = run_criterion(crit_id, cfg, tol)
     return result.passed, result.line()
-
-
-class _InProcess:
-    """The single worker: runs each criterion in this process when asked for its result."""
-
-    def __init__(self, cfg: ClassifierConfig, tol: Dict[str, float]) -> None:
-        self._setting = cfg, tol
-
-    def submit(self, crit_id: int) -> None:
-        self._crit_id = crit_id
-
-    def result(self) -> _Outcome:
-        return _outcome(self._crit_id, *self._setting)
-
-    def close(self) -> None:
-        pass
 
 
 def _start_on_own_cpu(index: int) -> None:
     """Move this process to the index-th usable CPU, then let it run on any.
 
-    Left alone, the scheduler can keep a forked worker on its parent's CPU
-    for the whole of a short run, beside the other workers.
+    Left alone, the scheduler can keep a forked child on its parent's CPU
+    for the whole of a short run, beside the other children.
     """
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
@@ -361,100 +339,62 @@ def _start_on_own_cpu(index: int) -> None:
             os.sched_setaffinity(0, cpus)
 
 
-class _Forked:
-    """A worker forked from this process: criterion ids go in over one pipe,
-    one byte each, and pickled outcomes come back over another."""
-
-    def __init__(self, index: int, cfg: ClassifierConfig, tol: Dict[str, float]) -> None:
-        import pickle
-
-        task_r, self._tasks = os.pipe()
-        result_r, result_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            # The worker ends with os._exit, so it never flushes the stdio
-            # buffers it inherited and never runs this process's exit hooks.
-            try:
-                os.close(self._tasks)
-                os.close(result_r)
-                _start_on_own_cpu(index)
-                with open(result_w, "wb") as out:
-                    while task := os.read(task_r, 1):
-                        out.write(pickle.dumps(_outcome(task[0], cfg, tol)))
-                        out.flush()
-            finally:
-                os._exit(0)
-        os.close(task_r)
-        os.close(result_w)
-        self._results = open(result_r, "rb")
-
-    def fileno(self) -> int:
-        return self._results.fileno()
-
-    def submit(self, crit_id: int) -> None:
-        self._crit_id = crit_id
-        with contextlib.suppress(BrokenPipeError):  # a dead worker: result() says so
-            os.write(self._tasks, bytes([crit_id]))
-
-    def result(self) -> _Outcome:
-        import pickle
-
-        try:
-            return pickle.load(self._results)
-        except (EOFError, pickle.UnpicklingError):
-            raise CliError(f"criterion {self._crit_id}: its worker ended without a result")
-
-    def close(self) -> None:
-        os.close(self._tasks)  # an idle worker reads end-of-file and exits
-        self._results.close()
-        os.waitpid(self.pid, 0)
-
-
 def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig,
                  tol: Dict[str, float]) -> Iterator[Tuple[bool, str]]:
     """Each wanted criterion's (passed, line), in the order wanted.
 
-    The criteria run on min(len(wanted), usable CPUs) workers forked from
-    this process, or in it where that is one or os.fork is missing.  Each
-    worker takes the next criterion as soon as it is free.  An exception a
-    criterion raised is raised here in its turn, after the lines before it.
+    With more than one criterion and usable CPU, every criterion starts at
+    once in a process forked from this one, which sends back its pickled
+    outcome over a pipe of its own; otherwise, or where os.fork is missing,
+    they run here one after another.  An exception a criterion raised is
+    raised here in its turn, after the lines before it.
     """
-    count = min(len(wanted), _usable_cpus()) if hasattr(os, "fork") else 1
-    if count > 1:
-        import select
+    if len(wanted) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
+        for crit_id in wanted:
+            yield _outcome(crit_id, cfg, tol)
+        return
+    import pickle
 
-        sys.stdout.flush()  # so no worker inherits pending output
-        sys.stderr.flush()
-    todo = iter(enumerate(wanted))
-    busy: Dict[object, int] = {}  # worker -> position of its criterion in wanted
-    arrived: Dict[int, _Outcome] = {}
-    workers: list = []
-
-    def feed(worker) -> None:
-        for pos, crit_id in todo:  # the next criterion, if any is left
-            worker.submit(crit_id)
-            busy[worker] = pos
-            break
-
+    sys.stdout.flush()  # so no child inherits pending output
+    sys.stderr.flush()
+    children = []  # (pid, result reader) of each criterion, in the order wanted
     try:
-        for index in range(count):
-            workers.append(_Forked(index, cfg, tol) if count > 1 else _InProcess(cfg, tol))
-            feed(workers[-1])
-        for pos in range(len(wanted)):
-            while pos not in arrived:
-                ready = list(busy) if len(busy) == 1 else select.select(list(busy), [], [])[0]
-                for worker in ready:
-                    arrived[busy.pop(worker)] = worker.result()
-                    feed(worker)
-            outcome = arrived.pop(pos)
+        for index, crit_id in enumerate(wanted):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The child ends with os._exit, so it never flushes the stdio
+                # buffers it inherited and never runs this process's exit hooks.
+                try:
+                    _start_on_own_cpu(index)
+                    try:
+                        outcome = _outcome(crit_id, cfg, tol)
+                    except Exception as exc:
+                        outcome = exc
+                    with open(result_w, "wb") as out:
+                        pickle.dump(outcome, out)
+                finally:
+                    os._exit(0)
+            # Closed here right after the fork, the child's is the only write
+            # end: no later child holds it, and the child's exit is its end.
+            os.close(result_w)
+            children.append((pid, open(result_r, "rb")))
+        for crit_id, (_, results) in zip(wanted, children):
+            try:
+                outcome = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):
+                raise CliError(f"criterion {crit_id}: its worker ended without a result")
             if isinstance(outcome, Exception):
                 raise outcome
             yield outcome
     finally:
-        # Each worker holds copies of the pipes of the workers forked before
-        # it, so the last one forked is the first that can see its own close.
-        for worker in reversed(workers):
-            worker.close()
+        # Every read end closes before any child is reaped, so a child still
+        # writing fails and ends, and with it the copies it holds of the
+        # earlier children's read ends.
+        for _, results in children:
+            results.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

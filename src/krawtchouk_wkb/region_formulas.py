@@ -360,7 +360,7 @@ def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
     rid = RegionId(tag, mirrored=tag == "IV")
     check_index("x", x, params.N)
     check_index("n", n, params.N)
-    return _evaluate(rid, [x], n, Row(n * params.eps, params))[0]
+    return _evaluate(rid, [x], n, Row.at(n, params))[0]
 
 
 def approx_row(n: int, xs: Sequence[int], params: Params,
@@ -371,7 +371,7 @@ def approx_row(n: int, xs: Sequence[int], params: Params,
     per orientation.  The first failing point in xs order raises."""
     check_index("n", n, params.N)
     check_indices("x", xs, params.N)
-    row = Row(n * params.eps, params)
+    row = Row.at(n, params)
     out: List[ApproxValue] = []
     for rid, run in groupby(zip(xs, row.regions(n, xs, cfg)), itemgetter(1)):
         out += _evaluate(rid, [x for x, _ in run], n, row)

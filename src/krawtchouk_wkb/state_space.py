@@ -1,7 +1,8 @@
 """Scaled coordinates, branch roots, the oscillation ellipse, and the region classifier.
 
 An index pair (x, n) on the integer grid [0, N]^2 maps to scaled coordinates
-(y, z) = (x*eps, n*eps) with eps = 1/N.  The quadratic governing the two
+(y, z) = (x*eps, n*eps) with eps = 1/N (on the rows z = p and z = q, z is
+the float p or q; see :meth:`Row.at`).  The quadratic governing the two
 asymptotic branches has roots U^- <= U^+ that are real outside an ellipse E
 inscribed in the unit square and complex conjugates inside it; the curves
 y = Y^-(z) and y = Y^+(z), where the roots coalesce, bound the oscillatory
@@ -199,6 +200,17 @@ class Row:
         self.eps23 = eps ** (2.0 / 3.0)
         self.u = (p - z) / self.sqrt_pq_eps
 
+    @classmethod
+    def at(cls, n: int, params: Params) -> "Row":
+        """Row n of the grid, at z = n*eps; but on the rows z = p and z = q,
+        decided from the integers (n*denom = N*p_num or N*q_num), z is the
+        float p or q, which n*eps can miss by an ulp, so the row (or its
+        mirror) meets the tests of z = p."""
+        k, N = n * params.denom, params.N
+        z = (params.pf if k == N * params.p.numerator
+             else params.qf if k == N * params.q.numerator else n * params.eps)
+        return cls(z, params)
+
     mirror = _lazy(lambda self: Row(self.z, self.params.swapped()))
     curves = _lazy(lambda self: y_pm(self.z, self.params))
     u0 = _lazy(lambda self: u0(self.z, self.params))  # the module's u0, not this field
@@ -333,7 +345,8 @@ def _row_tests(n: int, row: Row, cfg: ClassifierConfig) -> Tuple[_Tag, Callable[
     ym, yp = row.curves
     strip = cfg.beta_max * row.eps23
     # The strip coefficients diverge at z = p, where Y^-(z) meets the left
-    # edge; a row there with pN an integer is served by VI, whose u is 0.
+    # edge; the row there (pN an integer, z = p by Row.at) is served by VI,
+    # whose u is 0.
     strip_tag = "VI" if z == p else "VIII" if z < p else "IX"
     below = "VII" if z > p else "III"
 
@@ -386,7 +399,7 @@ def classify_row(n: int, xs: Sequence[int], params: Params,
     """
     check_index("n", n, params.N)
     check_indices("x", xs, params.N)
-    return Row(n * params.eps, params).regions(n, xs, cfg)
+    return Row.at(n, params).regions(n, xs, cfg)
 
 
 def region_runs(n: int, params: Params,
@@ -396,7 +409,7 @@ def region_runs(n: int, params: Params,
     cut at those flips (and the mirror's where it defers), every test is constant
     on each stretch, so its first point's region is that of all its points."""
     check_index("n", n, params.N)
-    N, row = params.N, Row(n * params.eps, params)
+    N, row = params.N, Row.at(n, params)
     tag_of, flips = _row_tests(n, row, cfg)
     mirror_of, mirror_flips = _row_tests(n, row.mirror, cfg)
     cuts = {0, *flips()}

@@ -258,6 +258,19 @@ class TestCompare:
             assert int(row["exact_sign"]) == sign
             assert float(row["exact_ln_mag"]) == pytest.approx(ln, rel=1e-11, abs=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ("--N", "1040", "--q", "0.7", "--n", "312"),
+        ("--N", "3000", "--q", "0.77", "--n", "690", "--x-range", "0:20"),
+        ("--N", "3000", "--q", "0.23", "--n", "690"),  # the mirrored case: z = q
+    ])
+    def test_row_z_equal_p_where_n_eps_misses_p(self, capsys, argv):
+        # pN is an integer, but n*eps is one ulp off the float p (or q).
+        code, out, err = run_cli(capsys, "compare", *argv)
+        assert (code, err) == (0, "")
+        _, header, rows = parse_csv(out)
+        ln_mags = {float(dict(zip(header, row))["approx_ln_mag"]) for row in rows}
+        assert not any(math.isnan(v) or v == math.inf for v in ln_mags)  # -inf: D_x(0) = 0 at odd x
+
     def test_exact_cylinder_zero_on_the_grid(self, capsys):
         # N=16, q=1/2 puts the zero D_2(1) = 0 under several VI and XII
         # points; each reports an exact zero and the grid completes.
@@ -662,6 +675,23 @@ class TestCheck:
         assert code == 1
         assert err == "error: criterion 7: its worker ended without a result\n"
 
+    @pytest.mark.parametrize("fault, code", [(None, 0), ("raises", 1), ("killed", 1)])
+    def test_no_child_is_left_behind(self, capsys, fault, code):
+        # Criterion 1 is still running when 6 fails first in the order wanted.
+        def raises(cfg, tol):
+            raise DomainError("criterion six could not run")
+
+        def killed(cfg, tol):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        faults = {None: {}, "raises": {6: ("expansion residuals", raises)},
+                  "killed": {6: ("expansion residuals", killed)}}
+        with mock.patch.dict(CRITERIA, faults[fault]), \
+                mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=2):
+            assert run_cli(capsys, "check", "--criteria", "6,1,5")[0] == code
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_small_tolerance_prints_its_digits(self, capsys, tmp_path):
         cfg = tmp_path / "tight.cfg"
         cfg.write_text("tol_figures_early=0.001\ntol_overlap=0.0001\n")
@@ -687,10 +717,11 @@ class TestCheck:
 
 
 def ref_render_fraction(value, digits):
-    """The renderer as it was when it took a Fraction, kept verbatim."""
+    """The renderer as it was when it took a Fraction, but for its integer
+    test, which no longer turns a huge integer into a string."""
     if value == 0:
         return "0"
-    if value.denominator == 1 and len(str(abs(value.numerator))) <= digits:
+    if value.denominator == 1 and abs(value.numerator) < 10**digits:
         return str(value.numerator)
     with localcontext() as ctx:
         ctx.prec = digits
@@ -754,6 +785,7 @@ class TestRendering:
     @given(case=ratios())
     @example(case=(0, 7, 3))
     @example(case=(10**45 * 7, 7, 10))  # an exact integer past the budget
+    @example(case=(10**4400 * 7, 7, 30))  # past int's 4300-digit str() limit
     @example(case=(30, 4, 30))  # 7.5, unreduced
     @example(case=(-123456789, 1000, 4))
     @settings(max_examples=300, deadline=None)

@@ -77,7 +77,7 @@ def finalized(pair, tag: str):
 
 def row_of(n: int, params: Params) -> Row:
     """Row n in the unreflected orientation, as the dispatcher builds it."""
-    return Row(n * params.eps, params)
+    return Row.at(n, params)
 
 
 def point_err(tag: str, x: int, n: int, params: Params) -> float:
@@ -401,8 +401,9 @@ class TestOscillatoryInterior:
         assume(rid.tag == "X")
         if rid.mirrored:
             x, params = N - x, params.swapped()
-        got = finalized(k10([x], n, row_of(n, params))[0], "X")
-        old = self._two_branch_k10(x * params.eps, n * params.eps, params)
+        row = row_of(n, params)
+        got = finalized(k10([x], n, row)[0], "X")
+        old = self._two_branch_k10(x * params.eps, row.z, params)
         assert (repr(got.value), repr(got.ln_scale)) == (repr(old.value), repr(old.ln_scale))
 
     def test_plus_branch_alone_off_the_grid(self):
@@ -613,6 +614,22 @@ class TestDispatcher:
         av = approx(x, n, params)
         assert av.region.tag == "VI"
         assert norm_err(av, ExactTable(params), n, x) <= 1e-5
+
+    @pytest.mark.parametrize("N, q", [
+        (1000, "0.77"), (1000, "0.6"), (1040, "0.7"), (1040, "0.3"),
+        (3000, "0.77"), (3000, "0.23"), (3000, "0.9"),
+    ])
+    def test_rows_z_equal_p_and_q_are_total(self, N, q):
+        # pN is an integer, and n*eps can miss the float p or q by an ulp
+        # (N=1040, q=0.7, n=312 and N=3000, q=0.77, n=690 do).  Decided from
+        # the integers, the row z = p takes VI, never a strip formula, at the
+        # lower curve, and so does the mirror of the row z = q.
+        params = Params.from_q(N, q)
+        for n, mirrored in ((int(N * params.p), False), (int(N * params.q), True)):
+            avs = approx_row(n, range(N + 1), params)
+            assert not any(math.isnan(av.ln_scale) or av.ln_scale == math.inf for av in avs)
+            tags = {av.region.tag for av in avs if av.region.mirrored == mirrored}
+            assert "VI" in tags and not tags & {"VIII", "IX"}, (n, tags)
 
     def test_mirrored_strip_point(self):
         av = approx(94, 10, P100_34)

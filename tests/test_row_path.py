@@ -44,7 +44,11 @@ def ref_direct_tag(x, n, params, cfg):
     when the point belongs to the reflected half."""
     N = params.N
     eps, p, q = params.eps, params.pf, params.qf
-    y, z = x * eps, n * eps
+    # The rows z = p and z = q are decided from the integers, and sit at the
+    # float p or q, which n*eps can miss by an ulp.
+    k = n * params.denom
+    z = p if k == N * params.p.numerator else q if k == N * params.q.numerator else n * eps
+    y = x * eps
     corner_y = cfg.corner_width * math.sqrt(2.0 * p * q * eps)
     if n <= cfg.n_small:
         return "II" if abs(y - p) <= corner_y else "I"
@@ -186,6 +190,7 @@ def row_cases(draw):
 
 FULL_200 = list(range(201))
 ZERO_WIDTHS = ClassifierConfig(0, 0, 0, 0.0, 0.0)
+NO_LEFT_EDGE = ClassifierConfig(x_small=0)
 P_HALF = Fraction(1, 2)
 
 
@@ -193,6 +198,10 @@ P_HALF = Fraction(1, 2)
 @example(case=(200, Fraction("0.35105217"), 100, FULL_200, DEFAULT_CONFIG))  # X, X*, IV*, IX* ...
 @example(case=(200, Fraction("0.35105217"), 197, FULL_200, DEFAULT_CONFIG))  # top row: XI, XI*, XII
 @example(case=(100, P_HALF, 50, list(range(101)), DEFAULT_CONFIG))  # the row z = p
+# The rows z = p and z = q where n*eps misses p or q by an ulp; with no
+# left-edge layer the strip, not the corner, meets the left edge.
+@example(case=(33, Fraction(1, 3), 11, list(range(34)), NO_LEFT_EDGE))
+@example(case=(75, Fraction(1, 3), 50, list(range(76)), NO_LEFT_EDGE))
 @example(case=(120, Fraction(2, 7), 90, [119, 3, 60, 60, 0], ZERO_WIDTHS))
 # Real negative roots: U, U - p and U + q are negative reals, whose logs
 # lie on the cut that plog puts at +i*pi; III and IV* (minus branch), VII
