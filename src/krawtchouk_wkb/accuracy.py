@@ -311,7 +311,7 @@ _OVERLAPS = (
 def _beta_window(params: Params, n: int) -> range:
     """The x on row n with beta in [-1.35, -0.70], sampling the IX/X oscillation."""
     N = params.N
-    row = Row(n / N, params)
+    row = Row.at(n, params)
     ym_scaled, width = row.curves[0] * N, row.eps23 * N
     return range(math.ceil(ym_scaled + 0.70 * width), math.floor(ym_scaled + 1.35 * width) + 1)
 

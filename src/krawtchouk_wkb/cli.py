@@ -11,7 +11,7 @@ Subcommands
 All CSV output starts with ``#``-prefixed metadata lines (parameters, config,
 tool version) and is deterministic for a fixed invocation: rows are ordered
 n-major, x-minor, and no timestamps or environment details are emitted.
-Exit codes: 0 success, 1 parse/domain error, 2 acceptance failure.
+Exit codes: 0 success, 1 parse, domain or output error, 2 acceptance failure.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import os
 import sys
 from dataclasses import fields, replace
 from decimal import Decimal
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
-from .exact_core import DomainError, ExactTable, Params, SingularityError
+from .exact_core import DomainError, ExactTable, Params, SingularityError, exact_row
 from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, Row, region_runs
 
@@ -163,13 +163,12 @@ def _config_meta(cfg: ClassifierConfig) -> str:
 
 
 def _write_csv(out_path: Optional[str], meta: Sequence[Tuple[str, str]],
-               header: Sequence[str], lines: Sequence[str]) -> None:
-    text = "\n".join([*(f"# {key}={value}" for key, value in meta), ",".join(header), *lines, ""])
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+               header: Sequence[str], rows: Iterable[str]) -> None:
+    """Write the metadata and header, then each row's text as it is produced."""
+    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as out:
+        out.write("".join(f"# {key}={value}\n" for key, value in meta) + ",".join(header) + "\n")
+        for text in rows:
+            out.write(text + "\n")
 
 
 def _resolve_grid(args: argparse.Namespace, N: int) -> Tuple[List[int], List[int]]:
@@ -191,7 +190,7 @@ def _base_meta(command: str, params: Params, q: str, digits: int) -> List[Tuple[
         ("command", command),
         ("N", str(params.N)),
         ("q", q),
-        ("p", render_ratio(params.p.numerator, params.p.denominator, digits)),
+        ("p", render_ratio(params.p_num, params.denom, digits)),
         ("eps", render_ratio(1, params.N, digits)),
     ]
 
@@ -204,14 +203,11 @@ def _base_meta(command: str, params: Params, q: str, digits: int) -> List[Tuple[
 def cmd_eval(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     ns, xs = _resolve_grid(args, params.N)
-    table = ExactTable(params)
-    lines = []
-    for n in ns:
-        nums, den = table.scaled_row(n), params.denom**n
-        lines.extend(f"{x},{n},{params.N},{render_ratio(nums[x], den, args.digits)}" for x in xs)
     meta = _base_meta("eval", params, args.q, args.digits)
     meta.append(("digits", str(args.digits)))
-    _write_csv(args.out, meta, ["x", "n", "N", "exact"], lines)
+    rows = ("\n".join(f"{x},{n},{params.N},{render_ratio(nums[x], den, args.digits)}" for x in xs)
+            for n in ns for nums, den in [(exact_row(n, params), params.denom**n)])
+    _write_csv(args.out, meta, ["x", "n", "N", "exact"], rows)
     return 0
 
 
@@ -227,9 +223,10 @@ _COMPARE_HEADER = [
 _COMPARE_LINE = "%d,%d,%d,%s,%d,%d,%.12g,%d,%.12g,%.9e,0.000e+00"
 
 
-def _compare_rows(params: Params, table: ExactTable, ns: Sequence[int], xs: Sequence[int],
-                  cfg: ClassifierConfig, force_tag: Optional[str]) -> List[str]:
-    lines: List[str] = []
+def _compare_rows(params: Params, ns: Sequence[int], xs: Sequence[int],
+                  cfg: ClassifierConfig, force_tag: Optional[str]) -> Iterator[str]:
+    """Each row's lines as one text, from a table that holds that row alone;
+    a forced run's skip lines go to stderr after the last row."""
     # Forced-formula skips per exception class: [count, first x, first n, message].
     skipped: Dict[str, list] = {}
     N = params.N
@@ -244,9 +241,11 @@ def _compare_rows(params: Params, table: ExactTable, ns: Sequence[int], xs: Sequ
                 except (DomainError, SingularityError) as exc:
                     skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
                     avs.append(None)
+        table = ExactTable(params)
         live = [(x, av) for x, av in zip(xs, avs) if av is not None]
         errs = iter(norm_err_row([av for _, av in live], table, n, [x for x, _ in live]))
         nums, logs = table.scaled_row(n), table.row_logs(n)
+        lines = []
         for x, av in zip(xs, avs):
             num = nums[x]
             es = (num > 0) - (num < 0)
@@ -257,40 +256,39 @@ def _compare_rows(params: Params, table: ExactTable, ns: Sequence[int], xs: Sequ
             asign = 0 if ln_scale == -math.inf else int(math.copysign(1.0, value))
             lines.append(_COMPARE_LINE % (x, n, N, rid.tag, rid.mirrored, es, logs[x], asign,
                                           ln_scale, next(errs)))
+        yield "\n".join(lines)
     for name, (count, x, n, message) in skipped.items():
         print(
             f"compare --region {force_tag}: skipped {count} of {len(ns) * len(xs)} points "
             f"on {name}, first at (x, n) = ({x}, {n}): {message}",
             file=sys.stderr,
         )
-    return lines
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     ns, xs = _resolve_grid(args, params.N)
-    cfg = args.cfg
-    table = ExactTable(params)
-    lines = _compare_rows(params, table, ns, xs, cfg, args.region)
     meta = _base_meta("compare", params, args.q, args.digits)
-    meta.append(("config", _config_meta(cfg)))
+    meta.append(("config", _config_meta(args.cfg)))
     if args.region:
         meta.append(("region_override", args.region))
-    _write_csv(args.out, meta, _COMPARE_HEADER, lines)
+    _write_csv(args.out, meta, _COMPARE_HEADER, _compare_rows(params, ns, xs, args.cfg, args.region))
     return 0
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
-    lines = []
     xs = [str(x) for x in range(params.N + 1)]
-    for n in range(params.N + 1):
-        for start, stop, rid in region_runs(n, params, args.cfg):
-            tail = ",%d,%s" % (n, rid.label)  # one string per run: each x text, then the tail
-            lines.append((tail + "\n").join(xs[start:stop]) + tail)
     meta = _base_meta("regions", params, args.q, 17)
     meta.append(("config", _config_meta(args.cfg)))
-    _write_csv(args.out, meta, ["x", "n", "region"], lines)
+
+    def rows() -> Iterator[str]:
+        for n in range(params.N + 1):
+            for start, stop, rid in region_runs(n, params, args.cfg):
+                tail = ",%d,%s" % (n, rid.label)  # one string per run: each x text, then the tail
+                yield (tail + "\n").join(xs[start:stop]) + tail
+
+    _write_csv(args.out, meta, ["x", "n", "region"], rows())
     return 0
 
 
@@ -299,17 +297,15 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if spec is None:
         raise CliError(f"unknown figure id {args.fig_id}; expected {min(FIGURES)}..{max(FIGURES)}")
     params = Params.from_q(spec.N, spec.q)
-    cfg = args.cfg
-    table = ExactTable(params)
-    lines = _compare_rows(params, table, [spec.n], list(range(0, spec.N + 1)), cfg, None)
     meta = _base_meta("figures", params, spec.q, args.digits)
     meta.insert(3, ("figure", str(spec.fig_id)))
     meta.append(("n", str(spec.n)))
     meta.append(("region", spec.tag))
-    meta.append(("config", _config_meta(cfg)))
+    meta.append(("config", _config_meta(args.cfg)))
     if spec.fig_id == 8:
         meta.append(("u", f"{Row.at(spec.n, params).u:.6f}"))
-    _write_csv(args.out, meta, _COMPARE_HEADER, lines)
+    rows = _compare_rows(params, [spec.n], list(range(0, spec.N + 1)), args.cfg, None)
+    _write_csv(args.out, meta, _COMPARE_HEADER, rows)
     return 0
 
 
@@ -494,7 +490,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             args.cfg, args.tolerances = DEFAULT_CONFIG, {}
         return args.func(args)
-    except (CliError, DomainError, SingularityError, ValueError) as exc:
+    except BrokenPipeError:  # the reader left: send the flush at exit to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (CliError, DomainError, SingularityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -207,8 +207,8 @@ class Row:
         float p or q, which n*eps can miss by an ulp, so the row (or its
         mirror) meets the tests of z = p."""
         k, N = n * params.denom, params.N
-        z = (params.pf if k == N * params.p.numerator
-             else params.qf if k == N * params.q.numerator else n * params.eps)
+        z = (params.pf if k == N * params.p_num
+             else params.qf if k == N * params.q_num else n * params.eps)
         return cls(z, params)
 
     mirror = _lazy(lambda self: Row(self.z, self.params.swapped()))

@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -543,6 +544,81 @@ class TestFigures:
         code, _, err = run_cli(capsys, "figures", "2")
         assert code == 1
         assert "unknown figure id" in err
+
+
+# ---------------------------------------------------------------------------
+# output: written a row at a time, to stdout or --out
+# ---------------------------------------------------------------------------
+
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--N", "24", "--q", "0.74894783"),
+        ("compare", "--N", "24", "--q", "0.74894783", "--region", "VII"),
+        ("eval", "--N", "12", "--q", "0.64894783"),
+        ("regions", "--N", "40", "--q", "0.54894783"),
+        ("figures", "13"),
+    ])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        path = tmp_path / "out.csv"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", err)
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("command", ["compare", "eval"])
+    def test_memory_holds_one_row(self, tmp_path, command):
+        # The whole grid's exact integers grow as N³ bits and take 3.2 MB
+        # at N=80; one row and its lines take a small fraction of that.
+        peaks = []
+        for N in (40, 80):
+            tracemalloc.start()
+            try:
+                assert main([command, "--N", str(N), "--q", "0.64894783", "--out", str(tmp_path / "o.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1_000_000, peaks
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--N", "200", "--q", "0.64894783"),
+        ("regions", "--N", "400", "--q", "0.54894783"),
+    ])
+    def test_closed_pipe_ends_quietly(self, argv):
+        # The reader takes one line and leaves, as `| head -1` does; stdout
+        # is block-buffered, so the writer meets the closed pipe mid-grid.
+        import krawtchouk_wkb
+
+        env = {**os.environ, "PYTHONPATH": str(Path(krawtchouk_wkb.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen([sys.executable, "-m", "krawtchouk_wkb", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"# tool=krawtchouk-wkb\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")  # no traceback, no message
+
+    @pytest.mark.parametrize("argv, target", [
+        (("compare", "--N", "10", "--q", "0.5"), "missing/x.csv"),
+        (("regions", "--N", "10", "--q", "0.5"), "."),
+    ])
+    def test_unwritable_out_is_an_error(self, capsys, tmp_path, argv, target):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("figures", "2"),
+        ("compare", "--N", "10", "--q", "1.5"),
+        ("eval", "--N", "10", "--q", "0.5", "--n-range", "3:11"),
+        ("regions", "--N", "10", "--q", "0.5", "--config", "missing.cfg"),
+        ("compare", "--N", "10", "--q", "0.5", "--region", "XIII"),
+    ])
+    def test_refused_arguments_open_no_out_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 1 and err.startswith("error:")
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
