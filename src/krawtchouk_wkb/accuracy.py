@@ -45,7 +45,6 @@ __all__ = [
     "FigureSpec",
     "FIGURES",
     "figure_sweep",
-    "TOLERANCES",
     "CheckResult",
     "CRITERIA",
     "run_criterion",
@@ -166,14 +165,6 @@ def figure_sweep(spec: FigureSpec, cfg: ClassifierConfig) -> Tuple[float, int, i
 # Acceptance criteria (shared by `check` and the test suite)
 # ---------------------------------------------------------------------------
 
-#: Default check tolerances; a config file may override each ``tol_*`` key.
-TOLERANCES: Dict[str, float] = {
-    "tol_figures_early": 0.05,
-    "tol_figures_late": 0.10,
-    "tol_convergence": 0.6,
-    "tol_overlap": 0.15,
-}
-
 #: A failing line names this many failures, then counts the rest.
 _SHOWN_FAILURES = 4
 
@@ -194,7 +185,7 @@ class CheckResult:
         return f"{status}  criterion-{self.crit_id} {self.name} ({self.seconds:.1f}s): {self.detail}"
 
 
-def criterion_1(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
+def criterion_1(cfg: ClassifierConfig) -> _Outcome:
     """Exact-oracle identities, each an integer equality on denom-scaled values, N in {10, 25, 40}."""
     failures: List[str] = []
     for N in (10, 25, 40):
@@ -241,18 +232,17 @@ def criterion_1(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     )
 
 
-def criterion_2(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
-    """Figure sweeps: windowed error <= 5% (figures 3-8) / 10% (9-14)."""
+def criterion_2(cfg: ClassifierConfig) -> _Outcome:
+    """Figure sweeps: each figure's windowed error within its own ``bar``."""
     failures: List[str] = []
     details: List[str] = []
     for fig_id, spec in sorted(FIGURES.items()):
-        bar = tol["tol_figures_early"] if fig_id <= 8 else tol["tol_figures_late"]
         worst, worst_x, count = figure_sweep(spec, cfg)
         details.append(f"fig{fig_id:02d}:{worst*100:.2f}%@x={worst_x}")
         if count == 0:
             failures.append(f"fig{fig_id}: no in-region points under config")
-        elif not worst <= bar:
-            failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {bar*100:g}% at x={worst_x}")
+        elif not worst <= spec.bar:
+            failures.append(f"fig{fig_id}: worst {worst*100:.2f}% > {spec.bar*100:g}% at x={worst_x}")
     params = Params.from_q(FIGURES[8].N, FIGURES[8].q)
     u = Row.at(FIGURES[8].n, params).u
     if abs(u - 0.024265) > 5e-6:
@@ -263,10 +253,12 @@ def criterion_2(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
 #: Fixed interior scaled points for the convergence check: (region tag, y, z).
 _CONVERGENCE_POINTS = (("III", 0.05, 0.10), ("IV", 0.95, 0.10), ("X", 0.35, 0.50))
 
+#: The largest err(400) / err(100) the convergence check accepts.
+_CONVERGENCE_FACTOR = 0.6
 
-def criterion_3(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
-    """Windowed error at fixed interior points shrinks: err(400) <= 0.6 err(100)."""
-    factor = tol["tol_convergence"]
+
+def criterion_3(cfg: ClassifierConfig) -> _Outcome:
+    """Windowed error at fixed interior points shrinks: err(400) <= factor * err(100)."""
     failures: List[str] = []
     details: List[str] = []
     for tag, y, z in _CONVERGENCE_POINTS:
@@ -280,9 +272,9 @@ def criterion_3(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
                 failures.append(f"{tag}: point (y={y},z={z}) classified {av.region.label} at N={N}")
             errs[N] = norm_err(av, table, n, x)
         details.append(f"{tag}: {errs[100]*100:.3f}%->{errs[400]*100:.3f}%")
-        if not errs[400] <= factor * errs[100]:
+        if not errs[400] <= _CONVERGENCE_FACTOR * errs[100]:
             failures.append(
-                f"{tag}: err(400)={errs[400]:.4e} > {factor} * err(100)={errs[100]:.4e}"
+                f"{tag}: err(400)={errs[400]:.4e} > {_CONVERGENCE_FACTOR} * err(100)={errs[100]:.4e}"
             )
     return failures, " ".join(details)
 
@@ -307,6 +299,9 @@ _OVERLAPS = (
     ("VII", "V", _Q74, [(80, range(7, 11))], [(160, range(7, 11))]),
 )
 
+#: The largest windowed gap at N=100 that an overlap pair accepts.
+_OVERLAP_BAR = 0.15
+
 
 def _beta_window(params: Params, n: int) -> range:
     """The x on row n with beta in [-1.35, -0.70], sampling the IX/X oscillation."""
@@ -329,9 +324,8 @@ def _worst_gap(tag_a: str, tag_b: str, q: str, N: int,
     return worst
 
 
-def criterion_4(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
+def criterion_4(cfg: ClassifierConfig) -> _Outcome:
     """Adjacent formulas agree in shared strips and the gap shrinks with eps."""
-    bar = tol["tol_overlap"]
     failures: List[str] = []
     details: List[str] = []
     reachable: Dict[str, set] = {}
@@ -350,8 +344,8 @@ def criterion_4(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
         gap_full = _worst_gap(tag_a, tag_b, q, 100, loci_full)
         gap_half = _worst_gap(tag_a, tag_b, q, 200, loci_half)
         details.append(f"{name}:{gap_full*100:.2f}%->{gap_half*100:.2f}%")
-        if gap_full > bar:
-            failures.append(f"{name}: gap {gap_full*100:.2f}% > {bar*100:g}%")
+        if gap_full > _OVERLAP_BAR:
+            failures.append(f"{name}: gap {gap_full*100:.2f}% > {_OVERLAP_BAR*100:g}%")
         if not gap_half < gap_full:
             failures.append(
                 f"{name}: gap did not shrink ({gap_full*100:.2f}% -> {gap_half*100:.2f}%)"
@@ -359,7 +353,7 @@ def criterion_4(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     return failures, " ".join(details)
 
 
-def criterion_5(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
+def criterion_5(cfg: ClassifierConfig) -> _Outcome:
     """At integer x VII is Re(K+), and ``evaluate_region("VII")`` and ``k_pm_log("+")``
     read the same log K+: the kernel's real finishing of it (``_from_log``, then
     ``_finalize``) must match Re(exp(log K+)) to 1e-12 relative."""
@@ -375,7 +369,7 @@ def criterion_5(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     return failures, "VII's real finishing of log K+ = Re(exp(log K+)) to 1e-12"
 
 
-def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
+def criterion_6(cfg: ClassifierConfig) -> _Outcome:
     """Phase/amplitude residuals of the underlying expansion equations."""
     failures: List[str] = []
     params = Params.from_q(100, _Q74)
@@ -439,7 +433,7 @@ def criterion_6(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     )
 
 
-def criterion_7(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
+def criterion_7(cfg: ClassifierConfig) -> _Outcome:
     """Anchors of the special functions the grid calls: cylinder/Hermite, Airy."""
     failures: List[str] = []
     for n in range(11):
@@ -459,7 +453,7 @@ def criterion_7(cfg: ClassifierConfig, tol: Dict[str, float]) -> _Outcome:
     return failures, "cylinder/Hermite identity and Airy anchors in bounds"
 
 
-CRITERIA: Dict[int, Tuple[str, Callable[[ClassifierConfig, Dict[str, float]], _Outcome]]] = {
+CRITERIA: Dict[int, Tuple[str, Callable[[ClassifierConfig], _Outcome]]] = {
     1: ("exact-oracle identities", criterion_1),
     2: ("figure reproduction", criterion_2),
     3: ("convergence order", criterion_3),
@@ -470,17 +464,15 @@ CRITERIA: Dict[int, Tuple[str, Callable[[ClassifierConfig, Dict[str, float]], _O
 }
 
 
-def run_criterion(crit_id: int, cfg: ClassifierConfig = DEFAULT_CONFIG,
-                  tol: Optional[Dict[str, float]] = None) -> CheckResult:
-    """Run one criterion under `cfg`, with `tol` overriding :data:`TOLERANCES`.
+def run_criterion(crit_id: int, cfg: ClassifierConfig = DEFAULT_CONFIG) -> CheckResult:
+    """Run one criterion under `cfg`.
 
     A failing result's detail names the first failures, in the order found,
     and counts the rest.
     """
     name, check = CRITERIA[crit_id]
-    tolerances = {**TOLERANCES, **(tol or {})}
     start = time.monotonic()
-    failures, detail = check(cfg, tolerances)
+    failures, detail = check(cfg)
     if failures:
         more = len(failures) - _SHOWN_FAILURES
         detail = "; ".join(failures[:_SHOWN_FAILURES]) + (f" (+{more} more)" if more > 0 else "")

@@ -26,7 +26,7 @@ from decimal import Decimal
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, get_type_hints
 
 from . import __version__
-from .accuracy import CRITERIA, FIGURES, TOLERANCES, norm_err_row, run_criterion
+from .accuracy import CRITERIA, FIGURES, norm_err_row, run_criterion
 from .exact_core import DomainError, ExactTable, Params, SingularityError, exact_row
 from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, Row, region_runs
@@ -116,16 +116,11 @@ def render_ratio(num: int, den: int, digits: int) -> str:
     return text or "0"
 
 
-def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
-    """Parse a flat key=value config file.
-
-    Keys matching ClassifierConfig fields override the classifier widths;
-    the keys of ``accuracy.TOLERANCES`` override check tolerances; anything
-    else is an error.
-    """
+def load_config(path: str) -> ClassifierConfig:
+    """Parse a flat key=value config file of ClassifierConfig fields, each
+    set at most once; anything else is an error."""
     cfg_types = get_type_hints(ClassifierConfig)  # field name -> int or float
     overrides: Dict[str, object] = {}
-    tolerances: Dict[str, float] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -139,23 +134,18 @@ def load_config(path: str) -> Tuple[ClassifierConfig, Dict[str, float]]:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key in cfg_types:
-            into, kind = overrides, cfg_types[key]
-        elif key in TOLERANCES:
-            into, kind = tolerances, float
-        else:
+        if key not in cfg_types:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise CliError(f"{path}:{lineno}: {key} set twice")
         try:
-            into[key] = value = kind(text)
+            overrides[key] = cfg_types[key](text)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
-        if into is tolerances and not (math.isfinite(value) and value >= 0.0):
-            raise CliError(f"{path}:{lineno}: {key} must be finite and >= 0, got {text!r}")
     try:
-        cfg = replace(DEFAULT_CONFIG, **overrides)
+        return replace(DEFAULT_CONFIG, **overrides)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid classifier config: {exc}")
-    return cfg, tolerances
 
 
 def _config_meta(cfg: ClassifierConfig) -> str:
@@ -316,9 +306,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _outcome(crit_id: int, cfg: ClassifierConfig, tol: Dict[str, float]) -> Tuple[bool, str]:
+def _outcome(crit_id: int, cfg: ClassifierConfig) -> Tuple[bool, str]:
     """A criterion's (passed, line)."""
-    result = run_criterion(crit_id, cfg, tol)
+    result = run_criterion(crit_id, cfg)
     return result.passed, result.line()
 
 
@@ -335,8 +325,7 @@ def _start_on_own_cpu(index: int) -> None:
             os.sched_setaffinity(0, cpus)
 
 
-def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig,
-                 tol: Dict[str, float]) -> Iterator[Tuple[bool, str]]:
+def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig) -> Iterator[Tuple[bool, str]]:
     """Each wanted criterion's (passed, line), in the order wanted.
 
     With more than one criterion and usable CPU, every criterion starts at
@@ -347,7 +336,7 @@ def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig,
     """
     if len(wanted) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
         for crit_id in wanted:
-            yield _outcome(crit_id, cfg, tol)
+            yield _outcome(crit_id, cfg)
         return
     import pickle
 
@@ -364,7 +353,7 @@ def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig,
                 try:
                     _start_on_own_cpu(index)
                     try:
-                        outcome = _outcome(crit_id, cfg, tol)
+                        outcome = _outcome(crit_id, cfg)
                     except Exception as exc:
                         outcome = exc
                     with open(result_w, "wb") as out:
@@ -396,7 +385,7 @@ def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig,
 def cmd_check(args: argparse.Namespace) -> int:
     wanted = args.criteria if args.criteria else sorted(CRITERIA)
     all_passed = True
-    for passed, line in _check_lines(wanted, args.cfg, args.tolerances):
+    for passed, line in _check_lines(wanted, args.cfg):
         all_passed &= passed
         print(line)
     if not all_passed:
@@ -433,6 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"krawtchouk-wkb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    with_config = argparse.ArgumentParser(add_help=False)
+    with_config.add_argument("--config", help="key=value config file of classifier widths")
 
     def add_grid_flags(p: argparse.ArgumentParser, with_region: bool) -> None:
         p.add_argument("--N", type=_positive_int, required=True, help="grid size (N >= 1)")
@@ -446,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_region:
             p.add_argument("--region", choices=REGION_TAGS,
                            help="force this region's formula at every grid point")
-        p.add_argument("--config", help="key=value config file (classifier widths, tolerances)")
         p.add_argument("--out", help="output CSV path (default stdout)")
         p.add_argument("--digits", type=_positive_int, default=30,
                        help="significant digits for exact decimal output (default 30)")
@@ -455,26 +445,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_flags(p_eval, with_region=False)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_cmp = sub.add_parser("compare", help="exact vs asymptotic with windowed error")
+    p_cmp = sub.add_parser("compare", parents=[with_config],
+                           help="exact vs asymptotic with windowed error")
     add_grid_flags(p_cmp, with_region=True)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_reg = sub.add_parser("regions", help="classifier tag for every (x, n)")
+    p_reg = sub.add_parser("regions", parents=[with_config], help="classifier tag for every (x, n)")
     p_reg.add_argument("--N", type=_positive_int, required=True)
     p_reg.add_argument("--q", required=True)
-    p_reg.add_argument("--config", help="key=value config file")
     p_reg.add_argument("--out", help="output CSV path (default stdout)")
     p_reg.set_defaults(func=cmd_regions)
 
-    p_fig = sub.add_parser("figures", help="built-in comparison sweep by figure id")
+    p_fig = sub.add_parser("figures", parents=[with_config],
+                           help="built-in comparison sweep by figure id")
     p_fig.add_argument("fig_id", type=_positive_int, metavar="ID", help="figure id, 3..14")
-    p_fig.add_argument("--config", help="key=value config file")
     p_fig.add_argument("--out", help="output CSV path (default stdout)")
     p_fig.add_argument("--digits", type=_positive_int, default=30)
     p_fig.set_defaults(func=cmd_figures)
 
-    p_chk = sub.add_parser("check", help="run the acceptance suite")
-    p_chk.add_argument("--config", help="key=value config file")
+    p_chk = sub.add_parser("check", parents=[with_config], help="run the acceptance suite")
     p_chk.add_argument("--criteria", type=_criteria_list, metavar="LIST",
                        help="comma-separated subset of criteria to run (default all)")
     p_chk.set_defaults(func=cmd_check)
@@ -485,10 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args.cfg, args.tolerances = load_config(args.config)
-        else:
-            args.cfg, args.tolerances = DEFAULT_CONFIG, {}
+        args.cfg = load_config(args.config) if getattr(args, "config", None) else DEFAULT_CONFIG
         return args.func(args)
     except BrokenPipeError:  # the reader left: send the flush at exit to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

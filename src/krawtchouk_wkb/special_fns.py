@@ -36,16 +36,18 @@ __all__ = [
     "airy_ai",
     "airy_bi",
     "pcf_d",
+    "PCF_NU_MAX",
+    "PCF_Z_MAX",
     "lambda_j",
 ]
 
 _AIRY_DPS = 30
 _PCF_DPS = 40
 
-# order/argument bounds for the parabolic cylinder function; generous for
-# every in-package use (degrees up to x_small and the corner variables)
-_PCF_NU_MAX = 32
-_PCF_Z_MAX = 15.0
+#: Order and argument bounds of the parabolic cylinder function, which bound
+#: the classifier's x_small, j_small and corner_width.
+PCF_NU_MAX = 32
+PCF_Z_MAX = 15.0
 _LAMBDA_J_MAX = 30
 _LAMBDA_XI_MAX = 8.0
 
@@ -222,10 +224,10 @@ def pcf_d(n: int, z: float) -> float:
     """
     # The two bound checks come first, so a forced VI or XII far outside its
     # layer reports the bound it crossed.
-    if not 0 <= n <= _PCF_NU_MAX:
-        raise RangeError(f"pcf_d order {n} outside the integers 0..{_PCF_NU_MAX}")
-    if abs(z) > _PCF_Z_MAX:
-        raise RangeError(f"pcf_d argument |{z}| > {_PCF_Z_MAX}")
+    if not 0 <= n <= PCF_NU_MAX:
+        raise RangeError(f"pcf_d order {n} outside the integers 0..{PCF_NU_MAX}")
+    if abs(z) > PCF_Z_MAX:
+        raise RangeError(f"pcf_d argument |{z}| > {PCF_Z_MAX}")
     if not (isinstance(n, int) and isinstance(z, (int, float))) or bool in (type(n), type(z)):
         raise RangeError(f"pcf_d needs an integer order and a real argument, got D_{n}({z})")
     he_prev, he = 0.0, 1.0  # He_{-1}, He_0

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
 
 from .exact_core import DomainError, Params, SingularityError, check_index, check_indices
+from .special_fns import PCF_NU_MAX, PCF_Z_MAX
 
 __all__ = [
     "RegionId",
@@ -104,6 +105,14 @@ class ClassifierConfig:
                     raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
             elif isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
                 raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+        # The corner layers evaluate parabolic cylinder functions: VI D_x(u)
+        # with x <= x_small and |u| <= corner_width, XII D_j(sqrt(2) * xi)
+        # with j <= j_small and |xi| <= corner_width.
+        for name in ("x_small", "j_small"):
+            if getattr(self, name) > PCF_NU_MAX:
+                raise DomainError(f"{name} must be at most {PCF_NU_MAX}, got {getattr(self, name)!r}")
+        if math.sqrt(2.0) * self.corner_width > PCF_Z_MAX:
+            raise DomainError(f"corner_width must be at most {PCF_Z_MAX} / sqrt(2), got {self.corner_width!r}")
 
 
 DEFAULT_CONFIG = ClassifierConfig()

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krawtchouk_wkb.accuracy import CRITERIA
+from krawtchouk_wkb.accuracy import CRITERIA, FIGURES
 from krawtchouk_wkb.cli import load_config, main, render_ratio
 from krawtchouk_wkb.exact_core import DomainError, Params, scaled_sum
 from krawtchouk_wkb.region_formulas import evaluate_region
@@ -511,10 +512,9 @@ class TestRegions:
     def test_config_values_take_the_field_types(self, tmp_path):
         cfg_file = tmp_path / "types.cfg"
         cfg_file.write_text("x_small=3\nbeta_max=1\n")
-        cfg, tolerances = load_config(str(cfg_file))
+        cfg = load_config(str(cfg_file))
         assert type(cfg.x_small) is int and cfg.x_small == 3
         assert type(cfg.beta_max) is float and cfg.beta_max == 1.0
-        assert tolerances == {}
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +651,13 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == "error: criterion 5 listed twice\n"
 
+    def test_repeated_config_key_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("x_small=3\nx_small=9\n")
+        code, out, err = run_cli(capsys, "regions", "--N", "10", "--q", "0.5", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"error: {cfg}:2: x_small set twice\n"
+
     def test_bad_config_keys_and_values(self, capsys, tmp_path):
         bad_key = tmp_path / "k.cfg"
         bad_key.write_text("strip_width=1.0\n")
@@ -668,17 +675,44 @@ class TestErrors:
             capsys, "regions", "--N", "10", "--q", "0.5", "--config", str(bad_value)
         )
         assert code == 1 and "bad value" in err
-        # A tolerance must be a finite number >= 0: nan would pass every gate.
-        for text in ("nan", "inf", "-0.1"):
-            bad_tol_value = tmp_path / "tv.cfg"
-            bad_tol_value.write_text(f"tol_overlap={text}\n")
-            code, out, err = run_cli(capsys, "check", "--criteria", "4", "--config", str(bad_tol_value))
-            assert code == 1 and "tol_overlap must be finite and >= 0" in err and out == "", text
         missing = tmp_path / "missing.cfg"
         code, _, err = run_cli(
             capsys, "regions", "--N", "10", "--q", "0.5", "--config", str(missing)
         )
         assert code == 1 and "cannot read config" in err
+
+
+    @pytest.mark.parametrize("argv", [("check", "--criteria", "5"), ("regions", "--N", "5", "--q", "0.5")])
+    def test_tolerance_keys_are_refused(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol_overlap=0.2\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err == f"error: {cfg}:1: unknown config key 'tol_overlap'\n"
+
+    def test_eval_takes_no_config(self, capsys, tmp_path):
+        cfg = tmp_path / "widths.cfg"
+        cfg.write_text("x_small=3\n")
+        code, out, err = run_cli(capsys, "eval", "--N", "5", "--q", "0.5", "--config", str(cfg))
+        assert code == 1 and out == "" and "unrecognized arguments: --config" in err
+
+    @pytest.mark.parametrize("line", ["x_small=33", "j_small=33", "corner_width=10.606601717798213"])
+    def test_widths_past_the_cylinder_bounds_are_refused_before_any_row(self, capsys, tmp_path, line):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "compare", "--N", "200", "--q", "0.64894783", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: invalid classifier config: {line.split('=')[0]} must be at most")
+
+    @pytest.mark.parametrize("q", ["0.34894783", "0.64894783", "0.74894783"])
+    def test_widest_accepted_widths_run_the_full_grid(self, tmp_path, q):
+        # The largest corner_width with sqrt(2) * corner_width <= 15.
+        cfg = tmp_path / "widest.cfg"
+        cfg.write_text("x_small=32\nj_small=32\ncorner_width=10.606601717798211\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compare", "--N", "200", "--q", q, "--config", str(cfg)]) == 0
+        assert out.getvalue().count("\n") == 9 + 201 * 201
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +762,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_exception_in_a_criterion_is_an_error_after_the_lines_before_it(self, capsys, cpus):
-        def raises(cfg, tol):
+        def raises(cfg):
             raise DomainError("criterion six could not run")
 
         with mock.patch.dict(CRITERIA, {6: ("expansion residuals", raises)}), \
@@ -741,7 +775,7 @@ class TestCheck:
     def test_worker_killed_before_it_answers(self, capsys):
         parent = os.getpid()
 
-        def dies(cfg, tol):
+        def dies(cfg):
             assert os.getpid() != parent, "criterion 7 ran in process"
             os.kill(os.getpid(), signal.SIGKILL)
 
@@ -754,10 +788,10 @@ class TestCheck:
     @pytest.mark.parametrize("fault, code", [(None, 0), ("raises", 1), ("killed", 1)])
     def test_no_child_is_left_behind(self, capsys, fault, code):
         # Criterion 1 is still running when 6 fails first in the order wanted.
-        def raises(cfg, tol):
+        def raises(cfg):
             raise DomainError("criterion six could not run")
 
-        def killed(cfg, tol):
+        def killed(cfg):
             os.kill(os.getpid(), signal.SIGKILL)
 
         faults = {None: {}, "raises": {6: ("expansion residuals", raises)},
@@ -768,13 +802,21 @@ class TestCheck:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_small_tolerance_prints_its_digits(self, capsys, tmp_path):
-        cfg = tmp_path / "tight.cfg"
-        cfg.write_text("tol_figures_early=0.001\ntol_overlap=0.0001\n")
-        code, out, _ = run_cli(capsys, "check", "--criteria", "2,4", "--config", str(cfg))
+    def test_small_tolerance_prints_its_digits(self, capsys):
+        with mock.patch.dict(FIGURES, {3: replace(FIGURES[3], bar=0.001)}), \
+                mock.patch("krawtchouk_wkb.accuracy._OVERLAP_BAR", 0.0001):
+            code, out, _ = run_cli(capsys, "check", "--criteria", "2,4")
         assert code == 2
         assert "fig3: worst 4.53% > 0.1% at x=56" in out
         assert "III-VIII: gap 9.73% > 0.01%" in out
+
+    def test_figure_sweep_reads_its_own_bar(self, capsys):
+        # Figure 10's worst error is 6.44%: inside its 8% bar, outside 6%.
+        with mock.patch.dict(FIGURES, {10: replace(FIGURES[10], bar=0.06)}):
+            code, out, _ = run_cli(capsys, "check", "--criteria", "2")
+        assert code == 2
+        assert out.startswith("FAIL  criterion-2 figure reproduction")
+        assert out.splitlines()[0].endswith(": fig10: worst 6.44% > 6% at x=94")
 
     def test_degenerate_config_fails_overlap_criterion(self, capsys, tmp_path):
         cfg = tmp_path / "no_strips.cfg"

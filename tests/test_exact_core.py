@@ -429,7 +429,7 @@ def test_criterion_1_names_a_corrupted_cell(monkeypatch):
         return row
 
     monkeypatch.setattr(exact_core, "exact_row", corrupted_row)
-    failures, _ = accuracy.CRITERIA[1][1](DEFAULT_CONFIG, accuracy.TOLERANCES)
+    failures, _ = accuracy.CRITERIA[1][1](DEFAULT_CONFIG)
     pairs = sorted({(7, j) for j in range(26)} | {(i, 7) for i in range(26)})
     assert len(pairs) == 51
     assert failures == [
@@ -454,7 +454,7 @@ def test_criterion_1_names_corrupted_boundary_cells(monkeypatch):
         return row
 
     monkeypatch.setattr(exact_core, "exact_row", corrupted_row)
-    failures, _ = accuracy.CRITERIA[1][1](DEFAULT_CONFIG, accuracy.TOLERANCES)
+    failures, _ = accuracy.CRITERIA[1][1](DEFAULT_CONFIG)
     bad = sorted(cells.items())
     pairs = [(i, j) for i in range(26) for j in range(26) if i in cells or j in cells]
     assert len(pairs) == 147
