@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import marshal
 import math
 import os
 import sys
 from dataclasses import fields, replace
 from decimal import Decimal
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, get_type_hints
+from typing import (BinaryIO, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    TypeVar, get_type_hints)
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, norm_err_row, run_criterion
@@ -32,6 +34,8 @@ from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, Row, region_runs
 
 __all__ = ["load_config", "main"]
+
+_Task = TypeVar("_Task")
 
 
 class CliError(Exception):
@@ -153,9 +157,11 @@ def _config_meta(cfg: ClassifierConfig) -> str:
 
 
 def _write_csv(out_path: Optional[str], meta: Sequence[Tuple[str, str]],
-               header: Sequence[str], rows: Iterable[str]) -> None:
-    """Write the metadata and header, then each row's text as it is produced."""
-    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as out:
+               header: Sequence[str], rows: Generator[str, None, None]) -> None:
+    """Write the metadata and header, then each row's text as it is produced;
+    rows is closed on the way out, on an error too."""
+    with open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout) as out, \
+            contextlib.closing(rows):
         out.write("".join(f"# {key}={value}\n" for key, value in meta) + ",".join(header) + "\n")
         for text in rows:
             out.write(text + "\n")
@@ -213,40 +219,61 @@ _COMPARE_HEADER = [
 _COMPARE_LINE = "%d,%d,%d,%s,%d,%d,%.12g,%d,%.12g,%.9e,0.000e+00"
 
 
-def _compare_rows(params: Params, ns: Sequence[int], xs: Sequence[int],
-                  cfg: ClassifierConfig, force_tag: Optional[str]) -> Iterator[str]:
-    """Each row's lines as one text, from a table that holds that row alone;
-    a forced run's skip lines go to stderr after the last row."""
-    # Forced-formula skips per exception class: [count, first x, first n, message].
+#: Rows per task when compare's rows run in forked children (_in_children).
+_BLOCK_ROWS = 16
+
+
+def _compare_row(params: Params, n: int, xs: Sequence[int], cfg: ClassifierConfig,
+                 force_tag: Optional[str]) -> Tuple[str, Dict[str, list]]:
+    """Row n's lines as one text, from a table that holds that row alone, and
+    a forced run's skips on it: [count, first x, n, message] per exception class."""
     skipped: Dict[str, list] = {}
     N = params.N
-    for n in ns:
-        if force_tag is None:
-            avs: List[Optional[ApproxValue]] = approx_row(n, xs, params, cfg)
-        else:
-            avs = []
-            for x in xs:
-                try:
-                    avs.append(evaluate_region(force_tag, x, n, params))
-                except (DomainError, SingularityError) as exc:
-                    skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
-                    avs.append(None)
-        table = ExactTable(params)
-        live = [(x, av) for x, av in zip(xs, avs) if av is not None]
-        errs = iter(norm_err_row([av for _, av in live], table, n, [x for x, _ in live]))
-        nums, logs = table.scaled_row(n), table.row_logs(n)
-        lines = []
-        for x, av in zip(xs, avs):
-            num = nums[x]
-            es = (num > 0) - (num < 0)
-            if av is None:
-                lines.append("%d,%d,%d,%s,0,%d,%.12g,,,," % (x, n, N, force_tag, es, logs[x]))
-                continue
-            value, rid, ln_scale = av
-            asign = 0 if ln_scale == -math.inf else int(math.copysign(1.0, value))
-            lines.append(_COMPARE_LINE % (x, n, N, rid.tag, rid.mirrored, es, logs[x], asign,
-                                          ln_scale, next(errs)))
-        yield "\n".join(lines)
+    if force_tag is None:
+        avs: List[Optional[ApproxValue]] = approx_row(n, xs, params, cfg)
+    else:
+        avs = []
+        for x in xs:
+            try:
+                avs.append(evaluate_region(force_tag, x, n, params))
+            except (DomainError, SingularityError) as exc:
+                skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
+                avs.append(None)
+    table = ExactTable(params)
+    live = [(x, av) for x, av in zip(xs, avs) if av is not None]
+    errs = iter(norm_err_row([av for _, av in live], table, n, [x for x, _ in live]))
+    nums, logs = table.scaled_row(n), table.row_logs(n)
+    lines = []
+    for x, av in zip(xs, avs):
+        num = nums[x]
+        es = (num > 0) - (num < 0)
+        if av is None:
+            lines.append("%d,%d,%d,%s,0,%d,%.12g,,,," % (x, n, N, force_tag, es, logs[x]))
+            continue
+        value, rid, ln_scale = av
+        asign = 0 if ln_scale == -math.inf else int(math.copysign(1.0, value))
+        lines.append(_COMPARE_LINE % (x, n, N, rid.tag, rid.mirrored, es, logs[x], asign,
+                                      ln_scale, next(errs)))
+    return "\n".join(lines), skipped
+
+
+def _compare_rows(params: Params, ns: Sequence[int], xs: Sequence[int],
+                  cfg: ClassifierConfig, force_tag: Optional[str]) -> Iterator[str]:
+    """Each row's lines as one text, in row order; a forced run's skip lines
+    go to stderr after the last row.
+
+    The rows run in blocks of _BLOCK_ROWS, on forked children where there
+    are several blocks and usable CPUs (_in_children).
+    """
+    skipped: Dict[str, list] = {}  # the rows' skips merged: each class's count and first point
+    blocks = [ns[i:i + _BLOCK_ROWS] for i in range(0, len(ns), _BLOCK_ROWS)]
+    records = _in_children(blocks, lambda block: (_compare_row(params, n, xs, cfg, force_tag) for n in block),
+                           _usable_cpus(), lambda block: f"rows n = {block[0]}..{block[-1]}")
+    with contextlib.closing(records):
+        for text, row_skips in records:
+            for name, (count, *first) in row_skips.items():
+                skipped.setdefault(name, [0, *first])[0] += count
+            yield text
     for name, (count, x, n, message) in skipped.items():
         print(
             f"compare --region {force_tag}: skipped {count} of {len(ns) * len(xs)} points "
@@ -325,69 +352,142 @@ def _start_on_own_cpu(index: int) -> None:
             os.sched_setaffinity(0, cpus)
 
 
-def _check_lines(wanted: Sequence[int], cfg: ClassifierConfig) -> Iterator[Tuple[bool, str]]:
-    """Each wanted criterion's (passed, line), in the order wanted.
+# A child's pipe carries frames: a kind byte, the payload's length as 8
+# bytes, then the payload.  A record is marshalled (marshal is loaded with
+# the interpreter, and parent and child are the same one); an exception is
+# pickled, and only then is pickle imported.
+_RECORD, _TASK_DONE, _RAISED = b"r", b"d", b"x"
 
-    With more than one criterion and usable CPU, every criterion starts at
-    once in a process forked from this one, which sends back its pickled
-    outcome over a pipe of its own; otherwise, or where os.fork is missing,
-    they run here one after another.  An exception a criterion raised is
-    raised here in its turn, after the lines before it.
+
+def _frame(kind: bytes, payload: bytes = b"") -> bytes:
+    return kind + len(payload).to_bytes(8, "little") + payload
+
+
+def _read_frame(reader: BinaryIO) -> Tuple[bytes, bytes]:
+    """The next frame's (kind, payload); kind is b"" once the stream ends short."""
+    head = reader.read(9)
+    if len(head) == 9:
+        size = int.from_bytes(head[1:], "little")
+        payload = reader.read(size)
+        if len(payload) == size:
+            return head[:1], payload
+    return b"", b""
+
+
+def _send_records(out: BinaryIO, tasks: Sequence[_Task], work: Callable[[_Task], Iterable[object]]) -> None:
+    """A child's side: each task's records and its end, or an exception
+    after the records before it.
+
+    A task's frames leave together once the task is done.  A pipe holds far
+    less than a block of compare rows, so a child that sent each record at
+    once would wait on the parent instead of going on to its next task.
     """
-    if len(wanted) < 2 or _usable_cpus() < 2 or not hasattr(os, "fork"):
-        for crit_id in wanted:
-            yield _outcome(crit_id, cfg)
-        return
-    import pickle
+    frames: List[bytes] = []
+    try:
+        for task in tasks:
+            for record in work(task):
+                frames.append(_frame(_RECORD, marshal.dumps(record)))
+            frames.append(_frame(_TASK_DONE))
+            out.writelines(frames)
+            out.flush()
+            frames.clear()
+    except Exception as exc:
+        import pickle
 
+        frames.append(_frame(_RAISED, pickle.dumps(exc)))
+        out.writelines(frames)
+
+
+def _in_children(tasks: Sequence[_Task], work: Callable[[_Task], Iterable[object]], workers: int,
+                 label: Callable[[_Task], str]) -> Iterator[object]:
+    """Each record that work(task) yields, task after task in the order given.
+
+    With two or more tasks and workers, W = min(workers, len(tasks))
+    processes forked from this one share the tasks: child w runs tasks w,
+    w + W, w + 2W, ... and sends each task's records over a pipe of its
+    own.  Otherwise, or where os.fork is missing, the tasks run here one
+    after another.  A record is any value marshal carries: here tuples,
+    lists and dicts of str, int and bool.  An exception a task raised is
+    raised here in its turn, after the records before it, and so is a child
+    that ends without finishing a task.  Every child is reaped before this
+    generator ends; one whose records are no longer wanted is killed first.
+    """
+    workers = min(workers, len(tasks))
+    if workers < 2 or not hasattr(os, "fork"):
+        for task in tasks:
+            yield from work(task)
+        return
     sys.stdout.flush()  # so no child inherits pending output
     sys.stderr.flush()
-    children = []  # (pid, result reader) of each criterion, in the order wanted
+    pids: List[int] = []
+    readers: List[BinaryIO] = []  # each child's read end, in the order forked
+    finished = False
     try:
-        for index, crit_id in enumerate(wanted):
-            result_r, result_w = os.pipe()
+        for index in range(workers):
+            read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 # The child ends with os._exit, so it never flushes the stdio
                 # buffers it inherited and never runs this process's exit hooks.
                 try:
+                    # With no read end left here, a parent that stops reading
+                    # breaks this child's pipe instead of leaving it blocked.
+                    for reader in readers:
+                        reader.close()
+                    os.close(read_fd)
                     _start_on_own_cpu(index)
-                    try:
-                        outcome = _outcome(crit_id, cfg)
-                    except Exception as exc:
-                        outcome = exc
-                    with open(result_w, "wb") as out:
-                        pickle.dump(outcome, out)
+                    with open(write_fd, "wb") as out:
+                        _send_records(out, tasks[index::workers], work)
                 finally:
                     os._exit(0)
             # Closed here right after the fork, the child's is the only write
             # end: no later child holds it, and the child's exit is its end.
-            os.close(result_w)
-            children.append((pid, open(result_r, "rb")))
-        for crit_id, (_, results) in zip(wanted, children):
-            try:
-                outcome = pickle.load(results)
-            except (EOFError, pickle.UnpicklingError):
-                raise CliError(f"criterion {crit_id}: its worker ended without a result")
-            if isinstance(outcome, Exception):
-                raise outcome
-            yield outcome
+            os.close(write_fd)
+            pids.append(pid)
+            readers.append(open(read_fd, "rb"))
+        for index, task in enumerate(tasks):
+            reader = readers[index % workers]
+            while True:
+                kind, payload = _read_frame(reader)
+                if kind == _RECORD:
+                    yield marshal.loads(payload)
+                elif kind == _TASK_DONE:
+                    break
+                elif kind == _RAISED:
+                    import pickle
+
+                    raise pickle.loads(payload)
+                else:
+                    raise CliError(f"{label(task)}: its worker ended without a result")
+        finished = True
     finally:
-        # Every read end closes before any child is reaped, so a child still
-        # writing fails and ends, and with it the copies it holds of the
-        # earlier children's read ends.
-        for _, results in children:
-            results.close()
-        for pid, _ in children:
+        # A child still writing when its read end closes fails and ends; one
+        # still computing would finish its task first, so it is killed.
+        for reader in readers:
+            reader.close()
+        if not finished:
+            import signal
+
+            for pid in pids:  # not yet reaped, so the pid is still this child's
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
             os.waitpid(pid, 0)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """Print each wanted criterion's line in the order wanted.
+
+    With more than one usable CPU, every criterion starts at once in a
+    child of its own (_in_children).
+    """
     wanted = args.criteria if args.criteria else sorted(CRITERIA)
+    outcomes = _in_children(wanted, lambda crit_id: [_outcome(crit_id, args.cfg)],
+                            len(wanted) if _usable_cpus() > 1 else 1, lambda crit_id: f"criterion {crit_id}")
     all_passed = True
-    for passed, line in _check_lines(wanted, args.cfg):
-        all_passed &= passed
-        print(line)
+    with contextlib.closing(outcomes):
+        for passed, line in outcomes:
+            all_passed &= passed
+            print(line)
     if not all_passed:
         print("acceptance: FAIL")
         return 2

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from krawtchouk_wkb.accuracy import CRITERIA, FIGURES
 from krawtchouk_wkb.cli import load_config, main, render_ratio
 from krawtchouk_wkb.exact_core import DomainError, Params, scaled_sum
-from krawtchouk_wkb.region_formulas import evaluate_region
+from krawtchouk_wkb.region_formulas import approx_row as real_approx_row, evaluate_region
 from krawtchouk_wkb.state_space import Row
 from fractions import Fraction
 
@@ -380,7 +380,9 @@ class TestCompare:
         # The classifier and the kernels read one record per row and
         # orientation: over a full grid, y_pm and u0 run at most once per
         # Row built, wherever the package imports them, and compare builds
-        # at most one Row per row and orientation.
+        # at most one Row per row and orientation.  The counters live in this
+        # process, so the rows run here: on one usable CPU the work is the
+        # same, only the process layout differs.
         calls = Counter()
 
         def counted(name, fn):
@@ -395,6 +397,7 @@ class TestCompare:
                     if hasattr(module, name):
                         stack.enter_context(mock.patch.object(module, name, counted(name, getattr(module, name))))
             stack.enter_context(mock.patch.object(Row, "__init__", counted("Row", Row.__init__)))
+            stack.enter_context(mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=1))
             code, _, _ = run_cli(capsys, "compare", "--N", "100", "--q", "0.64894783")
         assert code == 0
         assert 0 < calls["Row"] <= 2 * 101
@@ -402,7 +405,9 @@ class TestCompare:
 
     def test_full_grid_never_loads_mpmath(self):
         # One fresh interpreter runs every subcommand: mpmath is only
-        # imported by the special functions that no command reaches.
+        # imported by the special functions that no command reaches.  It
+        # runs them on one usable CPU, so that no row or criterion runs in
+        # a child whose imports this process cannot see.
         import krawtchouk_wkb
 
         runs = [
@@ -415,6 +420,7 @@ class TestCompare:
         code = (
             "import io, sys, contextlib\n"
             "import krawtchouk_wkb.cli as cli\n"
+            "cli._usable_cpus = lambda: 1\n"
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
@@ -426,9 +432,10 @@ class TestCompare:
         assert done.stdout == "False\n"
 
     def test_compare_start_up_loads_no_pool_or_mpmath(self):
-        # The worker pool imports pickle and select on first use, and only the
-        # special functions no command reaches import mpmath: a plain compare
-        # in a fresh interpreter pays for none of them, nor for multiprocessing.
+        # Forked children pickle only an exception, and only the special
+        # functions no command reaches import mpmath: a plain compare in a
+        # fresh interpreter pays for none of them, nor for select or
+        # multiprocessing.
         import krawtchouk_wkb
 
         code = (
@@ -442,6 +449,100 @@ class TestCompare:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
+
+
+@contextlib.contextmanager
+def _on_cpus(cpus, block_rows=3):
+    """compare's rows on `cpus` usable CPUs, in blocks of `block_rows` rows."""
+    with mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=cpus), \
+            mock.patch("krawtchouk_wkb.cli._BLOCK_ROWS", block_rows):
+        yield
+
+
+class TestRowBlocks:
+    """compare's rows on forked children, in blocks of three rows here so
+    that each child serves several blocks and the last block is short."""
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--N", "40", "--q", "0.64894783"),
+        ("compare", "--N", "24", "--q", "0.74894783", "--region", "VII"),
+        ("compare", "--N", "60", "--q", "0.34894783", "--n-range", "7:20", "--x-range", "5:44"),
+    ])
+    def test_two_cpus_write_the_bytes_of_one(self, capsys, tmp_path, argv):
+        runs = []
+        for cpus in (1, 2):
+            path = tmp_path / f"cpus{cpus}.csv"
+            with _on_cpus(cpus), mock.patch("os.fork", wraps=os.fork) as fork:
+                code, out, err = run_cli(capsys, *argv)
+                assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", err)
+            assert fork.call_count == (0 if cpus == 1 else 4)  # two children per run
+            runs.append((code, out, err, path.read_bytes()))
+        assert runs[0] == runs[1]
+        code, out, err, written = runs[1]
+        assert code == 0 and written == out.encode("utf-8")
+        if "--region" in argv:
+            # Two skip classes, each with its count over all blocks and the
+            # first point it was raised at, as the golden holds them.
+            assert err.count("\n") == 2
+            assert err.encode("utf-8") == (DATA / "compare_N24_q0.74894783_VII.err").read_bytes()
+
+    @pytest.mark.parametrize("fault, rows_kept, error", [
+        ("raises", 10, "error: row ten could not run\n"),
+        ("killed", 9, "error: rows n = 9..11: its worker ended without a result\n"),
+    ])
+    def test_failure_mid_block_keeps_the_rows_before_it(self, capsys, fault, rows_kept, error):
+        # Row 10 is the second row of the block 9..11.  Raised there, the
+        # child sends row 9 and then the exception, so two CPUs print what
+        # one does; a child killed there takes row 9 with it.
+        parent = os.getpid()
+
+        def approx_row(n, xs, params, cfg):
+            if n == 10:
+                if fault == "killed" and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise DomainError("row ten could not run")
+            return real_approx_row(n, xs, params, cfg)
+
+        runs = []
+        for cpus in (1, 2):
+            with _on_cpus(cpus), mock.patch("krawtchouk_wkb.cli.approx_row", approx_row):
+                runs.append(run_cli(capsys, "compare", "--N", "20", "--q", "0.64894783"))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert runs[0][0] == runs[1][0] == 1
+        assert runs[0][2] == "error: row ten could not run\n" and runs[1][2] == error
+        _, _, rows = parse_csv(runs[1][1])
+        assert [row[1] for row in rows] == [str(n) for n in range(rows_kept) for _ in range(21)]
+        assert runs[0][1].startswith(runs[1][1])
+        if fault == "raises":
+            assert runs[0] == runs[1]
+
+    def test_writer_that_fails_stops_every_child(self):
+        # stdout fails after the header, as on a full disk: the children
+        # still computing are stopped and reaped before main returns.  A
+        # fresh interpreter runs it, so that a child left blocked on its
+        # pipe fails the test after the timeout instead of stalling the suite.
+        import krawtchouk_wkb
+
+        code = (
+            "import contextlib, errno, io, os\n"
+            "from unittest import mock\n"
+            "import krawtchouk_wkb.cli as cli\n"
+            "class Full(io.StringIO):\n"
+            "    def write(self, text):\n"
+            "        if self.tell():\n"
+            "            raise OSError(errno.ENOSPC, 'No space left on device')\n"
+            "        return super().write(text)\n"
+            "with mock.patch.object(cli, '_usable_cpus', return_value=2), contextlib.redirect_stdout(Full()):\n"
+            "    code = cli.main(['compare', '--N', '200', '--q', '0.64894783'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print(code, 'no child left')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(krawtchouk_wkb.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+        assert (done.stdout, done.stderr) == ("1 no child left\n", "error: [Errno 28] No space left on device\n")
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +670,13 @@ class TestOutput:
     def test_memory_holds_one_row(self, tmp_path, command):
         # The whole grid's exact integers grow as N³ bits and take 3.2 MB
         # at N=80; one row and its lines take a small fraction of that.
+        # tracemalloc sees this process alone, so the rows run here.
         peaks = []
         for N in (40, 80):
             tracemalloc.start()
             try:
-                assert main([command, "--N", str(N), "--q", "0.64894783", "--out", str(tmp_path / "o.csv")]) == 0
+                with mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=1):
+                    assert main([command, "--N", str(N), "--q", "0.64894783", "--out", str(tmp_path / "o.csv")]) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -594,7 +697,11 @@ class TestOutput:
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"# tool=krawtchouk-wkb\n"
             proc.stdout.close()
-            err = proc.stderr.read()
+            try:
+                _, err = proc.communicate(timeout=30)  # a writer blocked on a full pipe fails here
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
         assert (proc.returncode, err) == (1, b"")  # no traceback, no message
 
     @pytest.mark.parametrize("argv, target", [
