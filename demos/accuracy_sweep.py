@@ -10,8 +10,8 @@ columns, which keeps the metric meaningful at sign changes (nodes).
 
 import sys
 
-from krawtchouk_wkb import ExactTable, Params, approx
-from krawtchouk_wkb.accuracy import norm_err
+from krawtchouk_wkb import ExactRow, Params, approx_row
+from krawtchouk_wkb.accuracy import norm_err_row
 
 
 def bar(err: float, width: int = 40) -> str:
@@ -24,14 +24,14 @@ def main() -> int:
     q = sys.argv[2] if len(sys.argv) > 2 else "0.34894783"
     n = int(sys.argv[3]) if len(sys.argv) > 3 else 10
     params = Params.from_q(N, q)
-    table = ExactTable(params)
+    xs = range(0, N + 1)
+    exact = ExactRow(n, params)  # the row's exact signs, logs and envelope
+    avs = approx_row(n, xs, params)
     print(f"N={N}  q={q}  degree n={n}   (error bar full scale = 10%)")
     print(f"{'x':>4} {'region':>8} {'exact sign':>10} {'windowed err':>13}")
     worst = (0.0, -1, "")
-    for x in range(0, N + 1):
-        av = approx(x, n, params)
-        err = norm_err(av, table, n, x)
-        sign, _ = table.signed_log(n, x)
+    for x, av, err in zip(xs, avs, norm_err_row(avs, exact, xs)):
+        sign = exact.signs[x]
         label = av.region.label
         if x % 2 == 0 or err > 0.01:
             print(f"{x:>4} {label:>8} {sign:>10} {err:>12.2%} {bar(err)}")

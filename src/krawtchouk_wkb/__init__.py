@@ -5,6 +5,7 @@ quantify approximation error against the exact values.
 
 from .exact_core import (
     DomainError,
+    ExactRow,
     ExactTable,
     Params,
     SingularityError,
@@ -35,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError",
+    "ExactRow",
     "ExactTable",
     "Params",
     "build_table",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact_core import (
-    ExactTable,
+    ExactRow,
     Params,
     check_index,
     check_indices,
@@ -38,7 +38,6 @@ from .state_space import (
 from .wkb_core import branch_terms, k_pm_log, plog
 
 __all__ = [
-    "window_env_log",
     "norm_err",
     "norm_err_row",
     "formula_gap",
@@ -56,30 +55,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _window_max(logs: Sequence[float], x: int) -> float:
-    """The largest of logs over the window |x' - x| <= 5, clipped to the row."""
-    return max(logs[max(0, x - 5):x + 6])
-
-
-def window_env_log(table: ExactTable, n: int, x: int) -> float:
-    """ln of max |K_n| over the 11-point window |x' - x| <= 5, clipped."""
-    check_index("x", x, table.params.N)
-    return _window_max(table.row_logs(n), x)
-
-
-def norm_err_row(avs: Sequence[ApproxValue], table: ExactTable, n: int,
-                 xs: Sequence[int]) -> List[float]:
-    """:func:`norm_err` at each (x, n), x in xs, with avs[i] the value at xs[i];
-    the row's logs and scaled integers are read once."""
-    check_indices("x", xs, table.params.N)
-    logs, nums = table.row_logs(n), table.scaled_row(n)
+def norm_err_row(avs: Sequence[ApproxValue], row: ExactRow, xs: Sequence[int]) -> List[float]:
+    """:func:`norm_err` at each (x, n) of the row, x in xs, with avs[i] the
+    value at xs[i]."""
+    check_indices("x", xs, row.params.N)
+    signs, logs, env = row.signs, row.logs, row.env
     out = []
     for av, x in zip(avs, xs):
-        env_log, num, el = _window_max(logs, x), nums[x], logs[x]
+        env_log = env[x]
         if env_log == -math.inf:
             out.append(math.nan)
             continue
-        exact_scaled = ((num > 0) - (num < 0)) * math.exp(el - env_log) if el > -math.inf else 0.0
+        exact_scaled = signs[x] * math.exp(logs[x] - env_log)  # 0.0 at an exact zero
         try:
             approx_scaled = (0.0 if av.ln_scale == -math.inf
                              else math.copysign(1.0, av.value) * math.exp(av.ln_scale - env_log))
@@ -89,20 +76,23 @@ def norm_err_row(avs: Sequence[ApproxValue], table: ExactTable, n: int,
     return out
 
 
-def norm_err(av: ApproxValue, table: ExactTable, n: int, x: int) -> float:
-    """|approx - exact| / windowed envelope, computed overflow-free.
+def norm_err(av: ApproxValue, table, n: int, x: int) -> float:
+    """|approx - exact| / windowed envelope at (x, n), with row n read from
+    ``table.row(n)``, computed overflow-free.
 
     Both values are rescaled by the envelope's log before subtracting, so the
     metric is exact even when |K| is far outside double range.  An
     approximation too large to rescale into double range gives ``inf``, and
     a window of exact zeros ``nan``.  The one-point case of :func:`norm_err_row`.
     """
-    return norm_err_row([av], table, n, [x])[0]
+    return norm_err_row([av], table.row(n), [x])[0]
 
 
-def formula_gap(a: ApproxValue, b: ApproxValue, table: ExactTable, n: int, x: int) -> float:
-    """|a - b| / windowed exact envelope (the overlap metric); inf past double range."""
-    env_log = window_env_log(table, n, x)
+def formula_gap(a: ApproxValue, b: ApproxValue, row: ExactRow, x: int) -> float:
+    """|a - b| / windowed exact envelope at (x, n) of the row (the overlap
+    metric); inf past double range."""
+    check_index("x", x, row.params.N)
+    env_log = row.env[x]
     try:
         sa = math.copysign(1.0, a.value) * math.exp(a.ln_scale - env_log)
         sb = math.copysign(1.0, b.value) * math.exp(b.ln_scale - env_log)
@@ -151,11 +141,10 @@ FIGURES: Dict[int, FigureSpec] = {
 def figure_sweep(spec: FigureSpec, cfg: ClassifierConfig) -> Tuple[float, int, int]:
     """(worst windowed error, its x, in-region point count) for one figure."""
     params = Params.from_q(spec.N, spec.q)
-    table = ExactTable(params)
-    row = range(0, spec.N + 1)
-    xs = [x for x, rid in zip(row, classify_row(spec.n, row, params, cfg)) if rid.tag == spec.tag]
+    every_x = range(0, spec.N + 1)
+    xs = [x for x, rid in zip(every_x, classify_row(spec.n, every_x, params, cfg)) if rid.tag == spec.tag]
     worst, worst_x = 0.0, -1
-    for x, err in zip(xs, norm_err_row(approx_row(spec.n, xs, params, cfg), table, spec.n, xs)):
+    for x, err in zip(xs, norm_err_row(approx_row(spec.n, xs, params, cfg), ExactRow(spec.n, params), xs)):
         if err > worst or math.isnan(err):  # a NaN error stays the worst
             worst, worst_x = err, x
     return worst, worst_x, len(xs)
@@ -190,14 +179,14 @@ def criterion_1(cfg: ClassifierConfig) -> _Outcome:
     failures: List[str] = []
     for N in (10, 25, 40):
         params = Params.from_q(N, _Q64)
-        table = ExactTable(params)
         ap, aq, b = params.p_num, params.q_num, params.denom
-        rows = [table.scaled_row(n) for n in range(N + 1)]
+        records = [ExactRow(n, params) for n in range(N + 1)]
+        rows = [record.nums for record in records]
         for n, row in enumerate(rows):
             for x in range(N + 1):
                 if row[x] != scaled_sum(n, x, params):
                     failures.append(f"N={N}: recurrence!=sum at (n={n},x={x})")
-        gram = gram_matrix(table)  # entry (i, j) scaled by denom**(i+j+N)
+        gram = gram_matrix(records)  # entry (i, j) scaled by denom**(i+j+N)
         for i in range(N + 1):
             for j in range(N + 1):
                 expect = math.comb(N, j) * (ap * aq) ** j * b**N if i == j else 0
@@ -223,7 +212,7 @@ def criterion_1(cfg: ClassifierConfig) -> _Outcome:
                     if abs(envelope) > 1e-12:
                         failures.append(f"N={N}: envelope m={m} n={n} nonzero at exact zero")
                     continue
-                es, el = table.signed_log(n, m)
+                es, el = records[n].signs[m], records[n].logs[m]
                 rel = abs(envelope - es * math.exp(el)) / math.exp(el)
                 if rel > 1e-9:
                     failures.append(f"N={N}: envelope m={m} n={n} rel={rel:.2e}")
@@ -265,12 +254,11 @@ def criterion_3(cfg: ClassifierConfig) -> _Outcome:
         errs = {}
         for N in (100, 400):
             params = Params.from_q(N, _Q64)
-            table = ExactTable(params)
             x, n = round(y * N), round(z * N)
             av = approx_row(n, [x], params, cfg)[0]
             if av.region.tag != tag:
                 failures.append(f"{tag}: point (y={y},z={z}) classified {av.region.label} at N={N}")
-            errs[N] = norm_err(av, table, n, x)
+            errs[N] = norm_err_row([av], ExactRow(n, params), [x])[0]
         details.append(f"{tag}: {errs[100]*100:.3f}%->{errs[400]*100:.3f}%")
         if not errs[400] <= _CONVERGENCE_FACTOR * errs[100]:
             failures.append(
@@ -314,13 +302,13 @@ def _beta_window(params: Params, n: int) -> range:
 def _worst_gap(tag_a: str, tag_b: str, q: str, N: int,
                loci: Sequence[Tuple[int, Optional[Sequence[int]]]]) -> float:
     params = Params.from_q(N, q)
-    table = ExactTable(params)
     worst = 0.0
     for n, xs in loci:
+        row = ExactRow(n, params)
         for x in _beta_window(params, n) if xs is None else xs:
             a = evaluate_region(tag_a, x, n, params)
             b = evaluate_region(tag_b, x, n, params)
-            worst = max(worst, formula_gap(a, b, table, n, x))
+            worst = max(worst, formula_gap(a, b, row, x))
     return worst
 
 

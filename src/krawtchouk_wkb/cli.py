@@ -29,7 +29,7 @@ from typing import (BinaryIO, Callable, Dict, Generator, Iterable, Iterator, Lis
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, norm_err_row, run_criterion
-from .exact_core import DomainError, ExactTable, Params, SingularityError, exact_row
+from .exact_core import DomainError, ExactRow, Params, SingularityError, exact_row
 from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .state_space import DEFAULT_CONFIG, REGION_TAGS, ClassifierConfig, Row, region_runs
 
@@ -225,7 +225,7 @@ _BLOCK_ROWS = 16
 
 def _compare_row(params: Params, n: int, xs: Sequence[int], cfg: ClassifierConfig,
                  force_tag: Optional[str]) -> Tuple[str, Dict[str, list]]:
-    """Row n's lines as one text, from a table that holds that row alone, and
+    """Row n's lines as one text, read against the row's one exact record, and
     a forced run's skips on it: [count, first x, n, message] per exception class."""
     skipped: Dict[str, list] = {}
     N = params.N
@@ -239,14 +239,13 @@ def _compare_row(params: Params, n: int, xs: Sequence[int], cfg: ClassifierConfi
             except (DomainError, SingularityError) as exc:
                 skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
                 avs.append(None)
-    table = ExactTable(params)
+    row = ExactRow(n, params)
     live = [(x, av) for x, av in zip(xs, avs) if av is not None]
-    errs = iter(norm_err_row([av for _, av in live], table, n, [x for x, _ in live]))
-    nums, logs = table.scaled_row(n), table.row_logs(n)
+    errs = iter(norm_err_row([av for _, av in live], row, [x for x, _ in live]))
+    signs, logs = row.signs, row.logs
     lines = []
     for x, av in zip(xs, avs):
-        num = nums[x]
-        es = (num > 0) - (num < 0)
+        es = signs[x]
         if av is None:
             lines.append("%d,%d,%d,%s,0,%d,%.12g,,,," % (x, n, N, force_tag, es, logs[x]))
             continue

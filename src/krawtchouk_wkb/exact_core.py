@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Union
+from typing import Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -23,6 +23,7 @@ __all__ = [
     "check_index",
     "check_indices",
     "Params",
+    "ExactRow",
     "ExactTable",
     "krawtchouk_sum",
     "scaled_sum",
@@ -142,55 +143,63 @@ class Params:
         return self.q.numerator
 
 
-class ExactTable:
-    """Exact ``K_n(x)`` on the (N+1) x (N+1) grid, filled one row at a time.
-
-    Row ``n`` comes from :func:`exact_row` on its first read and is kept as a
-    tuple of integers scaled by ``denom**n``; the :meth:`value` accessor
-    undoes the scaling.  The first log read of row ``n`` also keeps the row's
-    ``ln|K_n(x)|`` values (:meth:`row_logs`), so each cell's log is taken
-    once per table.  Memory grows with the rows read, never past N+1 rows of
-    each kind.
-    Stored rows never change, so the table is safe to share between threads
-    (a race at worst computes a row twice).
+class ExactRow:
+    """Row ``n`` of the exact ``K_n(x)``, x = 0..N, as the windowed error
+    metric reads it, each field computed once for the row: ``nums``, the
+    integers ``denom**n * K_n(x)`` (:func:`exact_row`), and their ``signs``;
+    then, on first read, ``logs``, each ``ln|K_n(x)|`` as a float, ``-inf``
+    at an exact zero, and ``env``, the largest of logs over the window
+    |x' - x| <= 5 clipped to the row: the log of the envelope at x.
     """
 
-    __slots__ = ("params", "_rows", "_logs")
+    def __init__(self, n: int, params: Params) -> None:
+        self.n, self.params = n, params
+        self.nums = exact_row(n, params)  # validates n
+        self.signs = tuple((num > 0) - (num < 0) for num in self.nums)
+
+    @cached_property
+    def logs(self) -> tuple:
+        ln_scale = self.n * math.log(self.params.denom)
+        return tuple(_ln_abs_int(num) - ln_scale for num in self.nums)
+
+    @cached_property
+    def env(self) -> tuple:
+        logs = self.logs
+        return tuple(max(logs[max(0, x - 5):x + 6]) for x in range(self.params.N + 1))
+
+
+class ExactTable:
+    """Exact ``K_n(x)`` on the (N+1) x (N+1) grid: row ``n`` is an
+    :class:`ExactRow`, made on its first read and kept, so memory grows with
+    the rows read, never past N+1 rows.  :meth:`value` undoes the row's
+    scaling.
+    """
+
+    __slots__ = ("params", "_rows")
 
     def __init__(self, params: Params) -> None:
         self.params = params
         self._rows = [None] * (params.N + 1)
-        self._logs = [None] * (params.N + 1)
 
-    def value(self, n: int, x: int) -> Fraction:
-        """Exact ``K_n(x)``."""
-        row = self.scaled_row(n)
-        check_index("x", x, self.params.N)
-        return Fraction(row[x], self.params.denom**n)
-
-    def scaled_row(self, n: int) -> tuple:
-        """Row ``n`` as integers, scaled by ``denom**n`` (internal units)."""
+    def row(self, n: int) -> ExactRow:
+        """Row ``n``'s record."""
         check_index("n", n, self.params.N)
         row = self._rows[n]
         if row is None:
-            row = self._rows[n] = exact_row(n, self.params)
+            row = self._rows[n] = ExactRow(n, self.params)
         return row
 
-    def row_logs(self, n: int) -> tuple:
-        """``ln|K_n(x)|`` for x = 0..N as floats, ``-inf`` at exact zeros."""
-        check_index("n", n, self.params.N)
-        logs = self._logs[n]
-        if logs is None:
-            ln_scale = n * math.log(self.params.denom)
-            logs = self._logs[n] = tuple(_ln_abs_int(num) - ln_scale for num in self.scaled_row(n))
-        return logs
+    def value(self, n: int, x: int) -> Fraction:
+        """Exact ``K_n(x)``."""
+        row = self.row(n)
+        check_index("x", x, self.params.N)
+        return Fraction(row.nums[x], self.params.denom**n)
 
     def signed_log(self, n: int, x: int):
         """``(sign, ln|K_n(x)|)`` without building a huge float."""
-        logs = self.row_logs(n)  # validates n and builds the row
+        row = self.row(n)
         check_index("x", x, self.params.N)
-        num = self._rows[n][x]
-        return (num > 0) - (num < 0), logs[x]
+        return row.signs[x], row.logs[x]
 
 
 def _ln_abs_int(value: int) -> float:
@@ -260,7 +269,7 @@ def build_table(params: Params) -> ExactTable:
     """The exact table with every row read (see :func:`exact_row`)."""
     table = ExactTable(params)
     for n in range(params.N + 1):
-        table.scaled_row(n)
+        table.row(n)
     return table
 
 
@@ -270,19 +279,20 @@ def scaled_weight(x: int, params: Params) -> int:
     return math.comb(params.N, x) * params.p_num**x * params.q_num ** (params.N - x)
 
 
-def gram_matrix(table: ExactTable) -> tuple:
-    """sum_k K_i(k) K_j(k) weight(k), i, j = 0..N; entry (i, j) is an integer
-    scaled by denom**(i+j+N): C(N,j) (a_p a_q)^j denom**N if i == j, else 0,
-    with a_p, a_q the numerators of p, q.  Each sum with j >= i is formed once
-    and mirrored to (j, i), where it is the same integer sum."""
-    params, N = table.params, table.params.N
-    weights = [scaled_weight(k, params) for k in range(N + 1)]
-    rows = [table.scaled_row(n) for n in range(N + 1)]
-    gram = [[0] * (N + 1) for _ in range(N + 1)]
-    for i, row in enumerate(rows):
+def gram_matrix(rows: Sequence[ExactRow]) -> tuple:
+    """sum_k K_i(k) K_j(k) weight(k) for each pair (rows[a], rows[b]) of one
+    or more rows of one instance, i and j their degrees, as an integer scaled by
+    denom**(i+j+N): over rows 0..N, C(N,j) (a_p a_q)^j denom**N if i == j,
+    else 0, with a_p, a_q the numerators of p, q.  Each sum with b >= a is
+    formed once and mirrored to (b, a), where it is the same integer sum."""
+    params = rows[0].params
+    weights = [scaled_weight(k, params) for k in range(params.N + 1)]
+    nums = [row.nums for row in rows]
+    gram = [[0] * len(nums) for _ in nums]
+    for a, row in enumerate(nums):
         wi = list(map(mul, weights, row))
-        for j in range(i, N + 1):
-            gram[i][j] = gram[j][i] = sum(map(mul, wi, rows[j]))
+        for b in range(a, len(nums)):
+            gram[a][b] = gram[b][a] = sum(map(mul, wi, nums[b]))
     return tuple(map(tuple, gram))
 
 

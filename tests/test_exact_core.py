@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from krawtchouk_wkb import accuracy, exact_core
 from krawtchouk_wkb.exact_core import (
     DomainError,
+    ExactRow,
     ExactTable,
     Params,
     build_table,
@@ -46,6 +47,14 @@ GF_LITERALS = [
 ]
 
 P_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction("0.64894783")]
+
+#: The approximate value 1, for metric reads that need one.
+ONE = ApproxValue(1.0, None, 0.0)
+
+
+def every_row(params):
+    """The exact records of rows 0..N, in order."""
+    return [ExactRow(n, params) for n in range(params.N + 1)]
 
 
 @pytest.mark.parametrize("case,expected", GF_LITERALS)
@@ -238,9 +247,10 @@ def test_exact_row_equals_sum(case):
         lambda p: krawtchouk_sum(True, 0, p),
         lambda p: krawtchouk_sum(0, True, p),
         lambda p: exact_row(True, p),
+        lambda p: ExactRow(True, p),
         lambda p: scaled_weight(True, p),
     ],
-    ids=["value-n", "value-x", "sum-n", "sum-x", "exact_row", "weight"],
+    ids=["value-n", "value-x", "sum-n", "sum-x", "exact_row", "ExactRow", "weight"],
 )
 def test_bool_is_not_an_index(call):
     # bool subclasses int; the shared validator still refuses it
@@ -260,19 +270,19 @@ def test_exact_row_rejects_out_of_range():
 @pytest.mark.parametrize(
     "read",
     [
-        lambda table, i: table.scaled_row(i),
-        lambda table, i: table.row_logs(i),
+        lambda table, i: table.row(i),
+        lambda table, i: ExactRow(i, table.params),
         lambda table, i: table.signed_log(i, 2),
         lambda table, i: table.signed_log(2, i),
-        lambda table, i: accuracy.window_env_log(table, i, 2),
-        lambda table, i: accuracy.window_env_log(table, 2, i),
+        lambda table, i: accuracy.norm_err_row([ONE], table.row(2), [i]),
+        lambda table, i: accuracy.formula_gap(ONE, ONE, table.row(2), i),
     ],
-    ids=["scaled_row", "row_logs", "signed_log-n", "signed_log-x", "window-n", "window-x"],
+    ids=["row", "ExactRow", "signed_log-n", "signed_log-x", "norm_err_row-x", "formula_gap-x"],
 )
 def test_table_reads_reject_bad_indices(read, bad):
     table = ExactTable(Params.from_p(10, Fraction(1, 2)))
     for n in (1, 2, 10):  # built rows are what a wrapped or bool index would read
-        table.row_logs(n)
+        table.row(n)
     with pytest.raises(DomainError):
         read(table, bad)
 
@@ -290,27 +300,34 @@ def test_table_computes_only_the_rows_read(monkeypatch):
     for x in range(31):
         assert table.value(7, x) == krawtchouk_sum(7, x, params)
     table.signed_log(7, 3)
-    table.scaled_row(19)
+    table.row(19)
     # log reads build rows only as integer reads do
     for n in (7, 19):
         table.signed_log(n, 30)
-        table.row_logs(n)
-        accuracy.window_env_log(table, n, 12)
+        accuracy.norm_err(ONE, table, n, 12)
+        assert table.row(n) is table.row(n)
     assert computed == [7, 19]
 
 
-def per_cell_signed_log(table, n, x):
-    """``ExactTable.signed_log`` before row logs: one big-integer log per read."""
-    num = table.scaled_row(n)[x]
+def per_cell_signed_log(num, n, params):
+    """A record's sign and log before row logs: one big-integer log per read."""
     if num == 0:
         return 0, float("-inf")
-    return (1 if num > 0 else -1), exact_core._ln_abs_int(num) - n * math.log(table.params.denom)
+    return (1 if num > 0 else -1), exact_core._ln_abs_int(num) - n * math.log(params.denom)
 
 
-def per_cell_env_log(table, n, x):
-    """``accuracy.window_env_log`` before row logs: the clipped window read cell by cell."""
-    lo, hi = max(0, x - 5), min(table.params.N, x + 5)
-    return max(table.signed_log(n, xx)[1] for xx in range(lo, hi + 1))
+def per_cell_env_log(logs, x):
+    """A record's envelope before the row-wide pass: the clipped window read cell by cell."""
+    lo, hi = max(0, x - 5), min(len(logs) - 1, x + 5)
+    return max(logs[xx] for xx in range(lo, hi + 1))
+
+
+def per_cell_record(row, n, params):
+    """``ExactRow.__init__`` with each sign, log and envelope read cell by cell."""
+    row.n, row.params = n, params
+    row.nums = exact_row(n, params)
+    row.signs, row.logs = zip(*(per_cell_signed_log(num, n, params) for num in row.nums))
+    row.env = tuple(per_cell_env_log(row.logs, x) for x in range(params.N + 1))
 
 
 @given(case=row_cases(max_N=40))
@@ -323,21 +340,21 @@ def test_envelope_matches_per_cell_reference(case):
     params = Params.from_p(N, p)
     avs = [approx(x, n, params, DEFAULT_CONFIG) for x in range(N + 1)]
 
-    def metrics(table):
+    def metrics():
+        table, row = ExactTable(params), ExactRow(n, params)
         out = []
         for x, av in enumerate(avs):
             sign, ln = table.signed_log(n, x)
             exact = ApproxValue(float(sign), av.region, ln)
             out.append((
-                sign, ln, accuracy.window_env_log(table, n, x),
-                accuracy.norm_err(av, table, n, x), accuracy.formula_gap(av, exact, table, n, x),
+                sign, ln, row.signs[x], row.logs[x], row.env[x],
+                accuracy.norm_err(av, table, n, x), accuracy.formula_gap(av, exact, row, x),
             ))
-        return out
+        return out, accuracy.norm_err_row(avs, row, range(N + 1))
 
-    got = metrics(ExactTable(params))
-    with mock.patch.object(ExactTable, "signed_log", per_cell_signed_log), \
-            mock.patch.object(accuracy, "window_env_log", per_cell_env_log):
-        want = metrics(ExactTable(params))
+    got = metrics()
+    with mock.patch.object(ExactRow, "__init__", per_cell_record):
+        want = metrics()
     # repr is exact for floats and tells nan, inf and -0.0 apart
     assert repr(got) == repr(want)
 
@@ -345,14 +362,13 @@ def test_envelope_matches_per_cell_reference(case):
 # --- weight and orthogonality ----------------------------------------------
 
 
-def orthogonality_row(i, table):
+def orthogonality_row(i, params):
     """Row i of the orthogonality sums as ``Fraction``s, before the Gram matrix."""
-    params = table.params
     N, ap, aq = params.N, params.p_num, params.q_num
     check_index("i", i, N)
-    wi = [math.comb(N, k) * ap**k * aq ** (N - k) * v for k, v in enumerate(table.scaled_row(i))]
+    wi = [math.comb(N, k) * ap**k * aq ** (N - k) * v for k, v in enumerate(exact_row(i, params))]
     return tuple(
-        Fraction(sum(map(mul, wi, table.scaled_row(j))), params.denom ** (i + j + N)) for j in range(N + 1)
+        Fraction(sum(map(mul, wi, exact_row(j, params))), params.denom ** (i + j + N)) for j in range(N + 1)
     )
 
 
@@ -374,7 +390,7 @@ def test_weights_sum_to_one():
 
 def test_orthogonality_examples():
     params = Params.from_p(6, Fraction(1, 3))
-    gram = gram_matrix(build_table(params))
+    gram = gram_matrix(every_row(params))
     assert unscaled_gram_row(gram, 0, params) == (1, 0, 0, 0, 0, 0, 0)
     assert unscaled_gram_row(gram, 2, params) == (0, 0, Fraction(60, 81), 0, 0, 0, 0)
 
@@ -383,7 +399,7 @@ def test_orthogonality_examples():
 @settings(max_examples=15, deadline=None)
 def test_orthogonality_property(p, N):
     params = Params.from_p(N, p)
-    gram = gram_matrix(build_table(params))
+    gram = gram_matrix(every_row(params))
     assert len(gram) == N + 1
     for i in range(N + 1):
         sums = unscaled_gram_row(gram, i, params)
@@ -400,22 +416,22 @@ def test_orthogonality_property(p, N):
 @settings(max_examples=25, deadline=None)
 def test_gram_matrix_equals_fraction_reference(p, N):
     params = Params.from_p(N, p)
-    table = build_table(params)
-    gram = gram_matrix(table)
+    gram = gram_matrix(every_row(params))
     for i in range(N + 1):
-        assert unscaled_gram_row(gram, i, params) == orthogonality_row(i, table)
+        assert unscaled_gram_row(gram, i, params) == orthogonality_row(i, params)
         assert all(type(g) is int and g == gram[j][i] for j, g in enumerate(gram[i]))
 
 
 @pytest.mark.parametrize("bad", [-1, 11, True], ids=["negative", "N+1", "bool"])
 def test_gram_matrix_has_no_bad_index(bad):
-    # The Gram matrix takes no index: it covers the degrees 0..N and no
-    # other, and the reference row it replaces still refuses a bad one.
-    table = build_table(Params.from_p(10, Fraction(1, 2)))
-    gram = gram_matrix(table)
+    # The Gram matrix takes no index: it covers the rows it is given, each
+    # already checked by its record, and the reference row it replaces still
+    # refuses a bad one.
+    params = Params.from_p(10, Fraction(1, 2))
+    gram = gram_matrix(every_row(params))
     assert len(gram) == 11 and {len(row) for row in gram} == {11}
     with pytest.raises(DomainError):
-        orthogonality_row(bad, table)
+        orthogonality_row(bad, params)
 
 
 def test_criterion_1_names_a_corrupted_cell(monkeypatch):

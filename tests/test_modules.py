@@ -4,7 +4,10 @@ module boundary is public there (dunders such as ``__version__`` aside); and
 each name the package exports has a user outside the tests."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import krawtchouk_wkb
@@ -100,3 +103,17 @@ def test_every_export_has_a_user_outside_the_tests():
               if not package_users(name, trees)
               and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
     assert unused == []
+
+
+def test_the_benchmark_harness_resolves_every_name_it_reads(tmp_path):
+    # The harness finds package names at run time (ExactTable, build_table,
+    # norm_err's table form, u_pm, k_pm_log, airy_bi, lambda_j, ...), so a
+    # removed or renamed one shows only when the harness runs: run its probe
+    # and one traced request, each at its smallest size.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for args in (["perfbench/probe.py", "3", str(tmp_path / "probe.json"), "--tiny"],
+                 ["perfbench/tracer.py", str(tmp_path / "s.csv.gz"), str(tmp_path / "s.json"), "r",
+                  "--", "compare", "--N", "24", "--q", "0.74894783"]):
+        done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, (args[0], done.stderr[-2000:])

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from krawtchouk_wkb.accuracy import FIGURES, figure_sweep, formula_gap, norm_err
-from krawtchouk_wkb.exact_core import DomainError, ExactTable, Params, krawtchouk_sum
+from krawtchouk_wkb.accuracy import FIGURES, figure_sweep, formula_gap, norm_err_row
+from krawtchouk_wkb.exact_core import DomainError, ExactRow, Params, krawtchouk_sum
 from krawtchouk_wkb.region_formulas import (
     _finalize,
     _from_log,
@@ -64,10 +64,9 @@ P_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction("0.64894783")
 
 def region_gap(tag_a: str, tag_b: str, x: int, n: int, params: Params) -> float:
     """Envelope-normalized disagreement of two formulas at one grid point."""
-    table = ExactTable(params)
     a = evaluate_region(tag_a, x, n, params)
     b = evaluate_region(tag_b, x, n, params)
-    return formula_gap(a, b, table, n, x)
+    return formula_gap(a, b, ExactRow(n, params), x)
 
 
 def finalized(pair, tag: str):
@@ -81,8 +80,7 @@ def row_of(n: int, params: Params) -> Row:
 
 
 def point_err(tag: str, x: int, n: int, params: Params) -> float:
-    table = ExactTable(params)
-    return norm_err(evaluate_region(tag, x, n, params), table, n, x)
+    return norm_err_row([evaluate_region(tag, x, n, params)], ExactRow(n, params), [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +229,14 @@ class TestSingleBranchExterior:
             evaluate_region("IV", x, n, P200_34)
 
     def test_branch_selection_and_signs(self):
-        table = ExactTable(P100_34)
+        exact = ExactRow(10, P100_34)
         left = evaluate_region("III", 20, 10, P100_34)
         assert left.region.tag == "III"
         right = evaluate_region("IV", 95, 10, P100_34)
         assert right.region.tag == "IV"
         for x, av in ((20, left), (95, right)):
-            sign, _ = table.signed_log(10, x)
-            assert math.copysign(1.0, av.value) == sign
-            assert norm_err(av, table, 10, x) <= 0.02
+            assert math.copysign(1.0, av.value) == exact.signs[x]
+            assert norm_err_row([av], exact, [x])[0] <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +508,10 @@ class TestTopRows:
             k11(12, 15, row_of(15, P16_25))  # y = q
 
     def test_top_row_is_exact(self):
-        table = ExactTable(P20_74)
+        exact = ExactRow(20, P20_74)
         for x in (3, 10, 19):
             av = finalized(k11(x, 20, row_of(20, P20_74)), "XI")
-            sign, ln_mag = table.signed_log(20, x)
-            assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
+            assert av.value == pytest.approx(exact.signs[x] * math.exp(exact.logs[x]), rel=1e-12)
 
 
     @pytest.mark.parametrize("N", [100, 200])
@@ -525,24 +521,23 @@ class TestTopRows:
         # unreflected formula was off by up to 7e82 there (measured max
         # after the fix: 0.108 at N=100, q=0.64894783).
         params = Params.from_q(N, q)
-        table = ExactTable(params)
         labels = set()
         for n in range(N - 4, N + 1):
+            exact = ExactRow(n, params)
             for x in range(N + 1):
                 av = approx(x, n, params)
                 if av.region.tag == "XI":
                     labels.add(av.region.label)
-                    assert norm_err(av, table, n, x) <= 0.15, (x, n)
+                    assert norm_err_row([av], exact, [x])[0] <= 0.15, (x, n)
         assert "XI*" in labels
 
 
 class TestTopCorner:
     def test_top_corner_profile_exact_at_order_zero(self):
-        table = ExactTable(P20_74)
+        exact = ExactRow(20, P20_74)
         for x in (4, 9, 15):
             av = finalized(k12(x, 20, row_of(20, P20_74)), "XII")
-            sign, ln_mag = table.signed_log(20, x)
-            assert av.value == pytest.approx(sign * math.exp(ln_mag), rel=1e-12)
+            assert av.value == pytest.approx(exact.signs[x] * math.exp(exact.logs[x]), rel=1e-12)
 
     def test_corner_value_is_real_at_integer_x(self):
         for x, n in ((15, 18), (16, 19), (17, 20)):
@@ -613,7 +608,7 @@ class TestDispatcher:
         params = Params.from_q(N, q)
         av = approx(x, n, params)
         assert av.region.tag == "VI"
-        assert norm_err(av, ExactTable(params), n, x) <= 1e-5
+        assert norm_err_row([av], ExactRow(n, params), [x])[0] <= 1e-5
 
     @pytest.mark.parametrize("N, q", [
         (1000, "0.77"), (1000, "0.6"), (1040, "0.7"), (1040, "0.3"),
@@ -638,8 +633,7 @@ class TestDispatcher:
         base = evaluate_region("VIII", 6, 10, P100_34.swapped())
         assert av.value == base.value  # even degree: mirror sign is +1
         assert av.ln_scale == base.ln_scale
-        table = ExactTable(P100_34)
-        assert norm_err(av, table, 10, 94) <= 0.08
+        assert norm_err_row([av], ExactRow(10, P100_34), [94])[0] <= 0.08
 
     def test_mirrored_exterior_point_with_odd_sign(self):
         av = approx(99, 17, P100_74)
@@ -721,12 +715,12 @@ def test_full_grid_error_per_region_is_pinned(grid, pins):
     # for better or worse, shows up here and re-measures its pins.
     N, q = grid
     params = Params.from_q(N, q)
-    table = ExactTable(params)
     xs = range(N + 1)
     errs = {}
     for n in xs:
-        for x, av in zip(xs, approx_row(n, xs, params)):
-            errs.setdefault(av.region.label, []).append(norm_err(av, table, n, x))
+        avs = approx_row(n, xs, params)
+        for av, err in zip(avs, norm_err_row(avs, ExactRow(n, params), xs)):
+            errs.setdefault(av.region.label, []).append(err)
     assert sorted(errs) == sorted(pins)
     for label, values in errs.items():
         assert not any(math.isnan(e) for e in values), label

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from krawtchouk_wkb import region_formulas
 from krawtchouk_wkb.accuracy import norm_err_row
-from krawtchouk_wkb.exact_core import ExactTable, Params, check_index
+from krawtchouk_wkb.exact_core import ExactRow, Params, check_index
 from krawtchouk_wkb.region_formulas import approx, approx_row
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
@@ -132,20 +132,20 @@ def ref_regions(row, n, xs, cfg):
     return ref_classify_row(n, xs, row.params, cfg)
 
 
-def ref_window_env_log(table, n, x):
+def ref_window_env_log(row, x):
     """Per-point envelope: the clipped window sliced from the row's logs."""
-    N = table.params.N
+    N = row.params.N
     check_index("x", x, N)
     lo, hi = max(0, x - 5), min(N, x + 5)
-    return max(table.row_logs(n)[lo:hi + 1])
+    return max(row.logs[lo:hi + 1])
 
 
-def ref_norm_err(av, table, n, x):
+def ref_norm_err(av, row, x):
     """Per-point metric: the envelope and the exact value read at the point."""
-    env_log = ref_window_env_log(table, n, x)
+    env_log = ref_window_env_log(row, x)
     if env_log == -math.inf:
         return math.nan
-    es, el = table.signed_log(n, x)
+    es, el = row.signs[x], row.logs[x]
     exact_scaled = es * math.exp(el - env_log) if el > -math.inf else 0.0
     if av.ln_scale == -math.inf:
         approx_scaled = 0.0
@@ -222,12 +222,10 @@ def test_row_path_matches_per_point_references(case):
     params = Params.from_p(N, p)
     assert classify_row(n, xs, params, cfg) == ref_classify_row(n, xs, params, cfg)
 
-    table = ExactTable(params)
     got = outcome(lambda: approx_row(n, xs, params, cfg))
     if isinstance(got, list):  # the metric read a row at a time, as compare reads it
-        got = list(zip(got, norm_err_row(got, table, n, xs)))
+        got = list(zip(got, norm_err_row(got, ExactRow(n, params), xs)))
 
-    ref_table = ExactTable(params)
     with mock.patch.object(Row, "regions", ref_regions), \
             mock.patch.object(region_formulas, "k_pm_logs", ref_k_pm_logs):
         want = [outcome(lambda: approx(x, n, params, cfg)) for x in xs]
@@ -235,6 +233,7 @@ def test_row_path_matches_per_point_references(case):
     if failures:
         want = failures[0]  # the row path stops at the first failing point
     else:
-        want = [(av, ref_norm_err(av, ref_table, n, x)) for x, av in zip(xs, want)]
+        ref_row = ExactRow(n, params)
+        want = [(av, ref_norm_err(av, ref_row, x)) for x, av in zip(xs, want)]
     # repr is exact for floats and tells nan, inf and -0.0 apart
     assert repr(got) == repr(want)
