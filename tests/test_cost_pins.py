@@ -1,38 +1,85 @@
-"""Cost pins: each exact quantity is computed once per row, held by call
-counts of the package's public functions.  Unlike wall times, a call count
-is the same on every run, so a bound here fails only on a real change.
-Each bound is an upper bound written as a formula in N, so a change that
-lowers a count passes unchanged."""
+"""Cost pins: each quantity is computed once per row, or once per point of
+the regions that need it, held by call counts of the package's public
+functions and module-level kernels.  Unlike wall times, a call count is the
+same on every run, so a bound here fails only on a real change.  Each bound
+is an upper bound written as a formula in N, so a change that lowers a count
+passes unchanged."""
 
+import cProfile
+import csv
+import os
+import pstats
 from collections import Counter
 
 import pytest
 
-from krawtchouk_wkb import cli, exact_core
+from krawtchouk_wkb import cli, exact_core, region_formulas, special_fns, state_space, wkb_core
 
 PINNED_Q = ["0.34894783", "0.64894783", "0.74894783"]
+N = 100
+
+#: The region kernels; IV has none of its own (it is III on the reflected grid).
+KERNELS = [f"k{i}" for i in range(1, 13) if i != 4]
 
 
-def counting(calls: Counter, name: str, fn):
-    """fn, with each call counted under name."""
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-    return wrapper
+@pytest.fixture(scope="module", params=PINNED_Q)
+def full_compare(request, tmp_path_factory):
+    """A full in-process compare --N 100 at one pinned q under cProfile: the
+    calls of each function the tests name, and the points of each region in
+    the CSV it wrote."""
+    out = tmp_path_factory.mktemp("cost") / "compare.csv"
+    profile = cProfile.Profile()
+    with pytest.MonkeyPatch.context() as patch:
+        # One usable CPU: the rows run in this process, where the profile is.
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code = profile.runcall(cli.main, ["compare", "--N", str(N), "--q", request.param, "--out", str(out)])
+    assert code == 0
+    stats = pstats.Stats(profile).stats  # (file, first line, name) -> (primitive calls, all calls, ...)
+
+    def calls(fn):
+        c = fn.__code__
+        return stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]
+
+    with out.open(encoding="utf-8", newline="") as f:
+        data = (line for line in f if not line.startswith("#"))
+        points = Counter(record["region"] for record in csv.DictReader(data))
+    assert sum(points.values()) == (N + 1) ** 2
+    return calls, points
 
 
-@pytest.mark.parametrize("q", PINNED_Q)
-def test_full_compare_builds_each_exact_row_once(q, monkeypatch, tmp_path):
-    N = 100
-    calls = Counter()
-    # One CPU: the rows run in this process, where the counters are.
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(exact_core, "exact_row", counting(calls, "exact_row", exact_core.exact_row))
-    monkeypatch.setattr(exact_core.ExactRow, "__init__",
-                        counting(calls, "ExactRow", exact_core.ExactRow.__init__))
-    out = tmp_path / "compare.csv"
-    assert cli.main(["compare", "--N", str(N), "--q", q, "--out", str(out)]) == 0
-    header, *data = [line for line in out.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
-    assert header.startswith("x,n,N,") and len(data) == (N + 1) ** 2
-    assert 0 < calls["exact_row"] <= N + 1
-    assert 0 < calls["ExactRow"] <= N + 1
+def test_full_compare_builds_each_exact_row_once(full_compare):
+    calls, _ = full_compare
+    assert 0 < calls(exact_core.exact_row) <= N + 1
+    assert 0 < calls(exact_core.ExactRow.__init__) <= N + 1
+
+
+def test_row_terms_solved_once_per_row(full_compare):
+    # The classifier and the kernels read one record per row and
+    # orientation: y_pm and u0 run at most once per Row built, wherever the
+    # package imports them, and compare builds at most one Row per row and
+    # orientation.
+    calls, _ = full_compare
+    rows = calls(state_space.Row.__init__)
+    assert 0 < rows <= 2 * (N + 1)
+    assert calls(state_space.y_pm) <= rows and calls(state_space.u0) <= rows
+
+
+def test_each_kernel_is_called_once_per_run(full_compare):
+    # A kernel takes a run of one row, so it is called at most once per row
+    # and orientation however many points the run holds.
+    calls, _ = full_compare
+    counts = {name: calls(getattr(region_formulas, name)) for name in KERNELS}
+    assert {name: count for name, count in counts.items() if count > 2 * (N + 1)} == {}
+
+
+def test_left_edge_phase_is_solved_once_per_row(full_compare):
+    # V's phase phi0(z) is a row term: its kernel solves it once per run.
+    calls, _ = full_compare
+    assert 0 < calls(wkb_core.phi0) <= 2 * (N + 1)
+
+
+def test_special_functions_run_once_per_point_of_their_regions(full_compare):
+    calls, points = full_compare
+    assert 0 < calls(special_fns.airy_ai) <= points["VIII"] + points["IX"]
+    assert 0 < calls(special_fns.pcf_d) <= points["VI"] + points["XII"]
+    assert 0 < calls(special_fns.hermite) <= points["II"]

@@ -292,22 +292,22 @@ def case(tag, x, n, params, row):
     if tag == "III":
         return Case(lambda: k3([x], n, row)[0], lambda: ref_k3(x * params.eps, params, row))
     if tag == "V":
-        return Case(lambda: k5(x, n, row), lambda: ref_k5(float(x), z, params))
+        return Case(lambda: k5([x], n, row)[0], lambda: ref_k5(float(x), z, params))
     if tag == "VI":
         u = (params.pf - z) / math.sqrt(params.pf * params.qf * params.eps)
-        return Case(lambda: k6(x, n, row), lambda: ref_k6(float(x), u, params))
+        return Case(lambda: k6([x], n, row)[0], lambda: ref_k6(float(x), u, params))
     if tag == "VII":
         return Case(lambda: k7([x], n, row)[0], lambda: ref_k7(x * params.eps, params, row))
     if tag in ("VIII", "IX"):
         # Y^-(z) needs z > 0: on row 0 the kernel refuses the point first.
         if tag == "VIII":
-            return Case(lambda: k8(x, n, row), lambda: ref_k8(strip_beta(x, z, params), z, params))
-        return Case(lambda: k9(x, n, row), lambda: ref_k9(strip_beta(x, z, params), z, params))
+            return Case(lambda: k8([x], n, row)[0], lambda: ref_k8(strip_beta(x, z, params), z, params))
+        return Case(lambda: k9([x], n, row)[0], lambda: ref_k9(strip_beta(x, z, params), z, params))
     if tag == "X":
         return Case(lambda: k10([x], n, row)[0], lambda: ref_k10(x * params.eps, params, row))
     if tag == "XI":
-        return Case(lambda: k11(x, n, row), lambda: ref_k11(params.N - n, x * params.eps, params))
-    return Case(lambda: k12(x, n, row), lambda: ref_k12(params.N - n, corner_xi(x, params), params))
+        return Case(lambda: k11([x], n, row)[0], lambda: ref_k11(params.N - n, x * params.eps, params))
+    return Case(lambda: k12([x], n, row)[0], lambda: ref_k12(params.N - n, corner_xi(x, params), params))
 
 
 def orientations(N, q):

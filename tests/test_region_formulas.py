@@ -141,7 +141,7 @@ def test_reference_row_within_budget(fig_id):
 
 class TestBottomRows:
     def test_degree_zero_is_one(self):
-        pair = k1(37, 0, row_of(0, P100_74))
+        pair = k1([37], 0, row_of(0, P100_74))[0]
         av = finalized(pair, "I")
         assert av.value == 1.0
         assert av.ln_scale == 0.0
@@ -149,19 +149,19 @@ class TestBottomRows:
 
     def test_degree_one_is_linear(self):
         x = 30
-        av = finalized(k1(x, 1, row_of(1, P100_74)), "I")
+        av = finalized(k1([x], 1, row_of(1, P100_74))[0], "I")
         expected = x - 100 * P100_74.pf
         assert av.value == pytest.approx(expected, rel=1e-12)
 
     def test_exact_zero_on_the_node(self):
         assert 4 * P16_25.eps == P16_25.pf
-        av = finalized(k1(4, 3, row_of(3, P16_25)), "I")
+        av = finalized(k1([4], 3, row_of(3, P16_25))[0], "I")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
     def test_corner_profile_zero_at_odd_node(self):
         assert row_of(1, P16_25).eta(4) == 0.0
-        av = finalized(k2(4, 1, row_of(1, P16_25)), "II")
+        av = finalized(k2([4], 1, row_of(1, P16_25))[0], "II")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
@@ -247,16 +247,16 @@ class TestSingleBranchExterior:
 class TestLeftEdge:
     def test_edge_domain_errors(self):
         with pytest.raises(SingularityError):
-            k5(0, 4, row_of(4, P16_25))  # z = p
+            k5([0], 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="left-edge formula requires"):
-            k5(0, 10, row_of(10, P100_74))  # below the crossover
+            k5([0], 10, row_of(10, P100_74))  # below the crossover
 
     def test_edge_accuracy_at_column_zero(self):
         # measured 0.13% windowed at (x=0, n=90, N=200)
         assert point_err("V", 0, 90, P200_74) <= 0.02
 
     def test_edge_value_is_real_at_integer_x(self):
-        m, _ = k5(5, 50, row_of(50, P100_74))
+        m, _ = k5([5], 50, row_of(50, P100_74))[0]
         assert type(m) is float and m in (1.0, -1.0)
 
     def test_crossover_profile_small_u(self):
@@ -311,11 +311,11 @@ class TestInterferenceExterior:
 class TestLowerStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k8(2, 4, row_of(4, P16_25))  # z = p
+            k8([2], 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="lower-strip formula requires"):
-            k8(90, 99, row_of(99, P100_34))
+            k8([90], 99, row_of(99, P100_34))
         with pytest.raises(DomainError, match="lower-strip formula requires"):
-            k8(5, 0, row_of(0, P100_34))  # the kernel's check comes before Y^-(0)
+            k8([5], 0, row_of(0, P100_34))  # the kernel's check comes before Y^-(0)
 
     def test_matches_branch_form_inside_strip(self):
         # |beta| ~ 1.2: the stated 10% agreement holds (measured 9.7%)
@@ -333,11 +333,11 @@ class TestLowerStrip:
 class TestUpperStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k9(2, 4, row_of(4, P16_25))  # z = p
+            k9([2], 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="upper-strip formula requires"):
-            k9(5, 10, row_of(10, P100_74))
+            k9([5], 10, row_of(10, P100_74))
         with pytest.raises(DomainError, match="upper-strip formula requires"):
-            k9(5, 0, row_of(0, P100_74))
+            k9([5], 0, row_of(0, P100_74))
 
     def test_matches_interference_form_outward(self):
         worst = max(
@@ -354,7 +354,7 @@ class TestUpperStrip:
         assert 0.07 <= worst <= 0.13
 
     def test_real_on_grid(self):
-        m, s = k9(30, 80, row_of(80, P100_74))
+        m, s = k9([30], 80, row_of(80, P100_74))[0]
         assert type(m) is float and type(s) is float
 
 
@@ -434,7 +434,7 @@ class TestOscillatoryInterior:
         for n in (2, 4, 10, 20):
             for x in range(20, 31):
                 eta = (x * eps - p) / math.sqrt(2.0 * p * q * eps)
-                av = finalized(k2(x, n, row_of(n, P100_74)), "II")
+                av = finalized(k2([x], n, row_of(n, P100_74))[0], "II")
                 assert av.value == pytest.approx(self._corner_form(n, eta, P100_74), rel=1e-12)
 
     @staticmethod
@@ -503,14 +503,14 @@ class TestOscillatoryInterior:
 class TestTopRows:
     def test_domain_errors(self):
         with pytest.raises(DomainError, match="outside the unit interval"):
-            k11(150, 99, row_of(99, P100_74))  # y = 1.5
+            k11([150], 99, row_of(99, P100_74))  # y = 1.5
         with pytest.raises(SingularityError):
-            k11(12, 15, row_of(15, P16_25))  # y = q
+            k11([12], 15, row_of(15, P16_25))  # y = q
 
     def test_top_row_is_exact(self):
         exact = ExactRow(20, P20_74)
         for x in (3, 10, 19):
-            av = finalized(k11(x, 20, row_of(20, P20_74)), "XI")
+            av = finalized(k11([x], 20, row_of(20, P20_74))[0], "XI")
             assert av.value == pytest.approx(exact.signs[x] * math.exp(exact.logs[x]), rel=1e-12)
 
 
@@ -536,12 +536,12 @@ class TestTopCorner:
     def test_top_corner_profile_exact_at_order_zero(self):
         exact = ExactRow(20, P20_74)
         for x in (4, 9, 15):
-            av = finalized(k12(x, 20, row_of(20, P20_74)), "XII")
+            av = finalized(k12([x], 20, row_of(20, P20_74))[0], "XII")
             assert av.value == pytest.approx(exact.signs[x] * math.exp(exact.logs[x]), rel=1e-12)
 
     def test_corner_value_is_real_at_integer_x(self):
         for x, n in ((15, 18), (16, 19), (17, 20)):
-            m, _ = k12(x, n, row_of(n, P20_74))
+            m, _ = k12([x], n, row_of(n, P20_74))[0]
             assert type(m) is float
 
     def test_matches_interior_form_at_moderate_order(self):
