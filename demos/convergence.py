@@ -8,8 +8,8 @@ in the interior regions.
     python3 demos/convergence.py
 """
 
-from krawtchouk_wkb import ExactTable, Params, approx, classify
-from krawtchouk_wkb.accuracy import norm_err
+from krawtchouk_wkb import ExactRow, Params, approx, classify
+from krawtchouk_wkb.accuracy import norm_err_row
 
 POINTS = (("left exterior", 0.05, 0.10), ("right exterior", 0.95, 0.10),
           ("oscillatory interior", 0.35, 0.50))
@@ -26,7 +26,7 @@ def main() -> int:
         for N in SIZES:
             params = Params.from_q(N, Q)
             x, n = round(y * N), round(z * N)
-            err = norm_err(approx(x, n, params), ExactTable(params), n, x)
+            err = norm_err_row([approx(x, n, params)], ExactRow(n, params), [x])[0]
             errs.append(err)
         row = "".join(f"  {e:<8.2%}" for e in errs)
         tag = classify(round(y * SIZES[-1]), round(z * SIZES[-1]),

@@ -12,7 +12,7 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact_core import (
     ExactRow,
@@ -55,8 +55,12 @@ __all__ = [
 
 
 def norm_err_row(avs: Sequence[ApproxValue], row: ExactRow, xs: Sequence[int]) -> List[float]:
-    """:func:`norm_err` at each (x, n) of the row, x in xs, with avs[i] the
-    value at xs[i]."""
+    """|approx - exact| / windowed envelope at each (x, n) of the row, x in
+    xs, with avs[i] the value at xs[i], computed overflow-free: both values
+    are rescaled by the envelope's log before subtracting, so the metric is
+    exact even when |K| is far outside double range.  An approximation too
+    large to rescale into double range gives ``inf``, and a window of exact
+    zeros ``nan``."""
     check_indices("x", xs, row.params.N)
     signs, logs, env = row.signs, row.logs, row.env
     out = []
@@ -76,14 +80,8 @@ def norm_err_row(avs: Sequence[ApproxValue], row: ExactRow, xs: Sequence[int]) -
 
 
 def norm_err(av: ApproxValue, table, n: int, x: int) -> float:
-    """|approx - exact| / windowed envelope at (x, n), with row n read from
-    ``table.row(n)``, computed overflow-free.
-
-    Both values are rescaled by the envelope's log before subtracting, so the
-    metric is exact even when |K| is far outside double range.  An
-    approximation too large to rescale into double range gives ``inf``, and
-    a window of exact zeros ``nan``.  The one-point case of :func:`norm_err_row`.
-    """
+    """The one-point case of :func:`norm_err_row`, with row n read from
+    ``table.row(n)``."""
     return norm_err_row([av], table.row(n), [x])[0]
 
 
@@ -298,16 +296,20 @@ def _beta_window(params: Params, n: int) -> range:
     return range(math.ceil(ym_scaled + 0.70 * width), math.floor(ym_scaled + 1.35 * width) + 1)
 
 
+def _raised(av: Union[ApproxValue, Exception]) -> ApproxValue:
+    """A forced point's value, or its error raised."""
+    if isinstance(av, Exception):
+        raise av
+    return av
+
+
 def _worst_gap(tag_a: str, tag_b: str, q: str, N: int,
                loci: Sequence[Tuple[int, Optional[Sequence[int]]]]) -> float:
-    params = Params.from_q(N, q)
-    worst = 0.0
+    params, worst = Params.from_q(N, q), 0.0
     for n, xs in loci:
-        row = ExactRow(n, params)
-        for x in _beta_window(params, n) if xs is None else xs:
-            a = evaluate_region(tag_a, x, n, params)
-            b = evaluate_region(tag_b, x, n, params)
-            worst = max(worst, formula_gap(a, b, row, x))
+        row, xs = ExactRow(n, params), _beta_window(params, n) if xs is None else xs
+        for x, a, b in zip(xs, evaluate_region(tag_a, n, xs, params), evaluate_region(tag_b, n, xs, params)):
+            worst = max(worst, formula_gap(_raised(a), _raised(b), row, x))
     return worst
 
 
@@ -346,11 +348,11 @@ def criterion_5(cfg: ClassifierConfig) -> _Outcome:
     ``_finalize``) must match Re(exp(log K+)) to 1e-12 relative."""
     failures: List[str] = []
     params = Params.from_q(100, _Q74)
-    eps = params.eps
-    for x in (10, 14, 19, 23, 26):
-        k7_val = evaluate_region("VII", x, 80, params)
-        plus = cmath.exp(next(k_pm_logs("+", (x * eps,), Row(80 * eps, params))))
-        rel = abs(k7_val.value - plus.real) / abs(plus.real)
+    xs = (10, 14, 19, 23, 26)
+    logs = k_pm_logs("+", [x * params.eps for x in xs], Row(80 * params.eps, params))
+    for x, k7_val, log_plus in zip(xs, map(_raised, evaluate_region("VII", 80, xs, params)), logs):
+        plus = cmath.exp(log_plus).real
+        rel = abs(k7_val.value - plus) / abs(plus)
         if rel > 1e-12:
             failures.append(f"VII != Re(K+) at x={x}: rel={rel:.2e}")
     return failures, "VII's real finishing of log K+ = Re(exp(log K+)) to 1e-12"

@@ -179,7 +179,7 @@ def _resolve_grid(args: argparse.Namespace, N: int) -> Tuple[List[int], List[int
     return grid[0], grid[1]
 
 
-def _base_meta(command: str, params: Params, q: str, digits: int) -> List[Tuple[str, str]]:
+def _base_meta(command: str, params: Params, q: str, digits: int = 30) -> List[Tuple[str, str]]:
     return [
         ("tool", "krawtchouk-wkb"),
         ("version", __version__),
@@ -232,13 +232,11 @@ def _compare_row(params: Params, n: int, xs: Sequence[int], cfg: ClassifierConfi
     if force_tag is None:
         avs: List[Optional[ApproxValue]] = approx_row(n, xs, params, cfg)
     else:
-        avs = []
-        for x in xs:
-            try:
-                avs.append(evaluate_region(force_tag, x, n, params))
-            except (DomainError, SingularityError) as exc:
-                skipped.setdefault(type(exc).__name__, [0, x, n, str(exc)])[0] += 1
-                avs.append(None)
+        avs = evaluate_region(force_tag, n, xs, params)
+        for i, (x, av) in enumerate(zip(xs, avs)):
+            if isinstance(av, Exception):
+                skipped.setdefault(type(av).__name__, [0, x, n, str(av)])[0] += 1
+                avs[i] = None
     row = ExactRow(n, params)
     live = [(x, av) for x, av in zip(xs, avs) if av is not None]
     errs = iter(norm_err_row([av for _, av in live], row, [x for x, _ in live]))
@@ -284,7 +282,7 @@ def _compare_rows(params: Params, ns: Sequence[int], xs: Sequence[int],
 def cmd_compare(args: argparse.Namespace) -> int:
     params = Params.from_q(args.N, args.q)
     ns, xs = _resolve_grid(args, params.N)
-    meta = _base_meta("compare", params, args.q, args.digits)
+    meta = _base_meta("compare", params, args.q)
     meta.append(("config", _config_meta(args.cfg)))
     if args.region:
         meta.append(("region_override", args.region))
@@ -313,7 +311,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     if spec is None:
         raise CliError(f"unknown figure id {args.fig_id}; expected {min(FIGURES)}..{max(FIGURES)}")
     params = Params.from_q(spec.N, spec.q)
-    meta = _base_meta("figures", params, spec.q, args.digits)
+    meta = _base_meta("figures", params, spec.q)
     meta.insert(3, ("figure", str(spec.fig_id)))
     meta.append(("n", str(spec.n)))
     meta.append(("region", spec.tag))
@@ -524,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_config = argparse.ArgumentParser(add_help=False)
     with_config.add_argument("--config", help="key=value config file of classifier widths")
 
-    def add_grid_flags(p: argparse.ArgumentParser, with_region: bool) -> None:
+    def add_grid_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--N", type=_positive_int, required=True, help="grid size (N >= 1)")
         p.add_argument("--q", required=True, help="success probability as a decimal string")
         ng = p.add_mutually_exclusive_group()
@@ -533,20 +531,18 @@ def build_parser() -> argparse.ArgumentParser:
         xg = p.add_mutually_exclusive_group()
         xg.add_argument("--x", type=_nonneg_int, help="single abscissa")
         xg.add_argument("--x-range", type=_int_range, metavar="a:b", help="inclusive abscissa range")
-        if with_region:
-            p.add_argument("--region", choices=REGION_TAGS,
-                           help="force this region's formula at every grid point")
         p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--digits", type=_positive_int, default=30,
-                       help="significant digits for exact decimal output (default 30)")
 
     p_eval = sub.add_parser("eval", help="exact values on a grid")
-    add_grid_flags(p_eval, with_region=False)
+    add_grid_flags(p_eval)
+    p_eval.add_argument("--digits", type=_positive_int, default=30,
+                        help="significant digits for exact decimal output (default 30)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", parents=[with_config],
                            help="exact vs asymptotic with windowed error")
-    add_grid_flags(p_cmp, with_region=True)
+    add_grid_flags(p_cmp)
+    p_cmp.add_argument("--region", choices=REGION_TAGS, help="force this region's formula at every grid point")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_reg = sub.add_parser("regions", parents=[with_config], help="classifier tag for every (x, n)")
@@ -559,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="built-in comparison sweep by figure id")
     p_fig.add_argument("fig_id", type=_positive_int, metavar="ID", help="figure id, 3..14")
     p_fig.add_argument("--out", help="output CSV path (default stdout)")
-    p_fig.add_argument("--digits", type=_positive_int, default=30)
     p_fig.set_defaults(func=cmd_figures)
 
     p_chk = sub.add_parser("check", parents=[with_config], help="run the acceptance suite")

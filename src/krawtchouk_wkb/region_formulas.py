@@ -33,7 +33,7 @@ and a forced IV take one path.
 :func:`approx_row` classifies a row and evaluates it a run of one label at
 a time, from one record per orientation; it is total on the grid, z = p
 included, and :func:`approx` is its one-point case.  :func:`evaluate_region`
-forces one region's formula.
+forces one region's formula on a row and returns each point's value or error.
 """
 
 from __future__ import annotations
@@ -358,18 +358,21 @@ def _evaluate(rid: RegionId, xs: Sequence[int], n: int, row: Row) -> List[Approx
     return [_finalize(-m if flip else m, s, rid) for m, s in _KERNELS[rid.tag](xs, n, row)]
 
 
-def evaluate_region(tag: str, x: int, n: int, params: Params) -> ApproxValue:
-    """Evaluate one region's formula at (x, n), bypassing the classifier.
-
-    Useful for sweeping a single formula across (and beyond) its nominal
-    domain.  IV is III on the reflected grid, as the classifier routes it.
-    Raises DomainError for an unknown tag or a bad index and propagates each
-    formula's own domain/singularity errors unchanged.
-    """
+def evaluate_region(tag: str, n: int, xs: Sequence[int], params: Params) -> list:
+    """One region's formula at each (x, n), x in xs, bypassing the classifier,
+    each point on its own from one record of the row: its ApproxValue, or the
+    DomainError or SingularityError the formula raised there.  IV is III on the
+    reflected grid; an unknown tag or a bad index raises DomainError."""
     rid = RegionId(tag, mirrored=tag == "IV")
-    check_index("x", x, params.N)
     check_index("n", n, params.N)
-    return _evaluate(rid, [x], n, Row.at(n, params))[0]
+    check_indices("x", xs, params.N)
+    row, out = Row.at(n, params), []
+    for x in xs:
+        try:
+            out += _evaluate(rid, [x], n, row)
+        except (DomainError, SingularityError) as exc:
+            out.append(exc)
+    return out
 
 
 def approx_row(n: int, xs: Sequence[int], params: Params,

@@ -179,7 +179,7 @@ class _lazy:
         self.name = name
 
     def __get__(self, row: "Row", owner: type = None) -> object:
-        return row.__dict__.setdefault(self.name, self.solve(row))
+        return self if row is None else row.__dict__.setdefault(self.name, self.solve(row))
 
 
 class Row:

@@ -101,6 +101,13 @@ class TestEval:
         _, out, _ = run_cli(capsys, *base, "--digits", "5")
         assert parse_csv(out)[2][0][3] == "1"
 
+    def test_digits_is_an_eval_flag_only(self, capsys):
+        # compare and figures write no exact decimal; their p and eps meta
+        # lines are rendered at 30 digits, and they take no --digits.
+        for argv in (("compare", "--N", "4", "--q", "0.5", "--digits", "5"), ("figures", "3", "--digits", "5")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "") and "unrecognized arguments: --digits 5" in err
+
     def test_deterministic_output(self, capsys, tmp_path):
         args = ("eval", "--N", "12", "--q", "0.64894783")
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -121,7 +128,7 @@ class TestEval:
         # eval_N600.sha256 holds, in sha256sum's format, the digests of five
         # N=600 eval rows (n = 0, 1, 300, 599, 600), whose cells are ratios
         # of integers thousands of digits long, and of the '#' lines of a
-        # default-digits compare, whose p and eps are rendered the same way.
+        # compare, whose p and eps are rendered the same way at 30 digits.
         # The meta lines do not depend on the grid range, so one point does.
         pins = dict(reversed(line.split()) for line in (DATA / "eval_N600.sha256").read_text().splitlines())
         assert len(pins) == 6
@@ -200,7 +207,7 @@ class TestCompare:
         filled = [dict(zip(header, r)) for r in rows if dict(zip(header, r))["approx_ln_mag"]]
         assert len(filled) == 238 and len(rows) == (N + 1) ** 2
         for row in filled:
-            av = evaluate_region("IV", int(row["x"]), int(row["n"]), params)
+            av = evaluate_region("IV", int(row["n"]), [int(row["x"])], params)[0]
             assert row["mirrored"] == str(int(av.region.mirrored)) == "1"
         assert {r[4] for r in rows if not dict(zip(header, r))["approx_ln_mag"]} == {"0"}
 
@@ -361,13 +368,13 @@ class TestCompare:
 
     def test_forced_layers_at_N100_are_pinned(self, capsys):
         # forced_N100.sha256 holds the digests of stdout (.csv) and stderr
-        # (.err) for I, II, V, VI, VIII, IX, XI and XII forced over the whole
-        # N=100 grid at three q: every kernel that is not a branch kernel,
-        # each of which solves its row terms once per run, pinned above the
-        # N=24 goldens.
+        # (.err) for each of the twelve regions forced over the whole N=100
+        # grid at three q, pinned above the N=24 goldens: every formula,
+        # evaluated point by point on one record per row, and the skip lines
+        # of the points it refuses.
         pins = dict(reversed(line.split()) for line in (DATA / "forced_N100.sha256").read_text().splitlines())
         stems = sorted({name.rsplit(".", 1)[0] for name in pins})
-        assert len(stems) == 24 and len(pins) == 48
+        assert len(stems) == 36 and len(pins) == 72
         for stem in stems:
             _, _, q, region = stem.split("_")
             code, out, err = run_cli(capsys, "compare", "--N", "100", "--q", q[1:], "--region", region)

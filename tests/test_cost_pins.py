@@ -22,24 +22,31 @@ N = 100
 KERNELS = [f"k{i}" for i in range(1, 13) if i != 4]
 
 
-@pytest.fixture(scope="module", params=PINNED_Q)
-def full_compare(request, tmp_path_factory):
-    """A full in-process compare --N 100 at one pinned q under cProfile: the
-    calls of each function the tests name, and the points of each region in
-    the CSV it wrote."""
-    out = tmp_path_factory.mktemp("cost") / "compare.csv"
+def profiled(argv):
+    """Run the CLI in process under cProfile: its exit code, and the calls
+    of a function by its code object."""
     profile = cProfile.Profile()
     with pytest.MonkeyPatch.context() as patch:
         # One usable CPU: the rows run in this process, where the profile is.
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        code = profile.runcall(cli.main, ["compare", "--N", str(N), "--q", request.param, "--out", str(out)])
-    assert code == 0
+        code = profile.runcall(cli.main, argv)
     stats = pstats.Stats(profile).stats  # (file, first line, name) -> (primitive calls, all calls, ...)
 
     def calls(fn):
         c = fn.__code__
         return stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]
 
+    return code, calls
+
+
+@pytest.fixture(scope="module", params=PINNED_Q)
+def full_compare(request, tmp_path_factory):
+    """A full in-process compare --N 100 at one pinned q under cProfile: the
+    calls of each function the tests name, and the points of each region in
+    the CSV it wrote."""
+    out = tmp_path_factory.mktemp("cost") / "compare.csv"
+    code, calls = profiled(["compare", "--N", str(N), "--q", request.param, "--out", str(out)])
+    assert code == 0
     with out.open(encoding="utf-8", newline="") as f:
         data = (line for line in f if not line.startswith("#"))
         points = Counter(record["region"] for record in csv.DictReader(data))
@@ -83,3 +90,30 @@ def test_special_functions_run_once_per_point_of_their_regions(full_compare):
     assert 0 < calls(special_fns.airy_ai) <= points["VIII"] + points["IX"]
     assert 0 < calls(special_fns.pcf_d) <= points["VI"] + points["XII"]
     assert 0 < calls(special_fns.hermite) <= points["II"]
+
+
+@pytest.mark.parametrize("region", ["IV", "V", "VIII"])
+def test_forced_compare_reads_one_record_per_row(region, tmp_path):
+    # A forced formula evaluates each point on its row's one record (and
+    # the mirror's, for IV), not on a record of its own: so the strip
+    # coefficients of VIII, too, are solved at most once per row record.
+    code, calls = profiled(["compare", "--N", str(N), "--q", "0.64894783", "--region", region,
+                            "--out", str(tmp_path / "forced.csv")])
+    assert code == 0
+    assert 0 < calls(state_space.Row.__init__) <= 2 * (N + 1)
+    assert 0 < calls(exact_core.exact_row) <= N + 1
+    if region == "VIII":
+        assert 0 < calls(state_space.Row.strip.solve) <= 2 * (N + 1)
+
+
+@pytest.mark.parametrize("q", PINNED_Q)
+def test_a_map_evaluates_no_formula(q, tmp_path):
+    # regions reads each row's record for the classifier's tests alone: no
+    # exact row, no region kernel and no special function.
+    code, calls = profiled(["regions", "--N", str(N), "--q", q, "--out", str(tmp_path / "map.csv")])
+    assert code == 0
+    rows = calls(state_space.Row.__init__)
+    assert 0 < rows <= 2 * (N + 1) and calls(state_space.y_pm) <= rows
+    unused = [exact_core.exact_row, *(getattr(region_formulas, name) for name in KERNELS),
+              special_fns.airy_ai, special_fns.pcf_d, special_fns.hermite]
+    assert {fn.__name__: calls(fn) for fn in unused if calls(fn)} == {}

@@ -62,10 +62,18 @@ ALL_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI", "
 P_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction("0.64894783")]
 
 
+def forced(tag: str, x: int, n: int, params: Params):
+    """One point of :func:`evaluate_region`: its value, or its error raised."""
+    av = evaluate_region(tag, n, [x], params)[0]
+    if isinstance(av, Exception):
+        raise av
+    return av
+
+
 def region_gap(tag_a: str, tag_b: str, x: int, n: int, params: Params) -> float:
     """Envelope-normalized disagreement of two formulas at one grid point."""
-    a = evaluate_region(tag_a, x, n, params)
-    b = evaluate_region(tag_b, x, n, params)
+    a = forced(tag_a, x, n, params)
+    b = forced(tag_b, x, n, params)
     return formula_gap(a, b, ExactRow(n, params), x)
 
 
@@ -80,7 +88,7 @@ def row_of(n: int, params: Params) -> Row:
 
 
 def point_err(tag: str, x: int, n: int, params: Params) -> float:
-    return norm_err_row([evaluate_region(tag, x, n, params)], ExactRow(n, params), [x])[0]
+    return norm_err_row([forced(tag, x, n, params)], ExactRow(n, params), [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +187,11 @@ class TestBottomRows:
 class TestSingleBranchExterior:
     def test_rejects_upper_rows(self):
         with pytest.raises(DomainError):
-            evaluate_region("III", 10, 30, P100_74)  # z = 0.30 >= p
+            forced("III", 10, 30, P100_74)  # z = 0.30 >= p
 
     def test_rejects_oscillatory_interior(self):
         with pytest.raises(DomainError):
-            evaluate_region("III", 30, 10, P100_74)  # between the curves
+            forced("III", 30, 10, P100_74)  # between the curves
 
     @pytest.mark.parametrize("x, n", [(157, 51), (185, 60), (197, 91)])
     def test_plus_branch_reaches_z_up_to_q(self, x, n):
@@ -191,10 +199,10 @@ class TestSingleBranchExterior:
         # IV, the mirrored III, evaluates there and agrees with the routed value.
         assert n * P200_74.eps >= P200_74.pf
         assert classify(x, n, P200_74).tag == "IV"
-        forced = evaluate_region("IV", x, n, P200_74)
+        value = forced("IV", x, n, P200_74)
         routed = approx(x, n, P200_74)
-        assert forced.ln_scale == pytest.approx(routed.ln_scale, abs=1e-12)
-        assert math.copysign(1.0, forced.value) == math.copysign(1.0, routed.value)
+        assert value.ln_scale == pytest.approx(routed.ln_scale, abs=1e-12)
+        assert math.copysign(1.0, value.value) == math.copysign(1.0, routed.value)
 
     @pytest.mark.parametrize("q", ["0.34894783", "0.64894783", "0.74894783"])
     def test_forced_iv_is_routed_iv_and_each_side_refuses_the_other(self, q):
@@ -209,15 +217,15 @@ class TestSingleBranchExterior:
                 y = x * params.eps
                 if classify(x, n, params).tag == "IV":
                     iv_points += 1
-                    forced, routed = evaluate_region("IV", x, n, params), approx(x, n, params)
+                    value, routed = forced("IV", x, n, params), approx(x, n, params)
                     for field in ("value", "ln_scale"):
-                        assert repr(getattr(forced, field)) == repr(getattr(routed, field))
+                        assert repr(getattr(value, field)) == repr(getattr(routed, field))
                 if y > yp:
                     with pytest.raises(DomainError):
-                        evaluate_region("III", x, n, params)
+                        forced("III", x, n, params)
                 if y < ym:
                     with pytest.raises(DomainError):
-                        evaluate_region("IV", x, n, params)
+                        forced("IV", x, n, params)
         assert iv_points > 0
 
     def test_plus_branch_rejects_z_from_q(self):
@@ -226,13 +234,13 @@ class TestSingleBranchExterior:
         assert P200_34.qf <= n * P200_34.eps < P200_34.pf
         assert classify(x, n, P200_34).label == "VII*"
         with pytest.raises(DomainError, match="z < q"):
-            evaluate_region("IV", x, n, P200_34)
+            forced("IV", x, n, P200_34)
 
     def test_branch_selection_and_signs(self):
         exact = ExactRow(10, P100_34)
-        left = evaluate_region("III", 20, 10, P100_34)
+        left = forced("III", 20, 10, P100_34)
         assert left.region.tag == "III"
-        right = evaluate_region("IV", 95, 10, P100_34)
+        right = forced("IV", 95, 10, P100_34)
         assert right.region.tag == "IV"
         for x, av in ((20, left), (95, right)):
             assert math.copysign(1.0, av.value) == exact.signs[x]
@@ -286,15 +294,15 @@ class TestLeftEdge:
 class TestInterferenceExterior:
     def test_reduces_to_plus_branch_on_grid(self):
         for x in (10, 14, 19, 23, 26):
-            av = evaluate_region("VII", x, 80, P100_74)
+            av = forced("VII", x, 80, P100_74)
             plus = cmath.exp(k_pm_log("+", x * P100_74.eps, 80 * P100_74.eps, P100_74))
             assert av.value == pytest.approx(plus.real, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            evaluate_region("VII", 10, 10, P100_74)  # z < p
+            forced("VII", 10, 10, P100_74)  # z < p
         with pytest.raises(DomainError):
-            evaluate_region("VII", 50, 80, P100_74)  # not left of the curve
+            forced("VII", 50, 80, P100_74)  # not left of the curve
 
     def test_matches_left_edge_where_domains_meet(self):
         worst = max(
@@ -578,14 +586,27 @@ def grid_points(draw):
 class TestDispatcher:
     def test_unknown_tag_rejected(self):
         with pytest.raises(DomainError):
-            evaluate_region("Q", 10, 10, P100_74)
+            forced("Q", 10, 10, P100_74)
         with pytest.raises(DomainError):
-            evaluate_region("iii", 10, 10, P100_74)
+            forced("iii", 10, 10, P100_74)
+
+    def test_forced_row_holds_each_points_value_or_error(self):
+        # X forced on row 50 refuses the points outside the turning curves
+        # and evaluates those between them.  Each entry is what its point
+        # gives alone, so a refused point stops no later one.
+        xs = list(range(101))
+        got = evaluate_region("X", 50, xs, P100_74)
+        assert len(got) == len(xs)
+        assert {type(av).__name__ for av in got} == {"ApproxValue", "DomainError"}
+        assert isinstance(got[0], DomainError) and not isinstance(got[50], Exception)
+        for x, av in zip(xs, got):
+            alone = evaluate_region("X", 50, [x], P100_74)[0]
+            assert (type(av), repr(av)) == (type(alone), repr(alone))
 
     @pytest.mark.parametrize("tag, x, n", [("X", 30.5, 50), ("I", -0.0, 2), ("I", True, 2)])
     def test_forced_evaluation_rejects_non_integer_indices(self, tag, x, n):
         with pytest.raises(DomainError, match="x must be an integer"):
-            evaluate_region(tag, x, n, P100_74)
+            forced(tag, x, n, P100_74)
 
     @pytest.mark.parametrize("tag, x, n, match", [
         ("I", 30, 101, "n=101 outside"), ("I", 30, -1, "n=-1 outside"),
@@ -594,7 +615,7 @@ class TestDispatcher:
     def test_forced_evaluation_refuses_bad_indices_before_any_kernel(self, tag, x, n, match):
         # The kernels take checked grid points; the dispatcher refuses the rest.
         with pytest.raises(DomainError, match=match):
-            evaluate_region(tag, x, n, P100_74)
+            forced(tag, x, n, P100_74)
         with pytest.raises(DomainError, match=match):
             approx_row(n, [x], P100_74)
 
@@ -630,7 +651,7 @@ class TestDispatcher:
         av = approx(94, 10, P100_34)
         assert av.region.tag == "VIII"
         assert av.region.mirrored
-        base = evaluate_region("VIII", 6, 10, P100_34.swapped())
+        base = forced("VIII", 6, 10, P100_34.swapped())
         assert av.value == base.value  # even degree: mirror sign is +1
         assert av.ln_scale == base.ln_scale
         assert norm_err_row([av], ExactRow(10, P100_34), [94])[0] <= 0.08
@@ -638,7 +659,7 @@ class TestDispatcher:
     def test_mirrored_exterior_point_with_odd_sign(self):
         av = approx(99, 17, P100_74)
         assert av.region.mirrored
-        base = evaluate_region("III", 1, 17, P100_74.swapped())
+        base = forced("III", 1, 17, P100_74.swapped())
         assert av.value == -base.value  # odd degree flips the sign
         assert av.ln_scale == base.ln_scale
 

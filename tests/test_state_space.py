@@ -12,6 +12,7 @@ from krawtchouk_wkb.state_space import (
     REGION_TAGS,
     ClassifierConfig,
     RegionId,
+    Row,
     check_scaled,
     classify,
     classify_row,
@@ -391,6 +392,16 @@ class TestRegionRuns:
     def test_bad_row_refused(self, n):
         with pytest.raises(DomainError):
             region_runs(n, params_for(100, "0.64894783"))
+
+
+class TestRowRecord:
+    def test_lazy_fields_read_on_the_class_are_the_fields(self):
+        # As with functools.cached_property, a lazy field read on the class
+        # is the field itself, whose solver a row's first read runs.
+        P = params_for(100, "0.64894783")
+        for name in ("mirror", "curves", "u0", "r2", "strip"):
+            assert getattr(Row, name) is Row.__dict__[name]
+        assert Row.curves.solve(Row(0.5, P)) == y_pm(0.5, P) == Row(0.5, P).curves
 
 
 class TestConfigTypes:
