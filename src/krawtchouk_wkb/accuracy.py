@@ -11,8 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_core import (
     ExactRow,
@@ -103,8 +102,7 @@ def formula_gap(a: ApproxValue, b: ApproxValue, row: ExactRow, x: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(NamedTuple):
     """Parameters of one built-in comparison sweep."""
 
     fig_id: int
@@ -157,8 +155,7 @@ _SHOWN_FAILURES = 4
 _Outcome = Tuple[List[str], str]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     crit_id: int
     name: str
     passed: bool

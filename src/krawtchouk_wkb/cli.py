@@ -22,10 +22,9 @@ import marshal
 import math
 import os
 import sys
-from dataclasses import fields, replace
 from decimal import Decimal
 from typing import (BinaryIO, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple,
-                    TypeVar, get_type_hints)
+                    TypeVar)
 
 from . import __version__
 from .accuracy import CRITERIA, FIGURES, norm_err_row, run_criterion
@@ -123,7 +122,7 @@ def render_ratio(num: int, den: int, digits: int) -> str:
 def load_config(path: str) -> ClassifierConfig:
     """Parse a flat key=value config file of ClassifierConfig fields, each
     set at most once; anything else is an error."""
-    cfg_types = get_type_hints(ClassifierConfig)  # field name -> int or float
+    cfg_types = {name: type(value) for name, value in DEFAULT_CONFIG._field_defaults.items()}  # int or float
     overrides: Dict[str, object] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -147,13 +146,13 @@ def load_config(path: str) -> ClassifierConfig:
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {text!r}")
     try:
-        return replace(DEFAULT_CONFIG, **overrides)
+        return DEFAULT_CONFIG._replace(**overrides)
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid classifier config: {exc}")
 
 
 def _config_meta(cfg: ClassifierConfig) -> str:
-    return ";".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(ClassifierConfig))
+    return ";".join(f"{name}={value}" for name, value in zip(cfg._fields, cfg))
 
 
 def _write_csv(out_path: Optional[str], meta: Sequence[Tuple[str, str]],

@@ -9,11 +9,10 @@ against which every asymptotic approximation is measured.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -73,23 +72,27 @@ def check_indices(name: str, values, upper: int) -> None:
         check_index(name, v, upper)
 
 
-@dataclass(frozen=True)
-class Params:
-    """A problem instance: size N and success probability p, with q = 1 - p."""
-
+class _ParamsFields(NamedTuple):
     N: int
     p: Fraction
     q: Fraction
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 1:
-            raise DomainError(f"N must be a positive integer, got {self.N!r}")
-        if not isinstance(self.p, Fraction) or not isinstance(self.q, Fraction):
+
+class Params(_ParamsFields):
+    """A problem instance: size N and success probability p, with q = 1 - p."""
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, N: int, p: Fraction, q: Fraction) -> "Params":
+        if not isinstance(N, int) or isinstance(N, bool) or N < 1:
+            raise DomainError(f"N must be a positive integer, got {N!r}")
+        if not isinstance(p, Fraction) or not isinstance(q, Fraction):
             raise DomainError("p and q must be Fractions; use Params.from_p/from_q")
-        if not Fraction(0) < self.p < Fraction(1):
-            raise DomainError(f"p must lie strictly inside (0, 1), got {self.p}")
-        if self.p + self.q != 1:
-            raise DomainError(f"p + q must equal 1 exactly (p={self.p}, q={self.q})")
+        if not Fraction(0) < p < Fraction(1):
+            raise DomainError(f"p must lie strictly inside (0, 1), got {p}")
+        if p + q != 1:
+            raise DomainError(f"p + q must equal 1 exactly (p={p}, q={q})")
+        return super().__new__(cls, N, p, q)
 
     @classmethod
     def from_p(cls, N: int, p: RationalLike) -> "Params":
@@ -106,8 +109,8 @@ class Params:
         return self._mirror
 
     # -- derived once per instance ------------------------------------------
-    # cached_property stores into the instance __dict__, which a frozen
-    # dataclass allows; the fields, and so equality and hashing, are untouched.
+    # cached_property stores into the instance __dict__, which this subclass
+    # has; the fields, and so equality and hashing, are untouched.
 
     @cached_property
     def _mirror(self) -> "Params":

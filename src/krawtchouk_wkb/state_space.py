@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, get_type_hints
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_core import DomainError, Params, SingularityError, check_index, check_indices
 from .special_fns import PCF_NU_MAX, PCF_Z_MAX
@@ -58,16 +57,21 @@ REGION_TAGS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI"
 _TAG_SET = frozenset(REGION_TAGS)
 
 
-@dataclass(frozen=True)
-class RegionId:
-    """A region tag, plus whether the point was classified via reflection."""
-
+class _RegionFields(NamedTuple):
     tag: str
     mirrored: bool = False
 
-    def __post_init__(self) -> None:
-        if self.tag not in _TAG_SET:
-            raise DomainError(f"unknown region tag {self.tag!r}")
+
+class RegionId(_RegionFields):
+    """A region tag, plus whether the point was classified via reflection."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, tag: str, mirrored: bool = False) -> "RegionId":
+        if tag not in _TAG_SET:
+            raise DomainError(f"unknown region tag {tag!r}")
+        return super().__new__(cls, tag, mirrored)
 
     @property
     def label(self) -> str:
@@ -75,8 +79,15 @@ class RegionId:
         return self.tag + ("*" if self.mirrored else "")
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+class _ConfigFields(NamedTuple):
+    n_small: int = 4
+    x_small: int = 8
+    j_small: int = 4
+    corner_width: float = 3.0
+    beta_max: float = 0.9
+
+
+class ClassifierConfig(_ConfigFields):
     """Layer widths for the classifier.
 
     The analysis fixes only the *order* of each layer's width (sqrt(eps) for
@@ -91,16 +102,14 @@ class ClassifierConfig:
     strip edge, so a narrow strip hands each point to the better formula.
     """
 
-    n_small: int = 4
-    x_small: int = 8
-    j_small: int = 4
-    corner_width: float = 3.0
-    beta_max: float = 0.9
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        for name, kind in get_type_hints(ClassifierConfig).items():
+    def __new__(cls, *args, **kwargs) -> "ClassifierConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, default in self._field_defaults.items():  # a field's kind is its default's
             v = getattr(self, name)
-            if kind is int:
+            if type(default) is int:
                 if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                     raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
             elif isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
@@ -113,6 +122,7 @@ class ClassifierConfig:
                 raise DomainError(f"{name} must be at most {PCF_NU_MAX}, got {getattr(self, name)!r}")
         if math.sqrt(2.0) * self.corner_width > PCF_Z_MAX:
             raise DomainError(f"corner_width must be at most {PCF_Z_MAX} / sqrt(2), got {self.corner_width!r}")
+        return self
 
 
 DEFAULT_CONFIG = ClassifierConfig()

@@ -11,7 +11,6 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
@@ -889,7 +888,7 @@ class TestCheck:
             os.waitpid(-1, os.WNOHANG)
 
     def test_small_tolerance_prints_its_digits(self, capsys):
-        with mock.patch.dict(FIGURES, {3: replace(FIGURES[3], bar=0.001)}), \
+        with mock.patch.dict(FIGURES, {3: FIGURES[3]._replace(bar=0.001)}), \
                 mock.patch("krawtchouk_wkb.accuracy._OVERLAP_BAR", 0.0001):
             code, out, _ = run_cli(capsys, "check", "--criteria", "2,4")
         assert code == 2
@@ -898,7 +897,7 @@ class TestCheck:
 
     def test_figure_sweep_reads_its_own_bar(self, capsys):
         # Figure 10's worst error is 6.44%: inside its 8% bar, outside 6%.
-        with mock.patch.dict(FIGURES, {10: replace(FIGURES[10], bar=0.06)}):
+        with mock.patch.dict(FIGURES, {10: FIGURES[10]._replace(bar=0.06)}):
             code, out, _ = run_cli(capsys, "check", "--criteria", "2")
         assert code == 2
         assert out.startswith("FAIL  criterion-2 figure reproduction")

@@ -576,6 +576,12 @@ def test_params_validation():
         Params.from_p(10, Fraction(3, 2))
     with pytest.raises(DomainError):
         Params(10, Fraction(1, 2), Fraction(1, 3))
+    params = Params.from_q(10, "1/2")
+    with pytest.raises(DomainError):
+        params._replace(N=0)  # _replace runs the same checks
+    with pytest.raises(AttributeError):
+        params.N = 20
+    assert repr(params) == "Params(N=10, p=Fraction(1, 2), q=Fraction(1, 2))"
 
 
 def test_ln_abs_int_matches_direct_log():

@@ -117,3 +117,15 @@ def test_the_benchmark_harness_resolves_every_name_it_reads(tmp_path):
         done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, (args[0], done.stderr[-2000:])
+
+
+def test_the_cli_imports_no_dataclasses():
+    # Every request is a fresh process, so the import path is paid each time:
+    # dataclasses alone pulls in inspect, ast, dis and tokenize, about 6 ms.
+    probe = ("import sys; before = set(sys.modules); import krawtchouk_wkb.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    added = set(done.stdout.split())
+    assert done.returncode == 0 and "krawtchouk_wkb.cli" in added, done.stderr[-2000:]
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()

@@ -410,6 +410,8 @@ class TestConfigTypes:
         assert (cfg.n_small, cfg.x_small, cfg.j_small) == (4, 8, 4)
         assert cfg.corner_width == 3.0
         assert cfg.beta_max == 0.9
+        with pytest.raises(AttributeError):
+            cfg.beta_max = 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -426,12 +428,19 @@ class TestConfigTypes:
     def test_invalid_config(self, kwargs):
         with pytest.raises(DomainError):
             ClassifierConfig(**kwargs)
+        with pytest.raises(DomainError):
+            DEFAULT_CONFIG._replace(**kwargs)
 
     def test_region_id_validation(self):
         with pytest.raises(DomainError):
             RegionId("XIII")
+        with pytest.raises(DomainError):
+            RegionId("IV")._replace(tag="XIII")
         assert RegionId("IV", mirrored=True).label == "IV*"
         assert RegionId("X").label == "X"
+        assert repr(RegionId("IV", mirrored=True)) == "RegionId(tag='IV', mirrored=True)"
+        with pytest.raises(AttributeError):
+            RegionId("X").mirrored = True
         assert len(REGION_TAGS) == 12
 
     def test_check_scaled(self):
