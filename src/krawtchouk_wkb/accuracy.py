@@ -425,9 +425,9 @@ def criterion_7(cfg: ClassifierConfig) -> _Outcome:
     failures: List[str] = []
     for n in range(11):
         x = 1.9
-        expected = 2 ** (-n / 2) * math.exp(-x * x / 4) * hermite(n, x / math.sqrt(2))
-        got = pcf_d(n, x)
-        if abs(got - expected) > 1e-10 * abs(expected):
+        h_sign, ln_h = hermite(n, x / math.sqrt(2))
+        d_sign, ln_d = pcf_d(n, x)
+        if d_sign != h_sign or abs(ln_d - (ln_h - n / 2 * math.log(2) - x * x / 4)) > 1e-10:
             failures.append(f"cylinder/Hermite identity fails at n={n}")
     x = 8.0
     rhs = x ** (-0.25) * math.exp(-2 / 3 * x**1.5) / (2 * math.sqrt(math.pi))

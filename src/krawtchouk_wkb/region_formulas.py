@@ -135,11 +135,7 @@ def k2(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     params = row.params
     p, q = params.pf, params.qf
     head = 0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps)) - math.lgamma(n + 1)
-    out = []
-    for x in xs:
-        H = hermite(n, row.eta(x))
-        out.append((0.0, 0.0) if H == 0.0 else (math.copysign(1.0, H), head + math.log(abs(H))))
-    return out
+    return [(sign, head + ln_h) for sign, ln_h in (hermite(n, row.eta(x)) for x in xs)]
 
 
 def _branch_logs(branch: str, xs: Sequence[int], row: Row,
@@ -201,9 +197,8 @@ def k6(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     # The oscillation factor exp[i*pi*(p/eps - u*sqrt(pq/eps))] is (-1)^n on the grid.
     out = []
     for x in xs:
-        D = pcf_d(x, u)
-        out.append((0.0, 0.0) if D == 0.0 else (math.copysign(1.0, D) * _sign(n),
-                   head + 0.5 * x * ln_ratio - quad + math.log(abs(D)) - tail1 - tail2))
+        sign, ln_d = pcf_d(x, u)
+        out.append((sign * _sign(n), head + 0.5 * x * ln_ratio - quad + ln_d - tail1 - tail2))
     return out
 
 
@@ -327,9 +322,9 @@ def k12(xs: Sequence[int], n: int, row: Row) -> List[_Scaled]:
     out = []
     for x in xs:
         xi = row.xi(x)
-        D = pcf_d(j, math.sqrt(2.0) * xi)
-        out.append((0.0, 0.0) if D == 0.0 else (math.copysign(1.0, D) * _sign(N - x),
-                   head + xi * root_2pqN * ln_qp - half_j_ln + 0.5 * xi * xi + math.log(abs(D)) - ln_fact))
+        sign, ln_d = pcf_d(j, math.sqrt(2.0) * xi)
+        out.append((sign * _sign(N - x),
+                    head + xi * root_2pqN * ln_qp - half_j_ln + 0.5 * xi * xi + ln_d - ln_fact))
     return out
 
 

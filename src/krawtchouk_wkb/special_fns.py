@@ -3,16 +3,14 @@
 Everything that ``approx`` evaluates on the integer grid runs in machine
 floats:
 
-* Hermite polynomials run on their exact integer-coefficient recurrence and
-  follow the type of their argument (Fraction in, Fraction out).
+* ``hermite`` and ``pcf_d`` (an ``int`` order and a real argument only, the
+  corner layers' uses at integer x) return ``(sign, ln|value|)``, and
+  ``(0.0, -inf)`` at an exact zero such as D_2(1), so no order or finite
+  argument leaves their range.  Each runs its three-term recurrence in
+  floats, divided by a power of two whenever it grows past 2^500.
 * ``airy_ai`` sums a Taylor series re-centred at the nearest integer node
   for |x| <= 8.5, seeded with tabulated Ai and Ai' at the node, and the
   standard asymptotic expansions (DLMF 9.7.5, 9.7.9) beyond.
-* ``pcf_d`` takes an ``int`` order 0..32 and a real (``int`` or ``float``)
-  argument only, the corner layers' uses at integer x, and returns a float:
-  e^{-z^2/4} He_n(z), with He_n from the probabilists' recurrence in z, so
-  exact zeros such as D_2(1) = 0 stay exact.  A float order or a complex
-  argument is refused even where its value is an integer or real.
 
 mpmath (30-40 decimal digits, returned as machine floats) remains for
 ``airy_bi`` and ``lambda_j``, which no command calls: their terms are
@@ -25,6 +23,8 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
+from typing import Tuple
 
 from .exact_core import DomainError
 
@@ -36,18 +36,12 @@ __all__ = [
     "airy_ai",
     "airy_bi",
     "pcf_d",
-    "PCF_NU_MAX",
-    "PCF_Z_MAX",
     "lambda_j",
 ]
 
 _AIRY_DPS = 30
 _PCF_DPS = 40
 
-#: Order and argument bounds of the parabolic cylinder function, which bound
-#: the classifier's x_small, j_small and corner_width.
-PCF_NU_MAX = 32
-PCF_Z_MAX = 15.0
 _LAMBDA_J_MAX = 30
 _LAMBDA_XI_MAX = 8.0
 
@@ -88,6 +82,10 @@ _AI_ASYM_TOL = 1e-17
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+#: The recurrences divide their terms by 2^500 once the newest passes it;
+#: past |x| = 2^400 their leading term is their value to double precision.
+_SCALE, _LN_SCALE, _ARG_LEADING = 2.0**500, 500 * math.log(2.0), 2.0**400
+
 
 class RangeError(DomainError):
     """Argument outside the range this implementation supports."""
@@ -101,25 +99,35 @@ class ResidueError(ArithmeticError):
     """A value that should be real came back with too much imaginary part."""
 
 
-def hermite(n: int, eta):
-    """Hermite polynomial H_n(eta) by the three-term recurrence.
+def _recurrence(n: int, c: int, x: float) -> Tuple[float, float]:
+    """y_n = m * e^s of y_0 = 1, y_{k+1} = c*x*y_k - c*k*y_{k-1} in floats as
+    (m, s); s = 0.0 if no power of two was divided out, and m is then y_n."""
+    if abs(x) > _ARG_LEADING:
+        return (-1.0 if x < 0 and n % 2 else 1.0), n * (math.log(c) + math.log(abs(x)))
+    cx, y_prev, y, scaled = c * x, 0.0, 1.0, 0
+    for ck in range(0, c * n, c):
+        y_prev, y = y, cx * y - ck * y_prev
+        if abs(y) > _SCALE:
+            y_prev, y, scaled = y_prev / _SCALE, y / _SCALE, scaled + 1
+    return y, scaled * _LN_SCALE
 
-    H_0 = 1, H_1 = 2*eta, H_{n+1} = 2*eta*H_n - 2*n*H_{n-1}.  The arithmetic
-    follows the type of ``eta``: pass a Fraction and the result is exact,
-    pass a float and it is ordinary floating point, which raises RangeError
-    where the recurrence leaves the doubles (inf, and then inf - inf = nan).
-    A bool for either argument raises DomainError.
-    """
+
+def _signed_log(m: float, s: float) -> Tuple[float, float]:
+    """(sign, ln|m * e^s|) of a float m, (0.0, -inf) if m is zero."""
+    return (math.copysign(1.0, m), math.log(abs(m)) + s) if m else (0.0, -math.inf)
+
+
+def hermite(n: int, eta: float) -> Tuple[float, float]:
+    """Hermite polynomial H_n(eta) as (sign, ln|H_n(eta)|), by the recurrence
+    H_{n+1} = 2*eta*H_n - 2*n*H_{n-1}.  A bool for either argument raises
+    DomainError, a non-finite or non-real argument RangeError."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"hermite degree must be a nonnegative integer, got {n!r}")
     if isinstance(eta, bool):
         raise DomainError(f"hermite argument must be a number, not a bool, got {eta!r}")
-    h_prev, h = 0, eta - eta + 1  # H_{-1} (times 0 below) and H_0, a 1 of eta's type
-    for k in range(n):
-        h_prev, h = h, 2 * eta * h - 2 * k * h_prev
-    if isinstance(h, float) and not math.isfinite(h):
-        raise RangeError(f"H_{n}({eta!r}) overflows a double")
-    return h
+    if not (isinstance(eta, (int, float)) and abs(eta) <= sys.float_info.max):
+        raise RangeError(f"hermite argument must be a finite real, got H_{n}({eta!r})")
+    return _signed_log(*_recurrence(n, 2, eta))
 
 
 def airy_ai(x: float) -> float:
@@ -213,27 +221,22 @@ def airy_bi(x: float) -> float:
     return out
 
 
-def pcf_d(n: int, z: float) -> float:
-    """Parabolic cylinder function D_n(z) for an integer order 0 <= n <= 32
-    and a real |z| <= 15, which covers every corner-layer use at integer x.
-
-    It is e^{-z^2/4} He_n(z) in floats, He_n from the recurrence
-    He_{k+1} = z He_k - k He_{k-1} in z itself, so exact zeros such as
-    D_2(1) = 0 come out as 0.0.  Any other order or argument, a float
-    order, a complex argument or a bool for either included, raises RangeError.
+def pcf_d(n: int, z: float) -> Tuple[float, float]:
+    """Parabolic cylinder function D_n(z) as (sign, ln|D_n(z)|), for an integer
+    order n >= 0 and a finite real z: e^{-z^2/4} He_n(z), He_n from the
+    recurrence He_{k+1} = z He_k - k He_{k-1} in z itself, so exact zeros
+    such as D_2(1) = 0 stay exact.  Where e^{-z^2/4} and the product are
+    normal doubles, the log is of the product.  Any other order or argument,
+    a float order, a complex argument or a bool for either, raises RangeError.
     """
-    # The two bound checks come first, so a forced VI or XII far outside its
-    # layer reports the bound it crossed.
-    if not 0 <= n <= PCF_NU_MAX:
-        raise RangeError(f"pcf_d order {n} outside the integers 0..{PCF_NU_MAX}")
-    if abs(z) > PCF_Z_MAX:
-        raise RangeError(f"pcf_d argument |{z}| > {PCF_Z_MAX}")
-    if not (isinstance(n, int) and isinstance(z, (int, float))) or bool in (type(n), type(z)):
-        raise RangeError(f"pcf_d needs an integer order and a real argument, got D_{n}({z})")
-    he_prev, he = 0.0, 1.0  # He_{-1}, He_0
-    for k in range(n):
-        he_prev, he = he, z * he - k * he_prev
-    return math.exp(-0.25 * z * z) * he
+    if (not (isinstance(n, int) and isinstance(z, (int, float))) or bool in (type(n), type(z))
+            or n < 0 or not abs(z) <= sys.float_info.max):
+        raise RangeError(f"pcf_d needs an integer order and a real argument, n >= 0, z finite: D_{n}({z})")
+    he, s = _recurrence(n, 1, z)
+    gauss = math.exp(-0.25 * z * z)
+    if s == 0.0 and min(gauss, abs(gauss * he)) >= sys.float_info.min:
+        return _signed_log(gauss * he, 0.0)
+    return _signed_log(he, s - 0.25 * z * z)
 
 
 def lambda_j(j: int, xi: float) -> float:

@@ -32,7 +32,6 @@ import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_core import DomainError, Params, SingularityError, check_index, check_indices
-from .special_fns import PCF_NU_MAX, PCF_Z_MAX
 
 __all__ = [
     "RegionId",
@@ -92,8 +91,8 @@ class ClassifierConfig(_ConfigFields):
 
     The analysis fixes only the *order* of each layer's width (sqrt(eps) for
     corners, eps^{2/3} for the turning strips); the multipliers here are
-    tunable so overlap studies can widen or shrink the strips.  Zero widths
-    are permitted (they disable a layer), negative values are not.
+    tunable so overlap studies can widen or shrink the strips.  Each width is
+    a finite number >= 0 (the three counts integers); zero disables a layer.
 
     The default strip multiplier is 0.9: measured against the exact values at
     eps = 0.01, the Airy strip forms stay inside the figure error budget only
@@ -114,14 +113,6 @@ class ClassifierConfig(_ConfigFields):
                     raise DomainError(f"{name} must be a nonnegative integer, got {v!r}")
             elif isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
                 raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
-        # The corner layers evaluate parabolic cylinder functions: VI D_x(u)
-        # with x <= x_small and |u| <= corner_width, XII D_j(sqrt(2) * xi)
-        # with j <= j_small and |xi| <= corner_width.
-        for name in ("x_small", "j_small"):
-            if getattr(self, name) > PCF_NU_MAX:
-                raise DomainError(f"{name} must be at most {PCF_NU_MAX}, got {getattr(self, name)!r}")
-        if math.sqrt(2.0) * self.corner_width > PCF_Z_MAX:
-            raise DomainError(f"corner_width must be at most {PCF_Z_MAX} / sqrt(2), got {self.corner_width!r}")
         return self
 
 

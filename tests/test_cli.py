@@ -15,6 +15,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from krawtchouk_wkb.accuracy import CRITERIA, FIGURES
 from krawtchouk_wkb.cli import load_config, main, render_ratio
 from krawtchouk_wkb.exact_core import DomainError, Params, scaled_sum
+from krawtchouk_wkb import region_formulas
 from krawtchouk_wkb.region_formulas import approx_row as real_approx_row, evaluate_region
 from fractions import Fraction
 
@@ -210,19 +212,24 @@ class TestCompare:
             assert row["mirrored"] == str(int(av.region.mirrored)) == "1"
         assert {r[4] for r in rows if not dict(zip(header, r))["approx_ln_mag"]} == {"0"}
 
-    def test_forced_corner_skips_where_hermite_overflows(self, capsys):
-        # Forced II far above its layer: H_999 leaves the doubles, so the
-        # point is skipped with one stderr line, not printed as nan.
-        code, out, err = run_cli(capsys, "compare", "--N", "1000", "--q", "0.5",
-                                 "--region", "II", "--n", "999", "--x", "0")
-        assert code == 0
-        assert "nan" not in out
-        assert err.splitlines() == [
-            "compare --region II: skipped 1 of 1 points on RangeError, first at (x, n) = (0, 999): "
-            "H_999(-22.360679774997898) overflows a double"
-        ]
+    def test_forced_corner_evaluates_where_hermite_leaves_the_doubles(self, capsys):
+        # Forced II far above its layer: H_999(-22.36) overflows a double, and
+        # the point was skipped; its log form now matches mpmath's value of
+        # the corner form (pq/(2 eps))^(n/2) H_n(eta) / n!.
+        N, q, n = 1000, "0.5", 999
+        code, out, err = run_cli(capsys, "compare", "--N", str(N), "--q", q,
+                                 "--region", "II", "--n", str(n), "--x", "0")
+        assert (code, err) == (0, "")
         _, header, rows = parse_csv(out)
-        assert [dict(zip(header, r))["approx_ln_mag"] for r in rows] == [""]
+        assert len(rows) == 1
+        row = dict(zip(header, rows[0]))
+        params = Params.from_q(N, q)
+        p, q, eps = params.pf, params.qf, params.eps
+        with mp.workdps(60):
+            H = mp.hermite(n, -p / math.sqrt(2.0 * p * q * eps))
+            ln_ref = 0.5 * n * mp.log(p * q / (2 * eps)) - mp.loggamma(n + 1) + mp.log(abs(H))
+        assert row["approx_sign"] == str(int(mp.sign(H)))
+        assert float(row["approx_ln_mag"]) == pytest.approx(float(ln_ref), rel=1e-10)
 
     @pytest.mark.parametrize("region, limit", [("III", "z < p"), ("IV", "z < q")])
     def test_forced_exterior_skips_name_the_z_limit(self, capsys, region, limit):
@@ -782,16 +789,40 @@ class TestErrors:
         assert code == 1 and out == "" and "unrecognized arguments: --config" in err
 
     @pytest.mark.parametrize("line", ["x_small=33", "j_small=33", "corner_width=10.606601717798213"])
-    def test_widths_past_the_cylinder_bounds_are_refused_before_any_row(self, capsys, tmp_path, line):
+    def test_widths_past_the_cylinder_bounds_evaluate(self, capsys, tmp_path, line):
+        # These widths were refused while pcf_d returned a double and took
+        # orders up to 32 and arguments up to 15.  Now the grid completes,
+        # and each VI and XII value is the one its formula takes with
+        # mpmath's D_n in place of pcf_d.
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(line + "\n")
         code, out, err = run_cli(capsys, "compare", "--N", "200", "--q", "0.64894783", "--config", str(cfg))
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: invalid classifier config: {line.split('=')[0]} must be at most")
+        assert (code, err) == (0, "")
+        _, header, rows = parse_csv(out)
+        assert len(rows) == 201 * 201 and "nan" not in out
+        corner = {}
+        for r in rows:
+            r = dict(zip(header, r))
+            if r["region"] in ("VI", "XII"):
+                corner.setdefault(int(r["n"]), []).append(r)
+        assert corner
+
+        def mp_pcf_d(n, z):
+            with mp.workdps(30):
+                d = mp.pcfd(n, z)
+                return float(mp.sign(d)), float(mp.log(abs(d)))
+
+        params, config = Params.from_q(200, "0.64894783"), load_config(str(cfg))
+        with mock.patch.object(region_formulas, "pcf_d", mp_pcf_d):
+            for n, points in corner.items():
+                for r, av in zip(points, real_approx_row(n, [int(r["x"]) for r in points], params, config)):
+                    assert float(r["approx_ln_mag"]) == pytest.approx(av.ln_scale, rel=1e-10, abs=1e-10)
+                    assert r["approx_sign"] == str(int(math.copysign(1.0, av.value)))
 
     @pytest.mark.parametrize("q", ["0.34894783", "0.64894783", "0.74894783"])
     def test_widest_accepted_widths_run_the_full_grid(self, tmp_path, q):
-        # The largest corner_width with sqrt(2) * corner_width <= 15.
+        # The largest widths accepted while pcf_d took orders up to 32 and
+        # arguments up to 15.
         cfg = tmp_path / "widest.cfg"
         cfg.write_text("x_small=32\nj_small=32\ncorner_width=10.606601717798211\n")
         out = io.StringIO()

@@ -145,15 +145,15 @@ def ref_k6(x, u, params):
     formed from u; it has no dropped term.  pcf_d takes the integer order
     that x is on the grid."""
     p, q, N = params.pf, params.qf, params.N
-    D = pcf_d(int(x), u)
-    if D == 0.0:
+    sign, ln_d = pcf_d(int(x), u)
+    if sign == 0.0:
         return Full((0j, 0.0), 0.0, None)
     root_pqN = math.sqrt(p * q * N)
     s = (0.5 * math.log(params.eps) - 0.5 * math.log(2.0 * math.pi * p * q)
          + 0.5 * x * math.log(q * params.eps / p) - 0.25 * u * u
-         + math.log(abs(D))
+         + ln_d
          - q * math.log(q) * N - u * math.log(q) * root_pqN)
-    return Full((math.copysign(1.0, D) * _phase_factor(p * N - u * root_pqN), s), 0.0, None)
+    return Full((sign * _phase_factor(p * N - u * root_pqN), s), 0.0, None)
 
 
 def ref_k7(y, params, row):
@@ -249,10 +249,9 @@ def ref_k12(j, xi, params):
     terms = []
     cs = cospi(t)
     if cs != 0.0:
-        D = pcf_d(j, math.sqrt(2.0) * xi)
-        if D != 0.0:
-            terms.append((complex(math.copysign(1.0, D) * cs, 0.0),
-                          s_common + math.log(abs(D)) - math.lgamma(j + 1)))
+        sign, ln_d = pcf_d(j, math.sqrt(2.0) * xi)
+        if sign != 0.0:
+            terms.append((complex(sign * cs, 0.0), s_common + ln_d - math.lgamma(j + 1)))
     sn = sinpi(t)
     dropped = None
     if sn != 0.0:

@@ -39,6 +39,7 @@ from krawtchouk_wkb.region_formulas import (
 from krawtchouk_wkb.special_fns import hermite
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
+    ClassifierConfig,
     RegionId,
     Row,
     classify,
@@ -434,8 +435,9 @@ class TestOscillatoryInterior:
         """The bottom-corner form H_n(eta) (pq/(2 eps))^(n/2) / n! at a
         continuous eta; k2 is this form at the grid points."""
         p, q = params.pf, params.qf
-        return (hermite(n, eta) * math.exp(0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps))
-                                           - math.lgamma(n + 1)))
+        sign, ln_h = hermite(n, eta)
+        return (sign * math.exp(ln_h) * math.exp(0.5 * n * (math.log(p * q / 2.0) - math.log(params.eps))
+                                                 - math.lgamma(n + 1)))
 
     def test_corner_form_is_the_corner_kernel_on_the_grid(self):
         p, q, eps = P100_74.pf, P100_74.qf, P100_74.eps
@@ -583,6 +585,17 @@ def grid_points(draw):
     return N, q, x, n
 
 
+@st.composite
+def wide_configs(draw):
+    """(N, p, widths, rows): n_small, x_small, j_small up to N <= 60 and
+    corner_width up to 30, and a few rows of the grid."""
+    N = draw(st.integers(min_value=1, max_value=60))
+    counts = st.integers(min_value=0, max_value=N)
+    widths = (draw(counts), draw(counts), draw(counts), draw(st.floats(min_value=0.0, max_value=30.0)))
+    rows = draw(st.lists(st.integers(min_value=0, max_value=N), min_size=3, max_size=5))
+    return N, draw(st.sampled_from(P_POOL)), widths, rows
+
+
 class TestDispatcher:
     def test_unknown_tag_rejected(self):
         with pytest.raises(DomainError):
@@ -674,6 +687,20 @@ class TestDispatcher:
         av = approx(x, n, Params.from_q(N, q))
         assert not math.isnan(av.ln_scale)
         assert av.ln_scale != math.inf
+
+    # The widest config that wide_configs draws: before the special functions
+    # returned logs, its x_small and j_small were refused.
+    @settings(max_examples=60, deadline=None)
+    @given(case=wide_configs())
+    @example(case=(60, Fraction(1, 2), (60, 60, 60, 30.0), range(61)))
+    def test_approx_is_total_under_wide_configs(self, case):
+        N, p, (n_small, x_small, j_small, corner_width), rows = case
+        cfg = ClassifierConfig(n_small, x_small, j_small, corner_width)
+        params = Params.from_p(N, p)
+        for n in rows:
+            for av in approx_row(n, range(N + 1), params, cfg):
+                assert not math.isnan(av.ln_scale) and av.ln_scale != math.inf, (n, av)
+                assert not math.isnan(av.value)
 
     def test_grid_makes_no_mpmath_call(self):
         # Ai and integer-order D_n are evaluated in floats; Bi and Lambda_j
