@@ -14,6 +14,7 @@ import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exact_core import (
+    DomainError,
     ExactRow,
     Params,
     check_index,
@@ -59,7 +60,9 @@ def norm_err_row(avs: Sequence[ApproxValue], row: ExactRow, xs: Sequence[int]) -
     are rescaled by the envelope's log before subtracting, so the metric is
     exact even when |K| is far outside double range.  An approximation too
     large to rescale into double range gives ``inf``, and a window of exact
-    zeros ``nan``."""
+    zeros ``nan``.  A count of values other than that of xs raises DomainError."""
+    if len(avs) != len(xs):
+        raise DomainError(f"{len(avs)} approximations for {len(xs)} points")
     check_indices("x", xs, row.params.N)
     signs, logs, env = row.signs, row.logs, row.env
     out = []

@@ -376,14 +376,18 @@ class TestCompare:
         # forced_N100.sha256 holds the digests of stdout (.csv) and stderr
         # (.err) for each of the twelve regions forced over the whole N=100
         # grid at three q, pinned above the N=24 goldens: every formula,
-        # evaluated point by point on one record per row, and the skip lines
-        # of the points it refuses.
-        pins = dict(reversed(line.split()) for line in (DATA / "forced_N100.sha256").read_text().splitlines())
+        # evaluated on each row's run from one record per row, and the skip
+        # lines of the points it refuses.  forced_N16.sha256 adds
+        # the N=16 grid with p = 1/4, where XI refuses y = q in the middle
+        # of each row's run and V, VIII and IX refuse points on both errors.
+        pins = {}
+        for name in ("forced_N100.sha256", "forced_N16.sha256"):
+            pins.update(reversed(line.split()) for line in (DATA / name).read_text().splitlines())
         stems = sorted({name.rsplit(".", 1)[0] for name in pins})
-        assert len(stems) == 36 and len(pins) == 72
+        assert len(stems) == 48 and len(pins) == 96
         for stem in stems:
-            _, _, q, region = stem.split("_")
-            code, out, err = run_cli(capsys, "compare", "--N", "100", "--q", q[1:], "--region", region)
+            _, N, q, region = stem.split("_")
+            code, out, err = run_cli(capsys, "compare", "--N", N[1:], "--q", q[1:], "--region", region)
             assert code == 0, stem
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[f"{stem}.csv"], stem
             assert hashlib.sha256(err.encode("utf-8")).hexdigest() == pins[f"{stem}.err"], stem

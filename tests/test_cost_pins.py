@@ -92,16 +92,30 @@ def test_special_functions_run_once_per_point_of_their_regions(full_compare):
     assert 0 < calls(special_fns.hermite) <= points["II"]
 
 
-@pytest.mark.parametrize("region", ["IV", "V", "VIII"])
+#: The kernel a forced region calls; IV is III on the reflected grid.
+FORCED_KERNEL = {"IV": "k3", "V": "k5", "VIII": "k8", "IX": "k9", "X": "k10"}
+
+
+@pytest.mark.parametrize("region", FORCED_KERNEL)
 def test_forced_compare_reads_one_record_per_row(region, tmp_path):
-    # A forced formula evaluates each point on its row's one record (and
+    # A forced formula evaluates each row's run on its row's one record (and
     # the mirror's, for IV), not on a record of its own: so the strip
     # coefficients of VIII, too, are solved at most once per row record.
+    # Its kernel is called once per run, and again after each refused point
+    # for the rest of the run, so V's phase phi0, a row term, is solved
+    # once per call that passes the row's checks.
+    out = tmp_path / "forced.csv"
     code, calls = profiled(["compare", "--N", str(N), "--q", "0.64894783", "--region", region,
-                            "--out", str(tmp_path / "forced.csv")])
+                            "--out", str(out)])
     assert code == 0
+    with out.open(encoding="utf-8", newline="") as f:
+        data = (line for line in f if not line.startswith("#"))
+        refused = sum(record["approx_ln_mag"] == "" for record in csv.DictReader(data))
     assert 0 < calls(state_space.Row.__init__) <= 2 * (N + 1)
     assert 0 < calls(exact_core.exact_row) <= N + 1
+    assert 0 < calls(getattr(region_formulas, FORCED_KERNEL[region])) <= refused + 2 * (N + 1)
+    if region == "V":
+        assert 0 < calls(wkb_core.phi0) <= 2 * (N + 1)
     if region == "VIII":
         assert 0 < calls(state_space.Row.strip.solve) <= 2 * (N + 1)
 

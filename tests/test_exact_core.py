@@ -275,9 +275,11 @@ def test_exact_row_rejects_out_of_range():
         lambda table, i: table.signed_log(i, 2),
         lambda table, i: table.signed_log(2, i),
         lambda table, i: accuracy.norm_err_row([ONE], table.row(2), [i]),
+        lambda table, i: accuracy.norm_err_row([ONE] * 3, table.row(2), [1, 2, 3, 4, 5]),
         lambda table, i: accuracy.formula_gap(ONE, ONE, table.row(2), i),
     ],
-    ids=["row", "ExactRow", "signed_log-n", "signed_log-x", "norm_err_row-x", "formula_gap-x"],
+    ids=["row", "ExactRow", "signed_log-n", "signed_log-x", "norm_err_row-x", "norm_err_row-len",
+         "formula_gap-x"],
 )
 def test_table_reads_reject_bad_indices(read, bad):
     table = ExactTable(Params.from_p(10, Fraction(1, 2)))

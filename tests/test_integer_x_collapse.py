@@ -284,29 +284,37 @@ def corner_xi(x, params):
     return (x * params.eps - params.qf) / math.sqrt(2.0 * params.pf * params.qf * params.eps)
 
 
+def run(kernel, xs, n, row):
+    """The pairs a kernel appends for the points of xs on ``row``; a refused
+    point raises."""
+    out = []
+    kernel(xs, n, row, out)
+    return out
+
+
 def case(tag, x, n, params, row):
     """The tag's (kernel, reference) at (x, n); x may be a half-integer, and
     then only the reference may be called."""
     z = row.z
     if tag == "III":
-        return Case(lambda: k3([x], n, row)[0], lambda: ref_k3(x * params.eps, params, row))
+        return Case(lambda: run(k3, [x], n, row)[0], lambda: ref_k3(x * params.eps, params, row))
     if tag == "V":
-        return Case(lambda: k5([x], n, row)[0], lambda: ref_k5(float(x), z, params))
+        return Case(lambda: run(k5, [x], n, row)[0], lambda: ref_k5(float(x), z, params))
     if tag == "VI":
         u = (params.pf - z) / math.sqrt(params.pf * params.qf * params.eps)
-        return Case(lambda: k6([x], n, row)[0], lambda: ref_k6(float(x), u, params))
+        return Case(lambda: run(k6, [x], n, row)[0], lambda: ref_k6(float(x), u, params))
     if tag == "VII":
-        return Case(lambda: k7([x], n, row)[0], lambda: ref_k7(x * params.eps, params, row))
+        return Case(lambda: run(k7, [x], n, row)[0], lambda: ref_k7(x * params.eps, params, row))
     if tag in ("VIII", "IX"):
         # Y^-(z) needs z > 0: on row 0 the kernel refuses the point first.
         if tag == "VIII":
-            return Case(lambda: k8([x], n, row)[0], lambda: ref_k8(strip_beta(x, z, params), z, params))
-        return Case(lambda: k9([x], n, row)[0], lambda: ref_k9(strip_beta(x, z, params), z, params))
+            return Case(lambda: run(k8, [x], n, row)[0], lambda: ref_k8(strip_beta(x, z, params), z, params))
+        return Case(lambda: run(k9, [x], n, row)[0], lambda: ref_k9(strip_beta(x, z, params), z, params))
     if tag == "X":
-        return Case(lambda: k10([x], n, row)[0], lambda: ref_k10(x * params.eps, params, row))
+        return Case(lambda: run(k10, [x], n, row)[0], lambda: ref_k10(x * params.eps, params, row))
     if tag == "XI":
-        return Case(lambda: k11([x], n, row)[0], lambda: ref_k11(params.N - n, x * params.eps, params))
-    return Case(lambda: k12([x], n, row)[0], lambda: ref_k12(params.N - n, corner_xi(x, params), params))
+        return Case(lambda: run(k11, [x], n, row)[0], lambda: ref_k11(params.N - n, x * params.eps, params))
+    return Case(lambda: run(k12, [x], n, row)[0], lambda: ref_k12(params.N - n, corner_xi(x, params), params))
 
 
 def orientations(N, q):

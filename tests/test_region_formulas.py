@@ -88,6 +88,14 @@ def row_of(n: int, params: Params) -> Row:
     return Row.at(n, params)
 
 
+def run(kernel, xs, n: int, row: Row) -> list:
+    """The (mantissa, scale) pairs a kernel appends for the points of xs on
+    ``row``; a refused point raises."""
+    out = []
+    kernel(xs, n, row, out)
+    return out
+
+
 def point_err(tag: str, x: int, n: int, params: Params) -> float:
     return norm_err_row([forced(tag, x, n, params)], ExactRow(n, params), [x])[0]
 
@@ -150,7 +158,7 @@ def test_reference_row_within_budget(fig_id):
 
 class TestBottomRows:
     def test_degree_zero_is_one(self):
-        pair = k1([37], 0, row_of(0, P100_74))[0]
+        pair = run(k1, [37], 0, row_of(0, P100_74))[0]
         av = finalized(pair, "I")
         assert av.value == 1.0
         assert av.ln_scale == 0.0
@@ -158,19 +166,19 @@ class TestBottomRows:
 
     def test_degree_one_is_linear(self):
         x = 30
-        av = finalized(k1([x], 1, row_of(1, P100_74))[0], "I")
+        av = finalized(run(k1, [x], 1, row_of(1, P100_74))[0], "I")
         expected = x - 100 * P100_74.pf
         assert av.value == pytest.approx(expected, rel=1e-12)
 
     def test_exact_zero_on_the_node(self):
         assert 4 * P16_25.eps == P16_25.pf
-        av = finalized(k1([4], 3, row_of(3, P16_25))[0], "I")
+        av = finalized(run(k1, [4], 3, row_of(3, P16_25))[0], "I")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
     def test_corner_profile_zero_at_odd_node(self):
         assert row_of(1, P16_25).eta(4) == 0.0
-        av = finalized(k2([4], 1, row_of(1, P16_25))[0], "II")
+        av = finalized(run(k2, [4], 1, row_of(1, P16_25))[0], "II")
         assert av.value == 0.0
         assert av.ln_scale == -math.inf
 
@@ -256,16 +264,16 @@ class TestSingleBranchExterior:
 class TestLeftEdge:
     def test_edge_domain_errors(self):
         with pytest.raises(SingularityError):
-            k5([0], 4, row_of(4, P16_25))  # z = p
+            run(k5, [0], 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="left-edge formula requires"):
-            k5([0], 10, row_of(10, P100_74))  # below the crossover
+            run(k5, [0], 10, row_of(10, P100_74))  # below the crossover
 
     def test_edge_accuracy_at_column_zero(self):
         # measured 0.13% windowed at (x=0, n=90, N=200)
         assert point_err("V", 0, 90, P200_74) <= 0.02
 
     def test_edge_value_is_real_at_integer_x(self):
-        m, _ = k5([5], 50, row_of(50, P100_74))[0]
+        m, _ = run(k5, [5], 50, row_of(50, P100_74))[0]
         assert type(m) is float and m in (1.0, -1.0)
 
     def test_crossover_profile_small_u(self):
@@ -320,11 +328,11 @@ class TestInterferenceExterior:
 class TestLowerStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k8([2], 4, row_of(4, P16_25))  # z = p
+            run(k8, [2], 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="lower-strip formula requires"):
-            k8([90], 99, row_of(99, P100_34))
+            run(k8, [90], 99, row_of(99, P100_34))
         with pytest.raises(DomainError, match="lower-strip formula requires"):
-            k8([5], 0, row_of(0, P100_34))  # the kernel's check comes before Y^-(0)
+            run(k8, [5], 0, row_of(0, P100_34))  # the kernel's check comes before Y^-(0)
 
     def test_matches_branch_form_inside_strip(self):
         # |beta| ~ 1.2: the stated 10% agreement holds (measured 9.7%)
@@ -342,11 +350,11 @@ class TestLowerStrip:
 class TestUpperStrip:
     def test_domain_errors(self):
         with pytest.raises(SingularityError):
-            k9([2], 4, row_of(4, P16_25))  # z = p
+            run(k9, [2], 4, row_of(4, P16_25))  # z = p
         with pytest.raises(DomainError, match="upper-strip formula requires"):
-            k9([5], 10, row_of(10, P100_74))
+            run(k9, [5], 10, row_of(10, P100_74))
         with pytest.raises(DomainError, match="upper-strip formula requires"):
-            k9([5], 0, row_of(0, P100_74))
+            run(k9, [5], 0, row_of(0, P100_74))
 
     def test_matches_interference_form_outward(self):
         worst = max(
@@ -363,7 +371,7 @@ class TestUpperStrip:
         assert 0.07 <= worst <= 0.13
 
     def test_real_on_grid(self):
-        m, s = k9([30], 80, row_of(80, P100_74))[0]
+        m, s = run(k9, [30], 80, row_of(80, P100_74))[0]
         assert type(m) is float and type(s) is float
 
 
@@ -375,7 +383,7 @@ class TestUpperStrip:
 class TestOscillatoryInterior:
     def test_rejects_exterior_points(self):
         with pytest.raises(DomainError, match="between the turning curves"):
-            k10([1], 10, row_of(10, P100_74))
+            run(k10, [1], 10, row_of(10, P100_74))
 
     @staticmethod
     def _two_branch_sum(y: float, z: float, params: Params):
@@ -408,7 +416,7 @@ class TestOscillatoryInterior:
         if rid.mirrored:
             x, params = N - x, params.swapped()
         row = row_of(n, params)
-        got = finalized(k10([x], n, row)[0], "X")
+        got = finalized(run(k10, [x], n, row)[0], "X")
         old = self._two_branch_k10(x * params.eps, row.z, params)
         assert (repr(got.value), repr(got.ln_scale)) == (repr(old.value), repr(old.ln_scale))
 
@@ -444,7 +452,7 @@ class TestOscillatoryInterior:
         for n in (2, 4, 10, 20):
             for x in range(20, 31):
                 eta = (x * eps - p) / math.sqrt(2.0 * p * q * eps)
-                av = finalized(k2([x], n, row_of(n, P100_74))[0], "II")
+                av = finalized(run(k2, [x], n, row_of(n, P100_74))[0], "II")
                 assert av.value == pytest.approx(self._corner_form(n, eta, P100_74), rel=1e-12)
 
     @staticmethod
@@ -481,7 +489,7 @@ class TestOscillatoryInterior:
         center = N * params.pf
         worst = 0.0
         for x in range(math.ceil(center - 0.9 * half), math.floor(center + 0.9 * half) + 1):
-            av = finalized(k10([x], n, row_of(n, params))[0], "X")
+            av = finalized(run(k10, [x], n, row_of(n, params))[0], "X")
             eta = (x - center) / half
             profile = TestOscillatoryInterior._cosine_profile(n, eta, params)
             env = max(
@@ -513,14 +521,14 @@ class TestOscillatoryInterior:
 class TestTopRows:
     def test_domain_errors(self):
         with pytest.raises(DomainError, match="outside the unit interval"):
-            k11([150], 99, row_of(99, P100_74))  # y = 1.5
+            run(k11, [150], 99, row_of(99, P100_74))  # y = 1.5
         with pytest.raises(SingularityError):
-            k11([12], 15, row_of(15, P16_25))  # y = q
+            run(k11, [12], 15, row_of(15, P16_25))  # y = q
 
     def test_top_row_is_exact(self):
         exact = ExactRow(20, P20_74)
         for x in (3, 10, 19):
-            av = finalized(k11([x], 20, row_of(20, P20_74))[0], "XI")
+            av = finalized(run(k11, [x], 20, row_of(20, P20_74))[0], "XI")
             assert av.value == pytest.approx(exact.signs[x] * math.exp(exact.logs[x]), rel=1e-12)
 
 
@@ -546,12 +554,12 @@ class TestTopCorner:
     def test_top_corner_profile_exact_at_order_zero(self):
         exact = ExactRow(20, P20_74)
         for x in (4, 9, 15):
-            av = finalized(k12([x], 20, row_of(20, P20_74))[0], "XII")
+            av = finalized(run(k12, [x], 20, row_of(20, P20_74))[0], "XII")
             assert av.value == pytest.approx(exact.signs[x] * math.exp(exact.logs[x]), rel=1e-12)
 
     def test_corner_value_is_real_at_integer_x(self):
         for x, n in ((15, 18), (16, 19), (17, 20)):
-            m, _ = k12([x], n, row_of(n, P20_74))[0]
+            m, _ = run(k12, [x], n, row_of(n, P20_74))[0]
             assert type(m) is float
 
     def test_matches_interior_form_at_moderate_order(self):
@@ -603,18 +611,29 @@ class TestDispatcher:
         with pytest.raises(DomainError):
             forced("iii", 10, 10, P100_74)
 
-    def test_forced_row_holds_each_points_value_or_error(self):
-        # X forced on row 50 refuses the points outside the turning curves
-        # and evaluates those between them.  Each entry is what its point
-        # gives alone, so a refused point stops no later one.
-        xs = list(range(101))
-        got = evaluate_region("X", 50, xs, P100_74)
-        assert len(got) == len(xs)
-        assert {type(av).__name__ for av in got} == {"ApproxValue", "DomainError"}
-        assert isinstance(got[0], DomainError) and not isinstance(got[50], Exception)
-        for x, av in zip(xs, got):
-            alone = evaluate_region("X", 50, [x], P100_74)[0]
-            assert (type(av), repr(av)) == (type(alone), repr(alone))
+    @pytest.mark.parametrize("tag", ALL_TAGS)
+    def test_forced_row_holds_each_points_value_or_error(self, tag):
+        # Each formula forced on every row of the N=16 grid with p = 1/4 and
+        # on row 50 at N=100: rows its row check refuses (z = 0 for most),
+        # the row z = p (n = 4), and the top rows, where XI refuses y = q at
+        # x = 12 in the middle of its run; X on row 50 refuses the points
+        # outside the turning curves and evaluates those between them.  Each
+        # entry is what its point gives alone, so a refused point stops no
+        # later one.
+        for params, n in [*((P16_25, n) for n in range(17)), (P100_74, 50)]:
+            xs = list(range(params.N + 1))
+            got = evaluate_region(tag, n, xs, params)
+            assert len(got) == len(xs)
+            for x, av in zip(xs, got):
+                alone = evaluate_region(tag, n, [x], params)[0]
+                assert (type(av), repr(av)) == (type(alone), repr(alone)), (n, x)
+        if tag == "X":
+            assert {type(av).__name__ for av in got} == {"ApproxValue", "DomainError"}
+            assert isinstance(got[0], DomainError) and not isinstance(got[50], Exception)
+        if tag == "XI":
+            top = evaluate_region(tag, 16, range(17), P16_25)
+            kinds = [type(av).__name__ for av in top[11:14]]
+            assert kinds == ["ApproxValue", "SingularityError", "ApproxValue"]
 
     @pytest.mark.parametrize("tag, x, n", [("X", 30.5, 50), ("I", -0.0, 2), ("I", True, 2)])
     def test_forced_evaluation_rejects_non_integer_indices(self, tag, x, n):
