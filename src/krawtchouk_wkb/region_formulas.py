@@ -32,11 +32,13 @@ at one grid point, together with the region it came from and the
 log-magnitude for overflow-free reporting.  It applies the mirror symmetry
 (evaluate at (N-x, n) with p and q swapped, multiply by (-1)^n) to mirrored
 regions, so the classifier's mirrored points and a forced IV take one path.
-:func:`approx_row` classifies a row and evaluates it a run of one label at
-a time, from one record per orientation; it is total on the grid, z = p
-included, and :func:`approx` is its one-point case.  :func:`evaluate_region`
-forces one region's formula on a row's whole run, resumes it after each
-refused point, and returns each point's value or error.
+:func:`approx_row` reads the runs of the row's record (``Row.runs``, the
+classifier) and evaluates it a run of one label at a time, from one record
+per orientation; it is total on the grid, z = p included, and :func:`approx`
+is its one-point case.  :func:`evaluate_region` forces one region's formula
+on a row's whole run, resumes it after each refused point (or, when the
+kernel refuses the row before reading any x, gives every point that error),
+and returns each point's value or error.
 """
 
 from __future__ import annotations
@@ -348,7 +350,9 @@ def evaluate_region(tag: str, n: int, xs: Sequence[int], params: Params) -> list
     """One region's formula at each (x, n), x in xs, bypassing the classifier,
     from one record of the row: its ApproxValue, or the DomainError or
     SingularityError the formula raised there.  The run is evaluated at
-    once; after a refused point, the rest of it is.  IV is III on the
+    once; after a refused point, the rest of it is.  When the first point is
+    refused and the kernel refuses an empty run too, it refused the row before
+    reading any x, and every point takes that first error.  IV is III on the
     reflected grid; an unknown tag or a bad index raises DomainError."""
     rid = RegionId(tag, mirrored=tag == "IV")
     check_index("n", n, params.N)
@@ -361,15 +365,21 @@ def evaluate_region(tag: str, n: int, xs: Sequence[int], params: Params) -> list
             _evaluate(rid, xs[len(out):], n, row, out)
         except (DomainError, SingularityError) as exc:
             out.append(exc.with_traceback(None))  # its frames would hold the run
+            if len(out) == 1:  # the first point: did the kernel refuse the row before any x?
+                try:
+                    _evaluate(rid, [], n, row, [])
+                except (DomainError, SingularityError):
+                    return out * len(xs)
     return out
 
 
 def approx_row(n: int, xs: Sequence[int], params: Params,
                cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[ApproxValue]:
     """Classify each point (x, n), x in xs, and evaluate the matching formula,
-    labelled with the classifier's region.  Each run of points with one label
-    is evaluated at once, and the classifier and the formulas read one record
-    per orientation.  The first failing point in xs order raises."""
+    labelled with the classifier's region.  The labels are read from the
+    runs of the row's record, each run of points with one label is evaluated
+    at once, and the classifier and the formulas read one record per
+    orientation.  The first failing point in xs order raises."""
     check_index("n", n, params.N)
     check_indices("x", xs, params.N)
     row, N = Row.at(n, params), params.N
@@ -383,5 +393,5 @@ def approx_row(n: int, xs: Sequence[int], params: Params,
 def approx(x: int, n: int, params: Params,
            cfg: ClassifierConfig = DEFAULT_CONFIG) -> ApproxValue:
     """Classify (x, n) and evaluate the matching regional formula: the
-    one-point case of :func:`approx_row`."""
+    one-point case of :func:`approx_row`, which cuts the whole row."""
     return approx_row(n, [x], params, cfg)[0]

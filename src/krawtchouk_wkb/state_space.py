@@ -6,7 +6,7 @@ the float p or q; see :meth:`Row.at`).  The quadratic governing the two
 asymptotic branches has roots U^- <= U^+ that are real outside an ellipse E
 inscribed in the unit square and complex conjugates inside it; the curves
 y = Y^-(z) and y = Y^+(z), where the roots coalesce, bound the oscillatory
-zone.  ``classify_row`` assigns each point of a row to one of twelve regions:
+zone.  :meth:`Row.runs`, the classifier, cuts a row into runs of twelve regions:
 
 * bulk zones III, IV (exponential, below/above the ellipse), VII
   (oscillatory-exponential wedge) and X (oscillatory interior),
@@ -22,13 +22,15 @@ q exchanged (the symmetry of the polynomial family); such results carry
 
 Every term of a row that depends on z alone is a field of one record,
 :class:`Row`, which the classifier and the region formulas both read, so
-each is solved once per row and orientation.
+each is solved once per row and orientation.  ``region_runs`` gives a row's
+runs, and ``classify_row`` labels each point with the run that holds it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact_core import DomainError, Params, SingularityError, check_index, check_indices
@@ -251,11 +253,38 @@ class Row:
         th = math.sqrt(r / z) / ((r + p) * (r - q))
         return StripCoeffs(r, th, psi, ln_rp - ln_rq)
 
+    def runs(self, n: int, cfg: ClassifierConfig) -> List[Tuple[int, int, RegionId]]:
+        """This row, n*eps = z, as maximal runs (start, stop, region) covering
+        0..N in order: the classifier.  Each region test flips at most once
+        along the row; cut at those flips (and the mirror's where one defers),
+        every test is constant on each stretch, so its first point's region is
+        that of all its points.  A point that defers takes the mirror's tag at
+        N - x, and a reflected III is reported as IV."""
+        N = self.params.N
+        tag_of, flips = _row_tests(n, self, cfg)
+        mirror_of, mirror_flips = _row_tests(n, self.mirror, cfg)
+        cuts = {0, *flips()}
+        if any(tag_of(x) is None for x in cuts if x <= N):
+            cuts.update(N + 1 - x for x in mirror_flips())
+        starts = sorted(x for x in cuts if 0 <= x <= N)
+        runs: List[Tuple[int, int, RegionId]] = []
+        for start, stop in zip(starts, [*starts[1:], N + 1]):
+            tag, mirrored = tag_of(start), False
+            if tag is None:  # the mirror's tag is never None: the strip geometry excludes it
+                tag, mirrored = mirror_of(N - start), True
+            rid = _RIDS["IV" if mirrored and tag == "III" else tag, mirrored]
+            if runs and runs[-1][2] is rid:
+                start = runs.pop()[0]
+            runs.append((start, stop, rid))
+        return runs
+
     def regions(self, n: int, xs: Sequence[int], cfg: ClassifierConfig) -> List[RegionId]:
-        """The region of each point (x, n), x in xs, of this row, n*eps = z, for
-        :func:`classify_row` and ``approx_row``, which check the indices."""
-        return _classify(xs, self.params.N, _row_tests(n, self, cfg)[0],
-                         lambda: _row_tests(n, self.mirror, cfg)[0])
+        """The region of each point (x, n), x in xs, of this row, read from its
+        :meth:`runs`, for :func:`classify_row` and ``approx_row``, which check
+        the indices."""
+        runs = self.runs(n, cfg)
+        starts = [start for start, _, _ in runs]
+        return [runs[bisect_right(starts, x) - 1][2] for x in xs]
 
 
 def check_scaled(y: float, z: float) -> None:
@@ -310,7 +339,7 @@ def branch_roots(y: float, row: Row) -> Tuple[complex, complex]:
 def _first(holds: Callable[[int], bool], guess: float, N: int) -> int:
     """The first x in 0..N where holds, false then true along a row, is true
     (N + 1 if none): guess, moved by evaluating holds at its neighbours."""
-    x = min(max(math.floor(guess), 0), N + 1)
+    x = math.floor(min(max(guess, 0.0), N + 1.0))  # a guess may be infinite
     while x > 0 and holds(x - 1):
         x -= 1
     while x <= N and not holds(x):
@@ -376,25 +405,6 @@ def _row_tests(n: int, row: Row, cfg: ClassifierConfig) -> Tuple[_Tag, Callable[
     return tag, lambda: (x_small + 1, *_band_flips(ym, strip, eps, N), *_band_flips(yp, strip, eps, N))
 
 
-def _classify(xs: Sequence[int], N: int, tag_of: _Tag, mirror_of: Callable[[], _Tag]) -> List[RegionId]:
-    """The classify loop: each x of xs to ``tag_of(x)``, or where that defers,
-    to the mirror's tag at N - x, from the map ``mirror_of()`` built on first
-    need; a reflected III is reported as IV."""
-    out, mirror_tag = [], None
-    for x in xs:
-        tag = tag_of(x)
-        if tag is not None:
-            out.append(_RIDS[tag, False])
-            continue
-        if mirror_tag is None:
-            mirror_tag = mirror_of()
-        tag = mirror_tag(N - x)
-        if tag is None:  # pragma: no cover - excluded by the strip geometry
-            raise AssertionError("classifier fell through both orientations")
-        out.append(_RIDS["IV" if tag == "III" else tag, True])
-    return out
-
-
 def classify_row(n: int, xs: Sequence[int], params: Params,
                  cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[RegionId]:
     """Assign each grid point (x, n), x in xs, to one of the twelve regions.
@@ -404,8 +414,8 @@ def classify_row(n: int, xs: Sequence[int], params: Params,
     beyond the upper turning strip, and top-row points right of the XII
     corner, are reflected to (N - x, n) with p and q exchanged and
     re-classified; a reflected III is reported as IV, any other
-    reflected tag keeps its name, and both carry ``mirrored=True``.  The
-    tests read the row's :class:`Row`, the mirror's on first need.
+    reflected tag keeps its name, and both carry ``mirrored=True``.  Each
+    point takes the region of the run of :meth:`Row.runs` that holds it.
     """
     check_index("n", n, params.N)
     check_indices("x", xs, params.N)
@@ -415,26 +425,12 @@ def classify_row(n: int, xs: Sequence[int], params: Params,
 def region_runs(n: int, params: Params,
                 cfg: ClassifierConfig = DEFAULT_CONFIG) -> List[Tuple[int, int, RegionId]]:
     """Row n of the map as maximal runs (start, stop, region) covering 0..N in
-    order.  Each test of :func:`classify_row` flips at most once along the row;
-    cut at those flips (and the mirror's where it defers), every test is constant
-    on each stretch, so its first point's region is that of all its points."""
+    order: :meth:`Row.runs` of the row's record."""
     check_index("n", n, params.N)
-    N, row = params.N, Row.at(n, params)
-    tag_of, flips = _row_tests(n, row, cfg)
-    mirror_of, mirror_flips = _row_tests(n, row.mirror, cfg)
-    cuts = {0, *flips()}
-    if any(tag_of(x) is None for x in cuts if x <= N):
-        cuts.update(N + 1 - x for x in mirror_flips())
-    starts = sorted(x for x in cuts if 0 <= x <= N)
-    rids = _classify(starts, N, tag_of, lambda: mirror_of)
-    runs: List[Tuple[int, int, RegionId]] = []
-    for start, stop, rid in zip(starts, [*starts[1:], N + 1], rids):
-        if runs and runs[-1][2] is rid:
-            start = runs.pop()[0]
-        runs.append((start, stop, rid))
-    return runs
+    return Row.at(n, params).runs(n, cfg)
 
 
 def classify(x: int, n: int, params: Params, cfg: ClassifierConfig = DEFAULT_CONFIG) -> RegionId:
-    """Assign the grid point (x, n) to a region: the one-point :func:`classify_row`."""
+    """Assign the grid point (x, n) to a region: the one-point :func:`classify_row`,
+    which cuts the whole row."""
     return classify_row(n, [x], params, cfg)[0]

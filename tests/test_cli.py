@@ -834,6 +834,23 @@ class TestErrors:
             assert main(["compare", "--N", "200", "--q", q, "--config", str(cfg)]) == 0
         assert out.getvalue().count("\n") == 9 + 201 * 201
 
+    @pytest.mark.parametrize("line", ["corner_width=1e308", "beta_max=1e308"])
+    def test_widths_wider_than_the_grid_run(self, capsys, tmp_path, line):
+        # The map cuts each row where a layer's test flips, from a guess
+        # that such a width makes infinite: one layer then covers its rows.
+        # The grid completes, and check fails its criteria with no error.
+        cfg = tmp_path / "wider.cfg"
+        cfg.write_text(line + "\n")
+        for command in ("regions", "compare"):
+            code, out, err = run_cli(capsys, command, "--N", "100", "--q", "0.5", "--config", str(cfg))
+            assert (code, err) == (0, "")
+            assert len(parse_csv(out)[2]) == 101 * 101
+        code, out, err = run_cli(capsys, "check", "--config", str(cfg))
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert len(lines) == 8 and all(l.startswith(("PASS", "FAIL")) for l in lines[:7])
+        assert lines[7] == "acceptance: FAIL"
+
 
 # ---------------------------------------------------------------------------
 # check

@@ -24,7 +24,8 @@ KERNELS = [f"k{i}" for i in range(1, 13) if i != 4]
 
 def profiled(argv):
     """Run the CLI in process under cProfile: its exit code, and the calls
-    of a function by its code object."""
+    of a function by its code object or, given a module and a name, of
+    every function of that module's file with that name."""
     profile = cProfile.Profile()
     with pytest.MonkeyPatch.context() as patch:
         # One usable CPU: the rows run in this process, where the profile is.
@@ -32,7 +33,10 @@ def profiled(argv):
         code = profile.runcall(cli.main, argv)
     stats = pstats.Stats(profile).stats  # (file, first line, name) -> (primitive calls, all calls, ...)
 
-    def calls(fn):
+    def calls(fn, name=None):
+        if name is not None:
+            return sum(v[1] for (file, _, fn_name), v in stats.items()
+                       if file == fn.__file__ and fn_name == name)
         c = fn.__code__
         return stats.get((c.co_filename, c.co_firstlineno, c.co_name), (0, 0))[1]
 
@@ -71,6 +75,14 @@ def test_row_terms_solved_once_per_row(full_compare):
     assert calls(state_space.y_pm) <= rows and calls(state_space.u0) <= rows
 
 
+def test_the_classifier_tests_each_run_not_each_point(full_compare):
+    # The classifier cuts each row at its tests' flips and reads the bulk
+    # rows' per-x test only near those cuts and at each run's first point,
+    # so its calls grow with the rows, not with the (N + 1)^2 points.
+    calls, _ = full_compare
+    assert 0 < calls(state_space, "tag") <= 10 * (N + 1)
+
+
 def test_each_kernel_is_called_once_per_run(full_compare):
     # A kernel takes a run of one row, so it is called at most once per row
     # and orientation however many points the run holds.
@@ -103,7 +115,10 @@ def test_forced_compare_reads_one_record_per_row(region, tmp_path):
     # coefficients of VIII, too, are solved at most once per row record.
     # Its kernel is called once per run, and again after each refused point
     # for the rest of the run, so V's phase phi0, a row term, is solved
-    # once per call that passes the row's checks.
+    # once per call that passes the row's checks.  A row the kernel refuses
+    # before reading any x costs two calls, so V, VIII and IX, whose
+    # kernels refuse every row on the wrong side of z = p, cost two calls
+    # a row at most.
     out = tmp_path / "forced.csv"
     code, calls = profiled(["compare", "--N", str(N), "--q", "0.64894783", "--region", region,
                             "--out", str(out)])
@@ -113,7 +128,8 @@ def test_forced_compare_reads_one_record_per_row(region, tmp_path):
         refused = sum(record["approx_ln_mag"] == "" for record in csv.DictReader(data))
     assert 0 < calls(state_space.Row.__init__) <= 2 * (N + 1)
     assert 0 < calls(exact_core.exact_row) <= N + 1
-    assert 0 < calls(getattr(region_formulas, FORCED_KERNEL[region])) <= refused + 2 * (N + 1)
+    kernel = calls(getattr(region_formulas, FORCED_KERNEL[region]))
+    assert 0 < kernel <= (2 * (N + 1) if region in ("V", "VIII", "IX") else refused + 2 * (N + 1))
     if region == "V":
         assert 0 < calls(wkb_core.phi0) <= 2 * (N + 1)
     if region == "VIII":

@@ -22,6 +22,8 @@ from krawtchouk_wkb.state_space import (
     y_pm,
 )
 
+from test_row_path import ref_classify_row
+
 Q_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction("0.64894783"), Fraction("0.74894783")]
 
 q_strategy = st.sampled_from(Q_POOL)
@@ -377,12 +379,18 @@ class TestRegionRuns:
     @example(row=(100, 97, "0.54894783"), cfg=DEFAULT_CONFIG)
     # no XII corner: only the exact cut x <= qN separates XI from XI*
     @example(row=(10, 8, "7/10"), cfg=ClassifierConfig(corner_width=0.0))
+    # widths wider than the grid: the first-flip guesses are infinite
+    @example(row=(100, 0, "1/2"), cfg=ClassifierConfig(corner_width=1e308))
+    @example(row=(100, 98, "1/2"), cfg=ClassifierConfig(corner_width=1e308))
+    @example(row=(100, 30, "1/3"), cfg=ClassifierConfig(beta_max=1e308))
     def test_runs_expand_to_the_row(self, row, cfg):
+        # classify_row reads the runs, so the runs are held to the per-point
+        # classifier of the row-path tests.
         N, n, q = row
         P = Params.from_q(N, q)
         runs = region_runs(n, P, cfg)
         assert [rid for start, stop, rid in runs for _ in range(start, stop)] == \
-            classify_row(n, range(N + 1), P, cfg)
+            ref_classify_row(n, range(N + 1), P, cfg)
         assert runs[0][0] == 0 and runs[-1][1] == N + 1
         assert all(start < stop for start, stop, _ in runs)
         for (_, stop, rid), (start, _, next_rid) in zip(runs, runs[1:]):
