@@ -61,9 +61,9 @@ def norm_err_row(avs: Sequence[ApproxValue], row: ExactRow, xs: Sequence[int]) -
     exact even when |K| is far outside double range.  An approximation too
     large to rescale into double range gives ``inf``, and a window of exact
     zeros ``nan``.  A count of values other than that of xs raises DomainError."""
+    check_indices("x", xs, row.params.N)
     if len(avs) != len(xs):
         raise DomainError(f"{len(avs)} approximations for {len(xs)} points")
-    check_indices("x", xs, row.params.N)
     signs, logs, env = row.signs, row.logs, row.env
     out = []
     for av, x in zip(avs, xs):

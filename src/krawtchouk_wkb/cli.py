@@ -348,50 +348,26 @@ def _start_on_own_cpu(index: int) -> None:
             os.sched_setaffinity(0, cpus)
 
 
-# A child's pipe carries frames: a kind byte, the payload's length as 8
-# bytes, then the payload.  A record is marshalled (marshal is loaded with
-# the interpreter, and parent and child are the same one); an exception is
-# pickled, and only then is pickle imported.
-_RECORD, _TASK_DONE, _RAISED = b"r", b"d", b"x"
-
-
-def _frame(kind: bytes, payload: bytes = b"") -> bytes:
-    return kind + len(payload).to_bytes(8, "little") + payload
-
-
-def _read_frame(reader: BinaryIO) -> Tuple[bytes, bytes]:
-    """The next frame's (kind, payload); kind is b"" once the stream ends short."""
-    head = reader.read(9)
-    if len(head) == 9:
-        size = int.from_bytes(head[1:], "little")
-        payload = reader.read(size)
-        if len(payload) == size:
-            return head[:1], payload
-    return b"", b""
-
-
 def _send_records(out: BinaryIO, tasks: Sequence[_Task], work: Callable[[_Task], Iterable[object]]) -> None:
-    """A child's side: each task's records and its end, or an exception
-    after the records before it.
+    """A child's side: one marshalled (records, raised) per task, where raised
+    is None or the pickled exception the task raised after those records.
 
-    A task's frames leave together once the task is done.  A pipe holds far
-    less than a block of compare rows, so a child that sent each record at
-    once would wait on the parent instead of going on to its next task.
+    Each task's object leaves once the task is done.  A pipe holds far less
+    than a block of compare rows, so a child that sent each record at once
+    would wait on the parent instead of going on to its next task.
     """
-    frames: List[bytes] = []
-    try:
-        for task in tasks:
+    for task in tasks:
+        records: List[object] = []
+        try:
             for record in work(task):
-                frames.append(_frame(_RECORD, marshal.dumps(record)))
-            frames.append(_frame(_TASK_DONE))
-            out.writelines(frames)
-            out.flush()
-            frames.clear()
-    except Exception as exc:
-        import pickle
+                records.append(record)
+        except Exception as exc:
+            import pickle  # only for an exception, which marshal does not carry
 
-        frames.append(_frame(_RAISED, pickle.dumps(exc)))
-        out.writelines(frames)
+            marshal.dump((records, pickle.dumps(exc)), out)
+            return
+        marshal.dump((records, None), out)
+        out.flush()
 
 
 def _in_children(tasks: Sequence[_Task], work: Callable[[_Task], Iterable[object]], workers: int,
@@ -401,8 +377,9 @@ def _in_children(tasks: Sequence[_Task], work: Callable[[_Task], Iterable[object
     With two or more tasks and workers, W = min(workers, len(tasks))
     processes forked from this one share the tasks: child w runs tasks w,
     w + W, w + 2W, ... and sends each task's records over a pipe of its
-    own.  Otherwise, or where os.fork is missing, the tasks run here one
-    after another.  A record is any value marshal carries: here tuples,
+    own as one marshalled object, so this process holds one task's records
+    at a time.  Otherwise, or where os.fork is missing, the tasks run here
+    one after another.  A record is any value marshal carries: here tuples,
     lists and dicts of str, int and bool.  An exception a task raised is
     raised here in its turn, after the records before it, and so is a child
     that ends without finishing a task.  Every child is reaped before this
@@ -442,19 +419,15 @@ def _in_children(tasks: Sequence[_Task], work: Callable[[_Task], Iterable[object
             pids.append(pid)
             readers.append(open(read_fd, "rb"))
         for index, task in enumerate(tasks):
-            reader = readers[index % workers]
-            while True:
-                kind, payload = _read_frame(reader)
-                if kind == _RECORD:
-                    yield marshal.loads(payload)
-                elif kind == _TASK_DONE:
-                    break
-                elif kind == _RAISED:
-                    import pickle
+            try:
+                records, raised = marshal.load(readers[index % workers])
+            except EOFError:
+                raise CliError(f"{label(task)}: its worker ended without a result") from None
+            yield from records
+            if raised is not None:
+                import pickle
 
-                    raise pickle.loads(payload)
-                else:
-                    raise CliError(f"{label(task)}: its worker ended without a result")
+                raise pickle.loads(raised)
         finished = True
     finally:
         # A child still writing when its read end closes fails and ends; one

@@ -66,7 +66,10 @@ def check_index(name: str, value: int, upper: int) -> None:
 
 
 def check_indices(name: str, values, upper: int) -> None:
-    """:func:`check_index` for each value: a non-integer first, then the range."""
+    """:func:`check_index` for each value: a non-integer first, then the range.
+    A one-shot iterator is refused, since reading it here would use it up."""
+    if iter(values) is values:
+        raise DomainError(f"{name} must be a list or range, not a one-shot iterator")
     bad = [v for v in values if not isinstance(v, int) or isinstance(v, bool)]
     for v in bad[:1] or ([min(values), max(values)] if values else []):
         check_index(name, v, upper)
@@ -174,8 +177,8 @@ class ExactRow:
 class ExactTable:
     """Exact ``K_n(x)`` on the (N+1) x (N+1) grid: row ``n`` is an
     :class:`ExactRow`, made on its first read and kept, so memory grows with
-    the rows read, never past N+1 rows.  :meth:`value` undoes the row's
-    scaling.
+    the rows read, never past N+1 rows.  ``K_n(x)`` is the row's ``nums[x]``
+    over ``denom**n``.
     """
 
     __slots__ = ("params", "_rows")
@@ -191,12 +194,6 @@ class ExactTable:
         if row is None:
             row = self._rows[n] = ExactRow(n, self.params)
         return row
-
-    def value(self, n: int, x: int) -> Fraction:
-        """Exact ``K_n(x)``."""
-        row = self.row(n)
-        check_index("x", x, self.params.N)
-        return Fraction(row.nums[x], self.params.denom**n)
 
     def signed_log(self, n: int, x: int):
         """``(sign, ln|K_n(x)|)`` without building a huge float."""

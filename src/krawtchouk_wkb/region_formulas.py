@@ -282,6 +282,7 @@ def k11(xs: Sequence[int], n: int, row: Row, out: List[_Scaled]) -> None:
     j = N - n
     head = math.log(math.comb(N, j)) + n * math.log(p)
     ln_qp, ln_q = math.log(q / p), math.log(q)
+    comb, comb_x = 0, -1  # C(comb_x, n), carried along a run of consecutive x
     for x in xs:
         y = x * params.eps
         if not 0.0 <= y <= 1.0:
@@ -292,12 +293,12 @@ def k11(xs: Sequence[int], n: int, row: Row, out: List[_Scaled]) -> None:
         s1 = head + y * N * ln_qp + j * (math.log(abs(q - y)) - ln_q)
         m1 = _sign(n + x) * (sign_qy if j % 2 else 1.0)
         terms = [(m1, s1)]
-        if x >= n and y < 1.0:
-            c2 = math.comb(x, n)
-            if c2:
-                s2 = math.log(c2) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
-                m2 = sign_qy if (j + 1) % 2 else 1.0
-                terms.append((m2, s2))
+        if x >= n and y < 1.0:  # C(x, n) >= 1 here
+            comb = comb * x // (x - n) if comb_x == x - 1 and x > n else math.comb(x, n)
+            comb_x = x
+            s2 = math.log(comb) + (j + 1) * (math.log1p(-y) - math.log(abs(q - y)))
+            m2 = sign_qy if (j + 1) % 2 else 1.0
+            terms.append((m2, s2))
         out.append(_sum_scaled(terms))
 
 

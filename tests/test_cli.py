@@ -4,6 +4,7 @@ config handling, and the acceptance-check entry point."""
 import contextlib
 import hashlib
 import io
+import marshal
 import math
 import os
 import re
@@ -13,6 +14,7 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath as mp
@@ -505,6 +507,26 @@ class TestRowBlocks:
         assert runs[0][1].startswith(runs[1][1])
         if fault == "raises":
             assert runs[0] == runs[1]
+
+    def test_worker_killed_while_it_sends_a_block(self, capsys):
+        # The child sends half of its first block's object and dies: the
+        # short object reads as a worker that ended without a result.
+        parent = os.getpid()
+
+        def dump(obj, out):
+            assert os.getpid() != parent, "the block was sent in process"
+            data = marshal.dumps(obj)
+            out.write(data[:len(data) // 2])
+            out.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with _on_cpus(2, block_rows=16), \
+                mock.patch("krawtchouk_wkb.cli.marshal", SimpleNamespace(dump=dump, load=marshal.load)):
+            code, out, err = run_cli(capsys, "compare", "--N", "40", "--q", "0.64894783")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert (code, err) == (1, "error: rows n = 0..15: its worker ended without a result\n")
+        assert parse_csv(out)[2] == []
 
     def test_writer_that_fails_stops_every_child(self):
         # stdout fails after the header, as on a full disk: the children

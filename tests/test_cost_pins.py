@@ -147,3 +147,15 @@ def test_a_map_evaluates_no_formula(q, tmp_path):
     unused = [exact_core.exact_row, *(getattr(region_formulas, name) for name in KERNELS),
               special_fns.airy_ai, special_fns.pcf_d, special_fns.hermite]
     assert {fn.__name__: calls(fn) for fn in unused if calls(fn)} == {}
+
+
+def test_forced_top_rows_step_their_binomial_along_the_run():
+    # XI's second term reads the integer C(x, n) at each x >= n: the kernel
+    # forms it once a call and steps it to each next x, so math.comb runs at
+    # most twice a call, the other being the row's C(N, N - n).
+    profile = cProfile.Profile()
+    profile.runcall(region_formulas.evaluate_region, "XI", 150, range(301), exact_core.Params.from_q(300, "0.3"))
+    stats = pstats.Stats(profile).stats
+    k11 = region_formulas.k11.__code__
+    kernel = stats[(k11.co_filename, k11.co_firstlineno, k11.co_name)][1]
+    assert 0 < kernel and stats[("~", 0, "<built-in method math.comb>")][1] <= 2 * kernel

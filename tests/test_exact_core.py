@@ -24,8 +24,8 @@ from krawtchouk_wkb.exact_core import (
     scaled_weight,
     symmetry_image,
 )
-from krawtchouk_wkb.region_formulas import ApproxValue, approx
-from krawtchouk_wkb.state_space import DEFAULT_CONFIG
+from krawtchouk_wkb.region_formulas import ApproxValue, approx, approx_row, evaluate_region
+from krawtchouk_wkb.state_space import DEFAULT_CONFIG, classify_row
 
 # Frozen oracle values produced by tests/_oracle_gen/gen_exact_literals.py,
 # which expands the generating function (1+qt)^x (1-pt)^(N-x) with sympy and
@@ -52,6 +52,11 @@ P_POOL = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction("0.64894783")
 ONE = ApproxValue(1.0, None, 0.0)
 
 
+def table_value(table: ExactTable, n: int, x: int) -> Fraction:
+    """Exact K_n(x) from the table's row n: its scaled integer over denom**n."""
+    return Fraction(table.row(n).nums[x], table.params.denom**n)
+
+
 def every_row(params):
     """The exact records of rows 0..N, in order."""
     return [ExactRow(n, params) for n in range(params.N + 1)]
@@ -68,14 +73,14 @@ def test_sum_against_generating_function(case, expected):
 def test_table_against_generating_function(case, expected):
     (n, x), N, p = case
     table = build_table(Params.from_p(N, p))
-    assert table.value(n, x) == expected
+    assert table_value(table, n, x) == expected
 
 
 @pytest.mark.parametrize("case,expected", GF_LITERALS)
 def test_lazy_table_against_generating_function(case, expected):
     (n, x), N, p = case
     table = ExactTable(Params.from_p(N, p))
-    assert table.value(n, x) == expected
+    assert table_value(table, n, x) == expected
 
 
 def test_sum_degree_zero_is_one():
@@ -169,7 +174,7 @@ def test_sum_rejects_out_of_range():
 
 def test_table_seed_example():
     table = build_table(Params.from_p(2, Fraction(1, 2)))
-    assert table.value(1, 1) == 0
+    assert table_value(table, 1, 1) == 0
 
 
 def test_table_matches_sum_exhaustively():
@@ -177,7 +182,7 @@ def test_table_matches_sum_exhaustively():
     table = build_table(params)
     for n in range(18):
         for x in range(18):
-            assert table.value(n, x) == krawtchouk_sum(n, x, params)
+            assert table_value(table, n, x) == krawtchouk_sum(n, x, params)
 
 
 def test_implied_next_row_vanishes():
@@ -189,8 +194,8 @@ def test_implied_next_row_vanishes():
     n = N
     for x in range(N + 1):
         nxt = (
-            -p * q * (N - n + 1) * table.value(n - 1, x)
-            - (p * (N - n) + n * q - x) * table.value(n, x)
+            -p * q * (N - n + 1) * table_value(table, n - 1, x)
+            - (p * (N - n) + n * q - x) * table_value(table, n, x)
         ) / (n + 1)
         assert nxt == 0
 
@@ -200,10 +205,10 @@ def test_table_boundary_rows_and_columns():
     table = build_table(params)
     N, p, q = 13, params.p, params.q
     for x in range(N + 1):
-        assert table.value(0, x) == 1
+        assert table_value(table, 0, x) == 1
     for n in range(N + 1):
-        assert table.value(n, 0) == math.comb(N, n) * (-p) ** n
-        assert table.value(n, N) == math.comb(N, n) * q**n
+        assert table_value(table, n, 0) == math.comb(N, n) * (-p) ** n
+        assert table_value(table, n, N) == math.comb(N, n) * q**n
 
 
 @given(p=st.sampled_from(P_POOL), N=st.integers(min_value=1, max_value=14))
@@ -213,7 +218,7 @@ def test_table_equals_sum_property(p, N):
     table = build_table(params)
     for n in range(N + 1):
         for x in range(N + 1):
-            assert table.value(n, x) == krawtchouk_sum(n, x, params)
+            assert table_value(table, n, x) == krawtchouk_sum(n, x, params)
 
 
 @st.composite
@@ -242,15 +247,15 @@ def test_exact_row_equals_sum(case):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p: ExactTable(p).value(True, 0),
-        lambda p: ExactTable(p).value(0, False),
+        lambda p: ExactTable(p).row(True),
+        lambda p: ExactTable(p).signed_log(0, False),
         lambda p: krawtchouk_sum(True, 0, p),
         lambda p: krawtchouk_sum(0, True, p),
         lambda p: exact_row(True, p),
         lambda p: ExactRow(True, p),
         lambda p: scaled_weight(True, p),
     ],
-    ids=["value-n", "value-x", "sum-n", "sum-x", "exact_row", "ExactRow", "weight"],
+    ids=["row-n", "signed_log-x", "sum-n", "sum-x", "exact_row", "ExactRow", "weight"],
 )
 def test_bool_is_not_an_index(call):
     # bool subclasses int; the shared validator still refuses it
@@ -289,6 +294,27 @@ def test_table_reads_reject_bad_indices(read, bad):
         read(table, bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda params, xs: approx_row(3, xs, params),
+        lambda params, xs: classify_row(3, xs, params),
+        lambda params, xs: evaluate_region("X", 3, xs, params),
+        lambda params, xs: accuracy.norm_err_row([ONE] * 5, ExactRow(3, params), xs),
+    ],
+    ids=["approx_row", "classify_row", "evaluate_region", "norm_err_row"],
+)
+def test_a_one_shot_iterator_of_indices_is_refused(call):
+    # Checking a one-shot iterator would use it up before the row reads it,
+    # so a row function refuses one by name; a list or a range passes.
+    params = Params.from_p(10, Fraction(1, 2))
+    for xs in (iter(range(5)), (x for x in range(5))):
+        with pytest.raises(DomainError, match="^x must be a list or range"):
+            call(params, xs)
+    for xs in (range(5), list(range(5))):
+        assert len(call(params, xs)) == 5
+
+
 def test_table_computes_only_the_rows_read(monkeypatch):
     computed = []
 
@@ -300,7 +326,7 @@ def test_table_computes_only_the_rows_read(monkeypatch):
     params = Params.from_p(30, Fraction(2, 7))
     table = ExactTable(params)
     for x in range(31):
-        assert table.value(7, x) == krawtchouk_sum(7, x, params)
+        assert table_value(table, 7, x) == krawtchouk_sum(7, x, params)
     table.signed_log(7, 3)
     table.row(19)
     # log reads build rows only as integer reads do
@@ -514,7 +540,7 @@ def test_lemma3_exact_for_m0_m1():
     table = build_table(params)
     for n in range(31):
         for m in (0, 1):
-            exact = float(table.value(n, m))
+            exact = float(table_value(table, n, m))
             assert lemma3_value(m, n, params) == pytest.approx(exact, rel=1e-10, abs=1e-300)
 
 
