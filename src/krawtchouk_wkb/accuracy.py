@@ -21,8 +21,7 @@ from .exact_core import (
     check_indices,
     gram_matrix,
     lemma3_value,
-    scaled_sum,
-    scaled_symmetry_image,
+    scaled_sum_row,
 )
 from .region_formulas import ApproxValue, approx_row, evaluate_region
 from .special_fns import airy_ai, hermite, pcf_d
@@ -60,8 +59,10 @@ def norm_err_row(avs: Sequence[ApproxValue], row: ExactRow, xs: Sequence[int]) -
     are rescaled by the envelope's log before subtracting, so the metric is
     exact even when |K| is far outside double range.  An approximation too
     large to rescale into double range gives ``inf``, and a window of exact
-    zeros ``nan``.  A count of values other than that of xs raises DomainError."""
+    zeros ``nan``.  One-shot avs, or a count other than that of xs, raises DomainError."""
     check_indices("x", xs, row.params.N)
+    if iter(avs) is avs:
+        raise DomainError("avs must be a list or tuple, not a one-shot iterator")
     if len(avs) != len(xs):
         raise DomainError(f"{len(avs)} approximations for {len(xs)} points")
     signs, logs, env = row.signs, row.logs, row.env
@@ -179,9 +180,10 @@ def criterion_1(cfg: ClassifierConfig) -> _Outcome:
         ap, aq, b = params.p_num, params.q_num, params.denom
         records = [ExactRow(n, params) for n in range(N + 1)]
         rows = [record.nums for record in records]
+        every_x = range(N + 1)
         for n, row in enumerate(rows):
-            for x in range(N + 1):
-                if row[x] != scaled_sum(n, x, params):
+            for x, total in zip(every_x, scaled_sum_row(n, every_x, params)):
+                if row[x] != total:
                     failures.append(f"N={N}: recurrence!=sum at (n={n},x={x})")
         gram = gram_matrix(records)  # entry (i, j) scaled by denom**(i+j+N)
         for i in range(N + 1):
@@ -189,9 +191,9 @@ def criterion_1(cfg: ClassifierConfig) -> _Outcome:
                 expect = math.comb(N, j) * (ap * aq) ** j * b**N if i == j else 0
                 if gram[i][j] != expect:
                     failures.append(f"N={N}: orthogonality fails at (i={i},j={j})")
-        for n, row in enumerate(rows):
-            for x in range(N + 1):
-                if row[x] != scaled_symmetry_image(n, x, params):
+        for n, row in enumerate(rows):  # K_n(x) = (-1)^n K_n(N - x) with p and q swapped
+            for x, image in zip(every_x, scaled_sum_row(n, every_x[::-1], params.swapped())):
+                if row[x] != (-image if n % 2 else image):
                     failures.append(f"N={N}: symmetry fails at (n={n},x={x})")
         for n in range(N + 1):
             if rows[n][0] != math.comb(N, n) * (-ap) ** n:
@@ -358,22 +360,34 @@ def criterion_5(cfg: ClassifierConfig) -> _Outcome:
     return failures, "VII's real finishing of log K+ = Re(exp(log K+)) to 1e-12"
 
 
+def _root_residual(ys: Sequence[float], row: Row) -> float:
+    """The largest relative residual |z u^2 + b u + c| / max(|z u^2|, |b u|, c)
+    of the branch quadratic at its roots u at each y of ys on row z, bit for
+    bit as complex arithmetic gives it: a real root reduces to float operations,
+    and a conjugate pair's residuals are equal, so the pair is evaluated once."""
+    z, p, zqp, c = row.z, row.params.pf, row.zqp, row.c
+    worst = 0.0
+    for y in ys:
+        b = p - y + zqp
+        um, up = roots = branch_roots(y, row)
+        for u in (up,) if up.imag and um == up.conjugate() else roots:
+            u = u if u.imag else u.real
+            quad, lin = z * u * u, b * u
+            mq, ml = abs(quad), abs(lin)
+            scale = mq if mq > ml else ml
+            res = abs(quad + lin + c) / (scale if scale > c else c)
+            if res > worst:
+                worst = res
+    return worst
+
+
 def criterion_6(cfg: ClassifierConfig) -> _Outcome:
     """Phase/amplitude residuals of the underlying expansion equations."""
     failures: List[str] = []
     params = Params.from_q(100, _Q74)
-    p = params.pf
     grid = 200
     mids = [(i + 0.5) / grid for i in range(grid)]
-    worst_res = 0.0
-    for z in mids:
-        row = Row(z, params)
-        zqp, c = row.zqp, row.c  # z(q-p) and pq(1-z) > 0
-        for y in mids:
-            b = p - y + zqp
-            for root in branch_roots(y, row):  # u_pm's solver, given the row
-                quad, lin = z * root * root, b * root
-                worst_res = max(worst_res, abs(quad + lin + c) / max(abs(quad), abs(lin), c))
+    worst_res = max(_root_residual(mids, Row(z, params)) for z in mids)
     if worst_res > 1e-10:
         failures.append(f"branch-root residual {worst_res:.2e} > 1e-10")
 

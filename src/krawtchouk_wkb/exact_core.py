@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import mul
 from typing import NamedTuple, Sequence, Union
 
@@ -26,11 +27,11 @@ __all__ = [
     "ExactTable",
     "krawtchouk_sum",
     "scaled_sum",
+    "scaled_sum_row",
     "build_table",
     "exact_row",
     "gram_matrix",
     "symmetry_image",
-    "scaled_symmetry_image",
     "lemma3_value",
 ]
 
@@ -220,21 +221,26 @@ def krawtchouk_sum(n: int, x: int, params: Params) -> Fraction:
 
 
 def scaled_sum(n: int, x: int, params: Params) -> int:
-    """``denom**n * K_n(x)`` by the terminating binomial sum, as one integer.
+    """``denom**n * K_n(x)`` as one integer: the one-point case of :func:`scaled_sum_row`."""
+    return scaled_sum_row(n, [x], params)[0]
+
+
+def scaled_sum_row(n: int, xs: Sequence[int], params: Params) -> list:
+    """``denom**n * K_n(x)`` for each x in xs, by the terminating binomial sum.
 
     K_n(x) = sum_k C(x,k) C(N-x, n-k) q^k (-p)^(n-k).  Only the terms with
-    n+x-N <= k <= min(n,x) have nonzero binomials.  q^k is multiplied up and
-    (-p)^(n-k) divided down exactly from term to term.
+    n+x-N <= k <= min(n,x) have nonzero binomials.  The products
+    q^k (-p)^(n-k) are formed once, for each k that some x reads.
     """
     check_index("n", n, params.N)
-    check_index("x", x, params.N)
+    check_indices("x", xs, params.N)
     N, mp, aq = params.N, -params.p_num, params.q_num
-    lo = max(0, n + x - N)
-    total, qk, pk = 0, aq**lo, mp ** (n - lo)
-    for k in range(lo, min(n, x) + 1):
-        total += math.comb(x, k) * math.comb(N - x, n - k) * qk * pk
-        qk, pk = qk * aq, pk // mp  # exact while k < n; the last quotient is unused
-    return total
+    lo, hi = max(0, n + min(xs, default=N) - N), min(n, max(xs, default=0))
+    qk = accumulate(repeat(aq, hi - lo), mul, initial=aq**lo)  # q^k, k = lo..hi
+    pk = list(accumulate(repeat(mp, hi - lo), mul, initial=mp ** (n - hi)))  # (-p)^(n-k), k = hi..lo
+    terms = list(map(mul, qk, reversed(pk)))  # terms[k - lo] = q^k (-p)^(n-k)
+    return [sum(math.comb(x, k) * math.comb(N - x, n - k) * terms[k - lo]
+                for k in range(max(lo, n + x - N), min(n, x) + 1)) for x in xs]
 
 
 def exact_row(n: int, params: Params) -> tuple:
@@ -284,28 +290,23 @@ def gram_matrix(rows: Sequence[ExactRow]) -> tuple:
     or more rows of one instance, i and j their degrees, as an integer scaled by
     denom**(i+j+N): over rows 0..N, C(N,j) (a_p a_q)^j denom**N if i == j,
     else 0, with a_p, a_q the numerators of p, q.  Each sum with b >= a is
-    formed once and mirrored to (b, a), where it is the same integer sum."""
+    formed once, the weights in the later (longer) row b, and mirrored to (b, a)."""
     params = rows[0].params
     weights = [scaled_weight(k, params) for k in range(params.N + 1)]
     nums = [row.nums for row in rows]
     gram = [[0] * len(nums) for _ in nums]
-    for a, row in enumerate(nums):
-        wi = list(map(mul, weights, row))
-        for b in range(a, len(nums)):
-            gram[a][b] = gram[b][a] = sum(map(mul, wi, nums[b]))
+    for b, row in enumerate(nums):
+        wb = list(map(mul, weights, row))
+        for a in range(b + 1):
+            gram[a][b] = gram[b][a] = sum(map(mul, nums[a], wb))
     return tuple(map(tuple, gram))
 
 
 def symmetry_image(n: int, x: int, params: Params) -> Fraction:
-    """(-1)^n K_n(N-x) with p and q swapped; equals K_n(x) exactly (:func:`scaled_symmetry_image`)."""
-    return Fraction(scaled_symmetry_image(n, x, params), params.denom**n)
-
-
-def scaled_symmetry_image(n: int, x: int, params: Params) -> int:
-    """``denom**n`` times :func:`symmetry_image`; the swapped instance has the same denom."""
+    """(-1)^n K_n(N-x) with p and q swapped; equals K_n(x) exactly."""
     check_index("n", n, params.N)
     check_index("x", x, params.N)
-    value = scaled_sum(n, params.N - x, params.swapped())
+    value = krawtchouk_sum(n, params.N - x, params.swapped())
     return -value if n % 2 else value
 
 

@@ -159,3 +159,13 @@ def test_forced_top_rows_step_their_binomial_along_the_run():
     k11 = region_formulas.k11.__code__
     kernel = stats[(k11.co_filename, k11.co_firstlineno, k11.co_name)][1]
     assert 0 < kernel and stats[("~", 0, "<built-in method math.comb>")][1] <= 2 * kernel
+
+
+def test_criterion_1_sums_by_rows():
+    # Criterion 1 checks each exact row against one binomial-sum row, and
+    # its symmetry against one sum row of the swapped instance: at most
+    # 2(N + 1) sum rows per N, and no sum one point at a time.
+    code, calls = profiled(["check", "--criteria", "1"])
+    assert code == 0
+    assert 0 < calls(exact_core.scaled_sum_row) <= sum(2 * (n + 1) for n in (10, 25, 40))
+    assert calls(exact_core.scaled_sum) == 0

@@ -20,7 +20,7 @@ from krawtchouk_wkb.exact_core import (
     krawtchouk_sum,
     lemma3_value,
     scaled_sum,
-    scaled_symmetry_image,
+    scaled_sum_row,
     scaled_weight,
     symmetry_image,
 )
@@ -157,8 +157,40 @@ def test_scaled_sum_is_the_sum_times_the_scale(case):
     scale = params.denom**n
     got = scaled_sum(n, x, params)
     assert type(got) is int and got == krawtchouk_sum(n, x, params) * scale
-    image = scaled_symmetry_image(n, x, params)
-    assert type(image) is int and image == symmetry_image(n, x, params) * scale
+
+
+@st.composite
+def sum_row_cases(draw, max_N=40):
+    N = draw(st.integers(min_value=1, max_value=max_N))
+    n = draw(st.integers(min_value=0, max_value=N))
+    xs = draw(st.lists(st.integers(min_value=0, max_value=N), max_size=N + 3))
+    return N, draw(st.sampled_from(P_POOL)), n, xs
+
+
+@given(case=sum_row_cases())
+@example(case=(40, Fraction(1, 2), 0, [0, 40]))
+@example(case=(40, Fraction(1, 2), 0, [40, 0]))
+@example(case=(40, Fraction(1, 2), 40, [0, 40]))
+@example(case=(40, Fraction(1, 2), 40, [40, 0]))
+@example(case=(40, Fraction(1, 2), 40, [40]))  # one live term and one product, k = n = x
+@example(case=(40, Fraction(1, 2), 0, [0]))
+@example(case=(25, Fraction("0.64894783"), 12, list(range(25, -1, -1))))  # criterion 1's reversed row
+@example(case=(25, Fraction(2, 7), 12, [25, 3, 3, 0, 17]))  # unsorted, with a repeat
+@example(case=(10, Fraction(1, 3), 4, []))
+@settings(max_examples=100, deadline=None)
+def test_sum_row_equals_fraction_reference_in_any_order(case):
+    # The row form forms the products q^k (-p)^(n-k) once for every k some x
+    # reads, whatever order xs come in; each value is the Fraction
+    # reference's, the one-point scaled_sum's, and (-1)^n times the swapped
+    # instance's value at N - x, as criterion 1 reads the symmetry.
+    N, p, n, xs = case
+    params = Params.from_p(N, p)
+    got = scaled_sum_row(n, xs, params)
+    assert all(type(v) is int for v in got)
+    assert [Fraction(v, params.denom**n) for v in got] == [two_power_sum(n, x, params) for x in xs]
+    assert got == [scaled_sum(n, x, params) for x in xs]
+    image = scaled_sum_row(n, [N - x for x in xs], params.swapped())
+    assert got == [-v if n % 2 else v for v in image]
 
 
 def test_sum_rejects_out_of_range():
@@ -254,8 +286,11 @@ def test_exact_row_equals_sum(case):
         lambda p: exact_row(True, p),
         lambda p: ExactRow(True, p),
         lambda p: scaled_weight(True, p),
+        lambda p: scaled_sum_row(0, [2, True], p),
+        lambda p: symmetry_image(0, True, p),
     ],
-    ids=["row-n", "signed_log-x", "sum-n", "sum-x", "exact_row", "ExactRow", "weight"],
+    ids=["row-n", "signed_log-x", "sum-n", "sum-x", "exact_row", "ExactRow", "weight", "sum_row-x",
+         "symmetry-x"],
 )
 def test_bool_is_not_an_index(call):
     # bool subclasses int; the shared validator still refuses it
@@ -301,8 +336,9 @@ def test_table_reads_reject_bad_indices(read, bad):
         lambda params, xs: classify_row(3, xs, params),
         lambda params, xs: evaluate_region("X", 3, xs, params),
         lambda params, xs: accuracy.norm_err_row([ONE] * 5, ExactRow(3, params), xs),
+        lambda params, xs: scaled_sum_row(3, xs, params),
     ],
-    ids=["approx_row", "classify_row", "evaluate_region", "norm_err_row"],
+    ids=["approx_row", "classify_row", "evaluate_region", "norm_err_row", "scaled_sum_row"],
 )
 def test_a_one_shot_iterator_of_indices_is_refused(call):
     # Checking a one-shot iterator would use it up before the row reads it,
@@ -313,6 +349,17 @@ def test_a_one_shot_iterator_of_indices_is_refused(call):
             call(params, xs)
     for xs in (range(5), list(range(5))):
         assert len(call(params, xs)) == 5
+
+
+def test_norm_err_row_refuses_one_shot_approximations():
+    # len() of a one-shot iterator is a raw TypeError, and reading it to
+    # count would use it up: the metric refuses one by name, as it does xs.
+    row = ExactRow(3, Params.from_p(10, Fraction(1, 2)))
+    for avs in (iter([ONE] * 5), (av for av in [ONE] * 5)):
+        with pytest.raises(DomainError, match="^avs must be a list or tuple"):
+            accuracy.norm_err_row(avs, row, range(5))
+    for avs in ([ONE] * 5, (ONE,) * 5):
+        assert len(accuracy.norm_err_row(avs, row, range(5))) == 5
 
 
 def test_table_computes_only_the_rows_read(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krawtchouk_wkb import accuracy
 from krawtchouk_wkb.exact_core import DomainError, Params
 from krawtchouk_wkb.state_space import (
     DEFAULT_CONFIG,
@@ -13,6 +14,7 @@ from krawtchouk_wkb.state_space import (
     ClassifierConfig,
     RegionId,
     Row,
+    branch_roots,
     check_scaled,
     classify,
     classify_row,
@@ -459,3 +461,55 @@ class TestConfigTypes:
         # u_pm checks its point before the row's turning curves.
         with pytest.raises(DomainError, match=r"y=1\.5 outside the unit interval"):
             u_pm(1.5, 0.0, Params.from_q(10, Fraction(1, 2)))
+
+
+# --- criterion 6's branch-root residual -------------------------------------
+
+
+def all_complex_residual(y, row):
+    """The reference for criterion 6's residual at (y, z): the larger of
+    |z u^2 + b u + c| / max(|z u^2|, |b u|, c) over both roots, each in
+    complex arithmetic, with max() for both maxima."""
+    z, b, c = row.z, row.params.pf - y + row.zqp, row.c
+    worst = 0.0
+    for root in branch_roots(y, row):
+        quad, lin = z * root * root, b * root
+        worst = max(worst, abs(quad + lin + c) / max(abs(quad), abs(lin), c))
+    return worst
+
+
+def root_kind(y, row):
+    um, up = branch_roots(y, row)
+    if up.imag:
+        assert um == up.conjugate()  # the exact test that lets a pair be evaluated once
+        return "complex"
+    return "double" if um == up else "real"
+
+
+@pytest.mark.parametrize("q", ["0.34894783", "0.74894783"])
+def test_root_residual_is_the_all_complex_residual_bit_for_bit(q):
+    # On a 50 x 50 grid of cell midpoints, plus each row's two turning
+    # curves, where the roots collapse to a double root, and two rows by
+    # z = 0 and z = 1 whose band of complex roots is narrower than a cell:
+    # real roots as floats and a conjugate pair once give the all-complex
+    # residual to the bit.
+    params = Params.from_q(100, q)
+    mids = [(i + 0.5) / 50 for i in range(50)]
+    row_kinds, curve_kinds = [], set()
+    for z in [1e-7, *mids, 1.0 - 1e-7]:
+        row = Row(z, params)
+        for y in [*mids, *row.curves]:
+            got, want = accuracy._root_residual([y], row), all_complex_residual(y, row)
+            assert got.hex() == want.hex(), (z, y)
+        row_kinds.append({root_kind(y, row) for y in mids})
+        curve_kinds |= {root_kind(y, row) for y in row.curves}
+    assert {"real", "complex"} <= row_kinds[1] and {"real", "complex"} <= row_kinds[-2]  # both
+    assert row_kinds[0] == row_kinds[-1] == {"real"}
+    assert "double" in curve_kinds
+
+
+def test_criterion_6_worst_root_residual_is_pinned():
+    # The worst residual over criterion 6's 200 x 200 grid, to the bit.
+    params = Params.from_q(100, "0.74894783")
+    mids = [(i + 0.5) / 200 for i in range(200)]
+    assert max(accuracy._root_residual(mids, Row(z, params)) for z in mids) == 6.308394358428778e-16
